@@ -1,0 +1,127 @@
+"""Golden reports: every report in a fixed fixture x subcommand matrix must
+match, byte for byte, the report frozen under ``tests/golden/``.
+
+The matrix is ``validate`` and ``check`` on all bundled fixtures at 20 points
+(each check flag a fixture's blocks allow, one at a time and all together,
+``--koszul`` with a zero psi file), ``free --degree 3`` on the three
+generator fixtures, and one 20-step geodesic.  Only the echoed spec path is
+normalized.  Exit codes are frozen alongside in ``exit_codes.json``.
+
+Freeze (only when a report is meant to change, and say why in CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_golden.py --freeze
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from algebroid import fixture_path
+from algebroid.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+
+FIXTURES = (
+    "fx_action_so2", "fx_bla", "fx_bla_const", "fx_bla_nojacobi", "fx_flat_exp",
+    "fx_foliation_flat", "fx_free_abelian", "fx_free_heis",
+    "fx_killing_nonabelian", "fx_nonriem_fol", "fx_omega_xdy",
+    "fx_poisson_linear", "fx_rho0_n1", "fx_so2_conformal", "fx_so3_sphere",
+    "fx_sympl_conf", "fx_taucurv", "fx_tm_flat",
+)
+POINTS = "20"
+
+
+def _check_flags(doc: dict) -> list[str]:
+    lie = doc["mode"] == "lie"
+    flags = ["--axioms", "--cartan", "--flat-frame"] if lie else []
+    if "metric" in doc:
+        flags.append("--killing")
+        if "two_form" in doc:
+            flags.append("--generalized")
+        if lie:
+            flags.append("--koszul")
+    for block in ("symplectic", "poisson"):
+        if block in doc:
+            flags.append(f"--{block}")
+    return flags
+
+
+def cases() -> dict[str, list[str]]:
+    """Case id -> argv, with the spec given by fixture name."""
+    out = {}
+    for name in FIXTURES:
+        doc = json.loads(fixture_path(name).read_text())
+        common = ["--spec", name, "--points", POINTS]
+        out[f"validate__{name}"] = ["validate"] + common
+        flags = _check_flags(doc)
+        for flag in flags:
+            out[f"check__{name}__{flag[2:]}"] = ["check"] + common + [flag]
+        if len(flags) > 1:
+            out[f"check__{name}__all"] = ["check"] + common + flags
+    for name in ("fx_free_heis", "fx_free_abelian", "fx_killing_nonabelian"):
+        out[f"free__{name}"] = ["free", "--spec", name, "--degree", "3",
+                                "--points", POINTS]
+    out["geodesic__fx_foliation_flat"] = [
+        "geodesic", "--spec", "fx_foliation_flat", "--x0=-0.5,0.3",
+        "--v0=0.4,0.0", "--t-max", "0.02", "--h", "1e-3"]
+    return out
+
+
+def _zero_psi(doc: dict, directory: Path) -> str:
+    r, n = doc["rank"], len(doc["chart"]["coords"])
+    path = directory / "psi_zero.json"
+    path.write_text(json.dumps({"psi": [[["0"] * n for _ in range(r)]
+                                        for _ in range(r)]}))
+    return str(path)
+
+
+def run_case(argv: list[str], directory: Path) -> tuple[int, str]:
+    """Run one case; returns (exit code, report with the spec path normalized)."""
+    argv = list(argv)
+    name = argv[argv.index("--spec") + 1]
+    spec = str(fixture_path(name))
+    argv[argv.index("--spec") + 1] = spec
+    if "--koszul" in argv:
+        doc = json.loads(fixture_path(name).read_text())
+        argv += ["--psi-file", _zero_psi(doc, directory)]
+    out = directory / "report.json"
+    code = main(argv + ["--out", str(out)])
+    text = out.read_text() if out.exists() else ""
+    return code, text.replace(json.dumps(spec), json.dumps(f"{name}.json"))
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    return json.loads(EXIT_CODES.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report(case, exit_codes, tmp_path):
+    code, text = run_case(CASES[case], tmp_path)
+    assert code == exit_codes[case]
+    assert text == (GOLDEN_DIR / f"{case}.json").read_text()
+
+
+def freeze() -> None:
+    import tempfile
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            code, text = run_case(CASES[case], Path(tmp))
+            codes[case] = code
+            (GOLDEN_DIR / f"{case}.json").write_text(text)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    print(f"froze {len(codes)} reports under {GOLDEN_DIR}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--freeze"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --freeze")
+    freeze()
