@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprjet import eval_jet
+from .exprjet import eval_block
 from .spec_model import (
-    AlgebroidSpec, CheckReport, report_from_residuals,
-    eval_anchor, eval_connection, eval_metric, eval_psi, eval_structure,
-    eval_symplectic, eval_poisson, eval_two_form, _require_lie,
+    TOLERANCES, AlgebroidSpec, Check, CheckReport, cube_entries, eval_fields,
+    max_abs, report_from_residuals, run_checks, eval_connection, _require_lie,
 )
 
 __all__ = [
@@ -63,7 +62,7 @@ class TensorSample:
             raise ValueError("component array rank does not match signature")
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components))) if self.components.size else 0.0
+        return max_abs(self.components)
 
 
 @dataclass(frozen=True)
@@ -165,85 +164,228 @@ def tau_coefficients(rho, drho, omega):
 
 
 # --------------------------------------------------------------------------
-# Operations on specs
+# Kernels over the fields at one point (spec_model.eval_fields: f.rho, f.dC...)
+
+
+def _s_frame(f):
+    return s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
+
+
+def _killing_frame(f):
+    return killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)
+
+
+def _killing_sym(f):
+    """Symmetrized covariant derivative of rho-bar, the metric dual of the
+    anchor, [a,i,j]; vanishing is equivalent to the frame Killing equations."""
+    g, dg, rho = f.g, f.dg, f.rho
+    gamma, _ = christoffel_components(g, dg)
+    rbar = np.einsum("jk,ak->aj", g, rho)
+    drbar = (np.einsum("jki,ak->aji", dg, rho)
+             + np.einsum("jk,aki->aji", g, f.drho))   # d_i rbar_{a,j}
+    M = (drbar.transpose(0, 2, 1)                      # [a, i, j]
+         - np.einsum("kij,ak->aij", gamma, rbar)
+         - np.einsum("abi,bj->aij", f.omega, rbar))
+    return 0.5 * (M + M.transpose(0, 2, 1))
+
+
+def _alpha_curvature(f):
+    """Curvature R^d_{abc} of the dual A-connection on the bundle, [d,a,b,c]."""
+    rho, C = f.rho, f.C
+    D = C + np.einsum("bj,acj->abc", rho, f.omega)
+    dD = (f.dC + np.einsum("bji,acj->abci", f.drho, f.omega)
+          + np.einsum("bj,acji->abci", rho, f.domega))
+    rhoD = np.einsum("ai,bcdi->abcd", rho, dD)
+    R = (rhoD - rhoD.transpose(1, 0, 2, 3)
+         + np.einsum("bce,aed->abcd", D, D)
+         - np.einsum("ace,bed->abcd", D, D)
+         - np.einsum("abe,ecd->abcd", C, D))
+    return R.transpose(3, 0, 1, 2)
+
+
+def _tau_curvature(f):
+    """Curvature R^i_{ab,j} of the induced A-connection on coordinate vector
+    fields, [i,a,b,j]."""
+    rho, drho, omega = f.rho, f.drho, f.omega
+    theta = tau_coefficients(rho, drho, omega)
+    dtheta = (-f.d2rho + np.einsum("abjk,bi->aijk", f.domega, rho)
+              + np.einsum("abj,bik->aijk", omega, drho))
+    rho_theta = np.einsum("ak,bijk->abij", rho, dtheta)
+    R = (rho_theta - rho_theta.transpose(1, 0, 2, 3)
+         + np.einsum("bkj,aik->abij", theta, theta)
+         - np.einsum("akj,bik->abij", theta, theta)
+         - np.einsum("abe,eij->abij", f.C, theta))
+    return R.transpose(2, 0, 1, 3)
+
+
+def _tau_intertwine(f):
+    """(tau-nabla_{e_a} rho(e_b))^i - rho(alpha-nabla_{e_a} e_b)^i, [a,b,i]."""
+    rho = f.rho
+    bracket = np.einsum("aj,bij->abi", rho, f.drho)
+    bracket = bracket - bracket.transpose(1, 0, 2)
+    lhs = bracket + np.einsum("bj,acj,ci->abi", rho, f.omega, rho)
+    D = f.C + np.einsum("bj,acj->abc", rho, f.omega)
+    return lhs - np.einsum("abc,ci->abi", D, rho)
+
+
+def _generalized(f):
+    """(sym, skew) blocks of the combined residual for Phi = g + B with the
+    endomorphism-valued 1-form psi."""
+    rho, drho, omega, psi = f.rho, f.drho, f.omega, f.psi
+    rbar_g = np.einsum("ak,kj->aj", rho, f.g)
+    rbar_B = np.einsum("ak,kj->aj", rho, f.B)
+
+    sym = killing_frame_components(rho, drho, f.g, f.dg, omega)
+    psi_vee = np.einsum("abi,bj->aij", psi, rbar_B)
+    sym = sym - (psi_vee + np.swapaxes(psi_vee, 1, 2))
+
+    lie_B = lie_derivative_cov2(rho, drho, f.B, f.dB)
+    om_wedge = np.einsum("abi,bj->aij", omega, rbar_B)
+    psi_wedge = np.einsum("abi,bj->aij", psi, rbar_g)
+    skew = (lie_B - (om_wedge - np.swapaxes(om_wedge, 1, 2))
+            - (psi_wedge - np.swapaxes(psi_wedge, 1, 2)))
+    return sym, skew
+
+
+def _closedness(f):
+    """d_{[i} Omega_{jk]} (identically zero for n = 2)."""
+    t = f.dOm.transpose(2, 0, 1)           # t[i,j,k] = d_i Omega_{jk}
+    return t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+
+
+def _symplectic_residual(f):
+    """tau-nabla residual of the symplectic form (covariant slots)."""
+    lie = lie_derivative_cov2(f.rho, f.drho, f.Om, f.dOm)
+    iota = np.einsum("bk,kj->bj", f.rho, f.Om)
+    wedge = np.einsum("abi,bj->aij", f.omega, iota)
+    return lie - (wedge - np.swapaxes(wedge, 1, 2))
+
+
+def _poisson_residual(f):
+    """tau-nabla residual of the Poisson bivector (contravariant slots,
+    left/right contraction placement)."""
+    rho, drho, P = f.rho, f.drho, f.P
+    lie = (np.einsum("ak,ijk->aij", rho, f.dP)
+           - np.einsum("aik,kj->aij", drho, P)
+           - np.einsum("ajk,ik->aij", drho, P))
+    left = np.einsum("bi,abk,kj->aij", rho, f.omega, P)
+    right = np.einsum("ik,abk,bj->aij", P, f.omega, rho)
+    return lie + left + right
+
+
+# --------------------------------------------------------------------------
+# Checks over sample points: the rows that `algebroid check` selects by flag
+
+_FRAME1 = {"anchor": 1, "structure": 1, "connection": 1}
+_TAU_CURVATURE_READS = {"anchor": 2, "structure": 0, "connection": 1}
+_KILLING_READS = {"anchor": 1, "metric": 1, "connection": 0}
+
+def _cartan(f):
+    S = _s_frame(f)
+    return max_abs(S), max_abs(S - s_covariant_components(
+        f.rho, f.drho, f.C, f.dC, f.omega, f.domega))
+
+
+def _killing(f):
+    K = _killing_frame(f)
+    return max_abs(K), max_abs(K - 2.0 * _killing_sym(f))
+
+
+TAU_INTERTWINE = Check(("tau_intertwine",),
+                       {"anchor": 1, "structure": 0, "connection": 0},
+                       lambda f: max_abs(_tau_intertwine(f)))
+CARTAN_CHECKS = (
+    Check(("cartan_s_frame", "s_frame_vs_covariant"), _FRAME1, _cartan),
+    TAU_INTERTWINE,
+    # Cartan compatibility implies both induced connections are flat
+    Check(("alpha_curvature_flat",), _FRAME1,
+          lambda f: max_abs(_alpha_curvature(f)), gate="cartan_s_frame"),
+    Check(("tau_curvature_flat",), _TAU_CURVATURE_READS,
+          lambda f: max_abs(_tau_curvature(f)), gate="cartan_s_frame"),
+)
+KILLING = Check(("killing_frame", "killing_frame_vs_sym"), _KILLING_READS, _killing)
+GENERALIZED = Check(("generalized_sym", "generalized_skew"),
+                    {"anchor": 1, "metric": 1, "two_form": 1, "connection": 0,
+                     "psi": 0},
+                    lambda f: tuple(map(max_abs, _generalized(f))))
+SYMPLECTIC = Check(("symplectic_closed", "symplectic_residual"),
+                   {"anchor": 1, "symplectic": 1, "connection": 0},
+                   lambda f: (max_abs(_closedness(f)),
+                              max_abs(_symplectic_residual(f))))
+POISSON = Check(("poisson_residual",), {"anchor": 1, "poisson": 1, "connection": 0},
+                lambda f: max_abs(_poisson_residual(f)))
+FLAT_FRAME_GATE = Check(("flat_frame_gate",), {"connection": 1},
+                        lambda f: max_abs(curvature_components(f.omega, f.domega)))
+
+
+def koszul_check(psi_candidate) -> Check:
+    """Koszul obstruction for perturbing the connection by the [a][b][i]
+    expression cube ``psi_candidate``: symmetrized contraction of psi against
+    the metric dual of the anchor."""
+    def kernel(f):
+        r, n = f.rho.shape
+        psi, = eval_block(cube_entries(psi_candidate), (r, r, n), f.point,
+                          label="psi")
+        half = np.einsum("abi,bj->aij", psi, np.einsum("ak,kj->aj", f.rho, f.g))
+        return max_abs(0.5 * (half + np.swapaxes(half, 1, 2)))
+    return Check(("koszul_delta",), {"anchor": 0, "metric": 0}, kernel)
+
+
+# --------------------------------------------------------------------------
+# Operations on specs at one point
+
+_S_SIG = ("frame_up", "frame_down", "frame_down", "coord_down")
+_FORM_SIG = ("frame_down", "coord_down", "coord_down")
+
+
+def _sample(spec, p, reads, kernel, signature) -> TensorSample:
+    return TensorSample(signature, kernel(eval_fields(spec, p, reads)), _pt(p))
 
 
 def christoffel(spec: AlgebroidSpec, p) -> TensorSample:
     """Levi-Civita coefficients Gamma^k_{ij} of the spec metric at p."""
-    g, dg = eval_metric(spec, p, order=1)
-    gamma, _ = christoffel_components(g, dg)
-    return TensorSample(("coord_up", "coord_down", "coord_down"), gamma, _pt(p))
+    return _sample(spec, p, {"metric": 1},
+                   lambda f: christoffel_components(f.g, f.dg)[0],
+                   ("coord_up", "coord_down", "coord_down"))
 
 
 def a_torsion(spec: AlgebroidSpec, p) -> TensorSample:
     """A-torsion of nabla_{rho(.)}; components AT^c_{ab}, stored [a,b,c]."""
     _require_lie(spec, "a_torsion")
-    rho = eval_anchor(spec, p, order=0)
-    omega = eval_connection(spec, p, order=0)
-    C = eval_structure(spec, p, order=0)
-    return TensorSample(("frame_down", "frame_down", "frame_up"),
-                        a_torsion_components(rho, omega, C), _pt(p))
+    return _sample(spec, p, {"anchor": 0, "connection": 0, "structure": 0},
+                   lambda f: a_torsion_components(f.rho, f.omega, f.C),
+                   ("frame_down", "frame_down", "frame_up"))
 
 
 def connection_curvature(spec: AlgebroidSpec, p) -> TensorSample:
     """Curvature F^b_{a,ij} of the connection, stored [a,b,i,j]."""
-    omega, domega = eval_connection(spec, p, order=1)
-    return TensorSample(("frame_down", "frame_up", "coord_down", "coord_down"),
-                        curvature_components(omega, domega), _pt(p))
-
-
-def _frame_arrays_order1(spec, p):
-    rho, drho = eval_anchor(spec, p, order=1)
-    C, dC = eval_structure(spec, p, order=1)
-    omega, domega = eval_connection(spec, p, order=1)
-    return rho, drho, C, dC, omega, domega
+    return _sample(spec, p, FLAT_FRAME_GATE.reads,
+                   lambda f: curvature_components(f.omega, f.domega),
+                   ("frame_down", "frame_up", "coord_down", "coord_down"))
 
 
 def compatibility_tensor_frame(spec: AlgebroidSpec, p) -> TensorSample:
     """Compatibility tensor S^c_{ab,i} by the local-frame formula."""
     _require_lie(spec, "compatibility_tensor_frame")
-    S = s_frame_components(*_frame_arrays_order1(spec, p))
-    return TensorSample(("frame_up", "frame_down", "frame_down", "coord_down"),
-                        S, _pt(p))
+    return _sample(spec, p, _FRAME1, _s_frame, _S_SIG)
 
 
 def compatibility_tensor_covariant(spec: AlgebroidSpec, p) -> TensorSample:
     """Compatibility tensor S^c_{ab,i} via nabla(AT) plus anchor-curvature."""
     _require_lie(spec, "compatibility_tensor_covariant")
-    S = s_covariant_components(*_frame_arrays_order1(spec, p))
-    return TensorSample(("frame_up", "frame_down", "frame_down", "coord_down"),
-                        S, _pt(p))
+    return _sample(spec, p, _FRAME1, lambda f: s_covariant_components(
+        f.rho, f.drho, f.C, f.dC, f.omega, f.domega), _S_SIG)
 
 
 def killing_residual_frame(spec: AlgebroidSpec, p) -> TensorSample:
     """Extended Killing equation residual K_{a,ij}, symmetric in (i, j)."""
-    rho, drho = eval_anchor(spec, p, order=1)
-    g, dg = eval_metric(spec, p, order=1)
-    omega = eval_connection(spec, p, order=0)
-    K = killing_frame_components(rho, drho, g, dg, omega)
-    return TensorSample(("frame_down", "coord_down", "coord_down"), K, _pt(p))
+    return _sample(spec, p, _KILLING_READS, _killing_frame, _FORM_SIG)
 
 
 def killing_residual_sym(spec: AlgebroidSpec, p) -> TensorSample:
     """Symmetrized covariant derivative of rho-bar (the metric dual of the
     anchor); vanishing is equivalent to the frame Killing equations."""
-    rho, drho = eval_anchor(spec, p, order=1)
-    g, dg = eval_metric(spec, p, order=1)
-    omega = eval_connection(spec, p, order=0)
-    gamma, _ = christoffel_components(g, dg)
-    rbar = np.einsum("jk,ak->aj", g, rho)
-    drbar = (np.einsum("jki,ak->aji", dg, rho)
-             + np.einsum("jk,aki->aji", g, drho))     # d_i rbar_{a,j}
-    M = (drbar.transpose(0, 2, 1)                      # [a, i, j]
-         - np.einsum("kij,ak->aij", gamma, rbar)
-         - np.einsum("abi,bj->aij", omega, rbar))
-    sym = 0.5 * (M + M.transpose(0, 2, 1))
-    return TensorSample(("frame_down", "coord_down", "coord_down"), sym, _pt(p))
-
-
-def dual_coefficients(C: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Dual of an A-connection given by coefficients E[a,b,c]."""
-    return C + E.transpose(1, 0, 2)
+    return _sample(spec, p, _KILLING_READS, _killing_sym, _FORM_SIG)
 
 
 def dual_a_connection(spec: AlgebroidSpec, p) -> TensorSample:
@@ -251,11 +393,10 @@ def dual_a_connection(spec: AlgebroidSpec, p) -> TensorSample:
     stored [a,b,c].  Asserts reflexivity of the duality and that the dual's
     A-torsion is the exact negative of the original one."""
     _require_lie(spec, "dual_a_connection")
-    rho = eval_anchor(spec, p, order=0)
-    omega = eval_connection(spec, p, order=0)
-    C = eval_structure(spec, p, order=0)
-    N = np.einsum("aj,bcj->abc", rho, omega)       # nabla_{rho_a} e_b coefficients
-    D = dual_coefficients(C, N)
+    f = eval_fields(spec, p, {"anchor": 0, "connection": 0, "structure": 0})
+    C = f.C
+    N = np.einsum("aj,bcj->abc", f.rho, f.omega)   # nabla_{rho_a} e_b coefficients
+    D = C + N.transpose(1, 0, 2)                   # the dual of N
     # association-safe evaluation keeps both identities exact in floats:
     # C + C^T vanishes entrywise because mirror entries are stored negations
     double_dual = (C + C.transpose(1, 0, 2)) + N
@@ -279,54 +420,19 @@ def a_curvature(spec: AlgebroidSpec, p, which: str) -> TensorSample:
     """
     _require_lie(spec, "a_curvature")
     if which == "alpha":
-        rho, drho = eval_anchor(spec, p, order=1)
-        C, dC = eval_structure(spec, p, order=1)
-        omega, domega = eval_connection(spec, p, order=1)
-        D = C + np.einsum("bj,acj->abc", rho, omega)
-        dD = (dC + np.einsum("bji,acj->abci", drho, omega)
-              + np.einsum("bj,acji->abci", rho, domega))
-        rhoD = np.einsum("ai,bcdi->abcd", rho, dD)
-        R = (rhoD - rhoD.transpose(1, 0, 2, 3)
-             + np.einsum("bce,aed->abcd", D, D)
-             - np.einsum("ace,bed->abcd", D, D)
-             - np.einsum("abe,ecd->abcd", C, D))
-        return TensorSample(("frame_up", "frame_down", "frame_down", "frame_down"),
-                            R.transpose(3, 0, 1, 2), _pt(p))
+        return _sample(spec, p, _FRAME1, _alpha_curvature,
+                       ("frame_up", "frame_down", "frame_down", "frame_down"))
     if which == "tau":
-        rho, drho, d2rho = eval_anchor(spec, p, order=2)
-        C = eval_structure(spec, p, order=0)
-        omega, domega = eval_connection(spec, p, order=1)
-        theta = tau_coefficients(rho, drho, omega)
-        dtheta = (-d2rho + np.einsum("abjk,bi->aijk", domega, rho)
-                  + np.einsum("abj,bik->aijk", omega, drho))
-        rho_theta = np.einsum("ak,bijk->abij", rho, dtheta)
-        R = (rho_theta - rho_theta.transpose(1, 0, 2, 3)
-             + np.einsum("bkj,aik->abij", theta, theta)
-             - np.einsum("akj,bik->abij", theta, theta)
-             - np.einsum("abe,eij->abij", C, theta))
-        return TensorSample(("coord_up", "frame_down", "frame_down", "coord_down"),
-                            R.transpose(2, 0, 1, 3), _pt(p))
+        return _sample(spec, p, _TAU_CURVATURE_READS, _tau_curvature,
+                       ("coord_up", "frame_down", "frame_down", "coord_down"))
     raise ValueError(f"which must be 'alpha' or 'tau', got {which!r}")
 
 
-def tau_intertwine_residual(spec: AlgebroidSpec, p) -> float:
-    """max |(tau-nabla_{e_a} rho(e_b))^i - rho(alpha-nabla_{e_a} e_b)^i|."""
-    rho, drho = eval_anchor(spec, p, order=1)
-    C = eval_structure(spec, p, order=0)
-    omega = eval_connection(spec, p, order=0)
-    bracket = np.einsum("aj,bij->abi", rho, drho)
-    bracket = bracket - bracket.transpose(1, 0, 2)
-    lhs = bracket + np.einsum("bj,acj,ci->abi", rho, omega, rho)
-    D = C + np.einsum("bj,acj->abc", rho, omega)
-    rhs = np.einsum("abc,ci->abi", D, rho)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def tau_intertwine_check(spec: AlgebroidSpec, points,
-                         tolerance: float = 1e-10) -> CheckReport:
+                         tolerance: float = TOLERANCES["tau_intertwine"]
+                         ) -> CheckReport:
     _require_lie(spec, "tau_intertwine_check")
-    residuals = [tau_intertwine_residual(spec, p) for p in points]
-    return report_from_residuals("tau_intertwine", residuals, points, tolerance)
+    return run_checks(spec, points, [TAU_INTERTWINE], tolerance)[0]
 
 
 def generalized_residuals(spec: AlgebroidSpec, p) -> GeneralizedResiduals:
@@ -334,87 +440,37 @@ def generalized_residuals(spec: AlgebroidSpec, p) -> GeneralizedResiduals:
     the endomorphism-valued 1-form psi (absent psi is treated as zero)."""
     if spec.metric is None or spec.two_form is None:
         raise ValueError("generalized residuals need both metric and two_form")
-    rho, drho = eval_anchor(spec, p, order=1)
-    g, dg = eval_metric(spec, p, order=1)
-    B, dB = eval_two_form(spec, p, order=1)
-    omega = eval_connection(spec, p, order=0)
-    n = spec.dimension
-    psi = eval_psi(spec, p, order=0) if spec.psi is not None \
-        else np.zeros((spec.rank, spec.rank, n))
-
-    rbar_g = np.einsum("ak,kj->aj", rho, g)
-    rbar_B = np.einsum("ak,kj->aj", rho, B)
-
-    sym = killing_frame_components(rho, drho, g, dg, omega)
-    psi_vee = np.einsum("abi,bj->aij", psi, rbar_B)
-    sym = sym - (psi_vee + np.swapaxes(psi_vee, 1, 2))
-
-    lie_B = lie_derivative_cov2(rho, drho, B, dB)
-    om_wedge = np.einsum("abi,bj->aij", omega, rbar_B)
-    psi_wedge = np.einsum("abi,bj->aij", psi, rbar_g)
-    skew = (lie_B - (om_wedge - np.swapaxes(om_wedge, 1, 2))
-            - (psi_wedge - np.swapaxes(psi_wedge, 1, 2)))
+    sym, skew = _generalized(eval_fields(spec, p, GENERALIZED.reads))
     return GeneralizedResiduals(sym=sym, skew=skew, point=_pt(p))
 
 
 def symplectic_closedness_residual(spec: AlgebroidSpec, p) -> float:
     """max |d_{[i} Omega_{jk]}| (identically zero for n = 2)."""
-    _, dOm = eval_symplectic(spec, p, order=1)
-    t = dOm.transpose(2, 0, 1)             # t[i,j,k] = d_i Omega_{jk}
-    dOmega = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
-    return float(np.max(np.abs(dOmega)))
+    return max_abs(_closedness(eval_fields(spec, p, {"symplectic": 1})))
 
 
 def structure_residual(spec: AlgebroidSpec, p, kind: str) -> TensorSample:
     """tau-nabla residual of the symplectic form (covariant slots) or the
     Poisson bivector (contravariant slots, left/right contraction placement)."""
-    rho, drho = eval_anchor(spec, p, order=1)
-    omega = eval_connection(spec, p, order=0)
     if kind == "symplectic":
-        Om, dOm = eval_symplectic(spec, p, order=1)
-        lie = lie_derivative_cov2(rho, drho, Om, dOm)
-        iota = np.einsum("bk,kj->bj", rho, Om)
-        wedge = np.einsum("abi,bj->aij", omega, iota)
-        res = lie - (wedge - np.swapaxes(wedge, 1, 2))
-        return TensorSample(("frame_down", "coord_down", "coord_down"), res, _pt(p))
+        return _sample(spec, p, SYMPLECTIC.reads, _symplectic_residual, _FORM_SIG)
     if kind == "poisson":
-        P, dP = eval_poisson(spec, p, order=1)
-        lie = (np.einsum("ak,ijk->aij", rho, dP)
-               - np.einsum("aik,kj->aij", drho, P)
-               - np.einsum("ajk,ik->aij", drho, P))
-        left = np.einsum("bi,abk,kj->aij", rho, omega, P)
-        right = np.einsum("ik,abk,bj->aij", P, omega, rho)
-        return TensorSample(("frame_down", "coord_up", "coord_up"),
-                            lie + left + right, _pt(p))
+        return _sample(spec, p, POISSON.reads, _poisson_residual,
+                       ("frame_down", "coord_up", "coord_up"))
     raise ValueError(f"kind must be 'symplectic' or 'poisson', got {kind!r}")
 
 
-def koszul_delta_residual(spec: AlgebroidSpec, psi_candidate, p) -> float:
-    """Koszul obstruction for perturbing the connection by psi: symmetrized
-    contraction of psi against the metric dual of the anchor."""
+def koszul_delta_check(spec: AlgebroidSpec, psi_candidate, points,
+                       tolerance: float = TOLERANCES["koszul_delta"]) -> CheckReport:
+    """Koszul obstruction for perturbing the connection by psi (see
+    ``koszul_check``) over the sample points."""
     if spec.metric is None:
         raise ValueError("Koszul delta test needs a metric")
     r, n = spec.rank, spec.dimension
     if (len(psi_candidate) != r or any(len(row) != r for row in psi_candidate)
             or any(len(row[b]) != n for row in psi_candidate for b in range(r))):
         raise ValueError(f"psi candidate must have shape ({r}, {r}, {n})")
-    rho = eval_anchor(spec, p, order=0)
-    g = eval_metric(spec, p, order=0)
-    rbar = np.einsum("ak,kj->aj", rho, g)
-    psi = np.zeros((r, r, n))
-    for a in range(r):
-        for b in range(r):
-            for i in range(n):
-                psi[a, b, i] = eval_jet(psi_candidate[a][b][i], p, order=0, n=n).value
-    half = np.einsum("abi,bj->aij", psi, rbar)
-    delta = 0.5 * (half + np.swapaxes(half, 1, 2))
-    return float(np.max(np.abs(delta)))
-
-
-def koszul_delta_check(spec: AlgebroidSpec, psi_candidate, points,
-                       tolerance: float = 1e-9) -> CheckReport:
-    residuals = [koszul_delta_residual(spec, psi_candidate, p) for p in points]
-    return report_from_residuals("koszul_delta", residuals, points, tolerance)
+    return run_checks(spec, points, [koszul_check(psi_candidate)], tolerance)[0]
 
 
 # --------------------------------------------------------------------------
@@ -437,11 +493,12 @@ class FrameSamples:
 def _transport_segment(spec, q0, q1, U0, substeps):
     """RK4 for dU/dt = -omega(gamma')U along the straight segment q0 -> q1."""
     dx = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
+    W = {}      # t -> connection along dx; k2 and k3 share their midpoint
 
     def rhs(t, U):
-        omega = eval_connection(spec, q0 + t * dx, order=0)
-        W = np.einsum("i,qai->aq", dx, omega)
-        return -W @ U
+        if t not in W:
+            W[t] = np.einsum("i,qai->aq", dx, eval_connection(spec, q0 + t * dx))
+        return -W[t] @ U
 
     U = U0.copy()
     h = 1.0 / substeps
@@ -498,9 +555,10 @@ def _transport_grid(spec, basepoint, deltas, ranges, axis_order, substeps):
 
 
 def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
-                     substeps: int = 8, flat_tolerance: float = 1e-7,
-                     tolerance: float = 1e-6,
-                     killing_tolerance: float = 1e-7):
+                     substeps: int = 8,
+                     flat_tolerance: float = TOLERANCES["flat_frame_gate"],
+                     tolerance: float = TOLERANCES["flat_frame"],
+                     killing_tolerance: float = TOLERANCES["killing_frame"]):
     """Build a covariantly constant frame around ``basepoint`` by parallel
     transport along axis-aligned grid paths, then check that the transformed
     structure functions are constant over the grid; when the spec carries a
@@ -522,9 +580,14 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     points = {off: basepoint + deltas * np.array(off, dtype=float)
               for off in offsets}
 
+    reads = {"anchor": 0, "structure": 0, "connection": 1}
+    if spec.metric is not None:
+        reads.update(anchor=1, metric=1)
+    fields = {off: eval_fields(spec, q, reads) for off, q in points.items()}
+
     # flatness gate
-    worst_F = max(connection_curvature(spec, q).max_abs() for q in points.values())
-    if worst_F > flat_tolerance:
+    worst_F = float(np.max([FLAT_FRAME_GATE.kernel(f) for f in fields.values()]))
+    if not worst_F <= flat_tolerance:
         raise FlatnessGateError(
             f"connection curvature {worst_F:.3e} exceeds gate {flat_tolerance:.1e}")
 
@@ -540,26 +603,22 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
         frames=np.array([frames[off] for off in ordered]),
     )
 
-    path_dev = [float(np.max(np.abs(frames[off] - frames_rev[off])))
-                for off in ordered]
+    path_dev = [max_abs(frames[off] - frames_rev[off]) for off in ordered]
     grid_pts = [points[off] for off in ordered]
     reports = []
 
     # transformed structure functions, using covariant constancy of the frame
-    def transformed_structure(q, U):
-        rho = eval_anchor(spec, q, order=0)
-        C = eval_structure(spec, q, order=0)
-        omega = eval_connection(spec, q, order=0)
+    def transformed_structure(f, U):
         Uinv = np.linalg.inv(U)
-        rho_t = np.einsum("pa,pi->ai", U, rho)          # anchors of e~_a
-        core = np.einsum("pa,qb,pqe->abe", U, U, C)
-        corr = np.einsum("ai,qei,qb->abe", rho_t, omega, U)
-        total = core - corr + np.einsum("bi,qei,qa->abe", rho_t, omega, U)
+        rho_t = np.einsum("pa,pi->ai", U, f.rho)        # anchors of e~_a
+        core = np.einsum("pa,qb,pqe->abe", U, U, f.C)
+        corr = np.einsum("ai,qei,qb->abe", rho_t, f.omega, U)
+        total = core - corr + np.einsum("bi,qei,qa->abe", rho_t, f.omega, U)
         return np.einsum("abe,ec->abc", total, Uinv.T)
 
-    C_base = transformed_structure(basepoint, np.eye(spec.rank))
-    const_res = [float(np.max(np.abs(transformed_structure(points[off],
-                                                           frames[off]) - C_base)))
+    C_base = transformed_structure(fields[tuple(0 for _ in deltas)],
+                                   np.eye(spec.rank))
+    const_res = [max_abs(transformed_structure(fields[off], frames[off]) - C_base)
                  for off in ordered]
     reports.append(report_from_residuals("flat_frame_structure_constancy",
                                          const_res, grid_pts, tolerance))
@@ -567,23 +626,20 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
                                          path_dev, grid_pts, tolerance))
 
     if spec.metric is not None:
-        killing_worst = max(killing_residual_frame(spec, q).max_abs()
-                            for q in grid_pts)
+        killing_worst = float(np.max([
+            max_abs(_killing_frame(fields[off])) for off in ordered]))
         if killing_worst <= killing_tolerance:
             res = []
             for off in ordered:
-                q, U = points[off], frames[off]
-                rho, drho = eval_anchor(spec, q, order=1)
-                g, dg = eval_metric(spec, q, order=1)
-                omega = eval_connection(spec, q, order=0)
-                v = np.einsum("pa,pk->ak", U, rho)
+                f, U = fields[off], frames[off]
+                v = np.einsum("pa,pk->ak", U, f.rho)
                 # d_i v^k via nabla e~ = 0: d_i U^p_a = -omega^p_{q,i} U^q_a
-                dv = (-np.einsum("qpi,qa,pk->aki", omega, U, rho)
-                      + np.einsum("pa,pki->aki", U, drho))
-                lie = (np.einsum("ak,ijk->aij", v, dg)
-                       + np.einsum("aki,kj->aij", dv, g)
-                       + np.einsum("akj,ik->aij", dv, g))
-                res.append(float(np.max(np.abs(lie))))
+                dv = (-np.einsum("qpi,qa,pk->aki", f.omega, U, f.rho)
+                      + np.einsum("pa,pki->aki", U, f.drho))
+                lie = (np.einsum("ak,ijk->aij", v, f.dg)
+                       + np.einsum("aki,kj->aij", dv, f.g)
+                       + np.einsum("akj,ik->aij", dv, f.g))
+                res.append(max_abs(lie))
             reports.append(report_from_residuals("flat_section_killing",
                                                  res, grid_pts, tolerance))
 

@@ -1,9 +1,15 @@
 """Command-line orchestration: load a spec, run selected check suites, and
 emit deterministic human- or machine-readable reports.
 
+``check`` selects rows of one table keyed by flag; every spec block the
+selected rows read is evaluated once per sample point, and each row reduces
+its kernel's residuals to a report.  A non-finite residual fails its check.
+
 Exit codes: 0 all selected checks pass, 1 at least one check fails, 2 input
-or schema error, 3 numerical indeterminacy (free-algebroid rank ambiguity).
-Reports with the same config (including seed) are byte-identical.
+or schema error, or an expression that cannot be evaluated at a sample point
+(the message names the block entry, the subexpression and the point), 3
+numerical indeterminacy (free-algebroid rank ambiguity).  Reports with the
+same config (including seed) are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,186 +24,67 @@ import numpy as np
 from . import calculus as ca
 from . import foliation as fo
 from . import freealg as fa
-from .exprjet import ParseError
+from .exprjet import EvalDomainError, ParseError
 from .spec_model import (
-    AlgebroidSpec, CheckReport, SchemaError, load_spec_file,
-    check_anchor_morphism, check_jacobi, report_from_residuals,
-    sample_points, validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
+    ANCHOR_MORPHISM, JACOBI, AlgebroidSpec, CheckReport, SchemaError,
+    load_cube, load_spec_file, run_checks, sample_points, tolerance_of,
+    validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
 )
+from .spec_model import TOLERANCES  # noqa: F401  (the one table, as cli.TOLERANCES)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 
-TOLERANCES = {
-    "anchor_morphism": 1e-9,
-    "jacobi": 1e-9,
-    "cartan_s_frame": 1e-9,
-    "s_frame_vs_covariant": 1e-9,
-    "tau_intertwine": 1e-10,
-    "alpha_curvature_flat": 1e-7,
-    "tau_curvature_flat": 1e-7,
-    "killing_frame": 1e-7,
-    "killing_frame_vs_sym": 1e-10,
-    "generalized_sym": 1e-9,
-    "generalized_skew": 1e-9,
-    "symplectic_closed": 1e-9,
-    "symplectic_residual": 1e-9,
-    "poisson_residual": 1e-9,
-    "koszul_delta": 1e-9,
-    "flat_frame_gate": 1e-7,
-    "flat_frame": 1e-6,
-    "cartan_extended": 1e-8,
-    "jacobiator_covariant_constancy": 1e-8,
-    "killing_generators": 1e-7,
-    "killing_extended": 1e-7,
-    "geodesic_orthogonality": 1e-6,
-    "geodesic_energy_drift": 1e-8,
-}
-
 
 class InputError(Exception):
     """Bad invocation or spec content that maps to exit code 2."""
 
 
-def _tol(name: str, override) -> float:
-    return override if override is not None else TOLERANCES[name]
-
-
-def _pointwise_report(name, spec, points, func, tolerance) -> CheckReport:
-    residuals = [func(spec, p) for p in points]
-    return report_from_residuals(name, residuals, points, tolerance)
-
-
 def run_check_suite(spec: AlgebroidSpec, points, flags, tol_override=None,
                     psi_candidate=None) -> list[CheckReport]:
     """Execute the selected checks; returns one CheckReport per check."""
-    reports: list[CheckReport] = []
-
-    if flags.get("axioms"):
-        if spec.mode != "lie":
-            raise InputError("--axioms needs a lie-mode spec (anchored bundles "
-                             "carry no bracket; use `validate` instead)")
-        reports.append(check_anchor_morphism(spec, points,
-                                             _tol("anchor_morphism", tol_override)))
-        reports.append(check_jacobi(spec, points, _tol("jacobi", tol_override)))
-
-    if flags.get("cartan"):
-        if spec.mode != "lie":
-            raise InputError("--cartan needs a lie-mode spec")
-        s_report = _pointwise_report(
-            "cartan_s_frame", spec, points,
-            lambda s, p: ca.compatibility_tensor_frame(s, p).max_abs(),
-            _tol("cartan_s_frame", tol_override))
-        reports.append(s_report)
-        reports.append(_pointwise_report(
-            "s_frame_vs_covariant", spec, points,
-            lambda s, p: float(np.max(np.abs(
-                ca.compatibility_tensor_frame(s, p).components
-                - ca.compatibility_tensor_covariant(s, p).components))),
-            _tol("s_frame_vs_covariant", tol_override)))
-        reports.append(ca.tau_intertwine_check(
-            spec, points, _tol("tau_intertwine", tol_override)))
-        if s_report.passed:
-            # Cartan compatibility implies both induced connections are flat
-            reports.append(_pointwise_report(
-                "alpha_curvature_flat", spec, points,
-                lambda s, p: ca.a_curvature(s, p, "alpha").max_abs(),
-                _tol("alpha_curvature_flat", tol_override)))
-            reports.append(_pointwise_report(
-                "tau_curvature_flat", spec, points,
-                lambda s, p: ca.a_curvature(s, p, "tau").max_abs(),
-                _tol("tau_curvature_flat", tol_override)))
-
-    if flags.get("killing"):
-        if spec.metric is None:
-            raise InputError("--killing needs a metric block")
-        reports.append(_pointwise_report(
-            "killing_frame", spec, points,
-            lambda s, p: ca.killing_residual_frame(s, p).max_abs(),
-            _tol("killing_frame", tol_override)))
-        reports.append(_pointwise_report(
-            "killing_frame_vs_sym", spec, points,
-            lambda s, p: float(np.max(np.abs(
-                ca.killing_residual_frame(s, p).components
-                - 2.0 * ca.killing_residual_sym(s, p).components))),
-            _tol("killing_frame_vs_sym", tol_override)))
-
-    if flags.get("generalized"):
-        if spec.metric is None or spec.two_form is None:
-            raise InputError("--generalized needs both metric and two_form blocks")
-        reports.append(_pointwise_report(
-            "generalized_sym", spec, points,
-            lambda s, p: float(np.max(np.abs(ca.generalized_residuals(s, p).sym))),
-            _tol("generalized_sym", tol_override)))
-        reports.append(_pointwise_report(
-            "generalized_skew", spec, points,
-            lambda s, p: float(np.max(np.abs(ca.generalized_residuals(s, p).skew))),
-            _tol("generalized_skew", tol_override)))
-
-    if flags.get("symplectic"):
-        if spec.symplectic is None:
-            raise InputError("--symplectic needs a symplectic block")
-        reports.append(_pointwise_report(
-            "symplectic_closed", spec, points, ca.symplectic_closedness_residual,
-            _tol("symplectic_closed", tol_override)))
-        reports.append(_pointwise_report(
-            "symplectic_residual", spec, points,
-            lambda s, p: ca.structure_residual(s, p, "symplectic").max_abs(),
-            _tol("symplectic_residual", tol_override)))
-
-    if flags.get("poisson"):
-        if spec.poisson is None:
-            raise InputError("--poisson needs a poisson block")
-        reports.append(_pointwise_report(
-            "poisson_residual", spec, points,
-            lambda s, p: ca.structure_residual(s, p, "poisson").max_abs(),
-            _tol("poisson_residual", tol_override)))
-
-    if flags.get("koszul"):
-        if psi_candidate is None:
-            raise InputError("--koszul needs --psi-file")
-        if spec.metric is None:
-            raise InputError("--koszul needs a metric block")
-        reports.append(ca.koszul_delta_check(
-            spec, psi_candidate, points, _tol("koszul_delta", tol_override)))
-
-    if flags.get("flat_frame"):
-        if spec.mode != "lie":
-            raise InputError("--flat-frame needs a lie-mode spec")
-        gate = _pointwise_report(
-            "flat_frame_gate", spec, points,
-            lambda s, p: ca.connection_curvature(s, p).max_abs(),
-            _tol("flat_frame_gate", tol_override))
-        reports.append(gate)
-        if gate.passed:
-            _, probe_reports = ca.flat_frame_probe(
-                spec, spec.chart.center(),
-                flat_tolerance=_tol("flat_frame_gate", tol_override),
-                tolerance=_tol("flat_frame", tol_override))
-            reports.extend(probe_reports)
-
+    lie, metric = spec.mode == "lie", spec.metric is not None
+    # (flag, what the input must satisfy, error otherwise, checks in report order)
+    table = (
+        ("axioms", lie, "--axioms needs a lie-mode spec (anchored bundles carry "
+                        "no bracket; use `validate` instead)", (ANCHOR_MORPHISM, JACOBI)),
+        ("cartan", lie, "--cartan needs a lie-mode spec", ca.CARTAN_CHECKS),
+        ("killing", metric, "--killing needs a metric block", (ca.KILLING,)),
+        ("generalized", metric and spec.two_form is not None,
+         "--generalized needs both metric and two_form blocks", (ca.GENERALIZED,)),
+        ("symplectic", spec.symplectic is not None,
+         "--symplectic needs a symplectic block", (ca.SYMPLECTIC,)),
+        ("poisson", spec.poisson is not None, "--poisson needs a poisson block",
+         (ca.POISSON,)),
+        ("koszul", psi_candidate is not None, "--koszul needs --psi-file", ()),
+        ("koszul", metric, "--koszul needs a metric block",
+         (ca.koszul_check(psi_candidate),)),
+        ("flat_frame", lie, "--flat-frame needs a lie-mode spec",
+         (ca.FLAT_FRAME_GATE,)),
+    )
+    checks = []
+    for flag, ok, message, rows in table:
+        if flags.get(flag):
+            if not ok:
+                raise InputError(message)
+            checks += rows
+    reports = run_checks(spec, points, checks, tol_override)
+    if flags.get("flat_frame") and reports[-1].passed:    # the flat_frame_gate
+        _, probe_reports = ca.flat_frame_probe(
+            spec, spec.chart.center(),
+            flat_tolerance=tolerance_of("flat_frame_gate", tol_override),
+            tolerance=tolerance_of("flat_frame", tol_override))
+        reports.extend(probe_reports)
     return reports
 
 
-def _load_psi_file(path, spec: AlgebroidSpec):
-    from .exprjet import parse_expr
+def _load_psi_cube(path, spec: AlgebroidSpec):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     cube = doc.get("psi", doc) if isinstance(doc, dict) else doc
-    r, n = spec.rank, spec.dimension
-    coords = list(spec.chart.coords)
-    if (not isinstance(cube, list) or len(cube) != r
-            or any(len(row) != r for row in cube)
-            or any(len(row[b]) != n for row in cube for b in range(r))):
-        raise SchemaError("psi", f"expected shape ({r}, {r}, {n})")
-    try:
-        return tuple(tuple(tuple(parse_expr(cube[a][b][i], coords)
-                                 for i in range(n)) for b in range(r))
-                     for a in range(r))
-    except ParseError as exc:
-        raise SchemaError("psi", f"expression error: {exc}") from exc
+    return load_cube(cube, spec.chart.coords, spec.rank, spec.dimension, "psi")
 
 
 # --------------------------------------------------------------------------
@@ -247,8 +134,7 @@ def _finish(payload, reports, args) -> int:
 def _cmd_validate(args) -> int:
     spec = load_spec_file(args.spec)
     points = sample_points(spec.chart, args.points, args.seed)
-    reports = validate_spec(spec, points,
-                            tolerance=args.tol if args.tol else 1e-9)
+    reports = validate_spec(spec, points, tolerance=args.tol)
     payload = {"spec": args.spec, "seed": args.seed, "points": args.points}
     return _finish(payload, reports, args)
 
@@ -264,7 +150,7 @@ def _cmd_check(args) -> int:
     }
     if not any(flags.values()):
         flags["axioms"] = True
-    psi = _load_psi_file(args.psi_file, spec) if args.psi_file else None
+    psi = _load_psi_cube(args.psi_file, spec) if args.psi_file else None
     reports = run_check_suite(spec, points, flags, tol_override=args.tol,
                               psi_candidate=psi)
     payload = {"spec": args.spec, "seed": args.seed, "points": args.points}
@@ -278,20 +164,17 @@ def _cmd_free(args) -> int:
     almost = fa.free_extend(spec, args.degree, "almost", seed=args.seed)
 
     reports = [fa.cartan_check_extended(
-        quotient, points, _tol("cartan_extended", args.tol))]
+        quotient, points, tolerance_of("cartan_extended", args.tol))]
     if args.degree >= 3:
         reports.append(fa.jacobiator_check(
-            almost, points, _tol("jacobiator_covariant_constancy", args.tol)))
+            almost, points, tolerance_of("jacobiator_covariant_constancy", args.tol)))
     propagation_ran = False
     if spec.metric is not None:
-        gen = _pointwise_report(
-            "killing_generators", spec, points,
-            lambda s, p: ca.killing_residual_frame(s, p).max_abs(),
-            _tol("killing_generators", args.tol))
+        gen, = run_checks(spec, points, [fa.KILLING_GENERATORS], args.tol)
         reports.append(gen)
         if gen.passed:
             reports.append(fa.propagate_compatibility(
-                quotient, points, _tol("killing_extended", args.tol)))
+                quotient, points, tolerance_of("killing_extended", args.tol)))
             propagation_ran = True
 
     profile = fa.anchor_rank_profile(quotient, points)
@@ -327,12 +210,12 @@ def _cmd_geodesic(args) -> int:
         raise InputError(f"--x0/--v0 must have {spec.dimension} components")
     trace = fo.geodesic_integrate(spec, x0, v0, args.t_max, args.h)
     reports = [fo.orthogonality_monitor(
-        spec, trace, tolerance=_tol("geodesic_orthogonality", args.tol))]
+        spec, trace, tolerance=tolerance_of("geodesic_orthogonality", args.tol))]
     energy = CheckReport(
         name="geodesic_energy_drift", points=len(trace.times),
         max_residual=trace.energy_drift,
         mean_residual=float(np.mean(np.abs(trace.energies - trace.energies[0]))),
-        tolerance=_tol("geodesic_energy_drift", args.tol),
+        tolerance=tolerance_of("geodesic_energy_drift", args.tol),
         worst_point=tuple(float(c) for c in trace.positions[-1]))
     reports.append(energy)
 
@@ -357,6 +240,16 @@ def _cmd_geodesic(args) -> int:
 
 
 # --------------------------------------------------------------------------
+
+
+def _join_vector_values(argv) -> list[str]:
+    """Rewrite ``--x0 V`` as ``--x0=V`` (likewise ``--v0``): argparse would
+    take a value such as ``-0.5,0.3`` for an option."""
+    out = list(argv)
+    for k in range(len(out) - 2, -1, -1):
+        if out[k] in ("--x0", "--v0"):
+            out[k:k + 2] = [f"{out[k]}={out[k + 1]}"]
+    return out
 
 
 def main(argv=None) -> int:
@@ -409,7 +302,8 @@ def main(argv=None) -> int:
     p_geo.add_argument("--trace-csv", dest="trace_csv", default=None,
                        help="dump the trace as CSV")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_vector_values(
+        sys.argv[1:] if argv is None else argv))
     handlers = {"validate": _cmd_validate, "check": _cmd_check,
                 "free": _cmd_free, "geodesic": _cmd_geodesic}
     try:
@@ -418,7 +312,8 @@ def main(argv=None) -> int:
         if args.tol is not None and args.tol <= 0.0:
             raise InputError("--tol must be positive")
         return handlers[args.command](args)
-    except (SchemaError, ParseError, InputError, OSError, ValueError) as exc:
+    except (SchemaError, ParseError, EvalDomainError, InputError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (fa.IndeterminateRankError, fa.NonLocallyFreeError) as exc:

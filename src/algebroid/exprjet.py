@@ -31,7 +31,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "Jet", "ExprError", "ParseError", "UndeclaredIdentifierError",
     "EvalDomainError", "parse_expr", "render", "diff", "eval_jet",
-    "fd_crosscheck", "FUNCTIONS",
+    "eval_block", "fd_crosscheck", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "tanh", "abs")
@@ -54,14 +54,17 @@ class UndeclaredIdentifierError(ParseError):
 
 
 class EvalDomainError(ExprError):
-    """Raised when a subexpression leaves its real domain at a point."""
+    """Raised when a subexpression leaves its real domain (or the float
+    range) at a point; ``path`` names the block entry when known."""
 
-    def __init__(self, reason: str, subexpr: "Expr", point):
+    def __init__(self, reason: str, subexpr: "Expr", point, path: str = ""):
         pt = tuple(float(v) for v in point)
-        super().__init__(f"{reason} in '{render(subexpr)}' at point {pt}")
+        where = f"{path}: " if path else ""
+        super().__init__(f"{where}{reason} in '{render(subexpr)}' at point {pt}")
         self.reason = reason
         self.subexpr = subexpr
         self.point = pt
+        self.path = path
 
 
 # --------------------------------------------------------------------------
@@ -534,16 +537,6 @@ class Jet:
             out = out * self
         return out
 
-    def truncated(self, order: int) -> "Jet":
-        out = Jet(order, self.n, self.value)
-        if order >= 1:
-            out.grad = self.grad
-        if order >= 2:
-            out.hess = self.hess
-        if order >= 3:
-            out.third = self.third
-        return out
-
 
 def _apply_call(func: str, u: Jet, node: Expr, point) -> Jet:
     v = u.value
@@ -583,46 +576,54 @@ def _apply_call(func: str, u: Jet, node: Expr, point) -> Jet:
     raise ExprError(f"unknown function '{func}'")  # pragma: no cover
 
 
+# float and math-module failures, reported against the innermost node
+_ARITH_REASONS = {OverflowError: "overflow", ZeroDivisionError: "division by zero",
+                  ValueError: "math domain error"}
+
+
 def _eval(e: Expr, point, n: int, order: int) -> Jet:
-    if isinstance(e, Num):
-        return Jet.constant(e.value, n, order)
-    if isinstance(e, Var):
-        return Jet.coordinate(e.index, float(point[e.index]), n, order)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, point, n, order)
-    if isinstance(e, Add):
-        return _eval(e.left, point, n, order) + _eval(e.right, point, n, order)
-    if isinstance(e, Sub):
-        return _eval(e.left, point, n, order) - _eval(e.right, point, n, order)
-    if isinstance(e, Mul):
-        return _eval(e.left, point, n, order) * _eval(e.right, point, n, order)
-    if isinstance(e, Div):
-        denom = _eval(e.right, point, n, order)
-        if denom.value == 0.0:
-            raise EvalDomainError("division by zero", e, point)
-        return _eval(e.left, point, n, order) * denom.reciprocal()
-    if isinstance(e, Pow):
-        exp_jet = _eval(e.exponent, point, n, max(order, 1))
-        if np.any(exp_jet.grad != 0.0):
-            raise EvalDomainError("non-constant exponent", e, point)
-        p = exp_jet.value
-        base = _eval(e.base, point, n, order)
-        if p == round(p) and abs(p) <= 1024:
-            k = int(round(p))
-            if k >= 0:
-                return base.int_pow(k)
-            if base.value == 0.0:
+    try:
+        if isinstance(e, Num):
+            return Jet.constant(e.value, n, order)
+        if isinstance(e, Var):
+            return Jet.coordinate(e.index, float(point[e.index]), n, order)
+        if isinstance(e, Neg):
+            return -_eval(e.arg, point, n, order)
+        if isinstance(e, Add):
+            return _eval(e.left, point, n, order) + _eval(e.right, point, n, order)
+        if isinstance(e, Sub):
+            return _eval(e.left, point, n, order) - _eval(e.right, point, n, order)
+        if isinstance(e, Mul):
+            return _eval(e.left, point, n, order) * _eval(e.right, point, n, order)
+        if isinstance(e, Div):
+            denom = _eval(e.right, point, n, order)
+            if denom.value == 0.0:
                 raise EvalDomainError("division by zero", e, point)
-            return base.int_pow(-k).reciprocal()
-        if base.value <= 0.0:
-            raise EvalDomainError("non-integer power of nonpositive base", e, point)
-        v = base.value
-        return base.compose(v**p, p * v**(p - 1.0),
-                            p * (p - 1.0) * v**(p - 2.0),
-                            p * (p - 1.0) * (p - 2.0) * v**(p - 3.0))
-    if isinstance(e, Call):
-        return _apply_call(e.func, _eval(e.arg, point, n, order), e, point)
-    raise TypeError(f"not an Expr: {e!r}")
+            return _eval(e.left, point, n, order) * denom.reciprocal()
+        if isinstance(e, Pow):
+            exp_jet = _eval(e.exponent, point, n, max(order, 1))
+            if np.any(exp_jet.grad != 0.0):
+                raise EvalDomainError("non-constant exponent", e, point)
+            p = exp_jet.value
+            base = _eval(e.base, point, n, order)
+            if p == round(p) and abs(p) <= 1024:
+                k = int(round(p))
+                if k >= 0:
+                    return base.int_pow(k)
+                if base.value == 0.0:
+                    raise EvalDomainError("division by zero", e, point)
+                return base.int_pow(-k).reciprocal()
+            if base.value <= 0.0:
+                raise EvalDomainError("non-integer power of nonpositive base", e, point)
+            v = base.value
+            return base.compose(v**p, p * v**(p - 1.0),
+                                p * (p - 1.0) * v**(p - 2.0),
+                                p * (p - 1.0) * (p - 2.0) * v**(p - 3.0))
+        if isinstance(e, Call):
+            return _apply_call(e.func, _eval(e.arg, point, n, order), e, point)
+        raise TypeError(f"not an Expr: {e!r}")
+    except tuple(_ARITH_REASONS) as exc:
+        raise EvalDomainError(_ARITH_REASONS[type(exc)], e, point) from None
 
 
 def eval_jet(e: Expr, point, order: int = 1, n: int | None = None) -> Jet:
@@ -637,6 +638,45 @@ def eval_jet(e: Expr, point, order: int = 1, n: int | None = None) -> Jet:
     if n is None:
         n = point.shape[0]
     return _eval(e, point, n, order)
+
+
+def eval_block(entries, shape, point, order: int = 0, label: str = "block"):
+    """Dense value and derivative arrays of a block of expressions at a point.
+
+    ``entries`` is a sequence of ``(index, sign, expr)``: the jet of ``expr``
+    fills ``index`` of the block, negated where ``sign`` is -1; unlisted
+    entries are zero.  An expression object listed more than once (a mirrored
+    entry) is evaluated once, so its mirror is an exact copy or an exact
+    negation.  Returns ``[value, d1, ...]`` up to ``order``, of shapes
+    ``shape``, ``shape + (n,)``, ...  A failure raises
+    :class:`EvalDomainError` naming the entry as ``label[i][j]...``.
+    """
+    point = np.asarray(point, dtype=float)
+    n = point.shape[0]
+    arrays = [np.zeros(tuple(shape) + (n,) * k) for k in range(order + 1)]
+    value, derivs = arrays[0], arrays[1:]
+    done = {}                       # id(expr) -> jet; entries keep expr alive
+    for index, sign, expr in entries:
+        if sign > 0 and type(expr) is Num and expr.value == 0.0 \
+                and math.copysign(1.0, expr.value) > 0:
+            continue                # +0.0 and zero derivatives: already there
+        jet = done.get(id(expr))
+        if jet is None:
+            try:
+                jet = done[id(expr)] = eval_jet(expr, point, order, n)
+            except EvalDomainError as exc:
+                path = label + "".join(f"[{i}]" for i in index)
+                raise EvalDomainError(exc.reason, exc.subexpr, exc.point,
+                                      path) from None
+        if sign > 0:
+            value[index] = jet.value
+            for array, slot in zip(derivs, (jet.grad, jet.hess, jet.third)):
+                array[index] = slot
+        else:
+            value[index] = -jet.value
+            for array, slot in zip(derivs, (jet.grad, jet.hess, jet.third)):
+                array[index] = -slot
+    return arrays
 
 
 def fd_crosscheck(e: Expr, point, h: float = 1e-4) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_model import (
-    AlgebroidSpec, CheckReport, eval_anchor, eval_connection, eval_metric,
+    TOLERANCES, AlgebroidSpec, CheckReport, eval_anchor, eval_connection,
+    eval_metric, report_from_residuals,
 )
 from .calculus import christoffel_components, killing_residual_frame
 
@@ -130,8 +131,9 @@ def _span_projection_norm(spec: AlgebroidSpec, x, v, rank_tol: float = 1e-10):
 
 
 def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
-                          tolerance: float = 1e-6,
-                          killing_tolerance: float = 1e-7) -> CheckReport:
+                          tolerance: float = TOLERANCES["geodesic_orthogonality"],
+                          killing_tolerance: float = TOLERANCES["killing_frame"]
+                          ) -> CheckReport:
     """Drift report for the orthogonality values along a trace.
 
     If the spec passes the Killing check on the trace points, the monitored
@@ -144,7 +146,8 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
     if trace.positions.shape[0] == 0:
         raise ValueError("empty trace")
     probe = trace.positions[:: max(1, trace.positions.shape[0] // 10)]
-    killing_worst = max(killing_residual_frame(spec, q).max_abs() for q in probe)
+    killing_worst = float(np.max([killing_residual_frame(spec, q).max_abs()
+                                  for q in probe]))
 
     if killing_worst <= killing_tolerance:
         values = trace.orth_flat
@@ -156,12 +159,7 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
         drift = np.abs(norms - norms[0])
         name = "orthogonality_raw_span"
 
-    worst = int(np.argmax(drift))
-    return CheckReport(name=name, points=len(drift),
-                       max_residual=float(np.max(drift)),
-                       mean_residual=float(np.mean(drift)),
-                       tolerance=tolerance,
-                       worst_point=tuple(float(c) for c in trace.positions[worst]))
+    return report_from_residuals(name, drift, trace.positions, tolerance)
 
 
 def orthogonal_velocity(spec: AlgebroidSpec, x0, direction,

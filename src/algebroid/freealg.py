@@ -13,23 +13,25 @@ degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
 
-from .exprjet import Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet
+from .exprjet import Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block
 from .spec_model import (
-    AlgebroidSpec, CheckReport, report_from_residuals, sample_points,
-    eval_metric,
+    FIELD_NAMES, AlgebroidSpec, Check, CheckReport, TOLERANCES, eval_fields,
+    max_abs, report_from_residuals, sample_points,
 )
-from .calculus import killing_frame_components, killing_residual_frame, \
-    s_frame_components
+from .calculus import KILLING, killing_frame_components, s_frame_components
 
 __all__ = [
     "HallWord", "FreeTruncation", "hall_basis", "magma_basis", "free_extend",
     "jacobiator_check", "propagate_compatibility", "cartan_check_extended",
     "anchor_rank_profile", "IndeterminateRankError", "NonLocallyFreeError",
-    "GeneratorCompatibilityError", "MAX_DEGREE",
+    "GeneratorCompatibilityError", "MAX_DEGREE", "KILLING_GENERATORS",
 ]
 
 MAX_DEGREE = 4          # anchors of degree-d words need order-(d-1) jets
@@ -158,6 +160,28 @@ class FreeTruncation:
             return {}
         return self.bracket_table[(u, v)]
 
+    @cached_property
+    def index(self) -> dict:
+        """word key -> position in ``words``."""
+        return {w.key: k for k, w in enumerate(self.words)}
+
+    @cached_property
+    def block_entries(self) -> dict:
+        """block -> (eval_block entries, shape) of the extended anchor,
+        structure and connection over ``words``."""
+        idx, N, n = self.index, len(self.words), self.spec.dimension
+        return {
+            "anchor": ([((idx[w.key], i), 1, c) for w, comps in self.anchor.items()
+                        for i, c in enumerate(comps)], (N, n)),
+            "structure": ([((idx[u.key], idx[v.key], idx[w.key]), 1, c)
+                           for (u, v), expansion in self.bracket_table.items()
+                           for w, c in expansion.items()], (N, N, N)),
+            "connection": ([((idx[w.key], idx[w2.key], i), 1, c)
+                            for w, entries in self.conn.items()
+                            for w2, comps in entries.items()
+                            for i, c in enumerate(comps)], (N, N, n)),
+        }
+
 
 def _expansion_add(target: dict, w: HallWord, coeff: Expr):
     cur = target.get(w)
@@ -233,11 +257,7 @@ def _relation_rows(table, basis, degree: int):
     return rows
 
 
-def _eval_coeff(expr: Expr, p, n: int) -> float:
-    return eval_jet(expr, p, order=0, n=n).value
-
-
-def _eliminate(rows, level_words, ref_point, aux_points, n):
+def _eliminate(rows, level_words, ref_point, aux_points):
     """RREF of the relation rows over one degree level; returns the kept
     words and the substitution for eliminated ones.  Columns are ordered with
     non-Hall words first so the surviving basis is the Hall basis whenever the
@@ -247,12 +267,12 @@ def _eliminate(rows, level_words, ref_point, aux_points, n):
     cols = sorted(level_words, key=lambda w: (is_hall(w), w.key))
     col_index = {w: k for k, w in enumerate(cols)}
 
+    entries = [((r_i, col_index[w]), 1, coeff)
+               for r_i, row in enumerate(rows) for w, coeff in row.items()]
+
     def matrix_at(point):
-        M = np.zeros((len(rows), len(cols)))
-        for r_i, row in enumerate(rows):
-            for w, coeff in row.items():
-                M[r_i, col_index[w]] = _eval_coeff(coeff, point, n)
-        return M
+        return eval_block(entries, (len(rows), len(cols)), point,
+                          label="relation")[0]
 
     M = matrix_at(ref_point)
     for q in aux_points:
@@ -411,7 +431,7 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
         new_levels = [list(levels[0])]
         for d in range(2, degree + 1):
             kept, eliminated = _eliminate(rows.get(d, []), levels[d - 1],
-                                          ref, aux, n)
+                                          ref, aux)
             substitution.update(eliminated)
             new_levels.append(kept)
         kept_set = {w.key for level in new_levels for w in level}
@@ -434,81 +454,48 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
 # Numeric evaluation of the extension
 
 
-def extended_arrays(free: FreeTruncation, p, order: int = 1):
-    """Dense anchor / structure / connection arrays over the extended frame.
-    Structure entries for pairs beyond the truncation are zero-filled; checks
-    only read pairs with degree sum within the truncation."""
-    spec = free.spec
-    n = spec.dimension
-    words = free.words
-    N = len(words)
-    idx = {w.key: k for k, w in enumerate(words)}
-
-    rho = np.zeros((N, n))
-    drho = np.zeros((N, n, n)) if order >= 1 else None
-    for w, comps in free.anchor.items():
-        k = idx[w.key]
-        for i in range(n):
-            jet = eval_jet(comps[i], p, order=order, n=n)
-            rho[k, i] = jet.value
-            if order >= 1:
-                drho[k, i] = jet.grad
-
-    C = np.zeros((N, N, N))
-    dC = np.zeros((N, N, N, n)) if order >= 1 else None
-    for (u, v), expansion in free.bracket_table.items():
-        ku, kv = idx[u.key], idx[v.key]
-        for w, coeff in expansion.items():
-            jet = eval_jet(coeff, p, order=order, n=n)
-            C[ku, kv, idx[w.key]] = jet.value
-            if order >= 1:
-                dC[ku, kv, idx[w.key]] = jet.grad
-
-    omega = np.zeros((N, N, n))
-    domega = np.zeros((N, N, n, n)) if order >= 1 else None
-    for w, entries in free.conn.items():
-        kw = idx[w.key]
-        for w2, comps in entries.items():
-            k2 = idx[w2.key]
-            for i in range(n):
-                jet = eval_jet(comps[i], p, order=order, n=n)
-                omega[kw, k2, i] = jet.value
-                if order >= 1:
-                    domega[kw, k2, i] = jet.grad
-    if order >= 1:
-        return rho, drho, C, dC, omega, domega
-    return rho, C, omega
+def extended_arrays(free: FreeTruncation, p, reads: Mapping[str, int]):
+    """The extended anchor / structure / connection blocks named in ``reads``
+    (block -> derivative order) at ``p``, as fields named like the spec's
+    (``f.rho``, ``f.dC``, ``f.omega``...).  Structure entries for pairs beyond
+    the truncation are zero-filled; checks only read pairs with degree sum
+    within the truncation."""
+    fields = SimpleNamespace(point=p)
+    for block, order in reads.items():
+        entries, shape = free.block_entries[block]
+        arrays = eval_block(entries, shape, p, order, label=f"extended {block}")
+        for name, array in zip(FIELD_NAMES[block], arrays):
+            setattr(fields, name, array)
+    return fields
 
 
-def _allowed_pairs(free: FreeTruncation):
-    words = free.words
-    degs = [w.degree for w in words]
-    allowed = []
-    for a in range(len(words)):
-        for b in range(len(words)):
-            if a != b and degs[a] + degs[b] <= free.degree:
-                allowed.append((a, b))
-    return allowed
+_FRAME1 = {"anchor": 1, "structure": 1, "connection": 1}
+
+KILLING_GENERATORS = Check(
+    ("killing_generators",), KILLING.reads,
+    lambda f: max_abs(killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)))
 
 
 def cartan_check_extended(free: FreeTruncation, points,
-                          tolerance: float = 1e-8) -> CheckReport:
+                          tolerance: float = TOLERANCES["cartan_extended"]
+                          ) -> CheckReport:
     """max |S| over extended basis pairs with degree sum within truncation,
     by the frame formula on the extended data."""
-    pairs = _allowed_pairs(free)
+    words = free.words
+    pairs = [(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
+             if a != b and u.degree + v.degree <= free.degree]
+    a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
     residuals = []
     for p in points:
-        rho, drho, C, dC, omega, domega = extended_arrays(free, p, order=1)
-        S = s_frame_components(rho, drho, C, dC, omega, domega)
-        worst = 0.0
-        for a, b in pairs:
-            worst = max(worst, float(np.max(np.abs(S[:, a, b, :]))))
-        residuals.append(worst)
+        f = extended_arrays(free, p, _FRAME1)
+        S = s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
+        residuals.append(max_abs(S[:, a, b, :]))
     return report_from_residuals("cartan_extended", residuals, points, tolerance)
 
 
 def jacobiator_check(free: FreeTruncation, points,
-                     tolerance: float = 1e-8) -> CheckReport:
+                     tolerance: float = TOLERANCES["jacobiator_covariant_constancy"]
+                     ) -> CheckReport:
     """Covariant constancy of the Jacobiator on the almost-mode truncation:
     the connection applied to Jac(triple) must match Jac on nabla-shifted
     arguments, for every basis triple with degree sum within truncation."""
@@ -516,76 +503,57 @@ def jacobiator_check(free: FreeTruncation, points,
         raise ValueError("jacobiator_check needs a truncation built in almost mode")
     if free.degree < 3:
         raise ValueError("jacobiator_check needs degree >= 3")
-    spec = free.spec
-    n = spec.dimension
     words = free.words
-    idx = {w.key: k for k, w in enumerate(words)}
+    idx = free.index
     N = len(words)
     table = free.bracket_table
 
-    triples = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            for k in range(j + 1, N):
-                if words[i].degree + words[j].degree + words[k].degree <= free.degree:
-                    triples.append((words[i], words[j], words[k]))
+    triples = [t for t in combinations(words, 3)
+               if sum(w.degree for w in t) <= free.degree]
 
-    prepared = []
-    for w1, w2, w3 in triples:
-        jac = _jacobiator(table, w1, w2, w3)
-        shifted = []
-        for slot, host in enumerate((w1, w2, w3)):
-            per_q = {}
+    # Jac(triple) at [t, w]; Jac with slot s replaced by word q at [t, s, q, w]
+    jac_entries, shifted_entries = [], []
+    shifted = [[] for _ in triples]         # per triple: (slot, host, q) indices
+    for t, args in enumerate(triples):
+        jac_entries += [((t, idx[w.key]), 1, c)
+                        for w, c in _jacobiator(table, *args).items()]
+        for slot, host in enumerate(args):
             for q in words:
-                if q.degree <= host.degree:
-                    args = [w1, w2, w3]
-                    args[slot] = q
-                    if args[0].key != args[1].key != args[2].key \
-                            and args[0].key != args[2].key:
-                        per_q[q] = _jacobiator(table, *args)
-                    else:
-                        per_q[q] = {}
-            shifted.append(per_q)
-        prepared.append(((w1, w2, w3), jac, shifted))
+                if q.degree > host.degree:
+                    continue
+                swapped = list(args)
+                swapped[slot] = q
+                if swapped[0].key != swapped[1].key != swapped[2].key \
+                        and swapped[0].key != swapped[2].key:
+                    jac_q = _jacobiator(table, *swapped)
+                    if jac_q:
+                        shifted[t].append((slot, idx[host.key], idx[q.key]))
+                        shifted_entries += [((t, slot, idx[q.key], idx[w.key]), 1, c)
+                                            for w, c in jac_q.items()]
+    T = len(triples)
 
     residuals = []
     for p in points:
-        omega = np.zeros((N, N, n))
-        for w, entries in free.conn.items():
-            for w2, comps in entries.items():
-                for i in range(n):
-                    omega[idx[w.key], idx[w2.key], i] = \
-                        eval_jet(comps[i], p, order=0, n=n).value
+        omega = extended_arrays(free, p, {"connection": 0}).omega
+        jac_val, jac_grad = eval_block(jac_entries, (T, N), p, 1,
+                                       label="jacobiator")
+        vecs, = eval_block(shifted_entries, (T, 3, N, N), p, label="jacobiator")
         worst = 0.0
-        for (args, jac, shifted) in prepared:
-            jac_val = np.zeros(N)
-            jac_grad = np.zeros((N, n))
-            for w, coeff in jac.items():
-                jet = eval_jet(coeff, p, order=1, n=n)
-                jac_val[idx[w.key]] = jet.value
-                jac_grad[idx[w.key]] = jet.grad
+        for t in range(T):
             # nabla_i (Jac(args)) in the extended frame
-            residual = jac_grad.transpose(1, 0) + np.einsum(
-                "v,vwi->iw", jac_val, omega)
-            for slot, host in enumerate(args):
-                kh = idx[host.key]
-                for q, jac_q in shifted[slot].items():
-                    kq = idx[q.key]
-                    if not jac_q:
-                        continue
-                    vec = np.zeros(N)
-                    for w, coeff in jac_q.items():
-                        vec[idx[w.key]] = eval_jet(coeff, p, order=0, n=n).value
-                    residual -= np.einsum("i,w->iw", omega[kh, kq], vec)
-            worst = max(worst, float(np.max(np.abs(residual))) if residual.size else 0.0)
-        residuals.append(worst)
+            residual = jac_grad[t].transpose(1, 0) + np.einsum(
+                "v,vwi->iw", jac_val[t], omega)
+            for slot, kh, kq in shifted[t]:
+                residual -= np.einsum("i,w->iw", omega[kh, kq], vecs[t, slot, kq])
+            worst = np.maximum(worst, max_abs(residual))
+        residuals.append(float(worst))
     return report_from_residuals("jacobiator_covariant_constancy",
                                  residuals, points, tolerance)
 
 
 def propagate_compatibility(free: FreeTruncation, points,
-                            tolerance: float = 1e-7,
-                            generator_tolerance: float = 1e-7,
+                            tolerance: float = TOLERANCES["killing_extended"],
+                            generator_tolerance: float = TOLERANCES["killing_generators"],
                             metric=None) -> CheckReport:
     """Extended Killing residual over all basis words, with extended anchors
     and extended connection coefficients.  Requires the generator-level check
@@ -599,59 +567,45 @@ def propagate_compatibility(free: FreeTruncation, points,
         raise ValueError("propagation check needs a metric on the base")
     if free.mode != "quotient":
         raise ValueError("propagation check needs a quotient-mode truncation")
-    gen_worst = max(killing_residual_frame(spec, p).max_abs() for p in points)
-    if gen_worst > generator_tolerance:
+    base = [eval_fields(spec, p, KILLING_GENERATORS.reads) for p in points]
+    gen_worst = float(np.max([KILLING_GENERATORS.kernel(f) for f in base]))
+    if not gen_worst <= generator_tolerance:
         raise GeneratorCompatibilityError(
             f"generator-level Killing residual {gen_worst:.3e} exceeds "
             f"{generator_tolerance:.1e}; nothing to propagate")
-    n = spec.dimension
     residuals = []
-    for p in points:
-        rho, drho, C, dC, omega, domega = extended_arrays(free, p, order=1)
-        g, dg = eval_metric(spec, p, order=1)
-        K = killing_frame_components(rho, drho, g, dg, omega)
-        residuals.append(float(np.max(np.abs(K))))
+    for p, g in zip(points, base):
+        f = extended_arrays(free, p, {"anchor": 1, "connection": 0})
+        K = killing_frame_components(f.rho, f.drho, g.g, g.dg, f.omega)
+        residuals.append(max_abs(K))
     return report_from_residuals("killing_extended", residuals, points, tolerance)
 
 
 def anchor_rank_profile(free: FreeTruncation, points, svd_tol: float = 1e-10):
     """Per-point (generator rank, extended rank, closure defect): the defect
     measures whether one-higher-degree commutators leave the realized span."""
-    spec = free.spec
-    n = spec.dimension
     gens = free.basis[0]
     words = free.words
+    idx = free.index
+    closure = [(idx[u.key], idx[v.key]) for u in words for v in words
+               if u.key < v.key and u.degree + v.degree == free.degree + 1]
     profile = []
     for p in points:
-        mat = np.array([[eval_jet(c, p, order=0, n=n).value
-                         for c in free.anchor[w]] for w in words])
+        f = extended_arrays(free, p, {"anchor": 1})
+        mat, drho = f.rho, f.drho
         gen_rows = mat[:len(gens)]
         scale = max(1.0, float(np.max(np.abs(mat))))
         rank_gen = int(np.linalg.matrix_rank(gen_rows, tol=svd_tol * scale))
         rank_ext = int(np.linalg.matrix_rank(mat, tol=svd_tol * scale))
         defect = 0.0
-        for u in words:
-            for v in words:
-                if u.key >= v.key or u.degree + v.degree != free.degree + 1:
-                    continue
-                vec = _numeric_commutator(free.anchor[u], free.anchor[v], p, n)
-                if np.linalg.norm(vec) == 0.0:
-                    continue
-                sol, res, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
-                defect = max(defect, float(np.linalg.norm(mat.T @ sol - vec)))
+        for ku, kv in closure:
+            # the vector-field commutator [rho_u, rho_v]
+            vec = (np.einsum("j,ij->i", mat[ku], drho[kv])
+                   - np.einsum("j,ij->i", mat[kv], drho[ku]))
+            if np.linalg.norm(vec) == 0.0:
+                continue
+            sol, res, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
+            defect = max(defect, float(np.linalg.norm(mat.T @ sol - vec)))
         profile.append({"rank_generators": rank_gen, "rank_extended": rank_ext,
                         "closure_defect": defect})
     return profile
-
-
-def _numeric_commutator(rho_u, rho_v, p, n):
-    u = np.zeros(n)
-    du = np.zeros((n, n))
-    v = np.zeros(n)
-    dv = np.zeros((n, n))
-    for i in range(n):
-        ju = eval_jet(rho_u[i], p, order=1, n=n)
-        jv = eval_jet(rho_v[i], p, order=1, n=n)
-        u[i], du[i] = ju.value, ju.grad
-        v[i], dv[i] = jv.value, jv.grad
-    return np.einsum("j,ij->i", u, dv) - np.einsum("j,ij->i", v, du)

@@ -13,26 +13,63 @@ Jacobi, nondegeneracy).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import combinations
+from types import SimpleNamespace
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .exprjet import (
-    Expr, Num, Neg, FUNCTIONS, ParseError, eval_jet, parse_expr,
+    Expr, Num, Neg, FUNCTIONS, ParseError, eval_block, parse_expr,
 )
 
 __all__ = [
-    "ChartSpec", "AlgebroidSpec", "CheckReport", "SchemaError",
-    "load_spec", "load_spec_file", "sample_points",
-    "check_anchor_morphism", "check_jacobi", "validate_spec",
+    "ChartSpec", "AlgebroidSpec", "CheckReport", "SchemaError", "Check",
+    "TOLERANCES", "load_spec", "load_spec_file", "sample_points",
+    "eval_fields", "run_checks", "check_anchor_morphism", "check_jacobi",
+    "validate_spec",
 ]
 
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_POINTS = 100
 DEFAULT_SEED = 42
 
 _DEFINITENESS_FLOOR = 1e-12
+
+# Default tolerance of every check, by report name.  A zero entry marks an
+# exact or margin test, which a --tol override leaves alone.
+TOLERANCES = {
+    "structure_antisymmetry": 0.0,
+    "metric_positive_definite": 0.0,
+    "symplectic_nondegenerate": 0.0,
+    "poisson_nondegenerate": 0.0,
+    "anchor_morphism": 1e-9,
+    "jacobi": 1e-9,
+    "poisson_jacobi": 1e-9,
+    "cartan_s_frame": 1e-9,
+    "s_frame_vs_covariant": 1e-9,
+    "tau_intertwine": 1e-10,
+    "alpha_curvature_flat": 1e-7,
+    "tau_curvature_flat": 1e-7,
+    "killing_frame": 1e-7,
+    "killing_frame_vs_sym": 1e-10,
+    "generalized_sym": 1e-9,
+    "generalized_skew": 1e-9,
+    "symplectic_closed": 1e-9,
+    "symplectic_residual": 1e-9,
+    "poisson_residual": 1e-9,
+    "koszul_delta": 1e-9,
+    "flat_frame_gate": 1e-7,
+    "flat_frame": 1e-6,
+    "cartan_extended": 1e-8,
+    "jacobiator_covariant_constancy": 1e-8,
+    "killing_generators": 1e-7,
+    "killing_extended": 1e-7,
+    "geodesic_orthogonality": 1e-6,
+    "geodesic_energy_drift": 1e-8,
+}
 
 
 class SchemaError(Exception):
@@ -80,6 +117,27 @@ class AlgebroidSpec:
     def dimension(self) -> int:
         return self.chart.dimension
 
+    @cached_property
+    def block_entries(self) -> dict:
+        """block -> (eval_block entries, shape) of every block it carries;
+        mirror entries of a stored triangle reuse its expression with sign +1
+        (symmetric) or -1 (antisymmetric)."""
+        r, n = self.rank, self.dimension
+        out = {"anchor": ([((a, i), 1, e) for a, row in enumerate(self.anchor)
+                           for i, e in enumerate(row)], (r, n)),
+               "structure": ([t for (a, b, c), e in self.structure.items()
+                              for t in (((a, b, c), 1, e), ((b, a, c), -1, e))],
+                             (r, r, r))}
+        for block in ("connection", "psi"):
+            if getattr(self, block) is not None:
+                out[block] = cube_entries(getattr(self, block)), (r, r, n)
+        for block in ("metric", "two_form", "symplectic", "poisson"):
+            sign = 1 if block == "metric" else -1
+            if getattr(self, block) is not None:
+                out[block] = [t for (i, j), e in getattr(self, block).items()
+                              for t in (((i, j), 1, e), ((j, i), sign, e))], (n, n)
+        return out
+
     def structure_expr(self, a: int, b: int, c: int) -> tuple[float, Expr | None]:
         """Signed lookup of C^c_{ab}; reading (b,a,c) returns the negation."""
         if a == b:
@@ -122,12 +180,14 @@ class CheckReport:
 
 def report_from_residuals(name: str, residuals: Sequence[float],
                           points: Sequence, tolerance: float) -> CheckReport:
-    residuals = [float(v) for v in residuals]
+    """Max/mean reduction of per-point residuals.  A NaN propagates into the
+    max, so the check fails and ``worst_point`` is the first NaN point."""
+    residuals = np.asarray(residuals, dtype=float)
     worst = int(np.argmax(residuals))
     return CheckReport(
         name=name,
         points=len(residuals),
-        max_residual=max(residuals),
+        max_residual=float(residuals[worst]),
         mean_residual=float(np.mean(residuals)),
         tolerance=tolerance,
         worst_point=tuple(float(x) for x in points[worst]),
@@ -198,6 +258,10 @@ def _is_zero(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _load_chart(doc, path="chart") -> ChartSpec:
     if not isinstance(doc, Mapping):
         raise SchemaError(path, "expected object with 'coords' and 'domain'")
@@ -217,7 +281,12 @@ def _load_chart(doc, path="chart") -> ChartSpec:
     for k, pair in enumerate(domain):
         if not isinstance(pair, Sequence) or len(pair) != 2:
             raise SchemaError(f"{path}.domain[{k}]", "expected [lo, hi]")
+        if not all(_is_int(v) or isinstance(v, float) for v in pair):
+            raise SchemaError(f"{path}.domain[{k}]", f"expected numbers, got {pair!r}")
         lo, hi = float(pair[0]), float(pair[1])
+        if not all(map(math.isfinite, (lo, hi, hi - lo))):
+            raise SchemaError(f"{path}.domain[{k}]", f"bounds and width must be "
+                                                     f"finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise SchemaError(f"{path}.domain[{k}]", f"need lo < hi, got [{lo}, {hi}]")
         intervals.append((lo, hi))
@@ -236,7 +305,8 @@ def _load_matrix(doc, coords, rows, cols, path) -> tuple:
     return tuple(out)
 
 
-def _load_cube(doc, coords, r, n, path) -> tuple:
+def load_cube(doc, coords, r, n, path) -> tuple:
+    """Parse an [a][b][i] cube of expression strings of shape (r, r, n)."""
     if not isinstance(doc, Sequence) or len(doc) != r:
         raise SchemaError(path, f"expected {r} blocks")
     return tuple(_load_matrix(doc[a], coords, r, n, f"{path}[{a}]") for a in range(r))
@@ -279,11 +349,13 @@ def _load_structure(doc, coords, r, path="structure"):
         if not isinstance(entry, Mapping):
             raise SchemaError(where, "expected object {a, b, c, expr}")
         try:
-            a, b, c = int(entry["a"]), int(entry["b"]), int(entry["c"])
+            a, b, c = entry["a"], entry["b"], entry["c"]
             text = entry["expr"]
         except KeyError as exc:
             raise SchemaError(where, f"missing field {exc}") from exc
         for label, v in (("a", a), ("b", b), ("c", c)):
+            if not _is_int(v):
+                raise SchemaError(where, f"index {label}={v!r} is not an integer")
             if not 1 <= v <= r:
                 raise SchemaError(where, f"index {label}={v} out of range 1..{r}")
         if not a < b:
@@ -317,7 +389,7 @@ def load_spec(document) -> AlgebroidSpec:
     n = chart.dimension
 
     rank = document["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise SchemaError("rank", f"expected integer >= 1, got {rank!r}")
     r = rank
 
@@ -326,7 +398,7 @@ def load_spec(document) -> AlgebroidSpec:
         raise SchemaError("mode", f"expected 'anchored' or 'lie', got {mode!r}")
 
     anchor = _load_matrix(document["anchor"], coords, r, n, "anchor")
-    connection = _load_cube(document["connection"], coords, r, n, "connection")
+    connection = load_cube(document["connection"], coords, r, n, "connection")
 
     structure = {}
     if "structure" in document:
@@ -346,7 +418,7 @@ def load_spec(document) -> AlgebroidSpec:
     if "poisson" in document:
         poisson = _load_antisymmetric(document["poisson"], coords, n, "poisson")
     if "psi" in document:
-        psi = _load_cube(document["psi"], coords, r, n, "psi")
+        psi = load_cube(document["psi"], coords, r, n, "psi")
 
     return AlgebroidSpec(chart=chart, rank=r, mode=mode, anchor=anchor,
                          structure=structure, connection=connection,
@@ -366,223 +438,213 @@ def load_spec_file(path) -> AlgebroidSpec:
 # --------------------------------------------------------------------------
 # Numeric evaluation of spec blocks (values plus derivative arrays)
 
+# block -> names of its value and derivative arrays in the fields at a point
+FIELD_NAMES = {
+    "anchor": ("rho", "drho", "d2rho"), "structure": ("C", "dC"),
+    "connection": ("omega", "domega"), "psi": ("psi", "dpsi"),
+    "metric": ("g", "dg"), "two_form": ("B", "dB"),
+    "symplectic": ("Om", "dOm"), "poisson": ("P", "dP"),
+}
+
+
+def cube_entries(cube) -> list:
+    """``eval_block`` entries of an [a][b][i] cube of expressions."""
+    return [((a, b, i), 1, e) for a, plane in enumerate(cube)
+            for b, row in enumerate(plane) for i, e in enumerate(row)]
+
+
+def _eval_spec_block(spec, block, p, order):
+    if getattr(spec, block) is None:
+        raise ValueError(f"spec carries no {block} block")
+    arrays = eval_block(*spec.block_entries[block], p, order, label=block)
+    return arrays[0] if order == 0 else tuple(arrays)
+
+
 def eval_anchor(spec: AlgebroidSpec, p, order: int = 0):
     """rho[a,i] = rho_a^i; drho[a,i,j] = d_j rho_a^i; d2rho[a,i,j,k]."""
-    r, n = spec.rank, spec.dimension
-    rho = np.zeros((r, n))
-    drho = np.zeros((r, n, n)) if order >= 1 else None
-    d2rho = np.zeros((r, n, n, n)) if order >= 2 else None
-    for a in range(r):
-        for i in range(n):
-            jet = eval_jet(spec.anchor[a][i], p, order=order, n=n)
-            rho[a, i] = jet.value
-            if order >= 1:
-                drho[a, i] = jet.grad
-            if order >= 2:
-                d2rho[a, i] = jet.hess
-    if order >= 2:
-        return rho, drho, d2rho
-    if order >= 1:
-        return rho, drho
-    return rho
+    return _eval_spec_block(spec, "anchor", p, order)
 
 
 def eval_structure(spec: AlgebroidSpec, p, order: int = 0):
     """C[a,b,c] = C^c_{ab} with C[b,a,c] = -C[a,b,c] exactly; dC[a,b,c,k]."""
-    r, n = spec.rank, spec.dimension
-    C = np.zeros((r, r, r))
-    dC = np.zeros((r, r, r, n)) if order >= 1 else None
-    for (a, b, c), expr in spec.structure.items():
-        jet = eval_jet(expr, p, order=order, n=n)
-        C[a, b, c] = jet.value
-        C[b, a, c] = -jet.value
-        if order >= 1:
-            dC[a, b, c] = jet.grad
-            dC[b, a, c] = -jet.grad
-    if order >= 1:
-        return C, dC
-    return C
+    return _eval_spec_block(spec, "structure", p, order)
 
 
 def eval_connection(spec: AlgebroidSpec, p, order: int = 0):
     """omega[a,b,i] = omega^b_{a,i} (so that nabla e_a = omega_a^b e_b)."""
-    return _eval_cube(spec.connection, spec, p, order)
+    return _eval_spec_block(spec, "connection", p, order)
 
 
 def eval_psi(spec: AlgebroidSpec, p, order: int = 0):
-    if spec.psi is None:
-        raise ValueError("spec carries no psi block")
-    return _eval_cube(spec.psi, spec, p, order)
-
-
-def _eval_cube(cube, spec, p, order):
-    r, n = spec.rank, spec.dimension
-    w = np.zeros((r, r, n))
-    dw = np.zeros((r, r, n, n)) if order >= 1 else None
-    for a in range(r):
-        for b in range(r):
-            for i in range(n):
-                jet = eval_jet(cube[a][b][i], p, order=order, n=n)
-                w[a, b, i] = jet.value
-                if order >= 1:
-                    dw[a, b, i] = jet.grad
-    if order >= 1:
-        return w, dw
-    return w
-
-
-def eval_symmetric2(stored, n, p, order: int = 0):
-    g = np.zeros((n, n))
-    dg = np.zeros((n, n, n)) if order >= 1 else None
-    for (i, j), expr in stored.items():
-        jet = eval_jet(expr, p, order=order, n=n)
-        g[i, j] = jet.value
-        g[j, i] = jet.value
-        if order >= 1:
-            dg[i, j] = jet.grad
-            dg[j, i] = jet.grad
-    if order >= 1:
-        return g, dg
-    return g
-
-
-def eval_antisymmetric2(stored, n, p, order: int = 0):
-    B = np.zeros((n, n))
-    dB = np.zeros((n, n, n)) if order >= 1 else None
-    for (i, j), expr in stored.items():
-        jet = eval_jet(expr, p, order=order, n=n)
-        B[i, j] = jet.value
-        B[j, i] = -jet.value
-        if order >= 1:
-            dB[i, j] = jet.grad
-            dB[j, i] = -jet.grad
-    if order >= 1:
-        return B, dB
-    return B
+    return _eval_spec_block(spec, "psi", p, order)
 
 
 def eval_metric(spec: AlgebroidSpec, p, order: int = 0):
-    if spec.metric is None:
-        raise ValueError("spec carries no metric")
-    return eval_symmetric2(spec.metric, spec.dimension, p, order)
+    return _eval_spec_block(spec, "metric", p, order)
 
 
 def eval_two_form(spec: AlgebroidSpec, p, order: int = 0):
-    if spec.two_form is None:
-        raise ValueError("spec carries no two_form")
-    return eval_antisymmetric2(spec.two_form, spec.dimension, p, order)
+    return _eval_spec_block(spec, "two_form", p, order)
 
 
 def eval_symplectic(spec: AlgebroidSpec, p, order: int = 0):
-    if spec.symplectic is None:
-        raise ValueError("spec carries no symplectic form")
-    return eval_antisymmetric2(spec.symplectic, spec.dimension, p, order)
+    return _eval_spec_block(spec, "symplectic", p, order)
 
 
 def eval_poisson(spec: AlgebroidSpec, p, order: int = 0):
-    if spec.poisson is None:
-        raise ValueError("spec carries no poisson bivector")
-    return eval_antisymmetric2(spec.poisson, spec.dimension, p, order)
+    return _eval_spec_block(spec, "poisson", p, order)
+
+
+def eval_fields(spec: AlgebroidSpec, p, orders: Mapping[str, int]):
+    """Each block named in ``orders`` evaluated once at ``p`` up to its order;
+    the arrays are attributes named by FIELD_NAMES (``f.rho``, ``f.dC``...)."""
+    readers = {"anchor": eval_anchor, "structure": eval_structure,
+               "connection": eval_connection, "psi": eval_psi,
+               "metric": eval_metric, "two_form": eval_two_form,
+               "symplectic": eval_symplectic, "poisson": eval_poisson}
+    fields = SimpleNamespace(point=p)
+    for block, order in orders.items():
+        if block == "psi" and spec.psi is None:         # an absent psi reads as zero
+            r, n = spec.rank, spec.dimension
+            arrays = eval_block([], (r, r, n), p, order)
+        else:
+            arrays = readers[block](spec, p, order)
+            arrays = arrays if order else (arrays,)
+        for name, array in zip(FIELD_NAMES[block], arrays):
+            setattr(fields, name, array)
+    return fields
 
 
 # --------------------------------------------------------------------------
-# Axiom checks
+# Checks: a kernel over the fields at one point, reduced over the points
+
+
+def max_abs(x) -> float:
+    return float(np.max(np.abs(x))) if np.size(x) else 0.0
+
+
+def tolerance_of(name: str, override: float | None = None) -> float:
+    """TOLERANCES entry of a check; ``override`` replaces it unless it is
+    zero, which marks an exact or margin test."""
+    tol = TOLERANCES[name]
+    return override if override is not None and tol != 0.0 else tol
+
+
+class Check(NamedTuple):
+    """One kernel over the fields at a point, giving one residual per name."""
+
+    names: tuple[str, ...]
+    reads: Mapping[str, int]            # block -> highest derivative order read
+    kernel: Callable
+    gate: str | None = None             # runs only if the check so named passed
+
+    def at(self, spec: AlgebroidSpec, p):
+        return self.kernel(eval_fields(spec, p, self.reads))
+
+
+def run_checks(spec: AlgebroidSpec, points, checks,
+               tol_override: float | None = None) -> list[CheckReport]:
+    """Evaluate every block the checks read once per point, at the highest
+    order any of them reads; then one report per check name, in order."""
+    orders: dict[str, int] = {}
+    for check in checks:
+        for block, order in check.reads.items():
+            orders[block] = max(order, orders.get(block, 0))
+    fields = [eval_fields(spec, p, orders) for p in points]
+    reports: dict[str, CheckReport] = {}
+    for check in checks:
+        if check.gate is not None and not reports[check.gate].passed:
+            continue
+        values = np.array([check.kernel(f) for f in fields], dtype=float)
+        values = values.reshape(len(fields), -1)
+        for k, name in enumerate(check.names):
+            reports[name] = report_from_residuals(
+                name, values[:, k], points, tolerance_of(name, tol_override))
+    return list(reports.values())
+
 
 def _require_lie(spec: AlgebroidSpec, what: str):
     if spec.mode != "lie":
         raise ValueError(f"{what} requires lie mode, spec is '{spec.mode}'")
 
 
-def anchor_morphism_residual(spec: AlgebroidSpec, p) -> float:
-    """max_{a,b,i} |[rho_a, rho_b]^i - C^c_{ab} rho_c^i| at one point."""
-    rho, drho = eval_anchor(spec, p, order=1)
-    C = eval_structure(spec, p, order=0)
-    bracket = np.einsum("aj,bij->abi", rho, drho)
+def _anchor_morphism(f) -> float:
+    bracket = np.einsum("aj,bij->abi", f.rho, f.drho)
     bracket = bracket - bracket.transpose(1, 0, 2)
-    defect = bracket - np.einsum("abc,ci->abi", C, rho)
-    return float(np.max(np.abs(defect)))
+    return max_abs(bracket - np.einsum("abc,ci->abi", f.C, f.rho))
 
 
-def check_anchor_morphism(spec: AlgebroidSpec, points,
-                          tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
-    _require_lie(spec, "anchor-morphism check")
-    residuals = [anchor_morphism_residual(spec, p) for p in points]
-    return report_from_residuals("anchor_morphism", residuals, points, tolerance)
-
-
-def jacobi_residual(spec: AlgebroidSpec, p) -> float:
-    """max over a<b<c, d of the Jacobiator coefficient at one point."""
-    rho = eval_anchor(spec, p, order=0)
-    C, dC = eval_structure(spec, p, order=1)
-    term = np.einsum("aj,bcdj->abcd", rho, dC) + np.einsum("bce,aed->abcd", C, C)
+def _jacobi(f) -> float:
+    term = (np.einsum("aj,bcdj->abcd", f.rho, f.dC)
+            + np.einsum("bce,aed->abcd", f.C, f.C))
     jac = term + term.transpose(1, 2, 0, 3) + term.transpose(2, 0, 1, 3)
-    r = spec.rank
-    worst = 0.0
-    for a in range(r):
-        for b in range(a + 1, r):
-            for c in range(b + 1, r):
-                worst = max(worst, float(np.max(np.abs(jac[a, b, c]))))
-    return worst
+    triples = np.array(list(combinations(range(len(f.C)), 3)), dtype=int)
+    return max_abs(jac[tuple(triples.reshape(-1, 3).T)])
 
 
-def check_jacobi(spec: AlgebroidSpec, points,
-                 tolerance: float = DEFAULT_TOLERANCE) -> CheckReport:
-    _require_lie(spec, "Jacobi check")
-    residuals = [jacobi_residual(spec, p) for p in points]
-    return report_from_residuals("jacobi", residuals, points, tolerance)
+def _bivector_jacobi(f) -> float:
+    term = np.einsum("il,jkl->ijk", f.P, f.dP)
+    return max_abs(term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1))
 
 
 def _leading_minors(mat: np.ndarray):
     return [float(np.linalg.det(mat[:k, :k])) for k in range(1, mat.shape[0] + 1)]
 
 
-def validate_spec(spec: AlgebroidSpec, points,
-                  tolerance: float = DEFAULT_TOLERANCE,
+def _det_margin(mat) -> float:
+    """Amount by which |det| falls short of the nondegeneracy floor."""
+    return _DEFINITENESS_FLOOR - abs(float(np.linalg.det(mat)))
+
+
+ANCHOR_MORPHISM = Check(("anchor_morphism",), {"anchor": 1, "structure": 0},
+                        _anchor_morphism)
+JACOBI = Check(("jacobi",), {"anchor": 0, "structure": 1}, _jacobi)
+# storage antisymmetry of the structure functions (exact by construction)
+STRUCTURE_ANTISYMMETRY = Check(("structure_antisymmetry",), {"structure": 0},
+                               lambda f: max_abs(f.C + f.C.transpose(1, 0, 2)))
+METRIC_POSITIVE_DEFINITE = Check(
+    ("metric_positive_definite",), {"metric": 0},
+    lambda f: _DEFINITENESS_FLOOR - float(np.min(_leading_minors(f.g))))
+
+
+def anchor_morphism_residual(spec: AlgebroidSpec, p) -> float:
+    """max_{a,b,i} |[rho_a, rho_b]^i - C^c_{ab} rho_c^i| at one point."""
+    return ANCHOR_MORPHISM.at(spec, p)
+
+
+def check_anchor_morphism(spec: AlgebroidSpec, points,
+                          tolerance: float = TOLERANCES["anchor_morphism"]
+                          ) -> CheckReport:
+    _require_lie(spec, "anchor-morphism check")
+    return run_checks(spec, points, [ANCHOR_MORPHISM], tolerance)[0]
+
+
+def jacobi_residual(spec: AlgebroidSpec, p) -> float:
+    """max over a<b<c, d of the Jacobiator coefficient at one point."""
+    return JACOBI.at(spec, p)
+
+
+def check_jacobi(spec: AlgebroidSpec, points,
+                 tolerance: float = TOLERANCES["jacobi"]) -> CheckReport:
+    _require_lie(spec, "Jacobi check")
+    return run_checks(spec, points, [JACOBI], tolerance)[0]
+
+
+def validate_spec(spec: AlgebroidSpec, points, tolerance: float | None = None,
                   check_poisson_nondegenerate: bool = False) -> list[CheckReport]:
-    """Run every applicable structural check; failures are reported, not thrown."""
-    reports = []
-
-    # storage antisymmetry of the structure functions (exact by construction)
-    res = []
-    for p in points:
-        C = eval_structure(spec, p, order=0)
-        res.append(float(np.max(np.abs(C + C.transpose(1, 0, 2)))))
-    reports.append(report_from_residuals("structure_antisymmetry", res, points, 0.0))
-
+    """Run every applicable structural check; failures are reported, not
+    thrown.  ``tolerance`` overrides the table for the identity checks."""
+    checks = [STRUCTURE_ANTISYMMETRY]
     if spec.metric is not None:
-        res = []
-        for p in points:
-            g = eval_metric(spec, p, order=0)
-            res.append(_DEFINITENESS_FLOOR - min(_leading_minors(g)))
-        reports.append(report_from_residuals("metric_positive_definite", res,
-                                             points, 0.0))
-
+        checks.append(METRIC_POSITIVE_DEFINITE)
     if spec.mode == "lie":
-        reports.append(check_anchor_morphism(spec, points, tolerance))
-        reports.append(check_jacobi(spec, points, tolerance))
-
+        checks += [ANCHOR_MORPHISM, JACOBI]
     if spec.symplectic is not None:
-        res = []
-        for p in points:
-            omega2 = eval_symplectic(spec, p, order=0)
-            res.append(_DEFINITENESS_FLOOR - abs(float(np.linalg.det(omega2))))
-        reports.append(report_from_residuals("symplectic_nondegenerate", res,
-                                             points, 0.0))
-
+        checks.append(Check(("symplectic_nondegenerate",), {"symplectic": 0},
+                            lambda f: _det_margin(f.Om)))
     if spec.poisson is not None:
-        res = []
-        for p in points:
-            P, dP = eval_poisson(spec, p, order=1)
-            term = np.einsum("il,jkl->ijk", P, dP)
-            jac = term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1)
-            res.append(float(np.max(np.abs(jac))))
-        reports.append(report_from_residuals("poisson_jacobi", res, points, tolerance))
+        checks.append(Check(("poisson_jacobi",), {"poisson": 1}, _bivector_jacobi))
         if check_poisson_nondegenerate:
-            res = []
-            for p in points:
-                P = eval_poisson(spec, p, order=0)
-                res.append(_DEFINITENESS_FLOOR - abs(float(np.linalg.det(P))))
-            reports.append(report_from_residuals("poisson_nondegenerate", res,
-                                                 points, 0.0))
-
-    return reports
+            checks.append(Check(("poisson_nondegenerate",), {"poisson": 0},
+                                lambda f: _det_margin(f.P)))
+    return run_checks(spec, points, checks, tolerance)

@@ -218,3 +218,48 @@ def test_config_invariants_rejected(tmp_path):
     code, _ = run(tmp_path, "free", "--spec", fx("fx_free_heis"),
                   "--degree", "5", "--points", "5")
     assert code == 2
+
+
+def _anchor_spec(tmp_path, anchor_x):
+    """Rank-1 lie spec over [-2, 2]^2 with anchor (anchor_x, 0)."""
+    doc = {"chart": {"coords": ["x", "y"], "domain": [[-2.0, 2.0], [-2.0, 2.0]]},
+           "rank": 1, "mode": "lie", "anchor": [[anchor_x, "0"]],
+           "connection": [[["0", "0"]]]}
+    path = tmp_path / "anchor_spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_non_finite_residual_fails(tmp_path):
+    # x^1000 overflows the bracket to inf - inf = nan at some sample points
+    code, text = run(tmp_path, "validate", "--spec",
+                     _anchor_spec(tmp_path, "x^1000"), "--points", "20")
+    assert code == 1
+    check = next(c for c in json.loads(text)["checks"]
+                 if c["name"] == "anchor_morphism")
+    assert not check["pass"]
+    assert check["max_residual"] != check["max_residual"]      # NaN
+    assert abs(check["worst_point"][0]) > 1.0
+
+
+@pytest.mark.parametrize("expr, reason", [
+    ("ln(x)", "ln of nonpositive value in 'ln(x)'"),
+    ("exp(exp(exp(10*x)))", "overflow in 'exp(exp(10.0*x))'"),
+])
+def test_evaluation_failure_exits_2_with_entry_and_point(tmp_path, capsys,
+                                                         expr, reason):
+    code, text = run(tmp_path, "validate", "--spec",
+                     _anchor_spec(tmp_path, expr), "--points", "20")
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert f"error: anchor[0][0]: {reason} at point (" in err
+
+
+def test_geodesic_accepts_negative_separate_values(tmp_path):
+    common = ["geodesic", "--spec", fx("fx_foliation_flat"), "--t-max", "0.01"]
+    code, separate = run(tmp_path, *common, "--x0", "-0.5,0.3", "--v0", "-0.4,0")
+    assert code == 0
+    code, joined = run(tmp_path, *common, "--x0=-0.5,0.3", "--v0=-0.4,0")
+    assert code == 0
+    assert separate == joined
+    assert json.loads(separate)["x0"] == [-0.5, 0.3]

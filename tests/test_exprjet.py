@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from algebroid.exprjet import (
     Add, Call, Div, EvalDomainError, Jet, Mul, Neg, Num, ParseError,
-    Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_jet, fd_crosscheck,
-    parse_expr, render,
+    Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_block, eval_jet,
+    fd_crosscheck, parse_expr, render,
 )
 from algebroid.spec_model import sample_points
 
@@ -153,6 +153,25 @@ def test_domain_error_reports_subexpression_and_point():
         eval_jet(parse_expr("1 + ln(y - 2)", XY), (0.0, 1.0), order=0)
     assert "ln(y - 2" in str(err.value)
     assert "1.0" in str(err.value)
+
+
+def test_float_range_failures_are_domain_errors():
+    with pytest.raises(EvalDomainError, match="overflow in 'exp"):
+        eval_jet(parse_expr("exp(exp(exp(10*x)))", XY), (2.0, 0.0), order=1)
+    with pytest.raises(EvalDomainError, match="math domain error"):
+        eval_jet(parse_expr("sin(exp(x)*exp(x))", XY), (400.0, 0.0), order=0)
+
+
+def test_eval_block_mirrors_and_names_failing_entry():
+    e = parse_expr("x*y + exp(x)", XY)
+    value, grad = eval_block([((0, 1), 1, e), ((1, 0), -1, e)], (2, 2),
+                             (0.3, -1.1), order=1, label="two_form")
+    jet = eval_jet(e, (0.3, -1.1), order=1)
+    assert value[0, 1] == jet.value and value[1, 0] == -jet.value
+    assert np.array_equal(grad[1, 0], -jet.grad) and value[0, 0] == 0.0
+    with pytest.raises(EvalDomainError, match=r"^metric\[1\]\[0\]: ln of "):
+        eval_block([((1, 0), 1, parse_expr("ln(x)", XY))], (2, 2), (-1.0, 0.0),
+                   label="metric")
 
 
 def test_non_constant_exponent_rejected():

@@ -571,7 +571,7 @@ def test_indeterminate_rank_detected():
     words = basis[2]
     rows = [{words[0]: Num(3e-10)}]
     with pytest.raises(fa.IndeterminateRankError):
-        fa._eliminate(rows, words, np.zeros(2), [], 2)
+        fa._eliminate(rows, words, np.zeros(2), [])
 
 
 def test_relation_constancy_guard():
@@ -580,4 +580,4 @@ def test_relation_constancy_guard():
     rows = [{words[0]: parse_expr("x", ["x", "y"])}]
     with pytest.raises(fa.NonLocallyFreeError):
         fa._eliminate(rows, words, np.array([1.0, 0.0]),
-                      [np.array([2.0, 0.0])], 2)
+                      [np.array([2.0, 0.0])])

@@ -63,6 +63,21 @@ def test_two_form_not_antisymmetric():
     (lambda d: d["chart"].update(coords=["x", "x"]), "distinct"),
     (lambda d: d["chart"].update(coords=["sin", "y"]), "shadows"),
     (lambda d: d.update(anchor=[["-y", "x", "0"]]), "entries"),
+    (lambda d: d.update(rank=True), "rank: .* got True"),
+    (lambda d: d.update(rank=1.5), "rank: .* got 1.5"),
+    (lambda d: d.update(structure=[{"a": "1", "b": 2, "c": 1, "expr": "x"}]),
+     "a='1' is not an integer"),
+    (lambda d: d.update(structure=[{"a": 1, "b": 1.7, "c": 1, "expr": "x"}]),
+     "b=1.7 is not an integer"),
+    (lambda d: d.update(structure=[{"a": 1, "b": 1, "c": True, "expr": "x"}]),
+     "c=True is not an integer"),
+    pytest.param(lambda d: d["chart"].update(domain=[[-1e308, 1e308], [-2, 2]]),
+                 "must be finite", id="infinite width"),
+    pytest.param(lambda d: d["chart"].update(domain=[[0, float("inf")], [-2, 2]]),
+                 "must be finite", id="infinite bound"),
+    pytest.param(lambda d: d["chart"].update(domain=[[float("nan"), 1], [-2, 2]]),
+                 "must be finite", id="nan bound"),
+    (lambda d: d["chart"].update(domain=[["0", 1], [-2, 2]]), "numbers"),
 ])
 def test_schema_errors(mutate, match):
     doc = fixture_doc("fx_action_so2")
@@ -266,6 +281,18 @@ def test_report_verdict_matches_tolerance(spec_of, points_of):
     as_dict = report.to_dict()
     assert set(as_dict) == {"name", "points", "max_residual", "mean_residual",
                             "tolerance", "pass", "worst_point"}
+
+
+def test_nan_residual_fails_and_names_its_point():
+    from algebroid.spec_model import report_from_residuals
+    points = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
+    report = report_from_residuals("probe", [0.0, 1e-12, float("nan"), 5e-13],
+                                   points, 1e-9)
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert report.worst_point == (2.0, 0.0)
+    inf_report = report_from_residuals("probe", [0.0, float("inf")], points, 1e-9)
+    assert not inf_report.passed and inf_report.worst_point == (1.0, 0.0)
 
 
 # --------------------------------------------------------------------------
