@@ -174,7 +174,8 @@ def _cmd_free(args) -> int:
         reports.append(gen)
         if gen.passed:
             reports.append(fa.propagate_compatibility(
-                quotient, points, tolerance_of("killing_extended", args.tol)))
+                quotient, points, tolerance_of("killing_extended", args.tol),
+                generator_tolerance=gen.tolerance))
             propagation_ran = True
 
     profile = fa.anchor_rank_profile(quotient, points)

@@ -143,6 +143,19 @@ def test_free_generator_failure_is_reported(tmp_path):
     assert all(c["name"] != "killing_extended" for c in report["checks"])
 
 
+def test_free_tolerance_override_reaches_the_propagation_gate(tmp_path):
+    doc = json.loads(fixture_path("fx_killing_nonabelian").read_text())
+    doc["metric"][0][0] = "exp(2*y) + 1e-5*x"      # generator residual ~2e-5
+    spec_file = tmp_path / "near_killing.json"
+    spec_file.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "free", "--spec", str(spec_file), "--degree", "2",
+                     "--points", "5", "--tol", "1e-3")
+    assert code == 0
+    report = json.loads(text)
+    assert report["propagation_checked"]
+    assert [c["name"] for c in report["checks"]][-1] == "killing_extended"
+
+
 def test_geodesic_subcommand_with_trace(tmp_path):
     trace_file = tmp_path / "trace.csv"
     out = tmp_path / "report.json"
