@@ -280,6 +280,7 @@ _FRAME1 = {"anchor": 1, "structure": 1, "connection": 1}
 _TAU_CURVATURE_READS = {"anchor": 2, "structure": 0, "connection": 1}
 _KILLING_READS = {"anchor": 1, "metric": 1, "connection": 0}
 
+
 def _cartan(f):
     S = _s_frame(f)
     return max_abs(S), max_abs(S - s_covariant_components(
