@@ -4,7 +4,9 @@ match, byte for byte, the report frozen under ``tests/golden/``.
 The matrix is ``validate`` and ``check`` on all bundled fixtures at 20 points
 (each check flag a fixture's blocks allow, one at a time and all together,
 ``--koszul`` with a zero psi file), ``free --degree 3`` on the three
-generator fixtures, and one 20-step geodesic.  Only the echoed spec path is
+generator fixtures and on ``fx_nonriem_fol`` (failing generator Killing
+check), ``free --degree 4`` on ``fx_so3_sphere`` (5 points) and
+``fx_killing_nonabelian``, and one 20-step geodesic.  Only the echoed spec path is
 normalized.  Exit codes are frozen alongside in ``exit_codes.json``.
 
 Freeze (only when a report is meant to change, and say why in CHANGES.md)::
@@ -64,6 +66,13 @@ def cases() -> dict[str, list[str]]:
     for name in ("fx_free_heis", "fx_free_abelian", "fx_killing_nonabelian"):
         out[f"free__{name}"] = ["free", "--spec", name, "--degree", "3",
                                 "--points", POINTS]
+    for case, name, degree, points in (
+            ("free__fx_nonriem_fol", "fx_nonriem_fol", "3", POINTS),
+            ("free__fx_so3_sphere__degree4", "fx_so3_sphere", "4", "5"),
+            ("free__fx_killing_nonabelian__degree4", "fx_killing_nonabelian",
+             "4", POINTS)):
+        out[case] = ["free", "--spec", name, "--degree", degree,
+                     "--points", points]
     out["geodesic__fx_foliation_flat"] = [
         "geodesic", "--spec", "fx_foliation_flat", "--x0=-0.5,0.3",
         "--v0=0.4,0.0", "--t-max", "0.02", "--h", "1e-3"]
