@@ -23,7 +23,8 @@ import numpy as np
 from .exprjet import eval_block
 from .spec_model import (
     TOLERANCES, AlgebroidSpec, Check, CheckReport, cube_entries, eval_fields,
-    max_abs, report_from_residuals, run_checks, eval_connection, _require_lie,
+    max_abs, report_from_residuals, run_checks, eval_connection, tolerance_of,
+    _require_lie,
 )
 
 __all__ = [
@@ -43,7 +44,13 @@ class SingularMetricError(Exception):
 
 
 class FlatnessGateError(Exception):
-    """Connection curvature exceeds the flatness gate for frame transport."""
+    """Connection curvature exceeds the flatness gate for frame transport;
+    ``report`` is the failing gate over the grid nodes."""
+
+    def __init__(self, report: CheckReport):
+        super().__init__(f"connection curvature {report.max_residual:.3e} exceeds "
+                         f"the gate at grid node {report.worst_point}")
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -146,10 +153,12 @@ def killing_frame_components(rho, drho, g, dg, omega):
     return lie - vee - np.swapaxes(vee, 1, 2)
 
 
-def christoffel_components(g, dg):
+def christoffel_components(g, dg, point=None):
     minors = [float(np.linalg.det(g[:k, :k])) for k in range(1, g.shape[0] + 1)]
     if min(minors) <= 0.0:
-        raise SingularMetricError(f"leading minors not all positive: {minors}")
+        where = "" if point is None else f" at point {_pt(point)}"
+        raise SingularMetricError(f"metric: leading minors {minors} not all "
+                                  f"positive{where}")
     ginv = np.linalg.inv(g)
     gamma = 0.5 * (np.einsum("kl,jli->kij", ginv, dg)
                    + np.einsum("kl,ilj->kij", ginv, dg)
@@ -179,7 +188,7 @@ def _killing_sym(f):
     """Symmetrized covariant derivative of rho-bar, the metric dual of the
     anchor, [a,i,j]; vanishing is equivalent to the frame Killing equations."""
     g, dg, rho = f.g, f.dg, f.rho
-    gamma, _ = christoffel_components(g, dg)
+    gamma, _ = christoffel_components(g, dg, f.point)
     rbar = np.einsum("jk,ak->aj", g, rho)
     drbar = (np.einsum("jki,ak->aji", dg, rho)
              + np.einsum("jk,aki->aji", g, f.drho))   # d_i rbar_{a,j}
@@ -346,7 +355,7 @@ def _sample(spec, p, reads, kernel, signature) -> TensorSample:
 def christoffel(spec: AlgebroidSpec, p) -> TensorSample:
     """Levi-Civita coefficients Gamma^k_{ij} of the spec metric at p."""
     return _sample(spec, p, {"metric": 1},
-                   lambda f: christoffel_components(f.g, f.dg)[0],
+                   lambda f: christoffel_components(f.g, f.dg, f.point)[0],
                    ("coord_up", "coord_down", "coord_down"))
 
 
@@ -439,8 +448,6 @@ def tau_intertwine_check(spec: AlgebroidSpec, points,
 def generalized_residuals(spec: AlgebroidSpec, p) -> GeneralizedResiduals:
     """Residuals of the coupled compatibility equations for Phi = g + B with
     the endomorphism-valued 1-form psi (absent psi is treated as zero)."""
-    if spec.metric is None or spec.two_form is None:
-        raise ValueError("generalized residuals need both metric and two_form")
     sym, skew = _generalized(eval_fields(spec, p, GENERALIZED.reads))
     return GeneralizedResiduals(sym=sym, skew=skew, point=_pt(p))
 
@@ -465,8 +472,6 @@ def koszul_delta_check(spec: AlgebroidSpec, psi_candidate, points,
                        tolerance: float = TOLERANCES["koszul_delta"]) -> CheckReport:
     """Koszul obstruction for perturbing the connection by psi (see
     ``koszul_check``) over the sample points."""
-    if spec.metric is None:
-        raise ValueError("Koszul delta test needs a metric")
     r, n = spec.rank, spec.dimension
     if (len(psi_candidate) != r or any(len(row) != r for row in psi_candidate)
             or any(len(row[b]) != n for row in psi_candidate for b in range(r))):
@@ -491,7 +496,7 @@ class FrameSamples:
     frames: np.ndarray        # (num_nodes, r, r)
 
 
-def _transport_segment(spec, q0, q1, U0, substeps):
+def _transport_segment(spec, q0, q1, U0):
     """RK4 for dU/dt = -omega(gamma')U along the straight segment q0 -> q1."""
     dx = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
     W = {}      # t -> connection along dx; k2 and k3 share their midpoint
@@ -502,6 +507,7 @@ def _transport_segment(spec, q0, q1, U0, substeps):
         return -W[t] @ U
 
     U = U0.copy()
+    substeps = 8
     h = 1.0 / substeps
     for k in range(substeps):
         t = k * h
@@ -524,7 +530,7 @@ def _grid_offsets(chart, basepoint, grid_steps):
     return np.array(deltas), ranges
 
 
-def _transport_grid(spec, basepoint, deltas, ranges, axis_order, substeps):
+def _transport_grid(spec, basepoint, deltas, ranges, axis_order):
     """Fill U on the whole grid, transporting axis by axis in ``axis_order``."""
     r = spec.rank
     frames = {tuple(0 for _ in deltas): np.eye(r)}
@@ -549,17 +555,14 @@ def _transport_grid(spec, basepoint, deltas, ranges, axis_order, substeps):
                     offset = tuple(offset)
                     frames[offset] = _transport_segment(
                         spec, node_point(prev), node_point(offset),
-                        frames[prev], substeps)
+                        frames[prev])
                     prev = offset
         filled_axes.append(axis)
     return frames
 
 
 def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
-                     substeps: int = 8,
-                     flat_tolerance: float = TOLERANCES["flat_frame_gate"],
-                     tolerance: float = TOLERANCES["flat_frame"],
-                     killing_tolerance: float = TOLERANCES["killing_frame"]):
+                     tol_override: float | None = None):
     """Build a covariantly constant frame around ``basepoint`` by parallel
     transport along axis-aligned grid paths, then check that the transformed
     structure functions are constant over the grid; when the spec carries a
@@ -568,44 +571,44 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
 
     Returns ``(FrameSamples, [CheckReport, ...])``: structure constancy, path
     independence, and (when applicable) the flat-section Killing residual.
+    Raises :class:`FlatnessGateError` if the connection is curved at a grid
+    node.  ``tol_override`` replaces the table tolerances (``tolerance_of``).
     """
     _require_lie(spec, "flat_frame_probe")
     basepoint = np.asarray(basepoint, dtype=float)
     if not spec.chart.contains(basepoint):
         raise ValueError(f"basepoint {tuple(basepoint)} outside chart domain")
-    n = spec.dimension
 
     deltas, ranges = _grid_offsets(spec.chart, basepoint, grid_steps)
     offsets = sorted(set(np.ndindex(*[len(rg) for rg in ranges])))
     offsets = [tuple(rg[k] for rg, k in zip(ranges, idx)) for idx in offsets]
     points = {off: basepoint + deltas * np.array(off, dtype=float)
               for off in offsets}
+    grid_pts = list(points.values())
 
     reads = {"anchor": 0, "structure": 0, "connection": 1}
     if spec.metric is not None:
         reads.update(anchor=1, metric=1)
     fields = {off: eval_fields(spec, q, reads) for off, q in points.items()}
 
-    # flatness gate
-    worst_F = float(np.max([FLAT_FRAME_GATE.kernel(f) for f in fields.values()]))
-    if not worst_F <= flat_tolerance:
-        raise FlatnessGateError(
-            f"connection curvature {worst_F:.3e} exceeds gate {flat_tolerance:.1e}")
+    gate = report_from_residuals(
+        "flat_frame_grid_gate", [FLAT_FRAME_GATE.kernel(f) for f in fields.values()],
+        grid_pts, tolerance_of("flat_frame_gate", tol_override))
+    if not gate.passed:
+        raise FlatnessGateError(gate)
+    tolerance = tolerance_of("flat_frame", tol_override)
 
-    axis_order = list(range(n))
-    frames = _transport_grid(spec, basepoint, deltas, ranges, axis_order, substeps)
-    frames_rev = _transport_grid(spec, basepoint, deltas, ranges,
-                                 axis_order[::-1], substeps)
+    axis_order = list(range(spec.dimension))
+    frames = _transport_grid(spec, basepoint, deltas, ranges, axis_order)
+    frames_rev = _transport_grid(spec, basepoint, deltas, ranges, axis_order[::-1])
 
-    ordered = [off for off in offsets if off in frames]
     samples = FrameSamples(
-        offsets=tuple(ordered),
-        points=np.array([points[off] for off in ordered]),
-        frames=np.array([frames[off] for off in ordered]),
+        offsets=tuple(offsets),
+        points=np.array(grid_pts),
+        frames=np.array([frames[off] for off in offsets]),
     )
 
-    path_dev = [max_abs(frames[off] - frames_rev[off]) for off in ordered]
-    grid_pts = [points[off] for off in ordered]
+    path_dev = [max_abs(frames[off] - frames_rev[off]) for off in offsets]
     reports = []
 
     # transformed structure functions, using covariant constancy of the frame
@@ -620,7 +623,7 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     C_base = transformed_structure(fields[tuple(0 for _ in deltas)],
                                    np.eye(spec.rank))
     const_res = [max_abs(transformed_structure(fields[off], frames[off]) - C_base)
-                 for off in ordered]
+                 for off in offsets]
     reports.append(report_from_residuals("flat_frame_structure_constancy",
                                          const_res, grid_pts, tolerance))
     reports.append(report_from_residuals("flat_frame_path_independence",
@@ -628,10 +631,10 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
 
     if spec.metric is not None:
         killing_worst = float(np.max([
-            max_abs(_killing_frame(fields[off])) for off in ordered]))
-        if killing_worst <= killing_tolerance:
+            max_abs(_killing_frame(fields[off])) for off in offsets]))
+        if killing_worst <= tolerance_of("killing_frame", tol_override):
             res = []
-            for off in ordered:
+            for off in offsets:
                 f, U = fields[off], frames[off]
                 v = np.einsum("pa,pk->ak", U, f.rho)
                 # d_i v^k via nabla e~ = 0: d_i U^p_a = -omega^p_{q,i} U^q_a

@@ -3,13 +3,15 @@ emit deterministic human- or machine-readable reports.
 
 ``check`` selects rows of one table keyed by flag; every spec block the
 selected rows read is evaluated once per sample point, and each row reduces
-its kernel's residuals to a report.  A non-finite residual fails its check.
+its kernel's residuals to a report; ``free`` does the same over the quotient
+truncation.  A non-finite residual fails its check.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails, 2 input
-or schema error, or an expression that cannot be evaluated at a sample point
-(the message names the block entry, the subexpression and the point), 3
-numerical indeterminacy (free-algebroid rank ambiguity).  Reports with the
-same config (including seed) are byte-identical.
+or schema error, an expression that cannot be evaluated at a sample point
+(the message names the block entry, the subexpression and the point) or a
+metric that is not positive definite there, 3 numerical indeterminacy
+(free-algebroid rank ambiguity).  Reports with the same config (including
+seed) are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from . import freealg as fa
 from .exprjet import EvalDomainError, ParseError
 from .spec_model import (
     ANCHOR_MORPHISM, JACOBI, AlgebroidSpec, CheckReport, SchemaError,
-    load_cube, load_spec_file, run_checks, sample_points, tolerance_of,
-    validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
+    check_values, load_cube, load_spec_file, reduce_checks, run_checks,
+    sample_points, tolerance_of, validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
 )
-from .spec_model import TOLERANCES  # noqa: F401  (the one table, as cli.TOLERANCES)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -72,10 +73,11 @@ def run_check_suite(spec: AlgebroidSpec, points, flags, tol_override=None,
             checks += rows
     reports = run_checks(spec, points, checks, tol_override)
     if flags.get("flat_frame") and reports[-1].passed:    # the flat_frame_gate
-        _, probe_reports = ca.flat_frame_probe(
-            spec, spec.chart.center(),
-            flat_tolerance=tolerance_of("flat_frame_gate", tol_override),
-            tolerance=tolerance_of("flat_frame", tol_override))
+        try:
+            _, probe_reports = ca.flat_frame_probe(spec, spec.chart.center(),
+                                                   tol_override=tol_override)
+        except ca.FlatnessGateError as exc:     # curved at a grid node
+            probe_reports = [exc.report]
         reports.extend(probe_reports)
     return reports
 
@@ -116,13 +118,9 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _verdict(reports) -> str:
-    return "pass" if all(r.passed for r in reports) else "fail"
-
-
 def _finish(payload, reports, args) -> int:
     payload["checks"] = [r.to_dict() for r in reports]
-    payload["verdict"] = _verdict(reports)
+    payload["verdict"] = "pass" if all(r.passed for r in reports) else "fail"
     _emit(payload, args.format, args.out)
     return EXIT_PASS if payload["verdict"] == "pass" else EXIT_FAIL
 
@@ -163,22 +161,18 @@ def _cmd_free(args) -> int:
     quotient = fa.free_extend(spec, args.degree, "quotient", seed=args.seed)
     almost = fa.free_extend(spec, args.degree, "almost", seed=args.seed)
 
-    reports = [fa.cartan_check_extended(
-        quotient, points, tolerance_of("cartan_extended", args.tol))]
-    if args.degree >= 3:
-        reports.append(fa.jacobiator_check(
-            almost, points, tolerance_of("jacobiator_covariant_constancy", args.tol)))
-    propagation_ran = False
+    # one pass over the quotient truncation for its checks and rank profile
+    checks = [fa.cartan_extended_check(quotient)]
     if spec.metric is not None:
-        gen, = run_checks(spec, points, [fa.KILLING_GENERATORS], args.tol)
-        reports.append(gen)
-        if gen.passed:
-            reports.append(fa.propagate_compatibility(
-                quotient, points, tolerance_of("killing_extended", args.tol),
-                generator_tolerance=gen.tolerance))
-            propagation_ran = True
+        checks += fa.killing_checks(quotient)
+    *values, profile = check_values(
+        quotient, points, checks + [fa.rank_profile_check(quotient)])
+    reports = reduce_checks(checks, values, points, args.tol)
+    if args.degree >= 3:
+        reports.insert(1, fa.jacobiator_check(
+            almost, points, tolerance_of("jacobiator_covariant_constancy", args.tol)))
 
-    profile = fa.anchor_rank_profile(quotient, points)
+    profile = fa.profile_of(profile)
     per_point = [{"point": [float(c) for c in p], **entry}
                  for p, entry in zip(points, profile)]
     payload = {
@@ -187,7 +181,7 @@ def _cmd_free(args) -> int:
         "basis_counts": quotient.counts(),
         "almost_basis_counts": almost.counts(),
         "hall_order": quotient.hall_order,
-        "propagation_checked": propagation_ran,
+        "propagation_checked": reports[-1].name == "killing_extended",
         "anchor_rank_profile": {
             "rank_generators_min": min(e["rank_generators"] for e in profile),
             "rank_generators_max": max(e["rank_generators"] for e in profile),
@@ -210,8 +204,7 @@ def _cmd_geodesic(args) -> int:
     if len(x0) != spec.dimension or len(v0) != spec.dimension:
         raise InputError(f"--x0/--v0 must have {spec.dimension} components")
     trace = fo.geodesic_integrate(spec, x0, v0, args.t_max, args.h)
-    reports = [fo.orthogonality_monitor(
-        spec, trace, tolerance=tolerance_of("geodesic_orthogonality", args.tol))]
+    reports = [fo.orthogonality_monitor(spec, trace, tol_override=args.tol)]
     energy = CheckReport(
         name="geodesic_energy_drift", points=len(trace.times),
         max_residual=trace.energy_drift,
@@ -313,8 +306,8 @@ def main(argv=None) -> int:
         if args.tol is not None and args.tol <= 0.0:
             raise InputError("--tol must be positive")
         return handlers[args.command](args)
-    except (SchemaError, ParseError, EvalDomainError, InputError, OSError,
-            ValueError) as exc:
+    except (SchemaError, ParseError, EvalDomainError, ca.SingularMetricError,
+            InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (fa.IndeterminateRankError, fa.NonLocallyFreeError) as exc:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_model import (
-    TOLERANCES, AlgebroidSpec, CheckReport, eval_anchor, eval_connection,
-    eval_metric, report_from_residuals,
+    AlgebroidSpec, CheckReport, eval_anchor, eval_connection, eval_metric,
+    report_from_residuals, tolerance_of,
 )
 from .calculus import christoffel_components, killing_residual_frame
 
@@ -53,7 +53,7 @@ class GeodesicTrace:
 
 def _rhs(spec: AlgebroidSpec, x, v, U):
     g, dg = eval_metric(spec, x, order=1)
-    gamma, _ = christoffel_components(g, dg)
+    gamma, _ = christoffel_components(g, dg, x)
     acc = -np.einsum("kij,i,j->k", gamma, v, v)
     omega = eval_connection(spec, x, order=0)
     W = np.einsum("i,qai->aq", v, omega)
@@ -64,8 +64,6 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
                        h: float) -> GeodesicTrace:
     """Integrate the geodesic equation from (x0, v0) with fixed step h,
     transporting the frame along the trajectory."""
-    if spec.metric is None:
-        raise ValueError("geodesic integration needs a metric")
     if h <= 0.0:
         raise ValueError("step size must be positive")
     x = np.asarray(x0, dtype=float).copy()
@@ -117,7 +115,7 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
                          exit_time=exit_time)
 
 
-def _span_projection_norm(spec: AlgebroidSpec, x, v, rank_tol: float = 1e-10):
+def _span_projection_norm(spec: AlgebroidSpec, x, v):
     """g-norm of the projection of v onto span{rho_a(x)}: the distance of v
     from the orthogonal complement of the realized anchor span."""
     g = eval_metric(spec, x, order=0)
@@ -125,15 +123,13 @@ def _span_projection_norm(spec: AlgebroidSpec, x, v, rank_tol: float = 1e-10):
     G = rho @ g @ rho.T
     b = rho @ g @ v
     scale = max(1.0, float(np.max(np.abs(G))))
-    coeff, *_ = np.linalg.lstsq(G + 0.0, b, rcond=rank_tol * scale)
+    coeff, *_ = np.linalg.lstsq(G + 0.0, b, rcond=1e-10 * scale)
     val = float(coeff @ G @ coeff)
     return float(np.sqrt(max(val, 0.0)))
 
 
 def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
-                          tolerance: float = TOLERANCES["geodesic_orthogonality"],
-                          killing_tolerance: float = TOLERANCES["killing_frame"]
-                          ) -> CheckReport:
+                          tol_override: float | None = None) -> CheckReport:
     """Drift report for the orthogonality values along a trace.
 
     If the spec passes the Killing check on the trace points, the monitored
@@ -141,7 +137,8 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
     constancy is the content of the Riemannian-foliation statement.  For
     specs failing the Killing check there is no canonical flat frame, so the
     raw surrogate is the distance of gamma' from the orthogonal complement of
-    the realized anchor span (flagged by the report name).
+    the realized anchor span (flagged by the report name).  ``tol_override``
+    replaces the table tolerances (``tolerance_of``).
     """
     if trace.positions.shape[0] == 0:
         raise ValueError("empty trace")
@@ -149,7 +146,7 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
     killing_worst = float(np.max([killing_residual_frame(spec, q).max_abs()
                                   for q in probe]))
 
-    if killing_worst <= killing_tolerance:
+    if killing_worst <= tolerance_of("killing_frame", tol_override):
         values = trace.orth_flat
         drift = np.max(np.abs(values - values[0]), axis=1)
         name = "orthogonality_flat_frame"
@@ -159,17 +156,15 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
         drift = np.abs(norms - norms[0])
         name = "orthogonality_raw_span"
 
-    return report_from_residuals(name, drift, trace.positions, tolerance)
+    return report_from_residuals(name, drift, trace.positions,
+                                 tolerance_of("geodesic_orthogonality", tol_override))
 
 
-def orthogonal_velocity(spec: AlgebroidSpec, x0, direction,
-                        rank_tol: float = 1e-10) -> np.ndarray:
+def orthogonal_velocity(spec: AlgebroidSpec, x0, direction) -> np.ndarray:
     """Gram-Schmidt the candidate direction against {rho_a(x0)} in the metric
     at x0; at anchor rank drops the complement of the realized span is used.
     Returns the zero vector when the realized span already fills the tangent
     space."""
-    if spec.metric is None:
-        raise ValueError("orthogonal velocities need a metric")
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(direction, dtype=float).copy()
     g = eval_metric(spec, x0, order=0)
@@ -180,7 +175,7 @@ def orthogonal_velocity(spec: AlgebroidSpec, x0, direction,
         for u in basis:
             w = w - (u @ g @ w) * u
         norm = float(np.sqrt(max(w @ g @ w, 0.0)))
-        if norm > rank_tol:
+        if norm > 1e-10:
             basis.append(w / norm)
     for u in basis:
         v = v - (u @ g @ v) * u

@@ -15,23 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
 
 from .exprjet import Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block
 from .spec_model import (
-    FIELD_NAMES, AlgebroidSpec, Check, CheckReport, TOLERANCES, eval_fields,
-    max_abs, report_from_residuals, sample_points,
+    AlgebroidSpec, Check, CheckReport, TOLERANCES, check_values, max_abs,
+    report_from_residuals, run_checks, sample_points,
 )
 from .calculus import KILLING, killing_frame_components, s_frame_components
 
 __all__ = [
     "HallWord", "FreeTruncation", "hall_basis", "magma_basis", "free_extend",
-    "jacobiator_check", "propagate_compatibility", "cartan_check_extended",
-    "anchor_rank_profile", "IndeterminateRankError", "NonLocallyFreeError",
-    "GeneratorCompatibilityError", "MAX_DEGREE", "KILLING_GENERATORS",
+    "cartan_extended_check", "killing_checks", "rank_profile_check",
+    "profile_of", "jacobiator_check", "propagate_compatibility",
+    "cartan_check_extended", "anchor_rank_profile", "IndeterminateRankError",
+    "NonLocallyFreeError", "GeneratorCompatibilityError", "MAX_DEGREE",
 ]
 
 MAX_DEGREE = 4          # anchors of degree-d words need order-(d-1) jets
@@ -167,20 +167,28 @@ class FreeTruncation:
 
     @cached_property
     def block_entries(self) -> dict:
-        """block -> (eval_block entries, shape) of the extended anchor,
-        structure and connection over ``words``."""
+        """block -> (eval_block entries, shape, label) of the extended anchor,
+        structure and connection over ``words``, and of the base metric when
+        the spec has one: a block source for ``spec_model.eval_fields``.
+        Structure entries for pairs beyond the truncation are zero-filled;
+        checks only read pairs with degree sum within the truncation."""
         idx, N, n = self.index, len(self.words), self.spec.dimension
-        return {
+        out = {
             "anchor": ([((idx[w.key], i), 1, c) for w, comps in self.anchor.items()
-                        for i, c in enumerate(comps)], (N, n)),
+                        for i, c in enumerate(comps)], (N, n), "extended anchor"),
             "structure": ([((idx[u.key], idx[v.key], idx[w.key]), 1, c)
                            for (u, v), expansion in self.bracket_table.items()
-                           for w, c in expansion.items()], (N, N, N)),
+                           for w, c in expansion.items()], (N, N, N),
+                          "extended structure"),
             "connection": ([((idx[w.key], idx[w2.key], i), 1, c)
                             for w, entries in self.conn.items()
                             for w2, comps in entries.items()
-                            for i, c in enumerate(comps)], (N, N, n)),
+                            for i, c in enumerate(comps)], (N, N, n),
+                           "extended connection"),
         }
+        if "metric" in self.spec.block_entries:
+            out["metric"] = self.spec.block_entries["metric"]
+        return out
 
 
 def _expansion_add(target: dict, w: HallWord, coeff: Expr):
@@ -398,8 +406,7 @@ def _conn_add(store: dict, w: HallWord, comps):
 
 
 def free_extend(spec: AlgebroidSpec, degree: int = 3,
-                mode: str = "quotient", seed: int = 42,
-                reference_point=None) -> FreeTruncation:
+                mode: str = "quotient", seed: int = 42) -> FreeTruncation:
     """Construct the degree-truncated free almost-Lie algebroid over the
     anchored bundle of ``spec`` (structure functions of the input are
     ignored; the bundle enters as generators), extend the connection, and in
@@ -423,8 +430,7 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
     table = _almost_table(words, degree)
 
     if mode == "quotient":
-        ref = np.asarray(reference_point, dtype=float) \
-            if reference_point is not None else spec.chart.center()
+        ref = spec.chart.center()
         aux = sample_points(spec.chart, 20, seed)
         rows = _relation_rows(table, levels, degree)
         substitution: dict = {}
@@ -451,46 +457,74 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
 
 
 # --------------------------------------------------------------------------
-# Numeric evaluation of the extension
+# Checks on the extension: rows over the truncation's fields at a point
 
 
-def extended_arrays(free: FreeTruncation, p, reads: Mapping[str, int]):
-    """The extended anchor / structure / connection blocks named in ``reads``
-    (block -> derivative order) at ``p``, as fields named like the spec's
-    (``f.rho``, ``f.dC``, ``f.omega``...).  Structure entries for pairs beyond
-    the truncation are zero-filled; checks only read pairs with degree sum
-    within the truncation."""
-    fields = SimpleNamespace(point=p)
-    for block, order in reads.items():
-        entries, shape = free.block_entries[block]
-        arrays = eval_block(entries, shape, p, order, label=f"extended {block}")
-        for name, array in zip(FIELD_NAMES[block], arrays):
-            setattr(fields, name, array)
-    return fields
-
-
-_FRAME1 = {"anchor": 1, "structure": 1, "connection": 1}
-
-KILLING_GENERATORS = Check(
-    ("killing_generators",), KILLING.reads,
-    lambda f: max_abs(killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)))
-
-
-def cartan_check_extended(free: FreeTruncation, points,
-                          tolerance: float = TOLERANCES["cartan_extended"]
-                          ) -> CheckReport:
+def cartan_extended_check(free: FreeTruncation) -> Check:
     """max |S| over extended basis pairs with degree sum within truncation,
     by the frame formula on the extended data."""
     words = free.words
     pairs = [(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
              if a != b and u.degree + v.degree <= free.degree]
     a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
-    residuals = []
-    for p in points:
-        f = extended_arrays(free, p, _FRAME1)
+
+    def kernel(f):
         S = s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
-        residuals.append(max_abs(S[:, a, b, :]))
-    return report_from_residuals("cartan_extended", residuals, points, tolerance)
+        return max_abs(S[:, a, b, :])
+    return Check(("cartan_extended",),
+                 {"anchor": 1, "structure": 1, "connection": 1}, kernel)
+
+
+def killing_checks(free: FreeTruncation) -> tuple[Check, Check]:
+    """The Killing residual on the generator rows of the truncation (the
+    base spec's own), then on all its rows, gated on the first."""
+    r = len(free.basis[0])
+    generators = Check(("killing_generators",), KILLING.reads, lambda f: max_abs(
+        killing_frame_components(f.rho[:r], f.drho[:r], f.g, f.dg,
+                                 f.omega[:r, :r])))
+    extended = Check(("killing_extended",), KILLING.reads, lambda f: max_abs(
+        killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)),
+        gate="killing_generators")
+    return generators, extended
+
+
+def rank_profile_check(free: FreeTruncation) -> Check:
+    """Per-point (generator rank, extended rank, closure defect): the defect
+    measures whether one-higher-degree commutators leave the realized span.
+    A profile, not a residual: its values are read with ``profile_of``."""
+    r, words, idx = len(free.basis[0]), free.words, free.index
+    closure = [(idx[u.key], idx[v.key]) for u in words for v in words
+               if u.key < v.key and u.degree + v.degree == free.degree + 1]
+
+    def kernel(f):
+        mat, drho = f.rho, f.drho
+        scale = max(1.0, float(np.max(np.abs(mat))))
+        rank_gen = int(np.linalg.matrix_rank(mat[:r], tol=1e-10 * scale))
+        rank_ext = int(np.linalg.matrix_rank(mat, tol=1e-10 * scale))
+        defect = 0.0
+        for ku, kv in closure:
+            # the vector-field commutator [rho_u, rho_v]
+            vec = (np.einsum("j,ij->i", mat[ku], drho[kv])
+                   - np.einsum("j,ij->i", mat[kv], drho[ku]))
+            if np.linalg.norm(vec) == 0.0:
+                continue
+            sol, res, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
+            defect = max(defect, float(np.linalg.norm(mat.T @ sol - vec)))
+        return rank_gen, rank_ext, defect
+    return Check(("rank_generators", "rank_extended", "closure_defect"),
+                 {"anchor": 1}, kernel)
+
+
+def profile_of(values) -> list[dict]:
+    """Per-point dicts of the rank profile row's values; ranks as ints."""
+    return [{"rank_generators": int(gen), "rank_extended": int(ext),
+             "closure_defect": float(defect)} for gen, ext, defect in values]
+
+
+def cartan_check_extended(free: FreeTruncation, points,
+                          tolerance: float = TOLERANCES["cartan_extended"]
+                          ) -> CheckReport:
+    return run_checks(free, points, [cartan_extended_check(free)], tolerance)[0]
 
 
 def jacobiator_check(free: FreeTruncation, points,
@@ -532,80 +566,45 @@ def jacobiator_check(free: FreeTruncation, points,
                                             for w, c in jac_q.items()]
     T = len(triples)
 
-    residuals = []
-    for p in points:
-        omega = extended_arrays(free, p, {"connection": 0}).omega
-        jac_val, jac_grad = eval_block(jac_entries, (T, N), p, 1,
+    def kernel(f):
+        jac_val, jac_grad = eval_block(jac_entries, (T, N), f.point, 1,
                                        label="jacobiator")
-        vecs, = eval_block(shifted_entries, (T, 3, N, N), p, label="jacobiator")
+        vecs, = eval_block(shifted_entries, (T, 3, N, N), f.point, label="jacobiator")
         worst = 0.0
         for t in range(T):
             # nabla_i (Jac(args)) in the extended frame
             residual = jac_grad[t].transpose(1, 0) + np.einsum(
-                "v,vwi->iw", jac_val[t], omega)
+                "v,vwi->iw", jac_val[t], f.omega)
             for slot, kh, kq in shifted[t]:
-                residual -= np.einsum("i,w->iw", omega[kh, kq], vecs[t, slot, kq])
+                residual -= np.einsum("i,w->iw", f.omega[kh, kq], vecs[t, slot, kq])
             worst = np.maximum(worst, max_abs(residual))
-        residuals.append(float(worst))
-    return report_from_residuals("jacobiator_covariant_constancy",
-                                 residuals, points, tolerance)
+        return float(worst)
+    return run_checks(free, points, [Check(("jacobiator_covariant_constancy",),
+                                           {"connection": 0}, kernel)], tolerance)[0]
 
 
 def propagate_compatibility(free: FreeTruncation, points,
                             tolerance: float = TOLERANCES["killing_extended"],
-                            generator_tolerance: float = TOLERANCES["killing_generators"],
-                            metric=None) -> CheckReport:
+                            generator_tolerance: float = TOLERANCES["killing_generators"]
+                            ) -> CheckReport:
     """Extended Killing residual over all basis words, with extended anchors
     and extended connection coefficients.  Requires the generator-level check
-    to pass first.  ``metric`` (a canonical-triangle expression mapping)
-    overrides the base spec's metric block when given."""
-    spec = free.spec
-    if metric is not None:
-        from dataclasses import replace
-        spec = replace(spec, metric=metric)
-    if spec.metric is None:
+    to pass first."""
+    if free.spec.metric is None:
         raise ValueError("propagation check needs a metric on the base")
     if free.mode != "quotient":
         raise ValueError("propagation check needs a quotient-mode truncation")
-    base = [eval_fields(spec, p, KILLING_GENERATORS.reads) for p in points]
-    gen_worst = float(np.max([KILLING_GENERATORS.kernel(f) for f in base]))
+    generators, extended = check_values(free, points, killing_checks(free))
+    gen_worst = float(np.max(generators))
     if not gen_worst <= generator_tolerance:
         raise GeneratorCompatibilityError(
             f"generator-level Killing residual {gen_worst:.3e} exceeds "
             f"{generator_tolerance:.1e}; nothing to propagate")
-    residuals = []
-    for p, g in zip(points, base):
-        f = extended_arrays(free, p, {"anchor": 1, "connection": 0})
-        K = killing_frame_components(f.rho, f.drho, g.g, g.dg, f.omega)
-        residuals.append(max_abs(K))
-    return report_from_residuals("killing_extended", residuals, points, tolerance)
+    return report_from_residuals("killing_extended", extended[:, 0], points,
+                                 tolerance)
 
 
-def anchor_rank_profile(free: FreeTruncation, points, svd_tol: float = 1e-10):
-    """Per-point (generator rank, extended rank, closure defect): the defect
-    measures whether one-higher-degree commutators leave the realized span."""
-    gens = free.basis[0]
-    words = free.words
-    idx = free.index
-    closure = [(idx[u.key], idx[v.key]) for u in words for v in words
-               if u.key < v.key and u.degree + v.degree == free.degree + 1]
-    profile = []
-    for p in points:
-        f = extended_arrays(free, p, {"anchor": 1})
-        mat, drho = f.rho, f.drho
-        gen_rows = mat[:len(gens)]
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        rank_gen = int(np.linalg.matrix_rank(gen_rows, tol=svd_tol * scale))
-        rank_ext = int(np.linalg.matrix_rank(mat, tol=svd_tol * scale))
-        defect = 0.0
-        for ku, kv in closure:
-            # the vector-field commutator [rho_u, rho_v]
-            vec = (np.einsum("j,ij->i", mat[ku], drho[kv])
-                   - np.einsum("j,ij->i", mat[kv], drho[ku]))
-            if np.linalg.norm(vec) == 0.0:
-                continue
-            sol, res, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
-            defect = max(defect, float(np.linalg.norm(mat.T @ sol - vec)))
-        profile.append({"rank_generators": rank_gen, "rank_extended": rank_ext,
-                        "closure_defect": defect})
-    return profile
+def anchor_rank_profile(free: FreeTruncation, points) -> list[dict]:
+    """Per-point rank profile of the extended anchors (``rank_profile_check``)."""
+    values, = check_values(free, points, [rank_profile_check(free)])
+    return profile_of(values)

@@ -29,8 +29,8 @@ from .exprjet import (
 __all__ = [
     "ChartSpec", "AlgebroidSpec", "CheckReport", "SchemaError", "Check",
     "TOLERANCES", "load_spec", "load_spec_file", "sample_points",
-    "eval_fields", "run_checks", "check_anchor_morphism", "check_jacobi",
-    "validate_spec",
+    "eval_fields", "check_values", "reduce_checks", "run_checks",
+    "check_anchor_morphism", "check_jacobi", "validate_spec",
 ]
 
 DEFAULT_POINTS = 100
@@ -44,7 +44,6 @@ TOLERANCES = {
     "structure_antisymmetry": 0.0,
     "metric_positive_definite": 0.0,
     "symplectic_nondegenerate": 0.0,
-    "poisson_nondegenerate": 0.0,
     "anchor_morphism": 1e-9,
     "jacobi": 1e-9,
     "poisson_jacobi": 1e-9,
@@ -119,23 +118,24 @@ class AlgebroidSpec:
 
     @cached_property
     def block_entries(self) -> dict:
-        """block -> (eval_block entries, shape) of every block it carries;
-        mirror entries of a stored triangle reuse its expression with sign +1
-        (symmetric) or -1 (antisymmetric)."""
+        """block -> (eval_block entries, shape, label) of every block it
+        carries (an absent psi is carried as zero); mirror entries of a stored
+        triangle reuse its expression with sign +1 (symmetric) or -1
+        (antisymmetric)."""
         r, n = self.rank, self.dimension
         out = {"anchor": ([((a, i), 1, e) for a, row in enumerate(self.anchor)
-                           for i, e in enumerate(row)], (r, n)),
+                           for i, e in enumerate(row)], (r, n), "anchor"),
                "structure": ([t for (a, b, c), e in self.structure.items()
                               for t in (((a, b, c), 1, e), ((b, a, c), -1, e))],
-                             (r, r, r))}
-        for block in ("connection", "psi"):
-            if getattr(self, block) is not None:
-                out[block] = cube_entries(getattr(self, block)), (r, r, n)
+                             (r, r, r), "structure"),
+               "connection": (cube_entries(self.connection), (r, r, n), "connection"),
+               "psi": (cube_entries(self.psi or ()), (r, r, n), "psi")}
         for block in ("metric", "two_form", "symplectic", "poisson"):
             sign = 1 if block == "metric" else -1
             if getattr(self, block) is not None:
-                out[block] = [t for (i, j), e in getattr(self, block).items()
-                              for t in (((i, j), 1, e), ((j, i), sign, e))], (n, n)
+                out[block] = ([t for (i, j), e in getattr(self, block).items()
+                               for t in (((i, j), 1, e), ((j, i), sign, e))],
+                              (n, n), block)
         return out
 
     def structure_expr(self, a: int, b: int, c: int) -> tuple[float, Expr | None]:
@@ -453,10 +453,11 @@ def cube_entries(cube) -> list:
             for b, row in enumerate(plane) for i, e in enumerate(row)]
 
 
-def _eval_spec_block(spec, block, p, order):
-    if getattr(spec, block) is None:
+def _eval_spec_block(source, block, p, order):
+    if block not in source.block_entries:
         raise ValueError(f"spec carries no {block} block")
-    arrays = eval_block(*spec.block_entries[block], p, order, label=block)
+    entries, shape, label = source.block_entries[block]
+    arrays = eval_block(entries, shape, p, order, label=label)
     return arrays[0] if order == 0 else tuple(arrays)
 
 
@@ -495,21 +496,19 @@ def eval_poisson(spec: AlgebroidSpec, p, order: int = 0):
     return _eval_spec_block(spec, "poisson", p, order)
 
 
-def eval_fields(spec: AlgebroidSpec, p, orders: Mapping[str, int]):
+def eval_fields(source, p, orders: Mapping[str, int]):
     """Each block named in ``orders`` evaluated once at ``p`` up to its order;
-    the arrays are attributes named by FIELD_NAMES (``f.rho``, ``f.dC``...)."""
+    the arrays are attributes named by FIELD_NAMES (``f.rho``, ``f.dC``...).
+    ``source`` is any block source: an object with ``block_entries``, such as
+    an ``AlgebroidSpec`` or a ``freealg.FreeTruncation``."""
     readers = {"anchor": eval_anchor, "structure": eval_structure,
                "connection": eval_connection, "psi": eval_psi,
                "metric": eval_metric, "two_form": eval_two_form,
                "symplectic": eval_symplectic, "poisson": eval_poisson}
     fields = SimpleNamespace(point=p)
     for block, order in orders.items():
-        if block == "psi" and spec.psi is None:         # an absent psi reads as zero
-            r, n = spec.rank, spec.dimension
-            arrays = eval_block([], (r, r, n), p, order)
-        else:
-            arrays = readers[block](spec, p, order)
-            arrays = arrays if order else (arrays,)
+        arrays = readers[block](source, p, order)
+        arrays = arrays if order else (arrays,)
         for name, array in zip(FIELD_NAMES[block], arrays):
             setattr(fields, name, array)
     return fields
@@ -536,31 +535,44 @@ class Check(NamedTuple):
     names: tuple[str, ...]
     reads: Mapping[str, int]            # block -> highest derivative order read
     kernel: Callable
-    gate: str | None = None             # runs only if the check so named passed
-
-    def at(self, spec: AlgebroidSpec, p):
-        return self.kernel(eval_fields(spec, p, self.reads))
+    gate: str | None = None             # reported only if the check so named passed
 
 
-def run_checks(spec: AlgebroidSpec, points, checks,
-               tol_override: float | None = None) -> list[CheckReport]:
-    """Evaluate every block the checks read once per point, at the highest
-    order any of them reads; then one report per check name, in order."""
+def check_values(source, points, checks) -> list[np.ndarray]:
+    """One streaming pass over ``points``: at each point every block the
+    checks read is evaluated once, at the highest order any of them reads,
+    every check's kernel runs, and the fields are dropped.  Returns each
+    check's values, shape (points, names)."""
     orders: dict[str, int] = {}
     for check in checks:
         for block, order in check.reads.items():
             orders[block] = max(order, orders.get(block, 0))
-    fields = [eval_fields(spec, p, orders) for p in points]
+    values: list[list] = [[] for _ in checks]
+    for p in points:
+        f = eval_fields(source, p, orders)
+        for check, out in zip(checks, values):
+            out.append(check.kernel(f))
+    return [np.array(out, dtype=float).reshape(len(points), -1) for out in values]
+
+
+def reduce_checks(checks, values, points,
+                  tol_override: float | None = None) -> list[CheckReport]:
+    """One report per check name, in order, from ``check_values``; a check
+    whose gate failed gets none."""
     reports: dict[str, CheckReport] = {}
-    for check in checks:
-        if check.gate is not None and not reports[check.gate].passed:
-            continue
-        values = np.array([check.kernel(f) for f in fields], dtype=float)
-        values = values.reshape(len(fields), -1)
-        for k, name in enumerate(check.names):
-            reports[name] = report_from_residuals(
-                name, values[:, k], points, tolerance_of(name, tol_override))
+    for check, v in zip(checks, values):
+        if check.gate is None or reports[check.gate].passed:
+            for k, name in enumerate(check.names):
+                reports[name] = report_from_residuals(
+                    name, v[:, k], points, tolerance_of(name, tol_override))
     return list(reports.values())
+
+
+def run_checks(source, points, checks,
+               tol_override: float | None = None) -> list[CheckReport]:
+    """One report per check name, in order, from one pass over the points."""
+    return reduce_checks(checks, check_values(source, points, checks), points,
+                         tol_override)
 
 
 def _require_lie(spec: AlgebroidSpec, what: str):
@@ -609,7 +621,7 @@ METRIC_POSITIVE_DEFINITE = Check(
 
 def anchor_morphism_residual(spec: AlgebroidSpec, p) -> float:
     """max_{a,b,i} |[rho_a, rho_b]^i - C^c_{ab} rho_c^i| at one point."""
-    return ANCHOR_MORPHISM.at(spec, p)
+    return ANCHOR_MORPHISM.kernel(eval_fields(spec, p, ANCHOR_MORPHISM.reads))
 
 
 def check_anchor_morphism(spec: AlgebroidSpec, points,
@@ -621,7 +633,7 @@ def check_anchor_morphism(spec: AlgebroidSpec, points,
 
 def jacobi_residual(spec: AlgebroidSpec, p) -> float:
     """max over a<b<c, d of the Jacobiator coefficient at one point."""
-    return JACOBI.at(spec, p)
+    return JACOBI.kernel(eval_fields(spec, p, JACOBI.reads))
 
 
 def check_jacobi(spec: AlgebroidSpec, points,
@@ -630,8 +642,8 @@ def check_jacobi(spec: AlgebroidSpec, points,
     return run_checks(spec, points, [JACOBI], tolerance)[0]
 
 
-def validate_spec(spec: AlgebroidSpec, points, tolerance: float | None = None,
-                  check_poisson_nondegenerate: bool = False) -> list[CheckReport]:
+def validate_spec(spec: AlgebroidSpec, points,
+                  tolerance: float | None = None) -> list[CheckReport]:
     """Run every applicable structural check; failures are reported, not
     thrown.  ``tolerance`` overrides the table for the identity checks."""
     checks = [STRUCTURE_ANTISYMMETRY]
@@ -644,7 +656,4 @@ def validate_spec(spec: AlgebroidSpec, points, tolerance: float | None = None,
                             lambda f: _det_margin(f.Om)))
     if spec.poisson is not None:
         checks.append(Check(("poisson_jacobi",), {"poisson": 1}, _bivector_jacobi))
-        if check_poisson_nondegenerate:
-            checks.append(Check(("poisson_nondegenerate",), {"poisson": 0},
-                                lambda f: _det_margin(f.P)))
     return run_checks(spec, points, checks, tolerance)

@@ -1,9 +1,12 @@
 import csv
 import json
+from collections import Counter
 
 import pytest
 
 from algebroid import fixture_path
+from algebroid import freealg as fa
+from algebroid import spec_model
 from algebroid.cli import main
 
 
@@ -276,3 +279,94 @@ def test_geodesic_accepts_negative_separate_values(tmp_path):
     assert code == 0
     assert separate == joined
     assert json.loads(separate)["x0"] == [-0.5, 0.3]
+
+
+def _variant(tmp_path, fixture, **fields):
+    doc = json.loads(fixture_path(fixture).read_text())
+    doc.update(fields)
+    path = tmp_path / f"{fixture}_variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--killing", "--points", "5"],
+    ["geodesic", "--x0=0.1,0.2", "--v0=1,0"],
+])
+def test_indefinite_metric_exits_2_naming_block_and_point(tmp_path, capsys, argv):
+    spec = _variant(tmp_path, "fx_action_so2", metric=[["1", "0"], ["0", "-1"]])
+    code, text = run(tmp_path, *argv[:1], "--spec", spec, *argv[1:])
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: metric: leading minors [1.0, -1.0] not all "
+                          "positive at point (")
+    if argv[0] == "geodesic":
+        assert "at point (0.1, 0.2)" in err
+
+
+def test_flat_frame_grid_gate_is_a_failing_check(tmp_path):
+    # flat at the 3 sample points, curvature 1 at the chart center (a grid node)
+    spec = tmp_path / "bump.json"
+    spec.write_text(json.dumps({
+        "chart": {"coords": ["x", "y"], "domain": [[-1, 1], [-1, 1]]},
+        "rank": 1, "mode": "lie", "anchor": [["0", "0"]],
+        "connection": [[["0", "x*exp(-200*x^2-200*y^2)"]]]}))
+    code, text = run(tmp_path, "check", "--spec", str(spec), "--flat-frame",
+                     "--points", "3")
+    assert code == 1
+    checks = json.loads(text)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [
+        ("flat_frame_gate", True), ("flat_frame_grid_gate", False)]
+    assert checks[1]["worst_point"] == [0.0, 0.0]
+    assert checks[1]["max_residual"] == 1.0
+
+
+@pytest.mark.parametrize("argv, without, with_tol", [
+    (["check", "--flat-frame", "--points", "5"], None, "flat_section_killing"),
+    (["geodesic", "--x0=-0.5,0.3", "--v0=0.4,0.0", "--t-max", "0.02"],
+     "orthogonality_raw_span", "orthogonality_flat_frame"),
+])
+def test_tolerance_override_reaches_the_killing_gates(tmp_path, argv, without,
+                                                       with_tol):
+    # a Killing residual of 1e-5: over the 1e-7 default, under the override
+    doc = json.loads(fixture_path("fx_foliation_flat").read_text())
+    spec = _variant(tmp_path, "fx_foliation_flat",
+                    metric=[doc["metric"][0], ["0", "1 + 1e-5*y"]])
+    names = []
+    for tol in ([], ["--tol", "1e-3"]):
+        code, text = run(tmp_path, *argv[:1], "--spec", spec, *argv[1:], *tol)
+        assert code == 0
+        names.append({c["name"] for c in json.loads(text)["checks"]})
+    assert with_tol in names[1] and with_tol not in names[0]
+    assert without is None or without in names[0]
+
+
+def test_free_reads_each_block_once_per_point(tmp_path, monkeypatch):
+    built = []
+    free_extend = fa.free_extend
+
+    def recording_extend(*args, **kwargs):
+        built.append(free_extend(*args, **kwargs))
+        return built[-1]
+
+    reads = Counter()          # (id of the entries, point) -> evaluations
+
+    def counting(eval_block):
+        def wrapped(entries, shape, point, order=0, label="block"):
+            reads[id(entries), tuple(point)] += 1
+            return eval_block(entries, shape, point, order, label=label)
+        return wrapped
+
+    monkeypatch.setattr(fa, "free_extend", recording_extend)
+    for module in (spec_model, fa):
+        monkeypatch.setattr(module, "eval_block", counting(module.eval_block))
+    code, _ = run(tmp_path, "free", "--spec", fx("fx_killing_nonabelian"),
+                  "--degree", "3", "--points", "20")
+    assert code == 0
+    quotient, = (free for free in built if free.mode == "quotient")
+    points = [tuple(p) for p in spec_model.sample_points(quotient.spec.chart, 20, 42)]
+    anchor = quotient.block_entries["anchor"][0]
+    metric = quotient.spec.block_entries["metric"][0]
+    assert [reads[id(anchor), p] for p in points] == [1] * 20
+    assert all(reads[id(metric), p] <= 1 for p in points)
+    assert sum(reads[id(metric), p] for p in points) == 20

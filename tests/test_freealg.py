@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -331,17 +333,17 @@ def test_propagation_requires_quotient_and_metric():
 def test_propagation_with_explicit_metric_block():
     # a metric-free generator spec can still be checked against a metric
     bare = _anchored("fx_free_heis")
-    free = fa.free_extend(bare, 2, "quotient")
     points = sample_points(bare.chart, 10, 42)
     flat = {(0, 0): parse_expr("1", ["x", "y"]),
             (0, 1): parse_expr("0", ["x", "y"]),
             (1, 1): parse_expr("1", ["x", "y"])}
+    free = fa.free_extend(replace(bare, metric=flat), 2, "quotient")
     # rho(e2) = x d_y is not Killing for the flat metric
     with pytest.raises(fa.GeneratorCompatibilityError):
-        fa.propagate_compatibility(free, points, metric=flat)
+        fa.propagate_compatibility(free, points)
     abelian = load_doc(fixture_doc("fx_free_abelian"))
-    free_ab = fa.free_extend(abelian, 3, "quotient")
-    report = fa.propagate_compatibility(free_ab, points, metric=flat)
+    free_ab = fa.free_extend(replace(abelian, metric=flat), 3, "quotient")
+    report = fa.propagate_compatibility(free_ab, points)
     assert report.max_residual == 0.0
 
 
