@@ -153,12 +153,12 @@ def killing_frame_components(rho, drho, g, dg, omega):
     return lie - vee - np.swapaxes(vee, 1, 2)
 
 
-def christoffel_components(g, dg, point=None):
+def christoffel_components(g, dg, point):
+    """Gamma[k,i,j] and the inverse metric of g, dg read at ``point``."""
     minors = [float(np.linalg.det(g[:k, :k])) for k in range(1, g.shape[0] + 1)]
     if min(minors) <= 0.0:
-        where = "" if point is None else f" at point {_pt(point)}"
         raise SingularMetricError(f"metric: leading minors {minors} not all "
-                                  f"positive{where}")
+                                  f"positive at point {_pt(point)}")
     ginv = np.linalg.inv(g)
     gamma = 0.5 * (np.einsum("kl,jli->kij", ginv, dg)
                    + np.einsum("kl,ilj->kij", ginv, dg)

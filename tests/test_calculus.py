@@ -66,7 +66,7 @@ def test_christoffel_matches_metric_finite_differences(spec_of, points_of):
             shift[k] = h
             dg[:, :, k] = (eval_metric(spec, p + shift, order=0)
                            - eval_metric(spec, p - shift, order=0)) / (2 * h)
-        gamma_fd, _ = ca.christoffel_components(g, dg)
+        gamma_fd, _ = ca.christoffel_components(g, dg, p)
         gamma = ca.christoffel(spec, p).components
         assert float(np.max(np.abs(gamma - gamma_fd))) <= 1e-6
 
