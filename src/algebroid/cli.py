@@ -169,8 +169,7 @@ def _cmd_free(args) -> int:
         quotient, points, checks + [fa.rank_profile_check(quotient)])
     reports = reduce_checks(checks, values, points, args.tol)
     if args.degree >= 3:
-        reports.insert(1, fa.jacobiator_check(
-            almost, points, tolerance_of("jacobiator_covariant_constancy", args.tol)))
+        reports.insert(1, fa.jacobiator_check(almost, points, args.tol))
 
     profile = fa.profile_of(profile)
     per_point = [{"point": [float(c) for c in p], **entry}

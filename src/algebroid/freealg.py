@@ -21,8 +21,8 @@ import numpy as np
 
 from .exprjet import Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block
 from .spec_model import (
-    AlgebroidSpec, Check, CheckReport, TOLERANCES, check_values, max_abs,
-    report_from_residuals, run_checks, sample_points,
+    AlgebroidSpec, Check, CheckReport, check_values, max_abs, run_checks,
+    sample_points,
 )
 from .calculus import KILLING, killing_frame_components, s_frame_components
 
@@ -521,15 +521,12 @@ def profile_of(values) -> list[dict]:
              "closure_defect": float(defect)} for gen, ext, defect in values]
 
 
-def cartan_check_extended(free: FreeTruncation, points,
-                          tolerance: float = TOLERANCES["cartan_extended"]
-                          ) -> CheckReport:
-    return run_checks(free, points, [cartan_extended_check(free)], tolerance)[0]
+def cartan_check_extended(free: FreeTruncation, points) -> CheckReport:
+    return run_checks(free, points, [cartan_extended_check(free)])[0]
 
 
 def jacobiator_check(free: FreeTruncation, points,
-                     tolerance: float = TOLERANCES["jacobiator_covariant_constancy"]
-                     ) -> CheckReport:
+                     tol_override: float | None = None) -> CheckReport:
     """Covariant constancy of the Jacobiator on the almost-mode truncation:
     the connection applied to Jac(triple) must match Jac on nabla-shifted
     arguments, for every basis triple with degree sum within truncation."""
@@ -580,13 +577,10 @@ def jacobiator_check(free: FreeTruncation, points,
             worst = np.maximum(worst, max_abs(residual))
         return float(worst)
     return run_checks(free, points, [Check(("jacobiator_covariant_constancy",),
-                                           {"connection": 0}, kernel)], tolerance)[0]
+                                           {"connection": 0}, kernel)], tol_override)[0]
 
 
-def propagate_compatibility(free: FreeTruncation, points,
-                            tolerance: float = TOLERANCES["killing_extended"],
-                            generator_tolerance: float = TOLERANCES["killing_generators"]
-                            ) -> CheckReport:
+def propagate_compatibility(free: FreeTruncation, points) -> CheckReport:
     """Extended Killing residual over all basis words, with extended anchors
     and extended connection coefficients.  Requires the generator-level check
     to pass first."""
@@ -594,14 +588,12 @@ def propagate_compatibility(free: FreeTruncation, points,
         raise ValueError("propagation check needs a metric on the base")
     if free.mode != "quotient":
         raise ValueError("propagation check needs a quotient-mode truncation")
-    generators, extended = check_values(free, points, killing_checks(free))
-    gen_worst = float(np.max(generators))
-    if not gen_worst <= generator_tolerance:
+    generators, *extended = run_checks(free, points, killing_checks(free))
+    if not extended:
         raise GeneratorCompatibilityError(
-            f"generator-level Killing residual {gen_worst:.3e} exceeds "
-            f"{generator_tolerance:.1e}; nothing to propagate")
-    return report_from_residuals("killing_extended", extended[:, 0], points,
-                                 tolerance)
+            f"generator-level Killing residual {generators.max_residual:.3e} "
+            f"exceeds {generators.tolerance:.1e}; nothing to propagate")
+    return extended[0]
 
 
 def anchor_rank_profile(free: FreeTruncation, points) -> list[dict]:
