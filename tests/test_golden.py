@@ -5,9 +5,9 @@ The matrix is ``validate`` and ``check`` on all bundled fixtures at 20 points
 (each check flag a fixture's blocks allow, one at a time and all together,
 ``--koszul`` with a zero psi file), ``free --degree 3`` on the three
 generator fixtures and on ``fx_nonriem_fol`` (failing generator Killing
-check), ``free --degree 4`` on ``fx_so3_sphere`` (5 points) and
-``fx_killing_nonabelian``, and one 20-step geodesic.  Only the echoed spec path is
-normalized.  Exit codes are frozen alongside in ``exit_codes.json``.
+check), ``free --degree 4`` on ``fx_so3_sphere`` (5 points),
+``fx_killing_nonabelian``, and ``fx_free_heis`` and ``fx_free_abelian`` (100
+points), and one 20-step geodesic.  Only the echoed spec path is normalized.  Exit codes are frozen alongside in ``exit_codes.json``.
 
 Freeze (only when a report is meant to change, and say why in CHANGES.md)::
 
@@ -70,7 +70,9 @@ def cases() -> dict[str, list[str]]:
             ("free__fx_nonriem_fol", "fx_nonriem_fol", "3", POINTS),
             ("free__fx_so3_sphere__degree4", "fx_so3_sphere", "4", "5"),
             ("free__fx_killing_nonabelian__degree4", "fx_killing_nonabelian",
-             "4", POINTS)):
+             "4", POINTS),
+            ("free__fx_free_heis__degree4", "fx_free_heis", "4", "100"),
+            ("free__fx_free_abelian__degree4", "fx_free_abelian", "4", "100")):
         out[case] = ["free", "--spec", name, "--degree", degree,
                      "--points", points]
     out["geodesic__fx_foliation_flat"] = [
