@@ -9,7 +9,7 @@ from algebroid.exprjet import (
     Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_block, eval_jet,
     fd_crosscheck, parse_expr, render,
 )
-from algebroid.spec_model import sample_points
+from algebroid.spec_model import eval_anchor, load_spec, sample_points
 
 from conftest import FIXTURES, fixture_doc, load_doc
 
@@ -172,6 +172,48 @@ def test_eval_block_mirrors_and_names_failing_entry():
     with pytest.raises(EvalDomainError, match=r"^metric\[1\]\[0\]: ln of "):
         eval_block([((1, 0), 1, parse_expr("ln(x)", XY))], (2, 2), (-1.0, 0.0),
                    label="metric")
+
+
+# The first failure in evaluation order is the one reported: a division
+# checks its denominator before it evaluates the numerator, a power checks
+# that its exponent (taken at order >= 1) is constant before it evaluates the
+# base, and a subtree shared between block entries fails in the first entry.
+@pytest.mark.parametrize("text, point, message", [
+    ("ln(x)/(x-x)", (-1.0, 0.5),
+     "division by zero in 'ln(x)/(x - x)' at point (-1.0, 0.5)"),
+    ("ln(x)^x", (-1.0, 0.5),
+     "non-constant exponent in 'ln(x)^x' at point (-1.0, 0.5)"),
+    ("y^sqrt(x-x)", (0.5, 2.0),
+     "sqrt derivative at zero in 'sqrt(x - x)' at point (0.5, 2.0)"),
+    ("sqrt(x-x) + y^sqrt(x-x)", (0.5, 2.0),
+     "sqrt derivative at zero in 'sqrt(x - x)' at point (0.5, 2.0)"),
+    ("exp(exp(x))^2/(y-y)", (8.0, 1.0),
+     "division by zero in 'exp(exp(x))^2.0/(y - y)' at point (8.0, 1.0)"),
+    ("(exp(exp(exp(x)))*y)^(ln(y)-ln(y))", (3.0, -1.0),
+     "ln of nonpositive value in 'ln(y)' at point (3.0, -1.0)"),
+])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_domain_error_order(text, point, message, order):
+    with pytest.raises(EvalDomainError) as err:
+        eval_jet(parse_expr(text, XY), point, order=order)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("anchor, message", [
+    ([["1", "y + ln(x)"], ["ln(x)", "1"]],
+     "anchor[0][1]: ln of nonpositive value in 'ln(x)' at point (-1.5, 0.5)"),
+    ([["1", "ln(x)/(x-x)"], ["ln(x)", "1"]],
+     "anchor[0][1]: division by zero in 'ln(x)/(x - x)' at point (-1.5, 0.5)"),
+])
+@pytest.mark.parametrize("order", [0, 1])
+def test_block_error_names_first_entry(anchor, message, order):
+    zero = [["0", "0"], ["0", "0"]]
+    spec = load_spec({"chart": {"coords": XY, "domain": [[-2, -1], [0, 1]]},
+                      "rank": 2, "mode": "anchored", "anchor": anchor,
+                      "connection": [zero, zero]})
+    with pytest.raises(EvalDomainError) as err:
+        eval_anchor(spec, (-1.5, 0.5), order)
+    assert str(err.value) == message
 
 
 def test_non_constant_exponent_rejected():

@@ -9,22 +9,32 @@ check), ``free --degree 4`` on ``fx_so3_sphere`` (5 points),
 ``fx_killing_nonabelian``, and ``fx_free_heis`` and ``fx_free_abelian`` (100
 points), and one 20-step geodesic.  Only the echoed spec path is normalized.  Exit codes are frozen alongside in ``exit_codes.json``.
 
+Block fingerprints are frozen in ``block_fingerprints.json``: the sha256 of
+the value and derivative array bytes (so the sign of zero counts) of every
+block of every fixture at orders 0-3 at 5 sample points, and of the extended
+anchor, structure and connection of the degree-4 quotient and almost
+truncations of the four ``free`` benchmark fixtures at order 1 at 3 points.
+
 Freeze (only when a report is meant to change, and say why in CHANGES.md)::
 
     PYTHONPATH=src python tests/test_golden.py --freeze
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from algebroid import fixture_path
+from algebroid import fixture_path, load_spec_file, sample_points, spec_model
 from algebroid.cli import main
+from algebroid.freealg import free_extend
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+FINGERPRINTS = GOLDEN_DIR / "block_fingerprints.json"
 
 FIXTURES = (
     "fx_action_so2", "fx_bla", "fx_bla_const", "fx_bla_nojacobi", "fx_flat_exp",
@@ -105,6 +115,39 @@ def run_case(argv: list[str], directory: Path) -> tuple[int, str]:
 
 
 CASES = cases()
+FREE_FIXTURES = ("fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
+                 "fx_killing_nonabelian")
+
+
+def _fingerprint(source, block, points, order) -> str:
+    digest = hashlib.sha256()
+    read = getattr(spec_model, f"eval_{block}")
+    for p in points:
+        arrays = read(source, p, order)
+        for array in (arrays,) if order == 0 else arrays:
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def block_fingerprints() -> dict[str, str]:
+    """Case id -> sha256 of the block arrays at the sample points."""
+    out = {}
+    for name in FIXTURES:
+        spec = load_spec_file(fixture_path(name))
+        points = sample_points(spec.chart, 5)
+        for block in spec.block_entries:
+            for order in range(4):
+                out[f"{name}/{block}/o{order}"] = _fingerprint(spec, block,
+                                                               points, order)
+    for name in FREE_FIXTURES:
+        spec = load_spec_file(fixture_path(name))
+        points = sample_points(spec.chart, 3)
+        for mode in ("quotient", "almost"):
+            free = free_extend(spec, 4, mode)
+            for block in ("anchor", "structure", "connection"):
+                out[f"free/{name}/{mode}/{block}"] = _fingerprint(free, block,
+                                                                  points, 1)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +162,10 @@ def test_golden_report(case, exit_codes, tmp_path):
     assert text == (GOLDEN_DIR / f"{case}.json").read_text()
 
 
+def test_block_fingerprints():
+    assert block_fingerprints() == json.loads(FINGERPRINTS.read_text())
+
+
 def freeze() -> None:
     import tempfile
     GOLDEN_DIR.mkdir(exist_ok=True)
@@ -129,7 +176,10 @@ def freeze() -> None:
             codes[case] = code
             (GOLDEN_DIR / f"{case}.json").write_text(text)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
-    print(f"froze {len(codes)} reports under {GOLDEN_DIR}")
+    prints = block_fingerprints()
+    FINGERPRINTS.write_text(json.dumps(prints, indent=2, sort_keys=True) + "\n")
+    print(f"froze {len(codes)} reports and {len(prints)} block fingerprints "
+          f"under {GOLDEN_DIR}")
 
 
 if __name__ == "__main__":
