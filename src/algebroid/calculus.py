@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprjet import eval_block
+from .exprjet import Block, eval_block
 from .spec_model import (
     TOLERANCES, AlgebroidSpec, Check, CheckReport, cube_entries, eval_fields,
     max_abs, report_from_residuals, run_checks, eval_connection, tolerance_of,
@@ -332,10 +332,11 @@ def koszul_check(psi_candidate) -> Check:
     """Koszul obstruction for perturbing the connection by the [a][b][i]
     expression cube ``psi_candidate``: symmetrized contraction of psi against
     the metric dual of the anchor."""
+    r, n = len(psi_candidate), len(psi_candidate[0][0])
+    psi_block = Block(cube_entries(psi_candidate), (r, r, n), "psi")
+
     def kernel(f):
-        r, n = f.rho.shape
-        psi, = eval_block(cube_entries(psi_candidate), (r, r, n), f.point,
-                          label="psi")
+        psi, = eval_block(psi_block, f.point)
         half = np.einsum("abi,bj->aij", psi, np.einsum("ak,kj->aj", f.rho, f.g))
         return max_abs(0.5 * (half + np.swapaxes(half, 1, 2)))
     return Check(("koszul_delta",), {"anchor": 0, "metric": 0}, kernel)

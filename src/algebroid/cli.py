@@ -61,7 +61,7 @@ def run_check_suite(spec: AlgebroidSpec, points, flags, tol_override=None,
          (ca.POISSON,)),
         ("koszul", psi_candidate is not None, "--koszul needs --psi-file", ()),
         ("koszul", metric, "--koszul needs a metric block",
-         (ca.koszul_check(psi_candidate),)),
+         (ca.koszul_check(psi_candidate),) if psi_candidate else ()),
         ("flat_frame", lie, "--flat-frame needs a lie-mode spec",
          (ca.FLAT_FRAME_GATE,)),
     )

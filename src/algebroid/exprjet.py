@@ -23,13 +23,16 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "Jet", "ExprError", "ParseError", "UndeclaredIdentifierError",
+    "Jet", "Block", "ExprError", "ParseError", "UndeclaredIdentifierError",
     "EvalDomainError", "parse_expr", "render", "diff", "eval_jet",
     "eval_block", "fd_crosscheck", "FUNCTIONS",
 ]
@@ -576,106 +579,228 @@ def _apply_call(func: str, u: Jet, node: Expr, point) -> Jet:
     raise ExprError(f"unknown function '{func}'")  # pragma: no cover
 
 
-# float and math-module failures, reported against the innermost node
+def _power(base: Jet, p: float, node: Expr, point) -> Jet:
+    """``base`` raised to the constant exponent value ``p``."""
+    if p == round(p) and abs(p) <= 1024:
+        k = int(round(p))
+        if k >= 0:
+            return base.int_pow(k)
+        if base.value == 0.0:
+            raise EvalDomainError("division by zero", node, point)
+        return base.int_pow(-k).reciprocal()
+    if base.value <= 0.0:
+        raise EvalDomainError("non-integer power of nonpositive base", node, point)
+    v = base.value
+    return base.compose(v**p, p * v**(p - 1.0),
+                        p * (p - 1.0) * v**(p - 2.0),
+                        p * (p - 1.0) * (p - 2.0) * v**(p - 3.0))
+
+
+# --------------------------------------------------------------------------
+# Compiled blocks
+#
+# A block's entries compile into one list of steps.  A value step makes the
+# jet of one distinct node (structural key: node type, leaf value with its
+# sign of zero, child slots, and whether the node sits under an exponent,
+# which is evaluated at order >= 1).  A guard step checks a child before the
+# rest of its parent is evaluated: a denominator for zero, an exponent for a
+# nonzero gradient.  Steps are emitted in the order a recursive walk of the
+# entries first reaches them, so the first failing step is the failure that
+# walk would meet first.
+
+_NUM, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
+_NONZERO, _CONSTANT = 9, 10                 # guards: they make no jet
+_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
+
+
+class _Program:
+    """The steps of a block's entries, and where each entry's jet lands."""
+
+    def __init__(self, exprs):
+        self.steps = []             # (op, a, b, raised, node)
+        self.ends = []              # per entry: steps emitted by then
+        self._slots = {}            # structural key -> slot
+        self._seen = {}             # (id(expr), raised) -> slot
+        self._guarded = set()
+        self.roots = []
+        for e in exprs:
+            self.roots.append(self._visit(e, False))
+            self.ends.append(len(self.steps))
+        del self._slots, self._seen, self._guarded
+
+    def _emit(self, key, node, raised) -> int:
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self._slots)
+            self.steps.append((key[0], key[1], key[2], raised, node))
+        return slot
+
+    def _guard(self, op, slot, node, raised):
+        if (op, slot) not in self._guarded:
+            self._guarded.add((op, slot))
+            self.steps.append((op, slot, None, raised, node))
+
+    def _visit(self, e, raised: bool) -> int:
+        seen = self._seen.get((id(e), raised))
+        if seen is not None:
+            return seen
+        kind = type(e)
+        if kind is Num:
+            key = (_NUM, e.value, math.copysign(1.0, e.value), raised)
+        elif kind is Var:
+            key = (_VAR, e.index, None, raised)
+        elif kind is Neg:
+            key = (_NEG, self._visit(e.arg, raised), None, raised)
+        elif kind in _BINARY:
+            left = self._visit(e.left, raised)
+            key = (_BINARY[kind], left, self._visit(e.right, raised), raised)
+        elif kind is Div:
+            denom = self._visit(e.right, raised)
+            self._guard(_NONZERO, denom, e, raised)
+            key = (_DIV, self._visit(e.left, raised), denom, raised)
+        elif kind is Pow:
+            exponent = self._visit(e.exponent, True)
+            self._guard(_CONSTANT, exponent, e, raised)
+            key = (_POW, self._visit(e.base, raised), exponent, raised)
+        elif kind is Call:
+            key = (_CALL, e.func, self._visit(e.arg, raised), raised)
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        slot = self._seen[(id(e), raised)] = self._emit(key, e, raised)
+        return slot
+
+    def run(self, point, n: int, order: int) -> list:
+        """The jet of every slot at ``point``; a failure raises
+        :class:`EvalDomainError` with ``step`` set to the failing step."""
+        jets = []
+        append = jets.append
+        raised_order = max(order, 1)
+        for step, (op, a, b, raised, node) in enumerate(self.steps):
+            o = raised_order if raised else order
+            try:
+                if op == _NUM:
+                    append(Jet.constant(a, n, o))
+                elif op == _VAR:
+                    append(Jet.coordinate(a, float(point[a]), n, o))
+                elif op == _MUL:
+                    append(jets[a] * jets[b])
+                elif op == _ADD:
+                    append(jets[a] + jets[b])
+                elif op == _SUB:
+                    append(jets[a] - jets[b])
+                elif op == _NEG:
+                    append(-jets[a])
+                elif op == _CALL:
+                    append(_apply_call(a, jets[b], node, point))
+                elif op == _DIV:
+                    append(jets[a] * jets[b].reciprocal())
+                elif op == _POW:
+                    append(_power(jets[a], jets[b].value, node, point))
+                elif op == _NONZERO:
+                    if jets[a].value == 0.0:
+                        raise EvalDomainError("division by zero", node, point)
+                elif np.any(jets[a].grad != 0.0):           # _CONSTANT
+                    raise EvalDomainError("non-constant exponent", node, point)
+            except tuple(_ARITH_REASONS) as exc:
+                err = EvalDomainError(_ARITH_REASONS[type(exc)], node, point)
+                err.step = step
+                raise err from None
+            except EvalDomainError as err:
+                err.step = step
+                raise
+        return jets
+
+    def entry_of(self, step: int) -> int:
+        """The entry whose compilation emitted ``step``."""
+        return bisect_right(self.ends, step)
+
+
+# float and math-module failures, reported against the node that raised them
 _ARITH_REASONS = {OverflowError: "overflow", ZeroDivisionError: "division by zero",
                   ValueError: "math domain error"}
 
 
-def _eval(e: Expr, point, n: int, order: int) -> Jet:
+@dataclass(frozen=True, eq=False)
+class Block:
+    """A block of expressions: ``entries`` is a sequence of
+    ``(index, sign, expr)``, and the jet of ``expr`` fills ``index`` of an
+    array of ``shape``, negated where ``sign`` is -1; unlisted entries are
+    zero.  ``label`` names an entry in error messages as ``label[i][j]``.
+    The entries compile once, at the first evaluation."""
+
+    entries: Sequence
+    shape: tuple
+    label: str = "block"
+
+    @cached_property
+    def program(self) -> _Program:
+        return _Program([e for _, _, e in self.entries])
+
+    @cached_property
+    def writes(self):
+        """(index arrays, root slots, negated mask) of the entries written:
+        a ``+0.0`` entry keeps the zero fill, and a later entry for the same
+        index replaces an earlier one."""
+        last = {}
+        for (index, sign, e), slot in zip(self.entries, self.program.roots):
+            if sign > 0 and type(e) is Num and e.value == 0.0 \
+                    and math.copysign(1.0, e.value) > 0:
+                continue                # +0.0 and zero derivatives: already there
+            last[tuple(index)] = (slot, sign < 0)
+        dims = len(self.shape)
+        index = tuple(np.array([i[d] for i in last], dtype=int).reshape(-1)
+                      for d in range(dims))
+        slots = [slot for slot, _ in last.values()]
+        return index, slots, np.array([neg for _, neg in last.values()], dtype=bool)
+
+
+def _run(block: Block, point, n: int, order: int) -> list:
+    if not 0 <= order <= 3:
+        raise ValueError("jet order must be in 0..3")
+    program = block.program
     try:
-        if isinstance(e, Num):
-            return Jet.constant(e.value, n, order)
-        if isinstance(e, Var):
-            return Jet.coordinate(e.index, float(point[e.index]), n, order)
-        if isinstance(e, Neg):
-            return -_eval(e.arg, point, n, order)
-        if isinstance(e, Add):
-            return _eval(e.left, point, n, order) + _eval(e.right, point, n, order)
-        if isinstance(e, Sub):
-            return _eval(e.left, point, n, order) - _eval(e.right, point, n, order)
-        if isinstance(e, Mul):
-            return _eval(e.left, point, n, order) * _eval(e.right, point, n, order)
-        if isinstance(e, Div):
-            denom = _eval(e.right, point, n, order)
-            if denom.value == 0.0:
-                raise EvalDomainError("division by zero", e, point)
-            return _eval(e.left, point, n, order) * denom.reciprocal()
-        if isinstance(e, Pow):
-            exp_jet = _eval(e.exponent, point, n, max(order, 1))
-            if np.any(exp_jet.grad != 0.0):
-                raise EvalDomainError("non-constant exponent", e, point)
-            p = exp_jet.value
-            base = _eval(e.base, point, n, order)
-            if p == round(p) and abs(p) <= 1024:
-                k = int(round(p))
-                if k >= 0:
-                    return base.int_pow(k)
-                if base.value == 0.0:
-                    raise EvalDomainError("division by zero", e, point)
-                return base.int_pow(-k).reciprocal()
-            if base.value <= 0.0:
-                raise EvalDomainError("non-integer power of nonpositive base", e, point)
-            v = base.value
-            return base.compose(v**p, p * v**(p - 1.0),
-                                p * (p - 1.0) * v**(p - 2.0),
-                                p * (p - 1.0) * (p - 2.0) * v**(p - 3.0))
-        if isinstance(e, Call):
-            return _apply_call(e.func, _eval(e.arg, point, n, order), e, point)
-        raise TypeError(f"not an Expr: {e!r}")
-    except tuple(_ARITH_REASONS) as exc:
-        raise EvalDomainError(_ARITH_REASONS[type(exc)], e, point) from None
+        return program.run(point, n, order)
+    except EvalDomainError as exc:
+        index = block.entries[program.entry_of(exc.step)][0]
+        path = block.label + "".join(f"[{i}]" for i in index)
+        raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
 
 
 def eval_jet(e: Expr, point, order: int = 1, n: int | None = None) -> Jet:
     """Evaluate ``e`` at ``point`` together with all partials up to ``order``.
 
     ``point`` supplies one real per chart coordinate; ``n`` defaults to
-    ``len(point)``.
+    ``len(point)``.  This is a block of one entry (see :func:`eval_block`).
     """
-    if not 0 <= order <= 3:
-        raise ValueError("jet order must be in 0..3")
     point = np.asarray(point, dtype=float)
     if n is None:
         n = point.shape[0]
-    return _eval(e, point, n, order)
+    block = Block([((), 1, e)], (), "")
+    return _run(block, point, n, order)[block.program.roots[0]]
 
 
-def eval_block(entries, shape, point, order: int = 0, label: str = "block"):
-    """Dense value and derivative arrays of a block of expressions at a point.
+def eval_block(block: Block, point, order: int = 0):
+    """Dense value and derivative arrays of a :class:`Block` at a point.
 
-    ``entries`` is a sequence of ``(index, sign, expr)``: the jet of ``expr``
-    fills ``index`` of the block, negated where ``sign`` is -1; unlisted
-    entries are zero.  An expression object listed more than once (a mirrored
-    entry) is evaluated once, so its mirror is an exact copy or an exact
-    negation.  Returns ``[value, d1, ...]`` up to ``order``, of shapes
-    ``shape``, ``shape + (n,)``, ...  A failure raises
-    :class:`EvalDomainError` naming the entry as ``label[i][j]...``.
+    Each distinct subexpression of the block's entries is evaluated once, so
+    a mirrored entry is an exact copy or an exact negation.  Returns
+    ``[value, d1, ...]`` up to ``order``, of shapes ``shape``,
+    ``shape + (n,)``, ...  A failure raises :class:`EvalDomainError` naming
+    the entry as ``label[i][j]...``.
     """
     point = np.asarray(point, dtype=float)
     n = point.shape[0]
-    arrays = [np.zeros(tuple(shape) + (n,) * k) for k in range(order + 1)]
-    value, derivs = arrays[0], arrays[1:]
-    done = {}                       # id(expr) -> jet; entries keep expr alive
-    for index, sign, expr in entries:
-        if sign > 0 and type(expr) is Num and expr.value == 0.0 \
-                and math.copysign(1.0, expr.value) > 0:
-            continue                # +0.0 and zero derivatives: already there
-        jet = done.get(id(expr))
-        if jet is None:
-            try:
-                jet = done[id(expr)] = eval_jet(expr, point, order, n)
-            except EvalDomainError as exc:
-                path = label + "".join(f"[{i}]" for i in index)
-                raise EvalDomainError(exc.reason, exc.subexpr, exc.point,
-                                      path) from None
-        if sign > 0:
-            value[index] = jet.value
-            for array, slot in zip(derivs, (jet.grad, jet.hess, jet.third)):
-                array[index] = slot
-        else:
-            value[index] = -jet.value
-            for array, slot in zip(derivs, (jet.grad, jet.hess, jet.third)):
-                array[index] = -slot
+    jets = _run(block, point, n, order)
+    arrays = [np.zeros(tuple(block.shape) + (n,) * k) for k in range(order + 1)]
+    index, slots, negated = block.writes
+    if not slots:
+        return arrays
+    written = [jets[s] for s in slots]
+    for k, array in enumerate(arrays):
+        part = np.array([j.value for j in written] if k == 0 else
+                        [(j.grad, j.hess, j.third)[k - 1] for j in written])
+        part[negated] = -part[negated]
+        array[index] = part
     return arrays
 
 

@@ -19,7 +19,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .exprjet import Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block
+from .exprjet import (
+    Block, Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block,
+)
 from .spec_model import (
     AlgebroidSpec, Check, CheckReport, check_values, max_abs, run_checks,
     sample_points,
@@ -167,24 +169,25 @@ class FreeTruncation:
 
     @cached_property
     def block_entries(self) -> dict:
-        """block -> (eval_block entries, shape, label) of the extended anchor,
-        structure and connection over ``words``, and of the base metric when
-        the spec has one: a block source for ``spec_model.eval_fields``.
+        """block -> ``exprjet.Block`` of the extended anchor, structure and
+        connection over ``words``, and the base metric block when the spec
+        has one: a block source for ``spec_model.eval_fields``.
         Structure entries for pairs beyond the truncation are zero-filled;
         checks only read pairs with degree sum within the truncation."""
         idx, N, n = self.index, len(self.words), self.spec.dimension
         out = {
-            "anchor": ([((idx[w.key], i), 1, c) for w, comps in self.anchor.items()
-                        for i, c in enumerate(comps)], (N, n), "extended anchor"),
-            "structure": ([((idx[u.key], idx[v.key], idx[w.key]), 1, c)
-                           for (u, v), expansion in self.bracket_table.items()
-                           for w, c in expansion.items()], (N, N, N),
-                          "extended structure"),
-            "connection": ([((idx[w.key], idx[w2.key], i), 1, c)
-                            for w, entries in self.conn.items()
-                            for w2, comps in entries.items()
-                            for i, c in enumerate(comps)], (N, N, n),
-                           "extended connection"),
+            "anchor": Block([((idx[w.key], i), 1, c)
+                             for w, comps in self.anchor.items()
+                             for i, c in enumerate(comps)], (N, n), "extended anchor"),
+            "structure": Block([((idx[u.key], idx[v.key], idx[w.key]), 1, c)
+                                for (u, v), expansion in self.bracket_table.items()
+                                for w, c in expansion.items()], (N, N, N),
+                               "extended structure"),
+            "connection": Block([((idx[w.key], idx[w2.key], i), 1, c)
+                                 for w, entries in self.conn.items()
+                                 for w2, comps in entries.items()
+                                 for i, c in enumerate(comps)], (N, N, n),
+                                "extended connection"),
         }
         if "metric" in self.spec.block_entries:
             out["metric"] = self.spec.block_entries["metric"]
@@ -275,12 +278,12 @@ def _eliminate(rows, level_words, ref_point, aux_points):
     cols = sorted(level_words, key=lambda w: (is_hall(w), w.key))
     col_index = {w: k for k, w in enumerate(cols)}
 
-    entries = [((r_i, col_index[w]), 1, coeff)
-               for r_i, row in enumerate(rows) for w, coeff in row.items()]
+    block = Block([((r_i, col_index[w]), 1, coeff)
+                   for r_i, row in enumerate(rows) for w, coeff in row.items()],
+                  (len(rows), len(cols)), "relation")
 
     def matrix_at(point):
-        return eval_block(entries, (len(rows), len(cols)), point,
-                          label="relation")[0]
+        return eval_block(block, point)[0]
 
     M = matrix_at(ref_point)
     for q in aux_points:
@@ -562,11 +565,12 @@ def jacobiator_check(free: FreeTruncation, points,
                         shifted_entries += [((t, slot, idx[q.key], idx[w.key]), 1, c)
                                             for w, c in jac_q.items()]
     T = len(triples)
+    jac_block = Block(jac_entries, (T, N), "jacobiator")
+    shifted_block = Block(shifted_entries, (T, 3, N, N), "jacobiator")
 
     def kernel(f):
-        jac_val, jac_grad = eval_block(jac_entries, (T, N), f.point, 1,
-                                       label="jacobiator")
-        vecs, = eval_block(shifted_entries, (T, 3, N, N), f.point, label="jacobiator")
+        jac_val, jac_grad = eval_block(jac_block, f.point, 1)
+        vecs, = eval_block(shifted_block, f.point)
         worst = 0.0
         for t in range(T):
             # nabla_i (Jac(args)) in the extended frame

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .exprjet import (
-    Expr, Num, Neg, FUNCTIONS, ParseError, eval_block, parse_expr,
+    Block, Expr, Num, Neg, FUNCTIONS, ParseError, eval_block, parse_expr,
 )
 
 __all__ = [
@@ -118,24 +118,24 @@ class AlgebroidSpec:
 
     @cached_property
     def block_entries(self) -> dict:
-        """block -> (eval_block entries, shape, label) of every block it
-        carries (an absent psi is carried as zero); mirror entries of a stored
-        triangle reuse its expression with sign +1 (symmetric) or -1
-        (antisymmetric)."""
+        """block -> ``exprjet.Block`` of every block it carries (an absent
+        psi is carried as zero); mirror entries of a stored triangle reuse its
+        expression with sign +1 (symmetric) or -1 (antisymmetric)."""
         r, n = self.rank, self.dimension
-        out = {"anchor": ([((a, i), 1, e) for a, row in enumerate(self.anchor)
-                           for i, e in enumerate(row)], (r, n), "anchor"),
-               "structure": ([t for (a, b, c), e in self.structure.items()
-                              for t in (((a, b, c), 1, e), ((b, a, c), -1, e))],
-                             (r, r, r), "structure"),
-               "connection": (cube_entries(self.connection), (r, r, n), "connection"),
-               "psi": (cube_entries(self.psi or ()), (r, r, n), "psi")}
+        out = {"anchor": Block([((a, i), 1, e) for a, row in enumerate(self.anchor)
+                                for i, e in enumerate(row)], (r, n), "anchor"),
+               "structure": Block([t for (a, b, c), e in self.structure.items()
+                                   for t in (((a, b, c), 1, e), ((b, a, c), -1, e))],
+                                  (r, r, r), "structure"),
+               "connection": Block(cube_entries(self.connection), (r, r, n),
+                                   "connection"),
+               "psi": Block(cube_entries(self.psi or ()), (r, r, n), "psi")}
         for block in ("metric", "two_form", "symplectic", "poisson"):
             sign = 1 if block == "metric" else -1
             if getattr(self, block) is not None:
-                out[block] = ([t for (i, j), e in getattr(self, block).items()
-                               for t in (((i, j), 1, e), ((j, i), sign, e))],
-                              (n, n), block)
+                out[block] = Block([t for (i, j), e in getattr(self, block).items()
+                                    for t in (((i, j), 1, e), ((j, i), sign, e))],
+                                   (n, n), block)
         return out
 
     def structure_expr(self, a: int, b: int, c: int) -> tuple[float, Expr | None]:
@@ -448,7 +448,7 @@ FIELD_NAMES = {
 
 
 def cube_entries(cube) -> list:
-    """``eval_block`` entries of an [a][b][i] cube of expressions."""
+    """``Block`` entries of an [a][b][i] cube of expressions."""
     return [((a, b, i), 1, e) for a, plane in enumerate(cube)
             for b, row in enumerate(plane) for i, e in enumerate(row)]
 
@@ -456,8 +456,7 @@ def cube_entries(cube) -> list:
 def _eval_spec_block(source, block, p, order):
     if block not in source.block_entries:
         raise ValueError(f"spec carries no {block} block")
-    entries, shape, label = source.block_entries[block]
-    arrays = eval_block(entries, shape, p, order, label=label)
+    arrays = eval_block(source.block_entries[block], p, order)
     return arrays[0] if order == 0 else tuple(arrays)
 
 

@@ -349,12 +349,12 @@ def test_free_reads_each_block_once_per_point(tmp_path, monkeypatch):
         built.append(free_extend(*args, **kwargs))
         return built[-1]
 
-    reads = Counter()          # (id of the entries, point) -> evaluations
+    reads = Counter()          # (id of the block, point) -> evaluations
 
     def counting(eval_block):
-        def wrapped(entries, shape, point, order=0, label="block"):
-            reads[id(entries), tuple(point)] += 1
-            return eval_block(entries, shape, point, order, label=label)
+        def wrapped(block, point, order=0):
+            reads[id(block), tuple(point)] += 1
+            return eval_block(block, point, order)
         return wrapped
 
     monkeypatch.setattr(fa, "free_extend", recording_extend)
@@ -365,8 +365,8 @@ def test_free_reads_each_block_once_per_point(tmp_path, monkeypatch):
     assert code == 0
     quotient, = (free for free in built if free.mode == "quotient")
     points = [tuple(p) for p in spec_model.sample_points(quotient.spec.chart, 20, 42)]
-    anchor = quotient.block_entries["anchor"][0]
-    metric = quotient.spec.block_entries["metric"][0]
+    anchor = quotient.block_entries["anchor"]
+    metric = quotient.spec.block_entries["metric"]
     assert [reads[id(anchor), p] for p in points] == [1] * 20
     assert all(reads[id(metric), p] <= 1 for p in points)
     assert sum(reads[id(metric), p] for p in points) == 20

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroid.exprjet import (
-    Add, Call, Div, EvalDomainError, Jet, Mul, Neg, Num, ParseError,
+    Add, Block, Call, Div, EvalDomainError, Jet, Mul, Neg, Num, ParseError,
     Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_block, eval_jet,
     fd_crosscheck, parse_expr, render,
 )
@@ -164,14 +164,26 @@ def test_float_range_failures_are_domain_errors():
 
 def test_eval_block_mirrors_and_names_failing_entry():
     e = parse_expr("x*y + exp(x)", XY)
-    value, grad = eval_block([((0, 1), 1, e), ((1, 0), -1, e)], (2, 2),
-                             (0.3, -1.1), order=1, label="two_form")
+    value, grad = eval_block(Block([((0, 1), 1, e), ((1, 0), -1, e)], (2, 2),
+                                   "two_form"), (0.3, -1.1), order=1)
     jet = eval_jet(e, (0.3, -1.1), order=1)
     assert value[0, 1] == jet.value and value[1, 0] == -jet.value
     assert np.array_equal(grad[1, 0], -jet.grad) and value[0, 0] == 0.0
     with pytest.raises(EvalDomainError, match=r"^metric\[1\]\[0\]: ln of "):
-        eval_block([((1, 0), 1, parse_expr("ln(x)", XY))], (2, 2), (-1.0, 0.0),
-                   label="metric")
+        eval_block(Block([((1, 0), 1, parse_expr("ln(x)", XY))], (2, 2),
+                         "metric"), (-1.0, 0.0))
+
+
+def test_block_evaluates_each_distinct_subexpression_once():
+    # x*y built twice as separate objects, and 0.0 apart from -0.0
+    entries = [((0,), 1, parse_expr("sin(x*y) + x*y", XY)),
+               ((1,), 1, parse_expr("x*y", XY)),
+               ((2,), 1, Num(0.0)), ((3,), 1, Num(-0.0))]
+    block = Block(entries, (4,))
+    assert len(block.program.steps) == 7      # x, y, x*y, sin, +, 0.0, -0.0
+    value, = eval_block(block, (0.5, 2.0))
+    assert value[1] == 1.0 and math.copysign(1.0, value[3]) == -1.0
+    assert math.copysign(1.0, value[2]) == 1.0
 
 
 # The first failure in evaluation order is the one reported: a division
