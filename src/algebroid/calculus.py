@@ -114,17 +114,20 @@ def a_torsion_components(rho, omega, C):
     return t - t.transpose(1, 0, 2) - C
 
 
-def s_frame_components(rho, drho, C, dC, omega, domega):
-    """S[c,a,b,i] from the local-frame expansion of the splitting curvature."""
-    lie = (np.einsum("aj,bcij->cabi", rho, domega)
-           + np.einsum("aji,bcj->cabi", drho, omega))
-    quad = np.einsum("qj,bcj,aqi->cabi", rho, omega, omega)
-    mix = np.einsum("bqi,aqc->cabi", omega, C)
-    asym = (lie - lie.transpose(0, 2, 1, 3)
-            - (quad - quad.transpose(0, 2, 1, 3))
-            + (mix - mix.transpose(0, 2, 1, 3)))
-    nabla_bracket = (dC.transpose(2, 0, 1, 3)
-                     + np.einsum("abq,qci->cabi", C, omega))
+def s_frame_components(rho, drho, C, dC, omega, domega, a, b):
+    """S[c,k,i] = S^c_{a[k] b[k], i} from the local-frame expansion of the
+    splitting curvature, for the frame index pairs listed in ``a`` and ``b``.
+    Each component is summed in the same order whichever pairs are listed."""
+    def ordered(a, b):          # the terms S antisymmetrizes, at pairs (a, b)
+        lie = (np.einsum("kj,kcij->cki", rho[a], domega[b])
+               + np.einsum("kji,kcj->cki", drho[a], omega[b]))
+        quad = np.einsum("qj,kcj,kqi->cki", rho, omega[b], omega[a])
+        mix = np.einsum("kqi,kqc->cki", omega[b], C[a])
+        return lie, quad, mix
+    (lie, quad, mix), (lie_t, quad_t, mix_t) = ordered(a, b), ordered(b, a)
+    asym = lie - lie_t - (quad - quad_t) + (mix - mix_t)
+    nabla_bracket = (dC[a, b].transpose(1, 0, 2)
+                     + np.einsum("kq,qci->cki", C[a, b], omega))
     return asym - nabla_bracket
 
 
@@ -177,7 +180,11 @@ def tau_coefficients(rho, drho, omega):
 
 
 def _s_frame(f):
-    return s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
+    """S[c,a,b,i] over all pairs of frame indices."""
+    r, n = f.rho.shape
+    a, b = np.divmod(np.arange(r * r), r)
+    return s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega,
+                              a, b).reshape(r, r, r, n)
 
 
 def _killing_frame(f):

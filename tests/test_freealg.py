@@ -6,7 +6,7 @@ import pytest
 from algebroid import calculus as ca
 from algebroid import freealg as fa
 from algebroid.exprjet import Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet, parse_expr
-from algebroid.spec_model import sample_points
+from algebroid.spec_model import eval_fields, sample_points
 
 from conftest import fixture_doc, load_doc
 
@@ -240,6 +240,29 @@ def test_cartan_extended_with_curved_generator_connection():
     lie_spec = load_doc(lie_doc)
     for p in points[:10]:
         assert ca.compatibility_tensor_frame(lie_spec, p).max_abs() <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["fx_so3_sphere", "fx_free_heis",
+                                  "fx_free_abelian", "fx_killing_nonabelian"])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_s_on_listed_pairs_matches_all_pairs_bit_for_bit(name, degree):
+    # S over the truncation's pairs only is the same bits, sign of zero
+    # included, as those pairs gathered from S over all pairs
+    spec = load_doc(fixture_doc(name))
+    free = fa.free_extend(spec, degree, "quotient")
+    words, n = free.words, spec.dimension
+    N = len(words)
+    a, b = np.array([(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
+                     if a != b and u.degree + v.degree <= degree]).T
+    every_a, every_b = np.divmod(np.arange(N * N), N)
+    for p in sample_points(spec.chart, 2, 42):
+        f = eval_fields(free, p, {"anchor": 1, "structure": 1, "connection": 1})
+        fields = (f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
+        every = ca.s_frame_components(*fields, every_a, every_b).reshape(N, N, N, n)
+        listed = ca.s_frame_components(*fields, a, b)
+        assert listed.shape == (N, len(a), n)
+        assert (np.ascontiguousarray(listed).tobytes()
+                == np.ascontiguousarray(every[:, a, b, :]).tobytes())
 
 
 # --------------------------------------------------------------------------
