@@ -52,12 +52,13 @@ class GeodesicTrace:
 
 
 def _rhs(spec: AlgebroidSpec, x, v, U):
+    """Derivatives of (x, v, U), and the metric read at x."""
     g, dg = eval_metric(spec, x, order=1)
     gamma, _ = christoffel_components(g, dg, x)
     acc = -np.einsum("kij,i,j->k", gamma, v, v)
     omega = eval_connection(spec, x, order=0)
     W = np.einsum("i,qai->aq", v, omega)
-    return v, acc, -W @ U
+    return v, acc, -W @ U, g
 
 
 def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
@@ -75,13 +76,17 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
     steps = int(round(t_max / h))
 
     times, xs, vs, Us = [0.0], [x.copy()], [v.copy()], [U.copy()]
+    gs = []                     # the metric at xs[k], read by stage k1
     exited = False
     exit_time = None
     for k in range(steps):
-        k1x, k1v, k1U = _rhs(spec, x, v, U)
-        k2x, k2v, k2U = _rhs(spec, x + h / 2 * k1x, v + h / 2 * k1v, U + h / 2 * k1U)
-        k3x, k3v, k3U = _rhs(spec, x + h / 2 * k2x, v + h / 2 * k2v, U + h / 2 * k2U)
-        k4x, k4v, k4U = _rhs(spec, x + h * k3x, v + h * k3v, U + h * k3U)
+        k1x, k1v, k1U, g = _rhs(spec, x, v, U)
+        gs.append(g)
+        k2x, k2v, k2U, _ = _rhs(spec, x + h / 2 * k1x, v + h / 2 * k1v,
+                                U + h / 2 * k1U)
+        k3x, k3v, k3U, _ = _rhs(spec, x + h / 2 * k2x, v + h / 2 * k2v,
+                                U + h / 2 * k2U)
+        k4x, k4v, k4U, _ = _rhs(spec, x + h * k3x, v + h * k3v, U + h * k3U)
         x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         U = U + h / 6 * (k1U + 2 * k2U + 2 * k3U + k4U)
@@ -96,12 +101,12 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
         Us.append(U.copy())
 
     T = len(times)
+    if len(gs) < T:             # the last stored point started no step
+        gs.append(eval_metric(spec, xs[-1], order=0))
     energies = np.zeros(T)
-    n = spec.dimension
     orth_raw = np.zeros((T, r))
     orth_flat = np.zeros((T, r))
-    for k in range(T):
-        g = eval_metric(spec, xs[k], order=0)
+    for k, g in enumerate(gs):
         rho = eval_anchor(spec, xs[k], order=0)
         energies[k] = float(vs[k] @ g @ vs[k])
         orth_raw[k] = np.einsum("i,ij,aj->a", vs[k], g, rho)

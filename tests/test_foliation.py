@@ -53,6 +53,21 @@ def test_domain_exit_flagged(spec_of):
     assert spec.chart.contains(trace.positions[-1])
 
 
+@pytest.mark.parametrize("v0, exits", [([0.4, 0.1], False), ([400.0, 0.0], True)])
+def test_metric_read_once_per_stage(spec_of, monkeypatch, v0, exits):
+    # four RK4 stages per step; a stored point's metric is stage k1's, and only
+    # a last point that started no step reads it again
+    reads = []
+    monkeypatch.setattr(fo, "eval_metric",
+                        lambda spec, x, order=0: reads.append(order)
+                        or eval_metric(spec, x, order))
+    trace = fo.geodesic_integrate(spec_of("fx_foliation_flat"), [0.2, -0.3], v0,
+                                  0.01, 1e-3)
+    assert trace.exited == exits
+    steps = len(trace.times) - 1 + exits
+    assert reads == [1] * 4 * steps + ([] if exits else [0])
+
+
 def test_integrator_argument_validation(spec_of):
     spec = spec_of("fx_foliation_flat")
     with pytest.raises(ValueError):
