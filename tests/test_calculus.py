@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from algebroid import calculus as ca
-from algebroid.exprjet import parse_expr
+from algebroid.exprjet import eval_block, parse_expr
 from algebroid.spec_model import (
     eval_anchor, eval_connection, eval_metric, eval_structure, sample_points,
 )
@@ -448,6 +448,17 @@ def test_koszul_inadmissible_perturbation(spec_of, points_of):
     perturbed = load_doc(doc)
     worst = max(ca.killing_residual_frame(perturbed, p).max_abs() for p in points)
     assert worst > 0.1
+
+
+def test_koszul_builds_its_psi_block_once(spec_of, points_of, monkeypatch):
+    spec = spec_of("fx_tm_flat")
+    psi = _psi_cube([[["0", "x"], ["y", "0"]], [["1", "0"], ["0", "x*y"]]],
+                    ["x", "y"])
+    blocks = []
+    monkeypatch.setattr(ca, "eval_block", lambda block, point, order=0:
+                        blocks.append(block) or eval_block(block, point, order))
+    ca.koszul_delta_check(spec, psi, points_of(spec, 5))
+    assert len(blocks) == 5 and all(block is blocks[0] for block in blocks)
 
 
 def test_koszul_shape_mismatch(spec_of, points_of):
