@@ -118,14 +118,22 @@ def s_frame_components(rho, drho, C, dC, omega, domega, a, b):
     """S[c,k,i] = S^c_{a[k] b[k], i} from the local-frame expansion of the
     splitting curvature, for the frame index pairs listed in ``a`` and ``b``.
     Each component is summed in the same order whichever pairs are listed."""
-    def ordered(a, b):          # the terms S antisymmetrizes, at pairs (a, b)
-        lie = (np.einsum("kj,kcij->cki", rho[a], domega[b])
-               + np.einsum("kji,kcj->cki", drho[a], omega[b]))
-        quad = np.einsum("qj,kcj,kqi->cki", rho, omega[b], omega[a])
-        mix = np.einsum("kqi,kqc->cki", omega[b], C[a])
-        return lie, quad, mix
-    (lie, quad, mix), (lie_t, quad_t, mix_t) = ordered(a, b), ordered(b, a)
-    asym = lie - lie_t - (quad - quad_t) + (mix - mix_t)
+    N, k = len(rho), len(a)
+    # the terms S antisymmetrizes, once per distinct ordered pair (u, v)
+    # among the listed pairs and their swaps; at[k] is the slot of pair k
+    slots: dict = {}
+    at = np.array([slots.setdefault(key, len(slots)) for key in
+                   np.concatenate([a * N + b, b * N + a]).tolist()], dtype=int)
+    u, v = np.divmod(np.array(list(slots), dtype=int), N)
+    omega_u, omega_v = omega.take(u, 0), omega.take(v, 0)
+    lie = (np.einsum("kj,kcij->cki", rho.take(u, 0), domega.take(v, 0))
+           + np.einsum("kji,kcj->cki", drho.take(u, 0), omega_v))
+    quad = np.einsum("qj,kcj,kqi->cki", rho, omega_v, omega_u)
+    mix = np.einsum("kqi,kqc->cki", omega_v, C.take(u, 0))
+    ab, ba = at[:k], at[k:]
+    asym = (lie.take(ab, 1) - lie.take(ba, 1)
+            - (quad.take(ab, 1) - quad.take(ba, 1))
+            + (mix.take(ab, 1) - mix.take(ba, 1)))
     nabla_bracket = (dC[a, b].transpose(1, 0, 2)
                      + np.einsum("kq,qci->cki", C[a, b], omega))
     return asym - nabla_bracket

@@ -7,6 +7,17 @@ configurable order (0..3), propagated by truncated Taylor arithmetic.
 ``fd_crosscheck`` provides the independent finite-difference oracle for the
 first-order slots.
 
+Expressions are evaluated in blocks.  A :class:`Block` is a list of
+``(index, sign, expr)`` entries filling a dense array; at its first
+evaluation it compiles its entries once into a topologically ordered list of
+distinct nodes (hash-consing on node type, leaf value with its sign of zero,
+and child nodes), and each evaluation at a point builds one ``Jet`` per
+distinct node, with the same operations a tree walk would use, so shared
+subexpressions cost once per point and the arrays are bit-identical to a
+walk of each entry.  Denominator and exponent checks run where the walk ran
+them, so a failure names the same subexpression and the first entry that
+reaches it.  :func:`eval_jet` runs the same evaluator on one expression.
+
 Grammar (whitespace insignificant)::
 
     expr   := term (("+" | "-") term)*
@@ -672,6 +683,8 @@ class _Program:
     def run(self, point, n: int, order: int) -> list:
         """The jet of every slot at ``point``; a failure raises
         :class:`EvalDomainError` with ``step`` set to the failing step."""
+        if not 0 <= order <= 3:
+            raise ValueError("jet order must be in 0..3")
         jets = []
         append = jets.append
         raised_order = max(order, 1)
@@ -733,50 +746,29 @@ class Block:
     label: str = "block"
 
     @cached_property
-    def program(self) -> _Program:
-        return _Program([e for _, _, e in self.entries])
+    def written(self) -> list:
+        """The entries that write, in order: a ``+0.0`` entry keeps the zero
+        fill (its derivatives are zero too)."""
+        return [(tuple(index), sign, e) for index, sign, e in self.entries
+                if not (sign > 0 and type(e) is Num and e.value == 0.0
+                        and math.copysign(1.0, e.value) > 0)]
 
     @cached_property
-    def writes(self):
-        """(index arrays, root slots, negated mask) of the entries written:
-        a ``+0.0`` entry keeps the zero fill, and a later entry for the same
-        index replaces an earlier one."""
-        last = {}
-        for (index, sign, e), slot in zip(self.entries, self.program.roots):
-            if sign > 0 and type(e) is Num and e.value == 0.0 \
-                    and math.copysign(1.0, e.value) > 0:
-                continue                # +0.0 and zero derivatives: already there
-            last[tuple(index)] = (slot, sign < 0)
-        dims = len(self.shape)
-        index = tuple(np.array([i[d] for i in last], dtype=int).reshape(-1)
-                      for d in range(dims))
-        slots = [slot for slot, _ in last.values()]
-        return index, slots, np.array([neg for _, neg in last.values()], dtype=bool)
-
-
-def _run(block: Block, point, n: int, order: int) -> list:
-    if not 0 <= order <= 3:
-        raise ValueError("jet order must be in 0..3")
-    program = block.program
-    try:
-        return program.run(point, n, order)
-    except EvalDomainError as exc:
-        index = block.entries[program.entry_of(exc.step)][0]
-        path = block.label + "".join(f"[{i}]" for i in index)
-        raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
+    def program(self) -> _Program:
+        return _Program([e for _, _, e in self.written])
 
 
 def eval_jet(e: Expr, point, order: int = 1, n: int | None = None) -> Jet:
     """Evaluate ``e`` at ``point`` together with all partials up to ``order``.
 
     ``point`` supplies one real per chart coordinate; ``n`` defaults to
-    ``len(point)``.  This is a block of one entry (see :func:`eval_block`).
+    ``len(point)``.  This is the block evaluator on one entry.
     """
     point = np.asarray(point, dtype=float)
     if n is None:
         n = point.shape[0]
-    block = Block([((), 1, e)], (), "")
-    return _run(block, point, n, order)[block.program.roots[0]]
+    program = _Program([e])
+    return program.run(point, n, order)[program.roots[0]]
 
 
 def eval_block(block: Block, point, order: int = 0):
@@ -790,17 +782,25 @@ def eval_block(block: Block, point, order: int = 0):
     """
     point = np.asarray(point, dtype=float)
     n = point.shape[0]
-    jets = _run(block, point, n, order)
+    program = block.program
+    try:
+        jets = program.run(point, n, order)
+    except EvalDomainError as exc:
+        index = block.written[program.entry_of(exc.step)][0]
+        path = block.label + "".join(f"[{i}]" for i in index)
+        raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
     arrays = [np.zeros(tuple(block.shape) + (n,) * k) for k in range(order + 1)]
-    index, slots, negated = block.writes
-    if not slots:
-        return arrays
-    written = [jets[s] for s in slots]
-    for k, array in enumerate(arrays):
-        part = np.array([j.value for j in written] if k == 0 else
-                        [(j.grad, j.hess, j.third)[k - 1] for j in written])
-        part[negated] = -part[negated]
-        array[index] = part
+    value, derivs = arrays[0], arrays[1:]
+    for (index, sign, _), slot in zip(block.written, program.roots):
+        jet = jets[slot]
+        if sign > 0:
+            value[index] = jet.value
+            for array, part in zip(derivs, (jet.grad, jet.hess, jet.third)):
+                array[index] = part
+        else:
+            value[index] = -jet.value
+            for array, part in zip(derivs, (jet.grad, jet.hess, jet.third)):
+                array[index] = -part
     return arrays
 
 

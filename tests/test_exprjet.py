@@ -175,12 +175,13 @@ def test_eval_block_mirrors_and_names_failing_entry():
 
 
 def test_block_evaluates_each_distinct_subexpression_once():
-    # x*y built twice as separate objects, and 0.0 apart from -0.0
+    # x*y built twice as separate objects; a +0.0 entry is the zero fill
+    # and a -0.0 entry is written
     entries = [((0,), 1, parse_expr("sin(x*y) + x*y", XY)),
                ((1,), 1, parse_expr("x*y", XY)),
                ((2,), 1, Num(0.0)), ((3,), 1, Num(-0.0))]
     block = Block(entries, (4,))
-    assert len(block.program.steps) == 7      # x, y, x*y, sin, +, 0.0, -0.0
+    assert len(block.program.steps) == 6      # x, y, x*y, sin, +, -0.0
     value, = eval_block(block, (0.5, 2.0))
     assert value[1] == 1.0 and math.copysign(1.0, value[3]) == -1.0
     assert math.copysign(1.0, value[2]) == 1.0
