@@ -610,14 +610,12 @@ def _power(base: Jet, p: float, node: Expr, point) -> Jet:
 # --------------------------------------------------------------------------
 # Compiled blocks
 #
-# A block's entries compile into one list of steps.  A value step makes the
-# jet of one distinct node (structural key: node type, leaf value with its
-# sign of zero, child slots, and whether the node sits under an exponent,
-# which is evaluated at order >= 1).  A guard step checks a child before the
-# rest of its parent is evaluated: a denominator for zero, an exponent for a
-# nonzero gradient.  Steps are emitted in the order a recursive walk of the
-# entries first reaches them, so the first failing step is the failure that
-# walk would meet first.
+# A value step makes the jet of one distinct node; ``raised`` marks a node
+# under an exponent, which is evaluated at order >= 1 (its key includes the
+# mark).  A guard step makes no jet: it checks a denominator for zero or an
+# exponent for a nonzero gradient before the rest of its parent is evaluated.
+# Steps are emitted in the order a recursive walk of the entries first
+# reaches them, so the first failing step is the one that walk would meet.
 
 _NUM, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _NONZERO, _CONSTANT = 9, 10                 # guards: they make no jet
