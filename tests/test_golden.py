@@ -7,7 +7,8 @@ The matrix is ``validate`` and ``check`` on all bundled fixtures at 20 points
 generator fixtures and on ``fx_nonriem_fol`` (failing generator Killing
 check), ``free --degree 4`` on ``fx_so3_sphere`` (5 points),
 ``fx_killing_nonabelian``, and ``fx_free_heis`` and ``fx_free_abelian`` (100
-points), and one 20-step geodesic.  Only the echoed spec path is normalized.  Exit codes are frozen alongside in ``exit_codes.json``.
+points), and one 20-step geodesic.  Only the echoed spec path is normalized.
+Exit codes are frozen alongside in ``exit_codes.json``.
 
 Block fingerprints are frozen in ``block_fingerprints.json``: the sha256 of
 the value and derivative array bytes (so the sign of zero counts) of every
