@@ -787,7 +787,7 @@ def eval_block(block: Block, point, order: int = 0):
         index = block.written[program.entry_of(exc.step)][0]
         path = block.label + "".join(f"[{i}]" for i in index)
         raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
-    arrays = [np.zeros(tuple(block.shape) + (n,) * k) for k in range(order + 1)]
+    arrays = [np.zeros(block.shape + (n,) * k) for k in range(order + 1)]
     value, derivs = arrays[0], arrays[1:]
     for (index, sign, _), slot in zip(block.written, program.roots):
         jet = jets[slot]
