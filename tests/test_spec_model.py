@@ -31,6 +31,15 @@ def test_load_spec_accepts_json_text():
         load_spec("{broken")
 
 
+def test_blocks_compile_at_first_evaluation():
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    blocks = spec.block_entries
+    assert not any("program" in vars(block) for block in blocks.values())
+    eval_structure(spec, spec.chart.center(), order=1)
+    assert [name for name, block in blocks.items() if "program" in vars(block)] \
+        == ["structure"]
+
+
 def test_load_so3_sphere(spec_of):
     spec = spec_of("fx_so3_sphere")
     assert spec.rank == 3
