@@ -10,8 +10,7 @@ from .exprjet import (
 )
 from .spec_model import (
     AlgebroidSpec, ChartSpec, CheckReport, SchemaError,
-    load_spec, load_spec_file, sample_points,
-    check_anchor_morphism, check_jacobi, validate_spec,
+    load_spec, load_spec_file, sample_points, validate_spec,
 )
 
 __version__ = "0.1.0"
@@ -21,7 +20,7 @@ __all__ = [
     "EvalDomainError", "parse_expr", "render", "diff", "eval_jet",
     "fd_crosscheck", "AlgebroidSpec", "ChartSpec", "CheckReport",
     "SchemaError", "load_spec", "load_spec_file", "sample_points",
-    "check_anchor_morphism", "check_jacobi", "validate_spec", "fixture_path",
+    "validate_spec", "fixture_path",
 ]
 
 

@@ -1,8 +1,10 @@
-"""Pointwise tensor calculus for anchored bundles and Lie algebroids with
-connections: compatibility tensor (frame and covariant forms), connection and
-induced-connection curvatures, Killing residuals in both formulations,
-generalized Riemannian / symplectic / Poisson residuals, the Koszul
-perturbation test, and the covariantly-constant-frame probe.
+"""Tensor calculus for anchored bundles and Lie algebroids with connections,
+as kernels over the fields of a spec at one point and the ``spec_model.Check``
+rows that ``algebroid check`` reduces over the sample points: compatibility
+tensor (frame and covariant forms), connection and induced-connection
+curvatures, Killing residuals in both formulations, generalized Riemannian /
+symplectic / Poisson residuals, the Koszul perturbation test, and the
+covariantly-constant-frame probe.
 
 Index conventions used throughout (all arrays numpy, all evaluations at a
 single chart point):
@@ -22,20 +24,14 @@ import numpy as np
 
 from .exprjet import Block, eval_block
 from .spec_model import (
-    TOLERANCES, AlgebroidSpec, Check, CheckReport, cube_entries, eval_fields,
-    max_abs, report_from_residuals, run_checks, eval_connection, tolerance_of,
-    _require_lie,
+    AlgebroidSpec, Check, CheckReport, cube_entries, eval_connection,
+    eval_fields, max_abs, report_from_residuals, tolerance_of,
 )
 
 __all__ = [
-    "TensorSample", "GeneralizedResiduals", "FrameSamples",
-    "SingularMetricError", "FlatnessGateError",
-    "christoffel", "a_torsion", "connection_curvature",
-    "compatibility_tensor_frame", "compatibility_tensor_covariant",
-    "killing_residual_frame", "killing_residual_sym", "dual_a_connection",
-    "a_curvature", "tau_intertwine_check", "generalized_residuals",
-    "structure_residual", "symplectic_closedness_residual",
-    "koszul_delta_check", "flat_frame_probe",
+    "CARTAN_CHECKS", "TAU_INTERTWINE", "KILLING", "GENERALIZED", "SYMPLECTIC",
+    "POISSON", "FLAT_FRAME_GATE", "koszul_check", "FrameSamples",
+    "SingularMetricError", "FlatnessGateError", "flat_frame_probe",
 ]
 
 
@@ -51,42 +47,6 @@ class FlatnessGateError(Exception):
         super().__init__(f"connection curvature {report.max_residual:.3e} exceeds "
                          f"the gate at grid node {report.worst_point}")
         self.report = report
-
-
-@dataclass(frozen=True)
-class TensorSample:
-    """Dense components of one evaluated tensor with typed index slots.
-
-    Slot tags: 'frame_up', 'frame_down', 'coord_up', 'coord_down'.
-    """
-
-    signature: tuple[str, ...]
-    components: np.ndarray
-    point: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.components.ndim != len(self.signature):
-            raise ValueError("component array rank does not match signature")
-
-    def max_abs(self) -> float:
-        return max_abs(self.components)
-
-
-@dataclass(frozen=True)
-class GeneralizedResiduals:
-    """Symmetric and antisymmetric blocks of the combined bilinear residual,
-    one (n, n) sample per frame index; the stated symmetries hold exactly."""
-
-    sym: np.ndarray      # [a, i, j], symmetric in (i, j)
-    skew: np.ndarray     # [a, i, j], antisymmetric in (i, j)
-    point: tuple[float, ...]
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(self.sym))), float(np.max(np.abs(self.skew))))
-
-
-def _pt(p) -> tuple[float, ...]:
-    return tuple(float(x) for x in np.asarray(p, dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +129,7 @@ def christoffel_components(g, dg, point):
     minors = [float(np.linalg.det(g[:k, :k])) for k in range(1, g.shape[0] + 1)]
     if min(minors) <= 0.0:
         raise SingularMetricError(f"metric: leading minors {minors} not all "
-                                  f"positive at point {_pt(point)}")
+                                  f"positive at point {tuple(map(float, point))}")
     ginv = np.linalg.inv(g)
     gamma = 0.5 * (np.einsum("kl,jli->kij", ginv, dg)
                    + np.einsum("kl,ilj->kij", ginv, dg)
@@ -301,8 +261,6 @@ def _poisson_residual(f):
 # Checks over sample points: the rows that `algebroid check` selects by flag
 
 _FRAME1 = {"anchor": 1, "structure": 1, "connection": 1}
-_TAU_CURVATURE_READS = {"anchor": 2, "structure": 0, "connection": 1}
-_KILLING_READS = {"anchor": 1, "metric": 1, "connection": 0}
 
 
 def _cartan(f):
@@ -325,10 +283,11 @@ CARTAN_CHECKS = (
     # Cartan compatibility implies both induced connections are flat
     Check(("alpha_curvature_flat",), _FRAME1,
           lambda f: max_abs(_alpha_curvature(f)), gate="cartan_s_frame"),
-    Check(("tau_curvature_flat",), _TAU_CURVATURE_READS,
+    Check(("tau_curvature_flat",), {"anchor": 2, "structure": 0, "connection": 1},
           lambda f: max_abs(_tau_curvature(f)), gate="cartan_s_frame"),
 )
-KILLING = Check(("killing_frame", "killing_frame_vs_sym"), _KILLING_READS, _killing)
+KILLING = Check(("killing_frame", "killing_frame_vs_sym"),
+                {"anchor": 1, "metric": 1, "connection": 0}, _killing)
 GENERALIZED = Check(("generalized_sym", "generalized_skew"),
                     {"anchor": 1, "metric": 1, "two_form": 1, "connection": 0,
                      "psi": 0},
@@ -355,144 +314,6 @@ def koszul_check(psi_candidate) -> Check:
         half = np.einsum("abi,bj->aij", psi, np.einsum("ak,kj->aj", f.rho, f.g))
         return max_abs(0.5 * (half + np.swapaxes(half, 1, 2)))
     return Check(("koszul_delta",), {"anchor": 0, "metric": 0}, kernel)
-
-
-# --------------------------------------------------------------------------
-# Operations on specs at one point
-
-_S_SIG = ("frame_up", "frame_down", "frame_down", "coord_down")
-_FORM_SIG = ("frame_down", "coord_down", "coord_down")
-
-
-def _sample(spec, p, reads, kernel, signature) -> TensorSample:
-    return TensorSample(signature, kernel(eval_fields(spec, p, reads)), _pt(p))
-
-
-def christoffel(spec: AlgebroidSpec, p) -> TensorSample:
-    """Levi-Civita coefficients Gamma^k_{ij} of the spec metric at p."""
-    return _sample(spec, p, {"metric": 1},
-                   lambda f: christoffel_components(f.g, f.dg, f.point)[0],
-                   ("coord_up", "coord_down", "coord_down"))
-
-
-def a_torsion(spec: AlgebroidSpec, p) -> TensorSample:
-    """A-torsion of nabla_{rho(.)}; components AT^c_{ab}, stored [a,b,c]."""
-    _require_lie(spec, "a_torsion")
-    return _sample(spec, p, {"anchor": 0, "connection": 0, "structure": 0},
-                   lambda f: a_torsion_components(f.rho, f.omega, f.C),
-                   ("frame_down", "frame_down", "frame_up"))
-
-
-def connection_curvature(spec: AlgebroidSpec, p) -> TensorSample:
-    """Curvature F^b_{a,ij} of the connection, stored [a,b,i,j]."""
-    return _sample(spec, p, FLAT_FRAME_GATE.reads,
-                   lambda f: curvature_components(f.omega, f.domega),
-                   ("frame_down", "frame_up", "coord_down", "coord_down"))
-
-
-def compatibility_tensor_frame(spec: AlgebroidSpec, p) -> TensorSample:
-    """Compatibility tensor S^c_{ab,i} by the local-frame formula."""
-    _require_lie(spec, "compatibility_tensor_frame")
-    return _sample(spec, p, _FRAME1, _s_frame, _S_SIG)
-
-
-def compatibility_tensor_covariant(spec: AlgebroidSpec, p) -> TensorSample:
-    """Compatibility tensor S^c_{ab,i} via nabla(AT) plus anchor-curvature."""
-    _require_lie(spec, "compatibility_tensor_covariant")
-    return _sample(spec, p, _FRAME1, lambda f: s_covariant_components(
-        f.rho, f.drho, f.C, f.dC, f.omega, f.domega), _S_SIG)
-
-
-def killing_residual_frame(spec: AlgebroidSpec, p) -> TensorSample:
-    """Extended Killing equation residual K_{a,ij}, symmetric in (i, j)."""
-    return _sample(spec, p, _KILLING_READS, _killing_frame, _FORM_SIG)
-
-
-def killing_residual_sym(spec: AlgebroidSpec, p) -> TensorSample:
-    """Symmetrized covariant derivative of rho-bar (the metric dual of the
-    anchor); vanishing is equivalent to the frame Killing equations."""
-    return _sample(spec, p, _KILLING_READS, _killing_sym, _FORM_SIG)
-
-
-def dual_a_connection(spec: AlgebroidSpec, p) -> TensorSample:
-    """Coefficients D^c_{ab} of the dual A-connection [s,s'] + nabla_{rho(s')}s,
-    stored [a,b,c].  Asserts reflexivity of the duality and that the dual's
-    A-torsion is the exact negative of the original one."""
-    _require_lie(spec, "dual_a_connection")
-    f = eval_fields(spec, p, {"anchor": 0, "connection": 0, "structure": 0})
-    C = f.C
-    N = np.einsum("aj,bcj->abc", f.rho, f.omega)   # nabla_{rho_a} e_b coefficients
-    D = C + N.transpose(1, 0, 2)                   # the dual of N
-    # association-safe evaluation keeps both identities exact in floats:
-    # C + C^T vanishes entrywise because mirror entries are stored negations
-    double_dual = (C + C.transpose(1, 0, 2)) + N
-    if not np.array_equal(double_dual, N):
-        raise AssertionError("dual A-connection reflexivity violated")
-    M = N.transpose(1, 0, 2)
-    dual_torsion = C + (M - M.transpose(1, 0, 2))
-    original_torsion = (M.transpose(1, 0, 2) - M) - C
-    if not np.array_equal(dual_torsion, -original_torsion):
-        raise AssertionError("dual A-connection torsion is not the exact opposite")
-    return TensorSample(("frame_down", "frame_down", "frame_up"), D, _pt(p))
-
-
-def a_curvature(spec: AlgebroidSpec, p, which: str) -> TensorSample:
-    """A-curvature of an induced A-connection.
-
-    which='alpha': curvature of the dual connection on the bundle itself,
-    components R^d_{abc} stored [d,a,b,c].  which='tau': curvature of the
-    induced A-connection on coordinate vector fields, components R^i_{ab,j}
-    stored [i,a,b,j].  Both vanish whenever the compatibility tensor does.
-    """
-    _require_lie(spec, "a_curvature")
-    if which == "alpha":
-        return _sample(spec, p, _FRAME1, _alpha_curvature,
-                       ("frame_up", "frame_down", "frame_down", "frame_down"))
-    if which == "tau":
-        return _sample(spec, p, _TAU_CURVATURE_READS, _tau_curvature,
-                       ("coord_up", "frame_down", "frame_down", "coord_down"))
-    raise ValueError(f"which must be 'alpha' or 'tau', got {which!r}")
-
-
-def tau_intertwine_check(spec: AlgebroidSpec, points,
-                         tolerance: float = TOLERANCES["tau_intertwine"]
-                         ) -> CheckReport:
-    _require_lie(spec, "tau_intertwine_check")
-    return run_checks(spec, points, [TAU_INTERTWINE], tolerance)[0]
-
-
-def generalized_residuals(spec: AlgebroidSpec, p) -> GeneralizedResiduals:
-    """Residuals of the coupled compatibility equations for Phi = g + B with
-    the endomorphism-valued 1-form psi (absent psi is treated as zero)."""
-    sym, skew = _generalized(eval_fields(spec, p, GENERALIZED.reads))
-    return GeneralizedResiduals(sym=sym, skew=skew, point=_pt(p))
-
-
-def symplectic_closedness_residual(spec: AlgebroidSpec, p) -> float:
-    """max |d_{[i} Omega_{jk]}| (identically zero for n = 2)."""
-    return max_abs(_closedness(eval_fields(spec, p, {"symplectic": 1})))
-
-
-def structure_residual(spec: AlgebroidSpec, p, kind: str) -> TensorSample:
-    """tau-nabla residual of the symplectic form (covariant slots) or the
-    Poisson bivector (contravariant slots, left/right contraction placement)."""
-    if kind == "symplectic":
-        return _sample(spec, p, SYMPLECTIC.reads, _symplectic_residual, _FORM_SIG)
-    if kind == "poisson":
-        return _sample(spec, p, POISSON.reads, _poisson_residual,
-                       ("frame_down", "coord_up", "coord_up"))
-    raise ValueError(f"kind must be 'symplectic' or 'poisson', got {kind!r}")
-
-
-def koszul_delta_check(spec: AlgebroidSpec, psi_candidate, points,
-                       tolerance: float = TOLERANCES["koszul_delta"]) -> CheckReport:
-    """Koszul obstruction for perturbing the connection by psi (see
-    ``koszul_check``) over the sample points."""
-    r, n = spec.rank, spec.dimension
-    if (len(psi_candidate) != r or any(len(row) != r for row in psi_candidate)
-            or any(len(row[b]) != n for row in psi_candidate for b in range(r))):
-        raise ValueError(f"psi candidate must have shape ({r}, {r}, {n})")
-    return run_checks(spec, points, [koszul_check(psi_candidate)], tolerance)[0]
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +411,8 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     Raises :class:`FlatnessGateError` if the connection is curved at a grid
     node.  ``tol_override`` replaces the table tolerances (``tolerance_of``).
     """
-    _require_lie(spec, "flat_frame_probe")
+    if spec.mode != "lie":
+        raise ValueError(f"flat_frame_probe requires lie mode, spec is '{spec.mode}'")
     basepoint = np.asarray(basepoint, dtype=float)
     if not spec.chart.contains(basepoint):
         raise ValueError(f"basepoint {tuple(basepoint)} outside chart domain")

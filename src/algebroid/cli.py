@@ -33,6 +33,8 @@ from .spec_model import (
     sample_points, tolerance_of, validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
 )
 
+__all__ = ["main", "run_check_suite", "InputError"]
+
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
@@ -302,8 +304,8 @@ def main(argv=None) -> int:
     try:
         if args.points < 1:
             raise InputError("--points must be >= 1")
-        if args.tol is not None and args.tol <= 0.0:
-            raise InputError("--tol must be positive")
+        if args.tol is not None and not 0.0 < args.tol < np.inf:
+            raise InputError("--tol must be finite and positive")
         return handlers[args.command](args)
     except (SchemaError, ParseError, EvalDomainError, ca.SingularMetricError,
             InputError, OSError, ValueError) as exc:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_model import (
-    AlgebroidSpec, CheckReport, eval_anchor, eval_connection, eval_metric,
-    report_from_residuals, tolerance_of,
+    AlgebroidSpec, CheckReport, check_values, eval_anchor, eval_connection,
+    eval_metric, report_from_residuals, tolerance_of,
 )
-from .calculus import christoffel_components, killing_residual_frame
+from .calculus import KILLING, christoffel_components
 
 __all__ = [
     "GeodesicTrace", "geodesic_integrate", "orthogonality_monitor",
@@ -63,10 +63,13 @@ def _rhs(spec: AlgebroidSpec, x, v, U):
 
 def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
                        h: float) -> GeodesicTrace:
-    """Integrate the geodesic equation from (x0, v0) with fixed step h,
-    transporting the frame along the trajectory."""
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    """Integrate the geodesic equation from (x0, v0) in round(t_max / h)
+    fixed steps of size h, at least one, transporting the frame along the
+    trajectory."""
+    if not (0.0 < h < np.inf and abs(t_max / h) < np.inf
+            and round(t_max / h) >= 1):
+        raise ValueError(f"need a finite positive h and a finite t_max of at "
+                         f"least one step, got t_max={t_max}, h={h}")
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if not spec.chart.contains(x):
@@ -148,8 +151,8 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
     if trace.positions.shape[0] == 0:
         raise ValueError("empty trace")
     probe = trace.positions[:: max(1, trace.positions.shape[0] // 10)]
-    killing_worst = float(np.max([killing_residual_frame(spec, q).max_abs()
-                                  for q in probe]))
+    killing, = check_values(spec, probe, [KILLING])
+    killing_worst = float(np.max(killing[:, 0]))
 
     if killing_worst <= tolerance_of("killing_frame", tol_override):
         values = trace.orth_flat

@@ -23,17 +23,15 @@ from .exprjet import (
     Block, Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block,
 )
 from .spec_model import (
-    AlgebroidSpec, Check, CheckReport, check_values, max_abs, run_checks,
-    sample_points,
+    AlgebroidSpec, Check, CheckReport, max_abs, run_checks, sample_points,
 )
 from .calculus import KILLING, killing_frame_components, s_frame_components
 
 __all__ = [
     "HallWord", "FreeTruncation", "hall_basis", "magma_basis", "free_extend",
     "cartan_extended_check", "killing_checks", "rank_profile_check",
-    "profile_of", "jacobiator_check", "propagate_compatibility",
-    "cartan_check_extended", "anchor_rank_profile", "IndeterminateRankError",
-    "NonLocallyFreeError", "GeneratorCompatibilityError", "MAX_DEGREE",
+    "profile_of", "jacobiator_check", "IndeterminateRankError",
+    "NonLocallyFreeError", "MAX_DEGREE",
 ]
 
 MAX_DEGREE = 4          # anchors of degree-d words need order-(d-1) jets
@@ -47,10 +45,6 @@ class IndeterminateRankError(Exception):
 
 class NonLocallyFreeError(Exception):
     """A relation accepted at the reference point fails at auxiliary points."""
-
-
-class GeneratorCompatibilityError(Exception):
-    """The generator-level compatibility precondition does not hold."""
 
 
 @dataclass(frozen=True)
@@ -524,10 +518,6 @@ def profile_of(values) -> list[dict]:
              "closure_defect": float(defect)} for gen, ext, defect in values]
 
 
-def cartan_check_extended(free: FreeTruncation, points) -> CheckReport:
-    return run_checks(free, points, [cartan_extended_check(free)])[0]
-
-
 def jacobiator_check(free: FreeTruncation, points,
                      tol_override: float | None = None) -> CheckReport:
     """Covariant constancy of the Jacobiator on the almost-mode truncation:
@@ -582,25 +572,3 @@ def jacobiator_check(free: FreeTruncation, points,
         return float(worst)
     return run_checks(free, points, [Check(("jacobiator_covariant_constancy",),
                                            {"connection": 0}, kernel)], tol_override)[0]
-
-
-def propagate_compatibility(free: FreeTruncation, points) -> CheckReport:
-    """Extended Killing residual over all basis words, with extended anchors
-    and extended connection coefficients.  Requires the generator-level check
-    to pass first."""
-    if free.spec.metric is None:
-        raise ValueError("propagation check needs a metric on the base")
-    if free.mode != "quotient":
-        raise ValueError("propagation check needs a quotient-mode truncation")
-    generators, *extended = run_checks(free, points, killing_checks(free))
-    if not extended:
-        raise GeneratorCompatibilityError(
-            f"generator-level Killing residual {generators.max_residual:.3e} "
-            f"exceeds {generators.tolerance:.1e}; nothing to propagate")
-    return extended[0]
-
-
-def anchor_rank_profile(free: FreeTruncation, points) -> list[dict]:
-    """Per-point rank profile of the extended anchors (``rank_profile_check``)."""
-    values, = check_values(free, points, [rank_profile_check(free)])
-    return profile_of(values)

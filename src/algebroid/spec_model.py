@@ -30,7 +30,7 @@ __all__ = [
     "ChartSpec", "AlgebroidSpec", "CheckReport", "SchemaError", "Check",
     "TOLERANCES", "load_spec", "load_spec_file", "sample_points",
     "eval_fields", "check_values", "reduce_checks", "run_checks",
-    "check_anchor_morphism", "check_jacobi", "validate_spec",
+    "ANCHOR_MORPHISM", "JACOBI", "validate_spec",
 ]
 
 DEFAULT_POINTS = 100
@@ -574,11 +574,6 @@ def run_checks(source, points, checks,
                          tol_override)
 
 
-def _require_lie(spec: AlgebroidSpec, what: str):
-    if spec.mode != "lie":
-        raise ValueError(f"{what} requires lie mode, spec is '{spec.mode}'")
-
-
 def _anchor_morphism(f) -> float:
     bracket = np.einsum("aj,bij->abi", f.rho, f.drho)
     bracket = bracket - bracket.transpose(1, 0, 2)
@@ -616,29 +611,6 @@ STRUCTURE_ANTISYMMETRY = Check(("structure_antisymmetry",), {"structure": 0},
 METRIC_POSITIVE_DEFINITE = Check(
     ("metric_positive_definite",), {"metric": 0},
     lambda f: _DEFINITENESS_FLOOR - float(np.min(_leading_minors(f.g))))
-
-
-def anchor_morphism_residual(spec: AlgebroidSpec, p) -> float:
-    """max_{a,b,i} |[rho_a, rho_b]^i - C^c_{ab} rho_c^i| at one point."""
-    return ANCHOR_MORPHISM.kernel(eval_fields(spec, p, ANCHOR_MORPHISM.reads))
-
-
-def check_anchor_morphism(spec: AlgebroidSpec, points,
-                          tolerance: float = TOLERANCES["anchor_morphism"]
-                          ) -> CheckReport:
-    _require_lie(spec, "anchor-morphism check")
-    return run_checks(spec, points, [ANCHOR_MORPHISM], tolerance)[0]
-
-
-def jacobi_residual(spec: AlgebroidSpec, p) -> float:
-    """max over a<b<c, d of the Jacobiator coefficient at one point."""
-    return JACOBI.kernel(eval_fields(spec, p, JACOBI.reads))
-
-
-def check_jacobi(spec: AlgebroidSpec, points,
-                 tolerance: float = TOLERANCES["jacobi"]) -> CheckReport:
-    _require_lie(spec, "Jacobi check")
-    return run_checks(spec, points, [JACOBI], tolerance)[0]
 
 
 def validate_spec(spec: AlgebroidSpec, points,

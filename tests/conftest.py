@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from algebroid import fixture_path, load_spec, load_spec_file, sample_points
@@ -37,3 +38,24 @@ def points_of():
 
 def load_doc(doc: dict):
     return load_spec(doc)
+
+
+def dual_coefficients(f):
+    """Coefficients D^c_{ab} of the dual A-connection [s,s'] + nabla_{rho(s')}s,
+    stored [a,b,c], from the fields of ``spec_model.eval_fields`` (anchor,
+    structure and connection values).  Asserts reflexivity of the duality and
+    that the dual's A-torsion is the exact negative of the original one."""
+    C = f.C
+    N = np.einsum("aj,bcj->abc", f.rho, f.omega)   # nabla_{rho_a} e_b coefficients
+    D = C + N.transpose(1, 0, 2)                   # the dual of N
+    # association-safe evaluation keeps both identities exact in floats:
+    # C + C^T vanishes entrywise because mirror entries are stored negations
+    double_dual = (C + C.transpose(1, 0, 2)) + N
+    if not np.array_equal(double_dual, N):
+        raise AssertionError("dual A-connection reflexivity violated")
+    M = N.transpose(1, 0, 2)
+    dual_torsion = C + (M - M.transpose(1, 0, 2))
+    original_torsion = (M.transpose(1, 0, 2) - M) - C
+    if not np.array_equal(dual_torsion, -original_torsion):
+        raise AssertionError("dual A-connection torsion is not the exact opposite")
+    return D

@@ -13,7 +13,9 @@ from algebroid import foliation as fo
 from algebroid import freealg as fa
 from algebroid import fixture_path, load_spec, load_spec_file
 from algebroid.cli import main
-from algebroid.spec_model import SplitMix64, sample_points
+from algebroid.spec_model import (
+    SplitMix64, eval_fields, max_abs, run_checks, sample_points,
+)
 
 from conftest import LIE_FIXTURES, METRIC_FIXTURES, fixture_doc, load_doc
 
@@ -31,6 +33,10 @@ def _points(spec, count=100, seed=42):
     return sample_points(spec.chart, count, seed)
 
 
+FRAME = ca._FRAME1
+TAU = {"anchor": 2, "structure": 0, "connection": 1}
+
+
 def test_criterion_01_s_formula_agreement():
     start = time.perf_counter()
     worst = 0.0
@@ -38,8 +44,10 @@ def test_criterion_01_s_formula_agreement():
                  "fx_omega_xdy"):
         spec = _spec(name)
         for p in _points(spec, 100):
-            frame = ca.compatibility_tensor_frame(spec, p).components
-            cov = ca.compatibility_tensor_covariant(spec, p).components
+            f = eval_fields(spec, p, FRAME)
+            frame = ca._s_frame(f)
+            cov = ca.s_covariant_components(f.rho, f.drho, f.C, f.dC, f.omega,
+                                            f.domega)
             worst = max(worst, float(np.max(np.abs(frame - cov))))
     elapsed = time.perf_counter() - start
     _verdict(1, f"S frame vs covariant agreement {worst:.2e} <= 1e-9 "
@@ -52,11 +60,11 @@ def test_criterion_02_cartan_fixtures():
         spec = _spec(name)
         for p in _points(spec, 100):
             worst_flat = max(worst_flat,
-                             ca.compatibility_tensor_frame(spec, p).max_abs())
+                             max_abs(ca._s_frame(eval_fields(spec, p, FRAME))))
     spec = _spec("fx_bla")
     worst_value = 0.0
     for p in _points(spec, 100):
-        S = ca.compatibility_tensor_frame(spec, p).components
+        S = ca._s_frame(eval_fields(spec, p, FRAME))
         worst_value = max(worst_value, abs(S[2, 0, 1, 0] + 1.0))
     ok = worst_flat <= 1e-10 and worst_value <= 1e-10
     _verdict(2, f"Cartan fixtures: max|S| {worst_flat:.2e} <= 1e-10 and "
@@ -70,8 +78,8 @@ def test_criterion_03_killing_equivalence():
         spec = _spec(name)
         frame_max = sym_max = 0.0
         for p in _points(spec, 100):
-            frame = ca.killing_residual_frame(spec, p).components
-            sym = ca.killing_residual_sym(spec, p).components
+            f = eval_fields(spec, p, ca.KILLING.reads)
+            frame, sym = ca._killing_frame(f), ca._killing_sym(f)
             worst = max(worst, float(np.max(np.abs(frame - 2.0 * sym))))
             frame_max = max(frame_max, float(np.max(np.abs(frame))))
             sym_max = max(sym_max, float(np.max(np.abs(sym))))
@@ -92,7 +100,7 @@ def test_criterion_04_obstruction_reproduction():
             f"+ {c[i][4]}*x*y + {c[i][5]}*y^2" for i in range(2)]]]
         spec = load_doc(doc)
         y0 = rng.uniform(-1, 1)
-        K = ca.killing_residual_frame(spec, (0.0, y0)).components
+        K = ca._killing_frame(eval_fields(spec, (0.0, y0), ca.KILLING.reads))
         worst = max(worst, abs(K[0, 0, 0] - 2.0))
     _verdict(4, f"obstruction K_1xx = 2 within {worst:.2e} <= 1e-12 for 50 "
                 f"random polynomial connections", worst <= 1e-12)
@@ -104,13 +112,15 @@ def test_criterion_05_cartan_implies_flat_and_intertwine():
     for name in LIE_FIXTURES:
         spec = _spec(name)
         points = _points(spec, 100)
-        s_max = max(ca.compatibility_tensor_frame(spec, p).max_abs()
+        s_max = max(max_abs(ca._s_frame(eval_fields(spec, p, FRAME)))
                     for p in points)
         if s_max <= 1e-9:
             for p in points:
-                flat_ok &= ca.a_curvature(spec, p, "alpha").max_abs() <= 1e-7
-                flat_ok &= ca.a_curvature(spec, p, "tau").max_abs() <= 1e-7
-        report = ca.tau_intertwine_check(spec, points)
+                alpha = ca._alpha_curvature(eval_fields(spec, p, FRAME))
+                tau = ca._tau_curvature(eval_fields(spec, p, TAU))
+                flat_ok &= max_abs(alpha) <= 1e-7
+                flat_ok &= max_abs(tau) <= 1e-7
+        report, = run_checks(spec, points, [ca.TAU_INTERTWINE])
         intertwine_worst = max(intertwine_worst, report.max_residual)
     ok = flat_ok and intertwine_worst <= 1e-10
     _verdict(5, f"Cartan fixtures have flat induced connections; intertwine "
@@ -132,8 +142,8 @@ def test_criterion_06_free_algebroid():
             counts_ok &= free.counts() == expected[:d]
 
     points = _points(heis, 100)
-    cartan = fa.cartan_check_extended(fa.free_extend(heis, 3, "quotient"),
-                                      points)
+    quotient = fa.free_extend(heis, 3, "quotient")
+    cartan, = run_checks(quotient, points, [fa.cartan_extended_check(quotient)])
     jac = fa.jacobiator_check(fa.free_extend(heis, 3, "almost"), points)
     elapsed = time.perf_counter() - start
     ok = (counts_ok and cartan.max_residual <= 1e-8
@@ -148,11 +158,11 @@ def test_criterion_07_compatibility_propagation():
     for name in ("fx_free_abelian", "fx_killing_nonabelian"):
         spec = _spec(name)
         points = _points(spec, 100)
-        gen_worst = max(ca.killing_residual_frame(spec, p).max_abs()
-                        for p in points)
+        gen_worst = max(max_abs(ca._killing_frame(
+            eval_fields(spec, p, ca.KILLING.reads))) for p in points)
         assert gen_worst <= 1e-7, "generator-level oracle must pass first"
         free = fa.free_extend(spec, 3, "quotient")
-        report = fa.propagate_compatibility(free, points)
+        _, report = run_checks(free, points, fa.killing_checks(free))
         worst = max(worst, report.max_residual)
     _verdict(7, f"extended Killing residual {worst:.2e} <= 1e-7 at all "
                 f"degrees <= 3", worst <= 1e-7)
@@ -207,16 +217,18 @@ def test_criterion_09_generalized_symplectic_poisson():
     exact = True
     rot_worst = conf_worst = 0.0
     for p in _points(base, 100):
-        res = ca.generalized_residuals(zeroB, p)
-        K = ca.killing_residual_frame(base, p).components
-        exact &= np.array_equal(res.sym, K)
-        exact &= not np.any(res.skew)
-        rot_worst = max(rot_worst, ca.generalized_residuals(base, p).max_abs())
+        sym, skew = ca._generalized(eval_fields(zeroB, p, ca.GENERALIZED.reads))
+        K = ca._killing_frame(eval_fields(base, p, ca.KILLING.reads))
+        exact &= np.array_equal(sym, K)
+        exact &= not np.any(skew)
+        rot_worst = max(rot_worst, *ca.GENERALIZED.kernel(
+            eval_fields(base, p, ca.GENERALIZED.reads)))
     conf = _spec("fx_sympl_conf")
     for p in _points(conf, 100):
-        conf_worst = max(conf_worst,
-                         ca.structure_residual(conf, p, "symplectic").max_abs(),
-                         ca.structure_residual(conf, p, "poisson").max_abs())
+        symplectic = ca._symplectic_residual(
+            eval_fields(conf, p, ca.SYMPLECTIC.reads))
+        poisson = ca._poisson_residual(eval_fields(conf, p, ca.POISSON.reads))
+        conf_worst = max(conf_worst, max_abs(symplectic), max_abs(poisson))
     ok = exact and rot_worst <= 1e-10 and conf_worst <= 1e-10
     _verdict(9, f"degeneration exact; rotation-invariant pair {rot_worst:.2e} "
                 f"<= 1e-10; conformal symplectic/Poisson {conf_worst:.2e} "

@@ -4,10 +4,37 @@ import pytest
 from algebroid import calculus as ca
 from algebroid.exprjet import eval_block, parse_expr
 from algebroid.spec_model import (
-    eval_anchor, eval_connection, eval_metric, eval_structure, sample_points,
+    eval_anchor, eval_connection, eval_fields, eval_metric, eval_structure,
+    max_abs, run_checks, sample_points,
 )
 
-from conftest import LIE_FIXTURES, METRIC_FIXTURES, fixture_doc, load_doc
+from conftest import (
+    LIE_FIXTURES, METRIC_FIXTURES, dual_coefficients, fixture_doc, load_doc,
+)
+
+# the blocks each kernel below reads, and to which derivative order
+METRIC = {"metric": 1}
+FRAME0 = {"anchor": 0, "structure": 0, "connection": 0}
+FRAME = ca._FRAME1
+TAU = {"anchor": 2, "structure": 0, "connection": 1}
+KILLING = ca.KILLING.reads
+CONNECTION = ca.FLAT_FRAME_GATE.reads
+
+
+def _gamma(f):
+    return ca.christoffel_components(f.g, f.dg, f.point)[0]
+
+
+def _torsion(f):
+    return ca.a_torsion_components(f.rho, f.omega, f.C)
+
+
+def _curvature(f):
+    return ca.curvature_components(f.omega, f.domega)
+
+
+def _s_cov(f):
+    return ca.s_covariant_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
 
 
 def _fd_arrays(spec, p, h=1e-5):
@@ -41,14 +68,14 @@ def _fd_arrays(spec, p, h=1e-5):
 
 def test_christoffel_flat_metric(spec_of):
     spec = spec_of("fx_action_so2")
-    gamma = ca.christoffel(spec, (0.7, -0.3)).components
+    gamma = _gamma(eval_fields(spec, (0.7, -0.3), METRIC))
     assert np.array_equal(gamma, np.zeros((2, 2, 2)))
 
 
 def test_christoffel_hand_values(spec_of):
     # g = (1+y^2) dx^2 + dy^2 at (0, 1)
     spec = spec_of("fx_nonriem_fol")
-    gamma = ca.christoffel(spec, (0.0, 1.0)).components
+    gamma = _gamma(eval_fields(spec, (0.0, 1.0), METRIC))
     assert gamma[1, 0, 0] == pytest.approx(-1.0, abs=1e-14)
     assert gamma[0, 0, 1] == pytest.approx(0.5, abs=1e-14)
     assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
@@ -67,7 +94,7 @@ def test_christoffel_matches_metric_finite_differences(spec_of, points_of):
             dg[:, :, k] = (eval_metric(spec, p + shift, order=0)
                            - eval_metric(spec, p - shift, order=0)) / (2 * h)
         gamma_fd, _ = ca.christoffel_components(g, dg, p)
-        gamma = ca.christoffel(spec, p).components
+        gamma = _gamma(eval_fields(spec, p, METRIC))
         assert float(np.max(np.abs(gamma - gamma_fd))) <= 1e-6
 
 
@@ -77,7 +104,7 @@ def test_christoffel_singular_metric_error(points_of):
     doc["chart"]["domain"] = [[-2.0, 2.0], [-2.0, 2.0]]
     spec = load_doc(doc)
     with pytest.raises(ca.SingularMetricError):
-        ca.christoffel(spec, (-0.5, 0.0))
+        _gamma(eval_fields(spec, (-0.5, 0.0), METRIC))
 
 
 # --------------------------------------------------------------------------
@@ -86,13 +113,13 @@ def test_christoffel_singular_metric_error(points_of):
 
 def test_a_torsion_rank_one_vanishes(spec_of):
     spec = spec_of("fx_action_so2")
-    assert ca.a_torsion(spec, (0.3, 0.8)).max_abs() == 0.0
+    assert max_abs(_torsion(eval_fields(spec, (0.3, 0.8), FRAME0))) == 0.0
 
 
 def test_a_torsion_bundle_of_lie_algebras(spec_of):
     # rho = 0 so the torsion is minus the structure functions
     spec = spec_of("fx_bla")
-    at = ca.a_torsion(spec, (1.3, 0.4)).components
+    at = _torsion(eval_fields(spec, (1.3, 0.4), FRAME0))
     assert at[0, 1, 2] == -1.3
     assert at[1, 0, 2] == 1.3
     C = eval_structure(spec, (1.3, 0.4))
@@ -101,7 +128,7 @@ def test_a_torsion_bundle_of_lie_algebras(spec_of):
 
 def test_a_torsion_so3(spec_of):
     spec = spec_of("fx_so3_sphere")
-    at = ca.a_torsion(spec, (0.2, -0.1)).components
+    at = _torsion(eval_fields(spec, (0.2, -0.1), FRAME0))
     C = eval_structure(spec, (0.2, -0.1))
     assert np.array_equal(at, -C)
     assert at[0, 1, 2] == -1.0
@@ -111,12 +138,12 @@ def test_curvature_constant_connection_vanishes():
     doc = fixture_doc("fx_omega_xdy")
     doc["connection"] = [[["3", "-2"]]]
     spec = load_doc(doc)
-    assert ca.connection_curvature(spec, (0.5, 0.5)).max_abs() == 0.0
+    assert max_abs(_curvature(eval_fields(spec, (0.5, 0.5), CONNECTION))) == 0.0
 
 
 def test_curvature_x_dy(spec_of):
     spec = spec_of("fx_omega_xdy")
-    F = ca.connection_curvature(spec, (0.7, -1.1)).components
+    F = _curvature(eval_fields(spec, (0.7, -1.1), CONNECTION))
     assert F[0, 0, 0, 1] == 1.0
     assert F[0, 0, 1, 0] == -1.0
 
@@ -127,7 +154,8 @@ def test_flat_connection_curvature_and_transport(spec_of):
     # so the bound is the O(h^2) truncation error at the grid spacing)
     spec = spec_of("fx_flat_exp")
     points = sample_points(spec.chart, 50, 42)
-    assert max(ca.connection_curvature(spec, p).max_abs() for p in points) <= 1e-8
+    assert max(max_abs(_curvature(eval_fields(spec, p, CONNECTION)))
+               for p in points) <= 1e-8
     samples, _ = ca.flat_frame_probe(spec, (0.0, 0.0), grid_steps=8)
     by_offset = {off: k for k, off in enumerate(samples.offsets)}
     h = samples.points[by_offset[(1, 0)]][0] - samples.points[by_offset[(0, 0)]][0]
@@ -152,12 +180,12 @@ def test_flat_connection_curvature_and_transport(spec_of):
 def test_s_frame_action_algebroid_is_cartan(spec_of, points_of):
     spec = spec_of("fx_action_so2")
     for p in points_of(spec, 50):
-        assert ca.compatibility_tensor_frame(spec, p).max_abs() == 0.0
+        assert max_abs(ca._s_frame(eval_fields(spec, p, FRAME))) == 0.0
 
 
 def test_s_frame_bla_nonconstant(spec_of):
     spec = spec_of("fx_bla")
-    S = ca.compatibility_tensor_frame(spec, (1.7, 0.2)).components
+    S = ca._s_frame(eval_fields(spec, (1.7, 0.2), FRAME))
     assert S[2, 0, 1, 0] == -1.0
     assert S[2, 1, 0, 0] == 1.0
     mask = np.ones_like(S, dtype=bool)
@@ -168,12 +196,12 @@ def test_s_frame_bla_nonconstant(spec_of):
 def test_s_frame_bla_constant_is_cartan(spec_of, points_of):
     spec = spec_of("fx_bla_const")
     for p in points_of(spec, 50):
-        assert ca.compatibility_tensor_frame(spec, p).max_abs() == 0.0
+        assert max_abs(ca._s_frame(eval_fields(spec, p, FRAME))) == 0.0
 
 
 def test_s_covariant_bla(spec_of):
     spec = spec_of("fx_bla")
-    S = ca.compatibility_tensor_covariant(spec, (1.7, 0.2)).components
+    S = _s_cov(eval_fields(spec, (1.7, 0.2), FRAME))
     assert S[2, 0, 1, 0] == -1.0
 
 
@@ -181,15 +209,14 @@ def test_s_covariant_bla(spec_of):
 def test_s_formulas_agree(name, spec_of, points_of):
     spec = spec_of(name)
     for p in points_of(spec, 100):
-        frame = ca.compatibility_tensor_frame(spec, p).components
-        cov = ca.compatibility_tensor_covariant(spec, p).components
-        assert float(np.max(np.abs(frame - cov))) <= 1e-9
+        f = eval_fields(spec, p, FRAME)
+        assert float(np.max(np.abs(ca._s_frame(f) - _s_cov(f)))) <= 1e-9
 
 
 def test_s_antisymmetric_in_frame_pair(spec_of, points_of):
     spec = spec_of("fx_taucurv")
     for p in points_of(spec, 20):
-        S = ca.compatibility_tensor_frame(spec, p).components
+        S = ca._s_frame(eval_fields(spec, p, FRAME))
         assert np.array_equal(S, -S.transpose(0, 2, 1, 3))
 
 
@@ -200,14 +227,15 @@ def test_s_antisymmetric_in_frame_pair(spec_of, points_of):
 def test_killing_rotation_isometry(spec_of, points_of):
     spec = spec_of("fx_action_so2")
     for p in points_of(spec, 50):
-        assert ca.killing_residual_frame(spec, p).max_abs() == 0.0
+        assert max_abs(ca._killing_frame(eval_fields(spec, p, KILLING))) == 0.0
 
 
 def test_killing_obstruction_value(spec_of):
     spec = spec_of("fx_rho0_n1")
-    K = ca.killing_residual_frame(spec, (0.0, 0.37)).components
+    f = eval_fields(spec, (0.0, 0.37), KILLING)
+    K = ca._killing_frame(f)
     assert K[0, 0, 0] == 2.0
-    Ks = ca.killing_residual_sym(spec, (0.0, 0.37)).components
+    Ks = ca._killing_sym(f)
     assert Ks[0, 0, 0] == 1.0
 
 
@@ -221,7 +249,7 @@ def test_killing_obstruction_connection_independent():
             f"{c[i][0]} + {c[i][1]}*x + {c[i][2]}*y + {c[i][3]}*x^2 "
             f"+ {c[i][4]}*x*y + {c[i][5]}*y^2" for i in range(2)]]]
         spec = load_doc(doc)
-        K = ca.killing_residual_frame(spec, (0.0, 0.7)).components
+        K = ca._killing_frame(eval_fields(spec, (0.0, 0.7), KILLING))
         assert K[0, 0, 0] == 2.0
 
 
@@ -229,7 +257,7 @@ def test_killing_sym_standard_algebroid_flat(spec_of, points_of):
     # rho-bar equals the flat metric, so the full covariant derivative is zero
     spec = spec_of("fx_tm_flat")
     for p in points_of(spec, 20):
-        assert ca.killing_residual_sym(spec, p).max_abs() == 0.0
+        assert max_abs(ca._killing_sym(eval_fields(spec, p, KILLING))) == 0.0
 
 
 def test_killing_sym_vanishes_for_zero_anchor(points_of):
@@ -238,15 +266,15 @@ def test_killing_sym_vanishes_for_zero_anchor(points_of):
     doc["connection"][0][1] = ["y", "x"]
     spec = load_doc(doc)
     for p in points_of(spec, 20):
-        assert ca.killing_residual_sym(spec, p).max_abs() == 0.0
+        assert max_abs(ca._killing_sym(eval_fields(spec, p, KILLING))) == 0.0
 
 
 @pytest.mark.parametrize("name", METRIC_FIXTURES)
 def test_killing_frame_is_twice_sym(name, spec_of, points_of):
     spec = spec_of(name)
     for p in points_of(spec, 100):
-        frame = ca.killing_residual_frame(spec, p).components
-        sym = ca.killing_residual_sym(spec, p).components
+        f = eval_fields(spec, p, KILLING)
+        frame, sym = ca._killing_frame(f), ca._killing_sym(f)
         assert float(np.max(np.abs(frame - 2.0 * sym))) <= 1e-10
 
 
@@ -256,14 +284,14 @@ def test_killing_frame_is_twice_sym(name, spec_of, points_of):
 
 def test_dual_connection_bundle_of_lie_algebras(spec_of):
     spec = spec_of("fx_bla")
-    D = ca.dual_a_connection(spec, (1.2, -0.5)).components
+    D = dual_coefficients(eval_fields(spec, (1.2, -0.5), FRAME0))
     C = eval_structure(spec, (1.2, -0.5))
     assert np.array_equal(D, C)
 
 
 def test_dual_connection_so3(spec_of):
     spec = spec_of("fx_so3_sphere")
-    D = ca.dual_a_connection(spec, (0.4, 0.1)).components
+    D = dual_coefficients(eval_fields(spec, (0.4, 0.1), FRAME0))
     assert D[0, 1, 2] == 1.0 and D[1, 0, 2] == -1.0 and D[1, 2, 0] == 1.0
 
 
@@ -271,28 +299,31 @@ def test_dual_reflexivity_holds_on_mixed_fixture(spec_of, points_of):
     # nonzero rho, omega, and C at once; internal exact assertions must pass
     spec = spec_of("fx_omega_xdy")
     for p in points_of(spec, 20):
-        ca.dual_a_connection(spec, p)
+        dual_coefficients(eval_fields(spec, p, FRAME0))
 
 
 def test_a_curvature_flat_for_cartan(spec_of, points_of):
     for name in ("fx_action_so2", "fx_bla_const", "fx_so3_sphere"):
         spec = spec_of(name)
         for p in points_of(spec, 30):
-            assert ca.a_curvature(spec, p, "alpha").max_abs() <= 1e-12, name
-            assert ca.a_curvature(spec, p, "tau").max_abs() <= 1e-12, name
+            alpha = ca._alpha_curvature(eval_fields(spec, p, FRAME))
+            tau = ca._tau_curvature(eval_fields(spec, p, TAU))
+            assert max_abs(alpha) <= 1e-12, name
+            assert max_abs(tau) <= 1e-12, name
 
 
 def test_alpha_curvature_zero_despite_s_nonzero(spec_of, points_of):
     # flatness of one induced connection does not certify compatibility
     spec = spec_of("fx_bla")
     for p in points_of(spec, 30):
-        assert ca.a_curvature(spec, p, "alpha").max_abs() == 0.0
-        assert ca.compatibility_tensor_frame(spec, p).max_abs() >= 1.0
+        f = eval_fields(spec, p, FRAME)
+        assert max_abs(ca._alpha_curvature(f)) == 0.0
+        assert max_abs(ca._s_frame(f)) >= 1.0
 
 
 def test_tau_curvature_nonzero(spec_of):
     spec = spec_of("fx_taucurv")
-    R = ca.a_curvature(spec, (0.9, 0.2), "tau").components
+    R = ca._tau_curvature(eval_fields(spec, (0.9, 0.2), TAU))
     assert R[0, 0, 1, 0] == -1.0
     assert R[0, 1, 0, 0] == 1.0
 
@@ -301,19 +332,14 @@ def test_a_curvature_rank_one_vanishes_by_antisymmetry(spec_of, points_of):
     # A-curvature is antisymmetric in its frame pair, so rank 1 forces zero
     spec = spec_of("fx_omega_xdy")
     for p in points_of(spec, 20):
-        assert ca.a_curvature(spec, p, "tau").max_abs() == 0.0
-        assert ca.a_curvature(spec, p, "alpha").max_abs() == 0.0
-
-
-def test_a_curvature_bad_kind(spec_of):
-    with pytest.raises(ValueError):
-        ca.a_curvature(spec_of("fx_bla"), (1.0, 0.0), "sigma")
+        assert max_abs(ca._tau_curvature(eval_fields(spec, p, TAU))) == 0.0
+        assert max_abs(ca._alpha_curvature(eval_fields(spec, p, FRAME))) == 0.0
 
 
 @pytest.mark.parametrize("name", LIE_FIXTURES)
 def test_intertwining_of_induced_connections(name, spec_of, points_of):
     spec = spec_of(name)
-    report = ca.tau_intertwine_check(spec, points_of(spec, 100))
+    report, = run_checks(spec, points_of(spec, 100), [ca.TAU_INTERTWINE])
     assert report.max_residual <= 1e-10, name
 
 
@@ -327,17 +353,17 @@ def test_generalized_degenerates_to_killing_exactly(spec_of, points_of):
     spec = load_doc(doc)
     base = load_doc(fixture_doc("fx_action_so2"))
     for p in points_of(spec, 30):
-        res = ca.generalized_residuals(spec, p)
-        K = ca.killing_residual_frame(base, p).components
-        assert np.array_equal(res.sym, K)
-        assert np.array_equal(res.skew, np.zeros_like(res.skew))
+        sym, skew = ca._generalized(eval_fields(spec, p, ca.GENERALIZED.reads))
+        K = ca._killing_frame(eval_fields(base, p, KILLING))
+        assert np.array_equal(sym, K)
+        assert np.array_equal(skew, np.zeros_like(skew))
 
 
 def test_generalized_rotation_invariant_pair(spec_of, points_of):
     spec = spec_of("fx_action_so2")  # carries B = dx ^ dy
     for p in points_of(spec, 50):
-        res = ca.generalized_residuals(spec, p)
-        assert res.max_abs() <= 1e-15
+        f = eval_fields(spec, p, ca.GENERALIZED.reads)
+        assert max(ca.GENERALIZED.kernel(f)) <= 1e-15
 
 
 def test_generalized_lie_derivative_oracle(points_of):
@@ -347,8 +373,8 @@ def test_generalized_lie_derivative_oracle(points_of):
     spec = load_doc(doc)
     h = 1e-5
     for p in points_of(spec, 10):
-        res = ca.generalized_residuals(spec, p)
-        assert res.skew[0, 0, 1] == pytest.approx(-p[1], rel=1e-12, abs=1e-12)
+        _, skew = ca._generalized(eval_fields(spec, p, ca.GENERALIZED.reads))
+        assert skew[0, 0, 1] == pytest.approx(-p[1], rel=1e-12, abs=1e-12)
         # independent oracle: Lie derivative via the flow by finite differences
         x, y = p
         B = lambda q: q[0]
@@ -356,13 +382,13 @@ def test_generalized_lie_derivative_oracle(points_of):
                                      q[0] * np.sin(t) + q[1] * np.cos(t)])
         # pullback of B under the rotation flow; d/dt at 0 of B(phi_t) J(phi_t)
         lie_fd = (B(phi(p, h)) - B(phi(p, -h))) / (2 * h)
-        assert res.skew[0, 0, 1] == pytest.approx(lie_fd, abs=1e-8)
+        assert skew[0, 0, 1] == pytest.approx(lie_fd, abs=1e-8)
 
 
 def test_generalized_requires_blocks(spec_of, points_of):
     spec = spec_of("fx_tm_flat")
     with pytest.raises(ValueError):
-        ca.generalized_residuals(spec, (0.0, 0.0))
+        ca._generalized(eval_fields(spec, (0.0, 0.0), ca.GENERALIZED.reads))
 
 
 # --------------------------------------------------------------------------
@@ -372,36 +398,36 @@ def test_generalized_requires_blocks(spec_of, points_of):
 def test_symplectic_rotation_preserves_area_form(spec_of, points_of):
     spec = spec_of("fx_action_so2")
     for p in points_of(spec, 50):
-        assert ca.structure_residual(spec, p, "symplectic").max_abs() <= 1e-15
-        assert ca.symplectic_closedness_residual(spec, p) == 0.0
+        closed, residual = ca.SYMPLECTIC.kernel(
+            eval_fields(spec, p, ca.SYMPLECTIC.reads))
+        assert residual <= 1e-15
+        assert closed == 0.0
 
 
 def test_symplectic_conformal_needs_connection(points_of):
     doc = fixture_doc("fx_sympl_conf")
     doc["connection"] = [[["0", "0"]]]
     spec = load_doc(doc)
-    res = ca.structure_residual(spec, (0.8, 0.1), "symplectic").components
+    res = ca._symplectic_residual(eval_fields(spec, (0.8, 0.1),
+                                              ca.SYMPLECTIC.reads))
     assert res[0, 0, 1] == pytest.approx(1.6, rel=1e-12)
 
 
 def test_symplectic_conformal_absorbed(spec_of, points_of):
     spec = spec_of("fx_sympl_conf")
     for p in points_of(spec, 50):
-        assert ca.structure_residual(spec, p, "symplectic").max_abs() <= 1e-14
+        f = eval_fields(spec, p, ca.SYMPLECTIC.reads)
+        assert max_abs(ca._symplectic_residual(f)) <= 1e-14
 
 
 def test_poisson_residuals(spec_of, points_of):
     linear = spec_of("fx_poisson_linear")
-    res = ca.structure_residual(linear, (0.4, -0.9), "poisson").components
+    res = ca._poisson_residual(eval_fields(linear, (0.4, -0.9), ca.POISSON.reads))
     assert res[0, 0, 1] == 1.0
     conf = spec_of("fx_sympl_conf")
     for p in points_of(conf, 50):
-        assert ca.structure_residual(conf, p, "poisson").max_abs() <= 1e-14
-
-
-def test_structure_residual_bad_kind(spec_of):
-    with pytest.raises(ValueError):
-        ca.structure_residual(spec_of("fx_sympl_conf"), (0.0, 0.0), "metric")
+        f = eval_fields(conf, p, ca.POISSON.reads)
+        assert max_abs(ca._poisson_residual(f)) <= 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +442,7 @@ def _psi_cube(entries, coords):
 def test_koszul_zero_perturbation(spec_of, points_of):
     spec = spec_of("fx_action_so2")
     psi = _psi_cube([[["0", "0"]]], ["x", "y"])
-    report = ca.koszul_delta_check(spec, psi, points_of(spec, 30))
+    report, = run_checks(spec, points_of(spec, 30), [ca.koszul_check(psi)])
     assert report.max_residual == 0.0
 
 
@@ -428,25 +454,26 @@ def test_koszul_admissible_perturbation_on_flat_frame(spec_of, points_of):
     psi_entries = [[["0", "-(1 + x*y)"], ["1 + x*y", "0"]],
                    [["0", "exp(x)"], ["-exp(x)", "0"]]]
     psi = _psi_cube(psi_entries, ["x", "y"])
-    report = ca.koszul_delta_check(spec, psi, points)
+    report, = run_checks(spec, points, [ca.koszul_check(psi)])
     assert report.max_residual <= 1e-15
     doc = fixture_doc("fx_tm_flat")
     doc["connection"] = psi_entries
     perturbed = load_doc(doc)
     for p in points:
-        assert ca.killing_residual_frame(perturbed, p).max_abs() <= 1e-15
+        assert max_abs(ca._killing_frame(eval_fields(perturbed, p, KILLING))) <= 1e-15
 
 
 def test_koszul_inadmissible_perturbation(spec_of, points_of):
     spec = spec_of("fx_action_so2")
     points = points_of(spec, 30)
     psi = _psi_cube([[["1", "0"]]], ["x", "y"])
-    report = ca.koszul_delta_check(spec, psi, points)
+    report, = run_checks(spec, points, [ca.koszul_check(psi)])
     assert report.max_residual > 0.1
     doc = fixture_doc("fx_action_so2")
     doc["connection"] = [[["1", "0"]]]
     perturbed = load_doc(doc)
-    worst = max(ca.killing_residual_frame(perturbed, p).max_abs() for p in points)
+    worst = max(max_abs(ca._killing_frame(eval_fields(perturbed, p, KILLING)))
+                for p in points)
     assert worst > 0.1
 
 
@@ -457,15 +484,8 @@ def test_koszul_builds_its_psi_block_once(spec_of, points_of, monkeypatch):
     blocks = []
     monkeypatch.setattr(ca, "eval_block", lambda block, point, order=0:
                         blocks.append(block) or eval_block(block, point, order))
-    ca.koszul_delta_check(spec, psi, points_of(spec, 5))
+    run_checks(spec, points_of(spec, 5), [ca.koszul_check(psi)])
     assert len(blocks) == 5 and all(block is blocks[0] for block in blocks)
-
-
-def test_koszul_shape_mismatch(spec_of, points_of):
-    spec = spec_of("fx_tm_flat")
-    psi = _psi_cube([[["0", "0"]]], ["x", "y"])
-    with pytest.raises(ValueError):
-        ca.koszul_delta_check(spec, psi, points_of(spec, 5))
 
 
 # --------------------------------------------------------------------------
@@ -528,11 +548,11 @@ def test_probe_rejects_outside_basepoint(spec_of):
 def test_cartan_implies_flat_induced_connections(name, spec_of, points_of):
     spec = spec_of(name)
     points = points_of(spec, 100)
-    s_max = max(ca.compatibility_tensor_frame(spec, p).max_abs() for p in points)
+    s_max = max(max_abs(ca._s_frame(eval_fields(spec, p, FRAME))) for p in points)
     if s_max <= 1e-9:
         for p in points:
-            assert ca.a_curvature(spec, p, "alpha").max_abs() <= 1e-7
-            assert ca.a_curvature(spec, p, "tau").max_abs() <= 1e-7
+            assert max_abs(ca._alpha_curvature(eval_fields(spec, p, FRAME))) <= 1e-7
+            assert max_abs(ca._tau_curvature(eval_fields(spec, p, TAU))) <= 1e-7
 
 
 @pytest.mark.parametrize("name", LIE_FIXTURES)
@@ -542,7 +562,7 @@ def test_first_derivatives_against_finite_differences(name, spec_of, points_of):
     a, b = np.divmod(np.arange(spec.rank ** 2), spec.rank)
     for p in points_of(spec, 10):
         fd = ca.s_frame_components(*_fd_arrays(spec, p), a, b)
-        jet = ca.compatibility_tensor_frame(spec, p).components[:, a, b, :]
+        jet = ca._s_frame(eval_fields(spec, p, FRAME))[:, a, b, :]
         assert float(np.max(np.abs(fd - jet))) <= 1e-6
 
 
@@ -561,10 +581,5 @@ def test_killing_derivatives_against_finite_differences(name, spec_of, points_of
             dg[:, :, k] = (eval_metric(spec, p + shift, order=0)
                            - eval_metric(spec, p - shift, order=0)) / (2 * h)
         K_fd = ca.killing_frame_components(rho, drho, g, dg, omega)
-        K = ca.killing_residual_frame(spec, p).components
+        K = ca._killing_frame(eval_fields(spec, p, KILLING))
         assert float(np.max(np.abs(K - K_fd))) <= 1e-6
-
-
-def test_tensor_sample_signature_checked():
-    with pytest.raises(ValueError):
-        ca.TensorSample(("frame_up",), np.zeros((2, 2)), (0.0, 0.0))

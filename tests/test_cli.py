@@ -67,6 +67,15 @@ def test_koszul_requires_psi_file(tmp_path):
     assert report["checks"][0]["name"] == "koszul_delta"
 
 
+def test_psi_file_with_the_wrong_block_count_exits_2(tmp_path, capsys):
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"psi": [[["0", "0"]], [["0", "0"]]]}))
+    code, text = run(tmp_path, "check", "--spec", fx("fx_action_so2"),
+                     "--koszul", "--psi-file", str(psi), "--points", "5")
+    assert code == 2 and text is None
+    assert capsys.readouterr().err == "error: psi: expected 1 blocks\n"
+
+
 def test_default_selection_is_axioms(tmp_path):
     code, text = run(tmp_path, "check", "--spec", fx("fx_so3_sphere"),
                      "--points", "10")
@@ -182,6 +191,12 @@ def test_geodesic_argument_validation(tmp_path):
     code, _ = run(tmp_path, "geodesic", "--spec", fx("fx_foliation_flat"),
                   "--x0", "0,zero", "--v0", "1,0")
     assert code == 2
+    # no step to take, or no finite number of them
+    for steps in (["--t-max", "-1"], ["--t-max", "0.04", "--h", "0.1"],
+                  ["--t-max", "inf"], ["--h", "nan"]):
+        code, text = run(tmp_path, "geodesic", "--spec", fx("fx_foliation_flat"),
+                         "--x0", "0,0", "--v0", "1,0", *steps)
+        assert code == 2 and text is None, steps
 
 
 def test_geodesic_failure_exit_code(tmp_path):
@@ -231,6 +246,10 @@ def test_config_invariants_rejected(tmp_path):
     code, _ = run(tmp_path, "check", "--spec", fx("fx_action_so2"),
                   "--tol=-1e-9")
     assert code == 2
+    for tol in ("inf", "nan"):
+        code, text = run(tmp_path, "check", "--spec", fx("fx_bla_nojacobi"),
+                         "--tol", tol)
+        assert code == 2 and text is None, tol
     code, _ = run(tmp_path, "free", "--spec", fx("fx_free_heis"),
                   "--degree", "5", "--points", "5")
     assert code == 2

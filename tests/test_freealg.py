@@ -6,7 +6,9 @@ import pytest
 from algebroid import calculus as ca
 from algebroid import freealg as fa
 from algebroid.exprjet import Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet, parse_expr
-from algebroid.spec_model import eval_fields, sample_points
+from algebroid.spec_model import (
+    check_values, eval_fields, max_abs, run_checks, sample_points,
+)
 
 from conftest import fixture_doc, load_doc
 
@@ -210,7 +212,7 @@ def test_cartan_extended_heisenberg():
     spec = _anchored("fx_free_heis")
     free = fa.free_extend(spec, 3, "quotient")
     points = sample_points(spec.chart, 50, 42)
-    report = fa.cartan_check_extended(free, points)
+    report, = run_checks(free, points, [fa.cartan_extended_check(free)])
     assert report.max_residual <= 1e-8
 
 
@@ -218,7 +220,8 @@ def test_cartan_extended_rank_one():
     spec = _anchored("fx_rho0_n1")
     free = fa.free_extend(spec, 3, "quotient")
     points = sample_points(spec.chart, 20, 42)
-    assert fa.cartan_check_extended(free, points).max_residual == 0.0
+    report, = run_checks(free, points, [fa.cartan_extended_check(free)])
+    assert report.max_residual == 0.0
 
 
 def test_cartan_extended_with_curved_generator_connection():
@@ -230,7 +233,8 @@ def test_cartan_extended_with_curved_generator_connection():
     spec = load_doc(doc)
     free = fa.free_extend(spec, 2, "quotient")
     points = sample_points(spec.chart, 30, 42)
-    assert fa.cartan_check_extended(free, points).max_residual <= 1e-8
+    report, = run_checks(free, points, [fa.cartan_extended_check(free)])
+    assert report.max_residual <= 1e-8
 
     lie_doc = fixture_doc("fx_free_heis")
     lie_doc["anchor"] = [["0", "0"], ["0", "0"]]
@@ -239,7 +243,7 @@ def test_cartan_extended_with_curved_generator_connection():
     lie_doc["structure"] = []
     lie_spec = load_doc(lie_doc)
     for p in points[:10]:
-        assert ca.compatibility_tensor_frame(lie_spec, p).max_abs() <= 1e-8
+        assert max_abs(ca._s_frame(eval_fields(lie_spec, p, ca._FRAME1))) <= 1e-8
 
 
 @pytest.mark.parametrize("name", ["fx_so3_sphere", "fx_free_heis",
@@ -315,7 +319,7 @@ def test_propagation_abelian_translations():
     spec = load_doc(fixture_doc("fx_free_abelian"))
     free = fa.free_extend(spec, 3, "quotient")
     points = sample_points(spec.chart, 50, 42)
-    report = fa.propagate_compatibility(free, points)
+    _, report = run_checks(free, points, fa.killing_checks(free))
     assert report.max_residual == 0.0
 
 
@@ -323,10 +327,10 @@ def test_propagation_nonabelian_killing_fixture():
     # generator-level oracle first, then the extension at all degrees <= 3
     spec = load_doc(fixture_doc("fx_killing_nonabelian"))
     points = sample_points(spec.chart, 50, 42)
-    assert max(ca.killing_residual_frame(spec, p).max_abs()
+    assert max(max_abs(ca._killing_frame(eval_fields(spec, p, ca.KILLING.reads)))
                for p in points) <= 1e-12
     free = fa.free_extend(spec, 3, "quotient")
-    report = fa.propagate_compatibility(free, points)
+    _, report = run_checks(free, points, fa.killing_checks(free))
     assert report.max_residual <= 1e-7
 
 
@@ -337,20 +341,17 @@ def test_propagation_rejects_incompatible_generators():
     spec = load_doc(doc)
     free = fa.free_extend(spec, 2, "quotient")
     points = sample_points(spec.chart, 20, 42)
-    with pytest.raises(fa.GeneratorCompatibilityError):
-        fa.propagate_compatibility(free, points)
+    # the failing generator row gates the extended row out of the reports
+    generators, = run_checks(free, points, fa.killing_checks(free))
+    assert generators.name == "killing_generators" and not generators.passed
 
 
-def test_propagation_requires_quotient_and_metric():
-    spec = load_doc(fixture_doc("fx_free_abelian"))
-    almost = fa.free_extend(spec, 3, "almost")
-    points = sample_points(spec.chart, 5, 42)
-    with pytest.raises(ValueError):
-        fa.propagate_compatibility(almost, points)
+def test_killing_checks_require_a_metric():
     bare = _anchored("fx_free_heis")
     free = fa.free_extend(bare, 3, "quotient")
+    points = sample_points(bare.chart, 5, 42)
     with pytest.raises(ValueError):
-        fa.propagate_compatibility(free, points)
+        run_checks(free, points, fa.killing_checks(free))
 
 
 def test_propagation_with_explicit_metric_block():
@@ -362,11 +363,11 @@ def test_propagation_with_explicit_metric_block():
             (1, 1): parse_expr("1", ["x", "y"])}
     free = fa.free_extend(replace(bare, metric=flat), 2, "quotient")
     # rho(e2) = x d_y is not Killing for the flat metric
-    with pytest.raises(fa.GeneratorCompatibilityError):
-        fa.propagate_compatibility(free, points)
+    generators, = run_checks(free, points, fa.killing_checks(free))
+    assert not generators.passed
     abelian = load_doc(fixture_doc("fx_free_abelian"))
     free_ab = fa.free_extend(replace(abelian, metric=flat), 3, "quotient")
-    report = fa.propagate_compatibility(free_ab, points)
+    _, report = run_checks(free_ab, points, fa.killing_checks(free_ab))
     assert report.max_residual == 0.0
 
 
@@ -585,7 +586,9 @@ def test_formula_reproduces_stored_extension_on_basis_pairs():
 def test_anchor_rank_growth_at_degenerate_point():
     spec = _anchored("fx_free_heis")
     free = fa.free_extend(spec, 2, "quotient")
-    profile = fa.anchor_rank_profile(free, [np.array([0.0, 0.5])])
+    values, = check_values(free, [np.array([0.0, 0.5])],
+                           [fa.rank_profile_check(free)])
+    profile = fa.profile_of(values)
     assert profile[0]["rank_generators"] == 1
     assert profile[0]["rank_extended"] == 2
     assert profile[0]["closure_defect"] <= 1e-12

@@ -13,8 +13,13 @@ import pytest
 
 from algebroid import calculus as ca
 from algebroid.spec_model import (
-    eval_anchor, eval_connection, eval_structure, load_spec, sample_points,
+    eval_anchor, eval_connection, eval_fields, eval_structure, load_spec,
+    max_abs, sample_points,
 )
+
+from conftest import dual_coefficients
+
+FRAME = ca._FRAME1
 
 
 def _poly(rng, scale=1.0):
@@ -52,8 +57,10 @@ def test_s_formula_agreement_on_random_data(seed):
     # Lie algebroid axioms assumed
     spec = load_spec(_random_doc(seed))
     for p in sample_points(spec.chart, 25, seed):
-        frame = ca.compatibility_tensor_frame(spec, p).components
-        cov = ca.compatibility_tensor_covariant(spec, p).components
+        f = eval_fields(spec, p, FRAME)
+        frame = ca._s_frame(f)
+        cov = ca.s_covariant_components(f.rho, f.drho, f.C, f.dC, f.omega,
+                                        f.domega)
         scale = max(1.0, float(np.max(np.abs(frame))))
         assert float(np.max(np.abs(frame - cov))) <= 1e-12 * scale
 
@@ -62,18 +69,19 @@ def test_s_formula_agreement_on_random_data(seed):
 def test_killing_factor_two_on_random_data(seed):
     spec = load_spec(_random_doc(seed, with_metric=True))
     for p in sample_points(spec.chart, 25, seed):
-        frame = ca.killing_residual_frame(spec, p).components
-        sym = ca.killing_residual_sym(spec, p).components
+        f = eval_fields(spec, p, ca.KILLING.reads)
+        frame, sym = ca._killing_frame(f), ca._killing_sym(f)
         scale = max(1.0, float(np.max(np.abs(frame))))
         assert float(np.max(np.abs(frame - 2.0 * sym))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_dual_connection_identities_on_random_data(seed):
-    # reflexivity and opposite torsion are asserted inside the operation
+    # reflexivity and opposite torsion are asserted inside dual_coefficients
     spec = load_spec(_random_doc(seed, rank=3))
     for p in sample_points(spec.chart, 10, seed):
-        D = ca.dual_a_connection(spec, p).components
+        D = dual_coefficients(eval_fields(
+            spec, p, {"anchor": 0, "structure": 0, "connection": 0}))
         rho = eval_anchor(spec, p)
         omega = eval_connection(spec, p)
         C = eval_structure(spec, p)
@@ -91,7 +99,7 @@ def test_fiberwise_bracket_preservation_criterion(seed):
     doc["anchor"] = [["0", "0"] for _ in range(3)]
     spec = load_spec(doc)
     for p in sample_points(spec.chart, 15, seed):
-        S = ca.compatibility_tensor_frame(spec, p).components
+        S = ca._s_frame(eval_fields(spec, p, FRAME))
         C, dC = eval_structure(spec, p, order=1)
         omega = eval_connection(spec, p)
         nabla_C = (dC.transpose(2, 0, 1, 3)
@@ -143,7 +151,8 @@ def test_tau_curvature_against_operator_composition(seed):
     spec = load_spec(_random_doc(seed))
     n, r = spec.dimension, spec.rank
     for p in sample_points(spec.chart, 4, seed + 50):
-        R = ca.a_curvature(spec, p, "tau").components    # [i, a, b, j]
+        R = ca._tau_curvature(eval_fields(           # [i, a, b, j]
+            spec, p, {"anchor": 2, "structure": 0, "connection": 1}))
         C = eval_structure(spec, p, order=0)
         for a in range(r):
             for b in range(r):
@@ -174,7 +183,7 @@ def test_alpha_curvature_against_operator_composition(seed):
     spec = load_spec(_random_doc(seed))
     r = spec.rank
     for p in sample_points(spec.chart, 4, seed + 60):
-        R = ca.a_curvature(spec, p, "alpha").components   # [d, a, b, c]
+        R = ca._alpha_curvature(eval_fields(spec, p, FRAME))   # [d, a, b, c]
         C = eval_structure(spec, p, order=0)
         for a in range(r):
             for b in range(r):
@@ -220,8 +229,9 @@ def test_probe_recovers_constant_bracket_through_gauge_twist():
     spec = load_spec(doc)
     points = sample_points(spec.chart, 30, 42)
     for p in points[:10]:
-        assert ca.compatibility_tensor_frame(spec, p).max_abs() <= 1e-15
-        assert ca.connection_curvature(spec, p).max_abs() <= 1e-15
+        f = eval_fields(spec, p, FRAME)
+        assert max_abs(ca._s_frame(f)) <= 1e-15
+        assert ca.FLAT_FRAME_GATE.kernel(f) <= 1e-15
     samples, reports = ca.flat_frame_probe(spec, (0.3, 0.0), grid_steps=4)
     by_name = {r.name: r for r in reports}
     assert by_name["flat_frame_structure_constancy"].max_residual <= 1e-6

@@ -3,8 +3,8 @@ import pytest
 
 from algebroid.exprjet import eval_jet
 from algebroid.spec_model import (
-    SchemaError, SplitMix64, check_anchor_morphism, check_jacobi,
-    eval_structure, jacobi_residual, load_spec, sample_points, validate_spec,
+    ANCHOR_MORPHISM, JACOBI, SchemaError, SplitMix64, eval_fields,
+    eval_structure, load_spec, run_checks, sample_points, validate_spec,
 )
 
 from conftest import fixture_doc, load_doc
@@ -165,14 +165,14 @@ def test_splitmix_uniform_range():
 
 def test_anchor_morphism_rank_one(spec_of, points_of):
     spec = spec_of("fx_action_so2")
-    report = check_anchor_morphism(spec, points_of(spec, 50))
+    report, = run_checks(spec, points_of(spec, 50), [ANCHOR_MORPHISM])
     assert report.passed and report.max_residual == 0.0
 
 
 def test_anchor_morphism_so3(spec_of, points_of):
     spec = spec_of("fx_so3_sphere")
     points = points_of(spec, 100)
-    report = check_anchor_morphism(spec, points)
+    report, = run_checks(spec, points, [ANCHOR_MORPHISM])
     assert report.max_residual <= 1e-10
 
 
@@ -207,7 +207,7 @@ def test_anchor_morphism_detects_sign_flip(points_of):
         if entry["a"] == 1 and entry["b"] == 2:
             entry["expr"] = "-1"
     spec = load_doc(doc)
-    report = check_anchor_morphism(spec, points_of(spec, 100))
+    report, = run_checks(spec, points_of(spec, 100), [ANCHOR_MORPHISM])
     assert report.max_residual >= 0.1
 
 
@@ -218,14 +218,14 @@ def test_anchor_morphism_detects_sign_flip(points_of):
 def test_jacobi_so3_and_bla(spec_of, points_of):
     for name in ("fx_so3_sphere", "fx_bla"):
         spec = spec_of(name)
-        report = check_jacobi(spec, points_of(spec, 50))
+        report, = run_checks(spec, points_of(spec, 50), [JACOBI])
         assert report.max_residual <= 1e-12, name
 
 
 def test_jacobi_violation_detected(spec_of, points_of):
     spec = spec_of("fx_bla_nojacobi")
     points = points_of(spec, 50)
-    report = check_jacobi(spec, points)
+    report, = run_checks(spec, points, [JACOBI])
     # [e1,[e2,e3]] + cyc = [e2,-e1] + [e3, x e3] = x e3 at this fixture
     assert report.max_residual >= 0.5
     assert not report.passed
@@ -249,7 +249,8 @@ def test_jacobi_brute_force_oracle(spec_of, points_of):
                                 total += C[y, z, e] * C[x, e, d]
                         if a < b < c:
                             worst = max(worst, abs(total))
-        assert worst == pytest.approx(jacobi_residual(spec, p), rel=1e-12)
+        residual = JACOBI.kernel(eval_fields(spec, p, JACOBI.reads))
+        assert worst == pytest.approx(residual, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +286,7 @@ def test_validate_poisson_bivector_two_dim(spec_of, points_of):
 
 def test_report_verdict_matches_tolerance(spec_of, points_of):
     spec = spec_of("fx_so3_sphere")
-    report = check_anchor_morphism(spec, points_of(spec, 20), tolerance=0.0)
+    report, = run_checks(spec, points_of(spec, 20), [ANCHOR_MORPHISM], 0.0)
     assert report.passed == (report.max_residual <= 0.0)
     as_dict = report.to_dict()
     assert set(as_dict) == {"name", "points", "max_residual", "mean_residual",
@@ -329,12 +330,10 @@ def _permuted_so3_doc(perm):
 def test_residuals_invariant_under_frame_relabeling(spec_of, points_of, perm):
     base = spec_of("fx_so3_sphere")
     permuted = load_doc(_permuted_so3_doc(list(perm)))
-    from algebroid.spec_model import anchor_morphism_residual
     for p in points_of(base, 20):
-        assert abs(anchor_morphism_residual(base, p)
-                   - anchor_morphism_residual(permuted, p)) <= 1e-12
-        assert abs(jacobi_residual(base, p)
-                   - jacobi_residual(permuted, p)) <= 1e-12
+        for row in (ANCHOR_MORPHISM, JACOBI):
+            assert abs(row.kernel(eval_fields(base, p, row.reads))
+                       - row.kernel(eval_fields(permuted, p, row.reads))) <= 1e-12
 
 
 def test_rank_one_anchored_bundle_has_canonical_bracket(points_of):
@@ -343,5 +342,5 @@ def test_rank_one_anchored_bundle_has_canonical_bracket(points_of):
     doc["mode"] = "lie"
     doc["structure"] = []
     spec = load_doc(doc)
-    report = check_anchor_morphism(spec, points_of(spec, 50))
+    report, = run_checks(spec, points_of(spec, 50), [ANCHOR_MORPHISM])
     assert report.max_residual == 0.0
