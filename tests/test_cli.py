@@ -7,6 +7,7 @@ import pytest
 from algebroid import fixture_path
 from algebroid import freealg as fa
 from algebroid import spec_model
+from algebroid.exprjet import render
 from algebroid.cli import main
 
 
@@ -389,3 +390,54 @@ def test_free_reads_each_block_once_per_point(tmp_path, monkeypatch):
     assert [reads[id(anchor), p] for p in points] == [1] * 20
     assert all(reads[id(metric), p] <= 1 for p in points)
     assert sum(reads[id(metric), p] for p in points) == 20
+
+
+
+CHART = {"coords": ["x", "y"], "domain": [[-1.0, 1.0], [-1.0, 1.0]]}
+
+
+def _sample(count):
+    chart = spec_model.ChartSpec(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    return spec_model.sample_points(chart, count)
+
+
+def _vanishing_at(point) -> str:
+    """An expression over x, y that is exactly 0 at ``point`` and positive
+    at every other point."""
+    x, y = (repr(float(c)) for c in point)
+    return f"(x - ({x}))^2 + (y - ({y}))^2"
+
+
+def test_kernel_error_at_an_earlier_point_wins(tmp_path, capsys):
+    # the metric is singular at sample point 3, where the Killing kernel
+    # raises, and the anchor takes ln(0) at sample point 5
+    points = _sample(8)
+    path = tmp_path / "two_errors.json"
+    path.write_text(json.dumps({
+        "chart": CHART, "rank": 1, "mode": "anchored",
+        "anchor": [[f"ln({_vanishing_at(points[5])})", "0"]],
+        "connection": [[["0", "0"]]],
+        "metric": [["1", "0"], ["0", _vanishing_at(points[3])]]}))
+    code, text = run(tmp_path, "check", "--spec", str(path), "--killing",
+                     "--points", "8")
+    assert code == 2 and text is None
+    point = tuple(float(c) for c in points[3])
+    assert capsys.readouterr().err == (
+        f"error: metric: leading minors [1.0, 0.0] not all positive at point "
+        f"{point}\n")
+
+
+def test_evaluation_failure_at_the_last_point_names_it(tmp_path, capsys):
+    points = _sample(20)
+    path = tmp_path / "last_point.json"
+    path.write_text(json.dumps({
+        "chart": CHART, "rank": 1, "mode": "lie",
+        "anchor": [["1", f"ln({_vanishing_at(points[-1])})"]],
+        "connection": [[["0", "0"]]]}))
+    code, text = run(tmp_path, "validate", "--spec", str(path), "--points", "20")
+    assert code == 2 and text is None
+    entry = render(spec_model.load_spec_file(path).anchor[0][1])
+    point = tuple(float(c) for c in points[-1])
+    assert capsys.readouterr().err == (
+        f"error: anchor[0][1]: ln of nonpositive value in '{entry}' at point "
+        f"{point}\n")
