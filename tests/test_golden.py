@@ -15,6 +15,10 @@ the value and derivative array bytes (so the sign of zero counts) of every
 block of every fixture at orders 0-3 at 5 sample points, and of the extended
 anchor, structure and connection of the degree-4 quotient and almost
 truncations of the four ``free`` benchmark fixtures at order 1 at 3 points.
+Frame fingerprints are frozen in ``frame_fingerprints.json``: the sha256 of
+``FrameSamples.frames`` of the flat-frame probe on every lie-mode fixture, at
+the default grid around the chart center, or the gate's message where the
+connection is curved at a grid node.
 
 Freeze (only when a report is meant to change, and say why in CHANGES.md)::
 
@@ -29,13 +33,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algebroid import fixture_path, load_spec_file, sample_points, spec_model
+from algebroid import calculus, fixture_path, load_spec_file, sample_points, spec_model
 from algebroid.cli import main
 from algebroid.freealg import free_extend
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 FINGERPRINTS = GOLDEN_DIR / "block_fingerprints.json"
+FRAME_PRINTS = GOLDEN_DIR / "frame_fingerprints.json"
 
 FIXTURES = (
     "fx_action_so2", "fx_bla", "fx_bla_const", "fx_bla_nojacobi", "fx_flat_exp",
@@ -151,6 +156,22 @@ def block_fingerprints() -> dict[str, str]:
     return out
 
 
+def frame_fingerprints() -> dict[str, str]:
+    """Lie-mode fixture -> sha256 of the probe's frames at the chart center."""
+    out = {}
+    for name in FIXTURES:
+        spec = load_spec_file(fixture_path(name))
+        if spec.mode != "lie":
+            continue
+        try:
+            samples, _ = calculus.flat_frame_probe(spec, spec.chart.center())
+        except calculus.FlatnessGateError as exc:
+            out[name] = str(exc)
+        else:
+            out[name] = hashlib.sha256(samples.frames.tobytes()).hexdigest()
+    return out
+
+
 @pytest.fixture(scope="module")
 def exit_codes():
     return json.loads(EXIT_CODES.read_text())
@@ -167,6 +188,10 @@ def test_block_fingerprints():
     assert block_fingerprints() == json.loads(FINGERPRINTS.read_text())
 
 
+def test_frame_fingerprints():
+    assert frame_fingerprints() == json.loads(FRAME_PRINTS.read_text())
+
+
 def freeze() -> None:
     import tempfile
     GOLDEN_DIR.mkdir(exist_ok=True)
@@ -179,8 +204,10 @@ def freeze() -> None:
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     prints = block_fingerprints()
     FINGERPRINTS.write_text(json.dumps(prints, indent=2, sort_keys=True) + "\n")
-    print(f"froze {len(codes)} reports and {len(prints)} block fingerprints "
-          f"under {GOLDEN_DIR}")
+    frames = frame_fingerprints()
+    FRAME_PRINTS.write_text(json.dumps(frames, indent=2, sort_keys=True) + "\n")
+    print(f"froze {len(codes)} reports, {len(prints)} block fingerprints and "
+          f"{len(frames)} frame fingerprints under {GOLDEN_DIR}")
 
 
 if __name__ == "__main__":
