@@ -25,7 +25,7 @@ import numpy as np
 from .exprjet import Block, eval_block
 from .spec_model import (
     AlgebroidSpec, Check, CheckReport, cube_entries, eval_connection,
-    eval_fields, max_abs, report_from_residuals, tolerance_of,
+    max_abs, point_fields, report_from_residuals, tolerance_of,
 )
 
 __all__ = [
@@ -124,12 +124,18 @@ def killing_frame_components(rho, drho, g, dg, omega):
     return lie - vee - np.swapaxes(vee, 1, 2)
 
 
-def christoffel_components(g, dg, point):
-    """Gamma[k,i,j] and the inverse metric of g, dg read at ``point``."""
+def require_positive_definite(g, point):
+    """Raise SingularMetricError unless the leading minors of the metric g
+    read at ``point`` are all positive."""
     minors = [float(np.linalg.det(g[:k, :k])) for k in range(1, g.shape[0] + 1)]
     if min(minors) <= 0.0:
         raise SingularMetricError(f"metric: leading minors {minors} not all "
                                   f"positive at point {tuple(map(float, point))}")
+
+
+def christoffel_components(g, dg, point):
+    """Gamma[k,i,j] and the inverse metric of g, dg read at ``point``."""
+    require_positive_definite(g, point)
     ginv = np.linalg.inv(g)
     gamma = 0.5 * (np.einsum("kl,jli->kij", ginv, dg)
                    + np.einsum("kl,ilj->kij", ginv, dg)
@@ -333,25 +339,29 @@ class FrameSamples:
     frames: np.ndarray        # (num_nodes, r, r)
 
 
-def _transport_segment(spec, q0, q1, U0):
-    """RK4 for dU/dt = -omega(gamma')U along the straight segment q0 -> q1."""
-    dx = np.asarray(q1, dtype=float) - np.asarray(q0, dtype=float)
-    W = {}      # t -> connection along dx; k2 and k3 share their midpoint
+_SUBSTEPS = 8       # RK4 steps per segment, so t runs over multiples of 1/16
 
-    def rhs(t, U):
-        if t not in W:
-            W[t] = np.einsum("i,qai->aq", dx, eval_connection(spec, q0 + t * dx))
-        return -W[t] @ U
 
-    U = U0.copy()
-    substeps = 8
-    h = 1.0 / substeps
-    for k in range(substeps):
-        t = k * h
-        k1 = rhs(t, U)
-        k2 = rhs(t + h / 2.0, U + h / 2.0 * k1)
-        k3 = rhs(t + h / 2.0, U + h / 2.0 * k2)
-        k4 = rhs(t + h, U + h * k3)
+def _segment_connections(spec, q0, q1):
+    """-omega(gamma') along the segments q0[s] -> q1[s] at the times m/16 an
+    RK4 step visits, from one batched read: shape (segments, 17, r, r)."""
+    dx = q1 - q0
+    times = np.arange(2 * _SUBSTEPS + 1) / (2 * _SUBSTEPS)
+    at = q0[:, None, :] + times[None, :, None] * dx[:, None, :]
+    omega = eval_connection(spec, at.reshape(-1, dx.shape[1]))
+    return -np.einsum("si,stqai->staq", dx,
+                      omega.reshape(at.shape[:2] + omega.shape[1:]))
+
+
+def _transport(W, U):
+    """RK4 for dU/dt = -omega(gamma')U over t in [0, 1], for a stack of
+    segments with their ``_segment_connections`` W and start frames U."""
+    h = 1.0 / _SUBSTEPS
+    for k in range(_SUBSTEPS):
+        k1 = W[:, 2 * k] @ U
+        k2 = W[:, 2 * k + 1] @ (U + h / 2.0 * k1)
+        k3 = W[:, 2 * k + 1] @ (U + h / 2.0 * k2)
+        k4 = W[:, 2 * k + 2] @ (U + h * k3)
         U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return U
 
@@ -368,32 +378,38 @@ def _grid_offsets(chart, basepoint, grid_steps):
 
 
 def _transport_grid(spec, basepoint, deltas, ranges, axis_order):
-    """Fill U on the whole grid, transporting axis by axis in ``axis_order``."""
-    r = spec.rank
-    frames = {tuple(0 for _ in deltas): np.eye(r)}
+    """Fill U on the whole grid, transporting axis by axis in ``axis_order``:
+    a stage walks the axis both ways from every node filled so far that is
+    zero on the axes still to come, and moves the j-th segments of all its
+    walks together."""
+    frames = {tuple(0 for _ in deltas): np.eye(spec.rank)}
 
     def node_point(offset):
         return basepoint + deltas * np.array(offset, dtype=float)
 
     filled_axes = []
     for axis in axis_order:
-        base_offsets = list(frames.keys())
-        for start in base_offsets:
+        walks = []
+        for start in list(frames):
             if any(start[ax] != 0 for ax in axis_order
                    if ax not in filled_axes and ax != axis):
                 continue
             for direction in (1, -1):
-                prev = start
-                ks = [k for k in ranges[axis] if k * direction > 0]
-                ks.sort(key=abs)
-                for k in ks:
-                    offset = list(prev)
-                    offset[axis] = k
-                    offset = tuple(offset)
-                    frames[offset] = _transport_segment(
-                        spec, node_point(prev), node_point(offset),
-                        frames[prev])
-                    prev = offset
+                ks = sorted((k for k in ranges[axis] if k * direction > 0), key=abs)
+                walks.append([start] + [start[:axis] + (k,) + start[axis + 1:]
+                                        for k in ks])
+        segments = [(a, b) for walk in walks for a, b in zip(walk, walk[1:])]
+        W = dict(zip(segments, _segment_connections(
+            spec, np.array([node_point(a) for a, _ in segments]),
+            np.array([node_point(b) for _, b in segments])))) if segments else {}
+        stage = {walk[0]: frames[walk[0]] for walk in walks}
+        for j in range(max(map(len, walks)) - 1):
+            steps = [(walk[j], walk[j + 1]) for walk in walks if len(walk) > j + 1]
+            U = _transport(np.array([W[step] for step in steps]),
+                           np.array([stage[a] for a, _ in steps]))
+            stage.update(zip((b for _, b in steps), U))
+        for _, b in segments:
+            frames[b] = stage[b]
         filled_axes.append(axis)
     return frames
 
@@ -405,6 +421,10 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     structure functions are constant over the grid; when the spec carries a
     metric that passes the Killing check, also monitor the metric Lie
     derivative along each transported flat section.
+
+    The node fields are read as one batch, and each axis stage of a transport
+    reads the connection as one batch at every time of every segment, in the
+    order a segment-by-segment walk meets them.
 
     Returns ``(FrameSamples, [CheckReport, ...])``: structure constancy, path
     independence, and (when applicable) the flat-section Killing residual.
@@ -420,14 +440,12 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     deltas, ranges = _grid_offsets(spec.chart, basepoint, grid_steps)
     offsets = sorted(set(np.ndindex(*[len(rg) for rg in ranges])))
     offsets = [tuple(rg[k] for rg, k in zip(ranges, idx)) for idx in offsets]
-    points = {off: basepoint + deltas * np.array(off, dtype=float)
-              for off in offsets}
-    grid_pts = list(points.values())
+    grid_pts = [basepoint + deltas * np.array(off, dtype=float) for off in offsets]
 
     reads = {"anchor": 0, "structure": 0, "connection": 1}
     if spec.metric is not None:
         reads.update(anchor=1, metric=1)
-    fields = {off: eval_fields(spec, q, reads) for off, q in points.items()}
+    fields = dict(zip(offsets, point_fields(spec, grid_pts, reads)))
 
     gate = report_from_residuals(
         "flat_frame_grid_gate", [FLAT_FRAME_GATE.kernel(f) for f in fields.values()],

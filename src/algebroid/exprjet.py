@@ -7,16 +7,20 @@ configurable order (0..3), propagated by truncated Taylor arithmetic.
 ``fd_crosscheck`` provides the independent finite-difference oracle for the
 first-order slots.
 
-Expressions are evaluated in blocks.  A :class:`Block` is a list of
-``(index, sign, expr)`` entries filling a dense array; at its first
-evaluation it compiles its entries once into a topologically ordered list of
-distinct nodes (hash-consing on node type, leaf value with its sign of zero,
-and child nodes), and each evaluation at a point builds one ``Jet`` per
-distinct node, with the same operations a tree walk would use, so shared
-subexpressions cost once per point and the arrays are bit-identical to a
-walk of each entry.  Denominator and exponent checks run where the walk ran
-them, so a failure names the same subexpression and the first entry that
-reaches it.  :func:`eval_jet` runs the same evaluator on one expression.
+Expressions are evaluated in blocks over a batch of points.  A :class:`Block`
+is a list of ``(index, sign, expr)`` entries filling a dense array; at its
+first evaluation it compiles its entries once into a topologically ordered
+list of distinct nodes (hash-consing on node type, leaf value with its sign
+of zero, and child nodes).  An evaluation runs that list over a ``(P, n)``
+array of points as forward-mode Taylor arithmetic on arrays with a leading
+point axis (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13),
+one ``Jet`` per distinct node, with the operations a walk of each entry at
+each point would use: shared subexpressions cost once per batch, and each
+point's arrays are bit-identical to a walk of each entry there.  Denominator
+and exponent checks run where the walk ran them, and a batch that fails runs
+again one point at a time, so a failure names the earliest failing point, the
+subexpression and the first entry that reaches it.  :func:`eval_jet` runs
+the same evaluator on one expression at one point.
 
 Grammar (whitespace insignificant)::
 
@@ -437,174 +441,185 @@ def diff(e: Expr, index: int) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Jets
+# Jets over a batch of points
+#
+# The array operations are elementwise in the point axis, so each point of a
+# batch gets the bytes a batch of one gives it.  The scalar coefficients of
+# a function (math.*, ``**``, reciprocals) and the domain checks run point by
+# point in Python floats: numpy's SIMD functions may differ from libm in the
+# last bit, and they do not raise.
 
 
-@dataclass
 class Jet:
-    """Truncated Taylor data of a scalar at a point: value and partials up to
-    ``order`` in ``n`` chart coordinates.  Arrays of second and third partials
-    are symmetric under index permutation by construction."""
+    """Truncated Taylor data of a scalar over a batch of points: ``parts[k]``
+    holds the k-th partials in ``n`` chart coordinates up to the order, shape
+    ``(P,) + (n,) * k``, or ``(n,) * k`` for the one point ``eval_jet``
+    returns.  Second and third partials are symmetric by construction."""
 
-    order: int
-    n: int
-    value: float
-    grad: np.ndarray | None = None          # shape (n,)
-    hess: np.ndarray | None = None          # shape (n, n)
-    third: np.ndarray | None = None         # shape (n, n, n)
+    __slots__ = ("parts",)
 
-    @staticmethod
-    def constant(value: float, n: int, order: int) -> "Jet":
-        j = Jet(order, n, float(value))
-        if order >= 1:
-            j.grad = np.zeros(n)
-        if order >= 2:
-            j.hess = np.zeros((n, n))
-        if order >= 3:
-            j.third = np.zeros((n, n, n))
-        return j
+    def __init__(self, parts):
+        self.parts = parts
+
+    order = property(lambda self: len(self.parts) - 1)
+    value = property(lambda self: self.parts[0])
+    grad = property(lambda self: self.parts[1] if self.order >= 1 else None)
+    hess = property(lambda self: self.parts[2] if self.order >= 2 else None)
+    third = property(lambda self: self.parts[3] if self.order >= 3 else None)
 
     @staticmethod
-    def coordinate(index: int, value: float, n: int, order: int) -> "Jet":
-        j = Jet.constant(value, n, order)
-        if order >= 1:
-            j.grad[index] = 1.0
-        return j
-
-    def _like(self, value: float) -> "Jet":
-        return Jet(self.order, self.n, value)
+    def constant(values, n: int, order: int) -> "Jet":
+        """Values ``values`` (an array, one per point) with zero partials."""
+        return Jet([values] + [np.zeros(values.shape + (n,) * k)
+                               for k in range(1, order + 1)])
 
     def __add__(self, other: "Jet") -> "Jet":
-        out = self._like(self.value + other.value)
-        if self.order >= 1:
-            out.grad = self.grad + other.grad
-        if self.order >= 2:
-            out.hess = self.hess + other.hess
-        if self.order >= 3:
-            out.third = self.third + other.third
-        return out
+        return Jet([a + b for a, b in zip(self.parts, other.parts)])
 
     def __sub__(self, other: "Jet") -> "Jet":
-        out = self._like(self.value - other.value)
-        if self.order >= 1:
-            out.grad = self.grad - other.grad
-        if self.order >= 2:
-            out.hess = self.hess - other.hess
-        if self.order >= 3:
-            out.third = self.third - other.third
-        return out
+        return Jet([a - b for a, b in zip(self.parts, other.parts)])
 
     def __neg__(self) -> "Jet":
-        out = self._like(-self.value)
-        if self.order >= 1:
-            out.grad = -self.grad
-        if self.order >= 2:
-            out.hess = -self.hess
-        if self.order >= 3:
-            out.third = -self.third
-        return out
+        return Jet([-a for a in self.parts])
 
     def __mul__(self, other: "Jet") -> "Jet":
-        u, v = self, other
-        out = self._like(u.value * v.value)
-        if self.order >= 1:
-            out.grad = u.grad * v.value + u.value * v.grad
-        if self.order >= 2:
-            gg = np.outer(u.grad, v.grad)
-            out.hess = u.hess * v.value + u.value * v.hess + gg + gg.T
-        if self.order >= 3:
-            a = np.einsum("ij,k->ijk", u.hess, v.grad)
-            b = np.einsum("ij,k->ijk", v.hess, u.grad)
-            mixed = (a + a.transpose(0, 2, 1) + a.transpose(2, 0, 1)
-                     + b + b.transpose(0, 2, 1) + b.transpose(2, 0, 1))
-            out.third = u.third * v.value + u.value * v.third + mixed
-        return out
+        u, v = self.parts, other.parts
+        out = [u[0] * v[0]]
+        if len(u) > 1:
+            uv, vv = u[0][..., None], v[0][..., None]
+            out.append(u[1] * vv + uv * v[1])
+        if len(u) > 2:
+            uv, vv = uv[..., None], vv[..., None]
+            gg = u[1][..., :, None] * v[1][..., None, :]
+            out.append(u[2] * vv + uv * v[2] + gg + gg.swapaxes(-1, -2))
+        if len(u) > 3:
+            a = np.einsum("...ij,...k->...ijk", u[2], v[1])
+            b = np.einsum("...ij,...k->...ijk", v[2], u[1])
+            mixed = (a + a.swapaxes(-1, -2) + _cycle(a)
+                     + b + b.swapaxes(-1, -2) + _cycle(b))
+            out.append(u[3] * vv[..., None] + uv[..., None] * v[3] + mixed)
+        return Jet(out)
 
-    def compose(self, f0: float, f1: float = 0.0, f2: float = 0.0,
-                f3: float = 0.0) -> "Jet":
-        """Chain rule: apply a univariate function with derivatives f0..f3 at
-        this jet's value."""
-        out = self._like(f0)
-        if self.order >= 1:
-            out.grad = f1 * self.grad
-        if self.order >= 2:
-            out.hess = f2 * np.outer(self.grad, self.grad) + f1 * self.hess
-        if self.order >= 3:
-            g = self.grad
-            a = np.einsum("ij,k->ijk", self.hess, g)
-            out.third = (f3 * np.einsum("i,j,k->ijk", g, g, g)
-                         + f2 * (a + a.transpose(0, 2, 1) + a.transpose(2, 0, 1))
-                         + f1 * self.third)
-        return out
-
-    def reciprocal(self) -> "Jet":
-        v = self.value
-        return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
-
-    def __truediv__(self, other: "Jet") -> "Jet":
-        return self * other.reciprocal()
+    def compose(self, f0, f1, f2, f3) -> "Jet":
+        """Chain rule: apply a univariate function whose derivatives at each
+        point's value are ``f0``..``f3`` (arrays, one entry per point)."""
+        out, g, h, t = [f0], self.grad, self.hess, self.third
+        if g is not None:
+            f1 = f1[..., None]
+            out.append(f1 * g)
+        if h is not None:
+            f1, f2 = f1[..., None], f2[..., None, None]
+            out.append(f2 * (g[..., :, None] * g[..., None, :]) + f1 * h)
+        if t is not None:
+            a = np.einsum("...ij,...k->...ijk", h, g)
+            out.append(f3[..., None, None, None]
+                       * np.einsum("...i,...j,...k->...ijk", g, g, g)
+                       + f2[..., None] * (a + a.swapaxes(-1, -2) + _cycle(a))
+                       + f1[..., None] * t)
+        return Jet(out)
 
     def int_pow(self, k: int) -> "Jet":
         """Nonnegative integer power by repeated multiplication."""
-        out = Jet.constant(1.0, self.n, self.order)
+        out = Jet([np.ones(self.value.shape)] + [np.zeros(p.shape) for p in self.parts[1:]])
         for _ in range(k):
             out = out * self
         return out
 
 
-def _apply_call(func: str, u: Jet, node: Expr, point) -> Jet:
-    v = u.value
-    if func == "sin":
-        s, c = math.sin(v), math.cos(v)
-        return u.compose(s, c, -s, -c)
-    if func == "cos":
-        s, c = math.sin(v), math.cos(v)
-        return u.compose(c, -s, -c, s)
-    if func == "tan":
-        t = math.tan(v)
-        sec2 = 1.0 + t * t
-        return u.compose(t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t))
-    if func == "exp":
-        ev = math.exp(v)
-        return u.compose(ev, ev, ev, ev)
-    if func == "ln":
+def _cycle(a):
+    """``a[..., i, j, k]`` moved to ``[..., k, i, j]``."""
+    return a.swapaxes(-1, -2).swapaxes(-2, -3)
+
+
+def _pointwise(rule, node, points, *columns) -> list:
+    """``rule(*values, point)`` at each point, over the per-point values of
+    ``columns`` as Python floats; a float error names its point."""
+    out = []
+    for point, *values in zip(points, *(c.tolist() for c in columns)):
+        try:
+            out.append(rule(*values, point))
+        except tuple(_ARITH_REASONS) as exc:
+            raise EvalDomainError(_ARITH_REASONS[type(exc)], node, point) from None
+    return out
+
+
+def _compose(u: Jet, rule, node, points) -> Jet:
+    """``u`` composed with the function whose derivatives ``rule`` gives at
+    a point's value."""
+    return u.compose(*np.array(_pointwise(rule, node, points, u.value), dtype=float).T)
+
+
+def _reciprocal(u: Jet, node, points) -> Jet:
+    return _compose(u, lambda v, _: (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4),
+                    node, points)
+
+
+def _call_rule(func: str, order: int, node: Expr):
+    """The derivatives of ``func`` at a point's value."""
+    def rule(v, point):
+        if func == "sin":
+            s, c = math.sin(v), math.cos(v)
+            return s, c, -s, -c
+        if func == "cos":
+            s, c = math.sin(v), math.cos(v)
+            return c, -s, -c, s
+        if func == "tan":
+            t = math.tan(v)
+            sec2 = 1.0 + t * t
+            return t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t)
+        if func == "exp":
+            ev = math.exp(v)
+            return ev, ev, ev, ev
+        if func == "ln":
+            if v <= 0.0:
+                raise EvalDomainError("ln of nonpositive value", node, point)
+            return math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3
+        if func == "sqrt":
+            if v < 0.0:
+                raise EvalDomainError("sqrt of negative value", node, point)
+            s = math.sqrt(v)
+            if order == 0:
+                return s, 0.0, 0.0, 0.0
+            if v == 0.0:
+                raise EvalDomainError("sqrt derivative at zero", node, point)
+            return s, 0.5 / s, -0.25 / v**1.5, 0.375 / v**2.5
+        if func == "tanh":
+            t = math.tanh(v)
+            d1 = 1.0 - t * t
+            return t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0)
+        if func == "abs":
+            sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
+            return abs(v), sign, 0.0, 0.0
+        raise ExprError(f"unknown function '{func}'")  # pragma: no cover
+    return rule
+
+
+def _power(base: Jet, p, node: Expr, points) -> Jet:
+    """``base`` raised to the constant exponent values ``p``: an integer
+    power by repeated multiplication (or its reciprocal), else the chain
+    rule.  Points whose exponents differ go one at a time."""
+    def rule(p, v, point):
+        if p == round(p) and abs(p) <= 1024:
+            k = int(round(p))
+            if k < 0 and v == 0.0:
+                raise EvalDomainError("division by zero", node, point)
+            return k
         if v <= 0.0:
-            raise EvalDomainError("ln of nonpositive value", node, point)
-        return u.compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
-    if func == "sqrt":
-        if v < 0.0:
-            raise EvalDomainError("sqrt of negative value", node, point)
-        s = math.sqrt(v)
-        if u.order == 0:
-            return u.compose(s)
-        if v == 0.0:
-            raise EvalDomainError("sqrt derivative at zero", node, point)
-        return u.compose(s, 0.5 / s, -0.25 / v**1.5, 0.375 / v**2.5)
-    if func == "tanh":
-        t = math.tanh(v)
-        d1 = 1.0 - t * t
-        return u.compose(t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0))
-    if func == "abs":
-        sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
-        return u.compose(abs(v), sign, 0.0, 0.0)
-    raise ExprError(f"unknown function '{func}'")  # pragma: no cover
+            raise EvalDomainError("non-integer power of nonpositive base", node, point)
+        return p        # a float: non-integral, or too large for repeated products
 
-
-def _power(base: Jet, p: float, node: Expr, point) -> Jet:
-    """``base`` raised to the constant exponent value ``p``."""
-    if p == round(p) and abs(p) <= 1024:
-        k = int(round(p))
-        if k >= 0:
-            return base.int_pow(k)
-        if base.value == 0.0:
-            raise EvalDomainError("division by zero", node, point)
-        return base.int_pow(-k).reciprocal()
-    if base.value <= 0.0:
-        raise EvalDomainError("non-integer power of nonpositive base", node, point)
-    v = base.value
-    return base.compose(v**p, p * v**(p - 1.0),
-                        p * (p - 1.0) * v**(p - 2.0),
-                        p * (p - 1.0) * (p - 2.0) * v**(p - 3.0))
+    keys = _pointwise(rule, node, points, p, base.value)
+    if len(set(keys)) > 1:
+        rows = [_power(Jet([part[k:k + 1] for part in base.parts]), p[k:k + 1], node,
+                       points[k:k + 1]) for k in range(len(keys))]
+        return Jet([np.concatenate(parts) for parts in zip(*(j.parts for j in rows))])
+    key = keys[0]
+    if type(key) is int:
+        jet = base.int_pow(abs(key))
+        return _reciprocal(jet, node, points) if key < 0 else jet
+    return _compose(base, lambda v, _: (
+        v**key, key * v**(key - 1.0), key * (key - 1.0) * v**(key - 2.0),
+        key * (key - 1.0) * (key - 2.0) * v**(key - 3.0)), node, points)
 
 
 # --------------------------------------------------------------------------
@@ -678,9 +693,12 @@ class _Program:
         slot = self._seen[(id(e), raised)] = self._emit(key, e, raised)
         return slot
 
-    def run(self, point, n: int, order: int) -> list:
-        """The jet of every slot at ``point``; a failure raises
-        :class:`EvalDomainError` with ``step`` set to the failing step."""
+    # overflow makes inf or nan, which the checks report as failures
+    @np.errstate(over="ignore", invalid="ignore")
+    def run(self, points, n: int, order: int) -> list:
+        """The jet of every slot over the ``(P, n)`` array ``points``; a
+        failure raises :class:`EvalDomainError` at a failing point, with
+        ``step`` set to the failing step."""
         if not 0 <= order <= 3:
             raise ValueError("jet order must be in 0..3")
         jets = []
@@ -690,9 +708,11 @@ class _Program:
             o = raised_order if raised else order
             try:
                 if op == _NUM:
-                    append(Jet.constant(a, n, o))
+                    append(Jet.constant(np.full(len(points), a), n, o))
                 elif op == _VAR:
-                    append(Jet.coordinate(a, float(point[a]), n, o))
+                    append(Jet.constant(points[:, a], n, o))
+                    if o:
+                        jets[-1].parts[1][:, a] = 1.0
                 elif op == _MUL:
                     append(jets[a] * jets[b])
                 elif op == _ADD:
@@ -702,20 +722,20 @@ class _Program:
                 elif op == _NEG:
                     append(-jets[a])
                 elif op == _CALL:
-                    append(_apply_call(a, jets[b], node, point))
+                    append(_compose(jets[b], _call_rule(a, o, node), node, points))
                 elif op == _DIV:
-                    append(jets[a] * jets[b].reciprocal())
+                    append(jets[a] * _reciprocal(jets[b], node, points))
                 elif op == _POW:
-                    append(_power(jets[a], jets[b].value, node, point))
+                    append(_power(jets[a], jets[b].value, node, points))
                 elif op == _NONZERO:
-                    if jets[a].value == 0.0:
-                        raise EvalDomainError("division by zero", node, point)
-                elif np.any(jets[a].grad != 0.0):           # _CONSTANT
-                    raise EvalDomainError("non-constant exponent", node, point)
-            except tuple(_ARITH_REASONS) as exc:
-                err = EvalDomainError(_ARITH_REASONS[type(exc)], node, point)
-                err.step = step
-                raise err from None
+                    zero = jets[a].value == 0.0
+                    if zero.any():
+                        raise EvalDomainError("division by zero", node,
+                                              points[int(np.argmax(zero))])
+                elif np.count_nonzero(jets[a].grad):            # _CONSTANT
+                    varies = (jets[a].grad != 0.0).any(axis=1)
+                    raise EvalDomainError("non-constant exponent", node,
+                                          points[int(np.argmax(varies))])
             except EvalDomainError as err:
                 err.step = step
                 raise
@@ -755,51 +775,59 @@ class Block:
     def program(self) -> _Program:
         return _Program([e for _, _, e in self.written])
 
+    def point_bytes(self, n: int, order: int) -> int:
+        """Bytes a point takes in the slots and arrays of an evaluation."""
+        def floats(o):
+            return sum(n ** k for k in range(o + 1))
+        return 8 * (sum(floats(max(order, 1) if raised else order)
+                        for op, _, _, raised, _ in self.program.steps if op <= _CALL)
+                    + math.prod(self.shape) * floats(order))
+
 
 def eval_jet(e: Expr, point, order: int = 1, n: int | None = None) -> Jet:
     """Evaluate ``e`` at ``point`` together with all partials up to ``order``.
 
     ``point`` supplies one real per chart coordinate; ``n`` defaults to
-    ``len(point)``.  This is the block evaluator on one entry.
+    ``len(point)``.  This is the block evaluator on one entry, at a batch of
+    one point; the jet it returns has no point axis.
     """
     point = np.asarray(point, dtype=float)
     if n is None:
         n = point.shape[0]
     program = _Program([e])
-    return program.run(point, n, order)[program.roots[0]]
+    jet = program.run(point.reshape(1, -1), n, order)[program.roots[0]]
+    return Jet([part[0] for part in jet.parts])
 
 
-def eval_block(block: Block, point, order: int = 0):
-    """Dense value and derivative arrays of a :class:`Block` at a point.
+def eval_block(block: Block, points, order: int = 0):
+    """Dense value and derivative arrays of a :class:`Block` at a point, or
+    at each point of a ``(P, n)`` batch (with a leading point axis).
 
-    Each distinct subexpression of the block's entries is evaluated once, so
-    a mirrored entry is an exact copy or an exact negation.  Returns
-    ``[value, d1, ...]`` up to ``order``, of shapes ``shape``,
+    Each distinct subexpression of the block's entries is evaluated once per
+    batch, so a mirrored entry is an exact copy or an exact negation.
+    Returns ``[value, d1, ...]`` up to ``order``, of shapes ``shape``,
     ``shape + (n,)``, ...  A failure raises :class:`EvalDomainError` naming
-    the entry as ``label[i][j]...``.
+    the entry as ``label[i][j]...`` and the earliest failing point.
     """
-    point = np.asarray(point, dtype=float)
-    n = point.shape[0]
+    points = np.asarray(points, dtype=float)
+    batch = points.reshape(-1, points.shape[-1])
+    count, n = batch.shape
     program = block.program
     try:
-        jets = program.run(point, n, order)
+        jets = program.run(batch, n, order)
     except EvalDomainError as exc:
+        if count > 1:           # the earliest failing point raises its own error
+            for point in batch:
+                eval_block(block, point, order)
         index = block.written[program.entry_of(exc.step)][0]
         path = block.label + "".join(f"[{i}]" for i in index)
         raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
-    arrays = [np.zeros(block.shape + (n,) * k) for k in range(order + 1)]
-    value, derivs = arrays[0], arrays[1:]
+    arrays = [np.zeros((count,) + block.shape + (n,) * k) for k in range(order + 1)]
     for (index, sign, _), slot in zip(block.written, program.roots):
-        jet = jets[slot]
-        if sign > 0:
-            value[index] = jet.value
-            for array, part in zip(derivs, (jet.grad, jet.hess, jet.third)):
-                array[index] = part
-        else:
-            value[index] = -jet.value
-            for array, part in zip(derivs, (jet.grad, jet.hess, jet.third)):
-                array[index] = -part
-    return arrays
+        at = (slice(None),) + index
+        for array, part in zip(arrays, jets[slot].parts):
+            array[at] = part if sign > 0 else -part
+    return arrays if points.ndim > 1 else [array[0] for array in arrays]
 
 
 def fd_crosscheck(e: Expr, point, h: float = 1e-4) -> float:

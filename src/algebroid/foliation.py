@@ -16,9 +16,9 @@ import numpy as np
 
 from .spec_model import (
     AlgebroidSpec, CheckReport, check_values, eval_anchor, eval_connection,
-    eval_metric, report_from_residuals, tolerance_of,
+    eval_metric, point_fields, report_from_residuals, tolerance_of,
 )
-from .calculus import KILLING, christoffel_components
+from .calculus import KILLING, christoffel_components, require_positive_definite
 
 __all__ = [
     "GeodesicTrace", "geodesic_integrate", "orthogonality_monitor",
@@ -106,11 +106,12 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
     T = len(times)
     if len(gs) < T:             # the last stored point started no step
         gs.append(eval_metric(spec, xs[-1], order=0))
+        require_positive_definite(gs[-1], xs[-1])
+    rhos = eval_anchor(spec, np.array(xs), order=0)
     energies = np.zeros(T)
     orth_raw = np.zeros((T, r))
     orth_flat = np.zeros((T, r))
-    for k, g in enumerate(gs):
-        rho = eval_anchor(spec, xs[k], order=0)
+    for k, (g, rho) in enumerate(zip(gs, rhos)):
         energies[k] = float(vs[k] @ g @ vs[k])
         orth_raw[k] = np.einsum("i,ij,aj->a", vs[k], g, rho)
         rho_flat = np.einsum("pa,pj->aj", Us[k], rho)
@@ -123,11 +124,9 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
                          exit_time=exit_time)
 
 
-def _span_projection_norm(spec: AlgebroidSpec, x, v):
-    """g-norm of the projection of v onto span{rho_a(x)}: the distance of v
+def _span_projection_norm(g, rho, v):
+    """g-norm of the projection of v onto span{rho_a}: the distance of v
     from the orthogonal complement of the realized anchor span."""
-    g = eval_metric(spec, x, order=0)
-    rho = eval_anchor(spec, x, order=0)
     G = rho @ g @ rho.T
     b = rho @ g @ v
     scale = max(1.0, float(np.max(np.abs(G))))
@@ -159,8 +158,9 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
         drift = np.max(np.abs(values - values[0]), axis=1)
         name = "orthogonality_flat_frame"
     else:
-        norms = np.array([_span_projection_norm(spec, x, v)
-                          for x, v in zip(trace.positions, trace.velocities)])
+        fields = point_fields(spec, trace.positions, {"metric": 0, "anchor": 0})
+        norms = np.array([_span_projection_norm(f.g, f.rho, v)
+                          for f, v in zip(fields, trace.velocities)])
         drift = np.abs(norms - norms[0])
         name = "orthogonality_raw_span"
 

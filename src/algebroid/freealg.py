@@ -402,6 +402,27 @@ def _conn_add(store: dict, w: HallWord, comps):
         store[w] = tuple(e_add(a, b) for a, b in zip(cur, comps))
 
 
+# The spec, degree and magma-word anchors of the last build, so that the
+# quotient and almost truncations of one spec compute the anchors once.
+_last_anchors: tuple = (None, 0, {})
+
+
+def _magma_anchors(spec: AlgebroidSpec, levels) -> dict:
+    """Anchor expressions of every word in the magma ``levels``: the spec's
+    for the generators, vector-field commutators for the rest."""
+    global _last_anchors
+    held, degree, anchor = _last_anchors
+    if held is not spec or degree != len(levels):
+        n = spec.dimension
+        anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
+        for level in levels[1:]:
+            for w in level:
+                u, v = w.parts
+                anchor[w] = _commutator_exprs(anchor[u], anchor[v], n)
+        _last_anchors = (spec, len(levels), anchor)
+    return dict(anchor)
+
+
 def free_extend(spec: AlgebroidSpec, degree: int = 3,
                 mode: str = "quotient", seed: int = 42) -> FreeTruncation:
     """Construct the degree-truncated free almost-Lie algebroid over the
@@ -412,18 +433,9 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
         raise ValueError(f"mode must be 'almost' or 'quotient', got {mode!r}")
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
-    n = spec.dimension
     levels = magma_basis(spec.rank, degree)
     words = [w for level in levels for w in level]
-
-    anchor: dict = {}
-    for a, w in enumerate(levels[0]):
-        anchor[w] = tuple(spec.anchor[a][i] for i in range(n))
-    for level in levels[1:]:
-        for w in level:
-            u, v = w.parts
-            anchor[w] = _commutator_exprs(anchor[u], anchor[v], n)
-
+    anchor = _magma_anchors(spec, levels)
     table = _almost_table(words, degree)
 
     if mode == "quotient":

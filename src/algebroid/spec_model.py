@@ -23,13 +23,14 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .exprjet import (
-    Block, Expr, Num, Neg, FUNCTIONS, ParseError, eval_block, parse_expr,
+    Block, EvalDomainError, Expr, Num, Neg, FUNCTIONS, ParseError, eval_block,
+    parse_expr,
 )
 
 __all__ = [
     "ChartSpec", "AlgebroidSpec", "CheckReport", "SchemaError", "Check",
     "TOLERANCES", "load_spec", "load_spec_file", "sample_points",
-    "eval_fields", "check_values", "reduce_checks", "run_checks",
+    "eval_fields", "point_fields", "check_values", "reduce_checks", "run_checks",
     "ANCHOR_MORPHISM", "JACOBI", "validate_spec",
 ]
 
@@ -37,6 +38,9 @@ DEFAULT_POINTS = 100
 DEFAULT_SEED = 42
 
 _DEFINITENESS_FLOOR = 1e-12
+
+# Bytes of evaluation slots and block arrays a chunk of point_fields takes
+CHUNK_BYTES = 1 << 20
 
 # Default tolerance of every check, by report name.  A zero entry marks an
 # exact or margin test, which a --tol override leaves alone.
@@ -161,10 +165,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -499,7 +499,8 @@ def eval_fields(source, p, orders: Mapping[str, int]):
     """Each block named in ``orders`` evaluated once at ``p`` up to its order;
     the arrays are attributes named by FIELD_NAMES (``f.rho``, ``f.dC``...).
     ``source`` is any block source: an object with ``block_entries``, such as
-    an ``AlgebroidSpec`` or a ``freealg.FreeTruncation``."""
+    an ``AlgebroidSpec`` or a ``freealg.FreeTruncation``.  ``p`` is a point,
+    or a ``(P, n)`` batch whose arrays then lead with the point axis."""
     readers = {"anchor": eval_anchor, "structure": eval_structure,
                "connection": eval_connection, "psi": eval_psi,
                "metric": eval_metric, "two_form": eval_two_form,
@@ -511,6 +512,28 @@ def eval_fields(source, p, orders: Mapping[str, int]):
         for name, array in zip(FIELD_NAMES[block], arrays):
             setattr(fields, name, array)
     return fields
+
+
+def point_fields(source, points, orders: Mapping[str, int]):
+    """Yield ``eval_fields`` at each of ``points`` in turn, read in chunks of
+    as many points as fit ``CHUNK_BYTES`` (at least one): a point's arrays are
+    views of its chunk's.  A chunk whose read fails is read again point by
+    point, so the error comes where a point-by-point read meets it, after the
+    points before it were yielded."""
+    blocks = source.block_entries
+    size = max(1, CHUNK_BYTES // max(1, sum(
+        blocks[b].point_bytes(np.shape(points)[-1], o) for b, o in orders.items()
+        if b in blocks)))
+    for start in range(0, len(points), size):
+        chunk = points[start:start + size]
+        try:
+            batch = eval_fields(source, np.array(chunk), orders)
+        except EvalDomainError:
+            yield from (eval_fields(source, p, orders) for p in chunk)
+            continue
+        names = [name for name in vars(batch) if name != "point"]
+        for k, p in enumerate(chunk):
+            yield SimpleNamespace(point=p, **{n: getattr(batch, n)[k] for n in names})
 
 
 # --------------------------------------------------------------------------
@@ -538,17 +561,16 @@ class Check(NamedTuple):
 
 
 def check_values(source, points, checks) -> list[np.ndarray]:
-    """One streaming pass over ``points``: at each point every block the
-    checks read is evaluated once, at the highest order any of them reads,
-    every check's kernel runs, and the fields are dropped.  Returns each
-    check's values, shape (points, names)."""
+    """One streaming pass over ``points`` (``point_fields``): each block the
+    checks read is evaluated once per chunk of points, at the highest order
+    any of them reads, and every check's kernel runs at each point on its
+    slices.  Returns each check's values, shape (points, names)."""
     orders: dict[str, int] = {}
     for check in checks:
         for block, order in check.reads.items():
             orders[block] = max(order, orders.get(block, 0))
     values: list[list] = [[] for _ in checks]
-    for p in points:
-        f = eval_fields(source, p, orders)
+    for f in point_fields(source, points, orders):
         for check, out in zip(checks, values):
             out.append(check.kernel(f))
     return [np.array(out, dtype=float).reshape(len(points), -1) for out in values]

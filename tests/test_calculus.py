@@ -481,9 +481,12 @@ def test_koszul_builds_its_psi_block_once(spec_of, points_of, monkeypatch):
     spec = spec_of("fx_tm_flat")
     psi = _psi_cube([[["0", "x"], ["y", "0"]], [["1", "0"], ["0", "x*y"]]],
                     ["x", "y"])
-    blocks = []
-    monkeypatch.setattr(ca, "eval_block", lambda block, point, order=0:
-                        blocks.append(block) or eval_block(block, point, order))
+    blocks = []             # the block read, once per point read
+
+    def counting(block, points, order=0):
+        blocks.extend([block] * len(np.reshape(points, (-1, spec.dimension))))
+        return eval_block(block, points, order)
+    monkeypatch.setattr(ca, "eval_block", counting)
     run_checks(spec, points_of(spec, 5), [ca.koszul_check(psi)])
     assert len(blocks) == 5 and all(block is blocks[0] for block in blocks)
 

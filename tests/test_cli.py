@@ -2,6 +2,7 @@ import csv
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from algebroid import fixture_path
@@ -372,9 +373,11 @@ def test_free_reads_each_block_once_per_point(tmp_path, monkeypatch):
     reads = Counter()          # (id of the block, point) -> evaluations
 
     def counting(eval_block):
-        def wrapped(block, point, order=0):
-            reads[id(block), tuple(point)] += 1
-            return eval_block(block, point, order)
+        def wrapped(block, points, order=0):
+            # one point, or each point of a batch
+            for point in np.reshape(points, (-1, np.shape(points)[-1])):
+                reads[id(block), tuple(point)] += 1
+            return eval_block(block, points, order)
         return wrapped
 
     monkeypatch.setattr(fa, "free_extend", recording_extend)
@@ -441,3 +444,20 @@ def test_evaluation_failure_at_the_last_point_names_it(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: anchor[0][1]: ln of nonpositive value in '{entry}' at point "
         f"{point}\n")
+
+
+def test_geodesic_rejects_an_indefinite_metric_at_the_last_point(tmp_path, capsys):
+    # metric diag(1, y): falling toward y = 0, the 25th RK4 step of this
+    # size keeps its stages at y > 0 but lands at y = -2.6e-5; the last of
+    # the 26 stored points starts no step and is off the monitor's stride 2
+    path = tmp_path / "diag_y.json"
+    path.write_text(json.dumps({
+        "chart": CHART, "rank": 1, "mode": "lie", "anchor": [["1", "0"]],
+        "connection": [[["0", "0"]]], "metric": [["1", "0"], ["0", "y"]]}))
+    h = 0.04814061990234344
+    code, text = run(tmp_path, "geodesic", "--spec", str(path), "--x0=0,0.9",
+                     "--v0=0,-0.5", "--t-max", repr(25 * h), "--h", repr(h))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: metric: leading minors [1.0, -2.62895")
+    assert err.endswith("not all positive at point (0.0, -2.6289511472446514e-05)\n")

@@ -274,26 +274,26 @@ def test_fd_crosscheck_all_fixture_expressions():
 # Jet arithmetic properties
 
 
-def _random_jet(rng, n=2, order=3):
-    j = Jet.constant(rng.uniform(-2, 2), n, order)
-    j.grad = rng.uniform(-2, 2, size=n)
-    h = rng.uniform(-2, 2, size=(n, n))
-    j.hess = h + h.T
-    t = rng.uniform(-2, 2, size=(n, n, n))
-    j.third = sum(t.transpose(p) for p in
-                  [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
-    return j
+def _random_jet(rng, points=4, n=2):
+    """A random third-order jet over a batch of points."""
+    h = rng.uniform(-2, 2, size=(points, n, n))
+    t = rng.uniform(-2, 2, size=(points, n, n, n))
+    return Jet([rng.uniform(-2, 2, size=points), rng.uniform(-2, 2, size=(points, n)),
+                h + np.swapaxes(h, 1, 2),
+                sum(t.transpose((0,) + tuple(1 + k for k in p)) for p in
+                    [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])])
 
 
 def _jet_close(a, b, rel=1e-12):
-    scale = max(1.0, abs(a.value))
-    ok = abs(a.value - b.value) <= rel * scale
-    for part in ("grad", "hess", "third"):
-        pa, pb = getattr(a, part), getattr(b, part)
-        if pa is not None:
-            scale = max(1.0, float(np.max(np.abs(pa))))
-            ok = ok and float(np.max(np.abs(pa - pb))) <= rel * scale
-    return ok
+    # the same test as one point at a time: each point's scale is its own
+    for k in range(len(a.value)):
+        ok = abs(a.value[k] - b.value[k]) <= rel * max(1.0, abs(a.value[k]))
+        for pa, pb in zip(a.parts[1:], b.parts[1:]):
+            scale = max(1.0, float(np.max(np.abs(pa[k]))))
+            ok = ok and float(np.max(np.abs(pa[k] - pb[k]))) <= rel * scale
+        if not ok:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("seed", range(5))

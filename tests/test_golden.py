@@ -15,6 +15,7 @@ the value and derivative array bytes (so the sign of zero counts) of every
 block of every fixture at orders 0-3 at 5 sample points, and of the extended
 anchor, structure and connection of the degree-4 quotient and almost
 truncations of the four ``free`` benchmark fixtures at order 1 at 3 points.
+They are checked with the points read one at a time and as one batch.
 Frame fingerprints are frozen in ``frame_fingerprints.json``: the sha256 of
 ``FrameSamples.frames`` of the flat-frame probe on every lie-mode fixture, at
 the default grid around the chart center, or the gate's message where the
@@ -125,17 +126,21 @@ FREE_FIXTURES = ("fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
                  "fx_killing_nonabelian")
 
 
-def _fingerprint(source, block, points, order) -> str:
+def _fingerprint(source, block, points, order, batched) -> str:
+    """sha256 of the arrays point by point, read as one batch of all the
+    points or one point at a time."""
     digest = hashlib.sha256()
     read = getattr(spec_model, f"eval_{block}")
-    for p in points:
-        arrays = read(source, p, order)
-        for array in (arrays,) if order == 0 else arrays:
-            digest.update(np.ascontiguousarray(array).tobytes())
+    batches = [np.array(points)] if batched else [[p] for p in points]
+    for batch in batches:
+        arrays = read(source, np.array(batch), order)
+        for k in range(len(batch)):
+            for array in (arrays,) if order == 0 else arrays:
+                digest.update(np.ascontiguousarray(array[k]).tobytes())
     return digest.hexdigest()
 
 
-def block_fingerprints() -> dict[str, str]:
+def block_fingerprints(batched: bool = False) -> dict[str, str]:
     """Case id -> sha256 of the block arrays at the sample points."""
     out = {}
     for name in FIXTURES:
@@ -143,16 +148,16 @@ def block_fingerprints() -> dict[str, str]:
         points = sample_points(spec.chart, 5)
         for block in spec.block_entries:
             for order in range(4):
-                out[f"{name}/{block}/o{order}"] = _fingerprint(spec, block,
-                                                               points, order)
+                out[f"{name}/{block}/o{order}"] = _fingerprint(
+                    spec, block, points, order, batched)
     for name in FREE_FIXTURES:
         spec = load_spec_file(fixture_path(name))
         points = sample_points(spec.chart, 3)
         for mode in ("quotient", "almost"):
             free = free_extend(spec, 4, mode)
             for block in ("anchor", "structure", "connection"):
-                out[f"free/{name}/{mode}/{block}"] = _fingerprint(free, block,
-                                                                  points, 1)
+                out[f"free/{name}/{mode}/{block}"] = _fingerprint(
+                    free, block, points, 1, batched)
     return out
 
 
@@ -186,6 +191,10 @@ def test_golden_report(case, exit_codes, tmp_path):
 
 def test_block_fingerprints():
     assert block_fingerprints() == json.loads(FINGERPRINTS.read_text())
+
+
+def test_block_fingerprints_batched():
+    assert block_fingerprints(batched=True) == json.loads(FINGERPRINTS.read_text())
 
 
 def test_frame_fingerprints():
