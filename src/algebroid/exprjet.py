@@ -520,7 +520,8 @@ class Jet:
 
     def int_pow(self, k: int) -> "Jet":
         """Nonnegative integer power by repeated multiplication."""
-        out = Jet([np.ones(self.value.shape)] + [np.zeros(p.shape) for p in self.parts[1:]])
+        out = Jet([np.ones(self.value.shape)]
+                  + [np.zeros(part.shape) for part in self.parts[1:]])
         for _ in range(k):
             out = out * self
         return out

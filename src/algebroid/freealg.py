@@ -276,12 +276,9 @@ def _eliminate(rows, level_words, ref_point, aux_points):
                    for r_i, row in enumerate(rows) for w, coeff in row.items()],
                   (len(rows), len(cols)), "relation")
 
-    def matrix_at(point):
-        return eval_block(block, point)[0]
-
-    M = matrix_at(ref_point)
-    for q in aux_points:
-        if float(np.max(np.abs(matrix_at(q) - M))) > 1e-9:
+    M, *others = eval_block(block, np.array([ref_point, *aux_points]))[0]
+    for other in others:
+        if float(np.max(np.abs(other - M))) > 1e-9:
             raise NonLocallyFreeError("non-locally-free locus detected: relation "
                                       "coefficients vary across sample points")
 

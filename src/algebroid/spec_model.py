@@ -222,11 +222,8 @@ def sample_points(chart: ChartSpec, count: int = DEFAULT_POINTS,
                   seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """Draw ``count`` points uniformly from the chart domain box."""
     rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        p = np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
-        out.append(p)
-    return out
+    return [np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
+            for _ in range(count)]
 
 
 # --------------------------------------------------------------------------
