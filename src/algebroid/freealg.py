@@ -399,25 +399,19 @@ def _conn_add(store: dict, w: HallWord, comps):
         store[w] = tuple(e_add(a, b) for a, b in zip(cur, comps))
 
 
-# The spec, degree and magma-word anchors of the last build, so that the
-# quotient and almost truncations of one spec compute the anchors once.
-_last_anchors: tuple = (None, 0, {})
-
-
 def _magma_anchors(spec: AlgebroidSpec, levels) -> dict:
     """Anchor expressions of every word in the magma ``levels``: the spec's
-    for the generators, vector-field commutators for the rest."""
-    global _last_anchors
-    held, degree, anchor = _last_anchors
-    if held is not spec or degree != len(levels):
-        n = spec.dimension
+    for the generators, vector-field commutators for the rest.  They are kept
+    on the spec by degree, so its quotient and almost truncations share them."""
+    held = vars(spec).setdefault("_magma_anchors", {})
+    if len(levels) not in held:
         anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
         for level in levels[1:]:
             for w in level:
                 u, v = w.parts
-                anchor[w] = _commutator_exprs(anchor[u], anchor[v], n)
-        _last_anchors = (spec, len(levels), anchor)
-    return dict(anchor)
+                anchor[w] = _commutator_exprs(anchor[u], anchor[v], spec.dimension)
+        held[len(levels)] = anchor
+    return dict(held[len(levels)])
 
 
 def free_extend(spec: AlgebroidSpec, degree: int = 3,

@@ -166,6 +166,10 @@ class CheckReport:
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -222,8 +226,11 @@ def sample_points(chart: ChartSpec, count: int = DEFAULT_POINTS,
                   seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """Draw ``count`` points uniformly from the chart domain box."""
     rng = SplitMix64(seed)
-    return [np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
-            for _ in range(count)]
+    out = []
+    for _ in range(count):
+        p = np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
+        out.append(p)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -229,6 +229,18 @@ def test_block_error_names_first_entry(anchor, message, order):
     assert str(err.value) == message
 
 
+def test_batch_with_exponents_that_differ_between_points():
+    # abs(x)/x is +1 or -1 with a zero gradient: each point takes its own rule
+    e = parse_expr("(2 + y)^(abs(x)/x) + (1 + y^2)^(0.5*abs(x)/x) + x^(2*abs(x)/x)", XY)
+    block = Block([((0,), 1, e)], (1,))
+    points = np.array([[0.5, 0.3], [-0.5, 0.2], [0.25, -0.1], [-0.25, 0.9]])
+    for order in range(4):
+        batch = eval_block(block, points, order)
+        for k, point in enumerate(points):
+            for array, alone in zip(batch, eval_block(block, point, order)):
+                assert array[k].tobytes() == alone.tobytes()
+
+
 def test_non_constant_exponent_rejected():
     with pytest.raises(EvalDomainError):
         eval_jet(parse_expr("x^y", XY), (2.0, 3.0), order=1)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from algebroid.exprjet import eval_jet
+from algebroid import spec_model
+from algebroid.exprjet import EvalDomainError, eval_jet
 from algebroid.spec_model import (
     ANCHOR_MORPHISM, JACOBI, SchemaError, SplitMix64, eval_fields,
     eval_structure, load_spec, run_checks, sample_points, validate_spec,
@@ -303,6 +304,29 @@ def test_nan_residual_fails_and_names_its_point():
     assert report.worst_point == (2.0, 0.0)
     inf_report = report_from_residuals("probe", [0.0, float("inf")], points, 1e-9)
     assert not inf_report.passed and inf_report.worst_point == (1.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# Chunked reads
+
+
+@pytest.mark.parametrize("chunk_points", [1, 3, 7])
+def test_chunks_give_the_same_reports_and_errors(monkeypatch, chunk_points):
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    points = sample_points(spec.chart, 20)
+    whole = [r.to_dict() for r in validate_spec(spec, points)]
+    # the budget of exactly chunk_points points of the blocks validate reads
+    orders = {"structure": 1, "metric": 0, "anchor": 1}
+    per_point = sum(spec.block_entries[b].point_bytes(2, o) for b, o in orders.items())
+    monkeypatch.setattr(spec_model, "CHUNK_BYTES", chunk_points * per_point)
+    assert [r.to_dict() for r in validate_spec(spec, points)] == whole
+    # an anchor that cannot be evaluated at sample point 10 only
+    x, y = (repr(float(c)) for c in points[10])
+    doc = fixture_doc("fx_so3_sphere")
+    doc["anchor"][1][0] = f"ln((x - ({x}))^2 + (y - ({y}))^2)"
+    with pytest.raises(EvalDomainError, match=r"^anchor\[1\]\[0\]: ln of nonpositive "
+                       rf"value in .* at point \({x}, {y}\)$"):
+        validate_spec(load_doc(doc), points)
 
 
 # --------------------------------------------------------------------------
