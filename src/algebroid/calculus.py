@@ -377,40 +377,43 @@ def _grid_offsets(chart, basepoint, grid_steps):
     return np.array(deltas), ranges
 
 
-def _transport_grid(spec, basepoint, deltas, ranges, axis_order):
-    """Fill U on the whole grid, transporting axis by axis in ``axis_order``:
-    a stage walks the axis both ways from every node filled so far that is
-    zero on the axes still to come, and moves the j-th segments of all its
-    walks together."""
-    frames = {tuple(0 for _ in deltas): np.eye(spec.rank)}
-
-    def node_point(offset):
-        return basepoint + deltas * np.array(offset, dtype=float)
-
-    filled_axes = []
-    for axis in axis_order:
-        walks = []
-        for start in list(frames):
-            if any(start[ax] != 0 for ax in axis_order
-                   if ax not in filled_axes and ax != axis):
-                continue
-            for direction in (1, -1):
-                ks = sorted((k for k in ranges[axis] if k * direction > 0), key=abs)
-                walks.append([start] + [start[:axis] + (k,) + start[axis + 1:]
-                                        for k in ks])
-        segments = [(a, b) for walk in walks for a, b in zip(walk, walk[1:])]
-        W = dict(zip(segments, _segment_connections(
-            spec, np.array([node_point(a) for a, _ in segments]),
-            np.array([node_point(b) for _, b in segments])))) if segments else {}
-        stage = {walk[0]: frames[walk[0]] for walk in walks}
-        for j in range(max(map(len, walks)) - 1):
-            steps = [(walk[j], walk[j + 1]) for walk in walks if len(walk) > j + 1]
-            U = _transport(np.array([W[step] for step in steps]),
-                           np.array([stage[a] for a, _ in steps]))
-            stage.update(zip((b for _, b in steps), U))
-        for _, b in segments:
-            frames[b] = stage[b]
-        filled_axes.append(axis)
+def _transport_grids(spec, basepoint, deltas, ranges, axis_orders):
+    """Fill U on the whole grid once per axis order, transporting axis by
+    axis: stage k walks the order's k-th axis both ways from every node
+    filled so far that is zero on the axes still to come.  The connection is
+    read once, at every time of every segment in the order the transports
+    visit them; then the j-th segments of the k-th stages of all orders move
+    together."""
+    origin = tuple(0 for _ in deltas)
+    stages = []                 # per order, per stage: the walks
+    for order in axis_orders:
+        filled, per_stage = [origin], []
+        for k, axis in enumerate(order):
+            walks = []
+            for start in filled:
+                if any(start[ax] for ax in order[k + 1:]):
+                    continue
+                for d in (1, -1):
+                    ks = sorted((i for i in ranges[axis] if i * d > 0), key=abs)
+                    walks.append([start] + [start[:axis] + (i,) + start[axis + 1:]
+                                            for i in ks])
+            per_stage.append(walks)
+            filled += [b for walk in walks for b in walk[1:]]
+        stages.append(per_stage)
+    segments = list(dict.fromkeys((a, b) for per_stage in stages for walks in per_stage
+                                  for walk in walks for a, b in zip(walk, walk[1:])))
+    ends = basepoint + deltas * np.array(segments, dtype=float)     # (S, 2, n)
+    W = dict(zip(segments, _segment_connections(spec, ends[:, 0], ends[:, 1])))
+    frames = [{origin: np.eye(spec.rank)} for _ in axis_orders]
+    for k in range(len(deltas)):
+        lines = [(grid, walk) for grid, per_stage in zip(frames, stages)
+                 for walk in per_stage[k]]
+        for j in range(max(len(walk) for _, walk in lines) - 1):
+            steps = [(grid, walk[j], walk[j + 1]) for grid, walk in lines if len(walk) > j + 1]
+            moved = _transport(np.array([W[a, b] for _, a, b in steps]),
+                               np.array([grid[a] for grid, a, _ in steps]))
+            for (grid, _, b), U in zip(steps, moved):
+                grid[b] = U
     return frames
 
 
@@ -422,9 +425,10 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     metric that passes the Killing check, also monitor the metric Lie
     derivative along each transported flat section.
 
-    The node fields are read as one batch, and each axis stage of a transport
-    reads the connection as one batch at every time of every segment, in the
-    order a segment-by-segment walk meets them.
+    The node fields are read as one batch.  The transports in both axis
+    orders read the connection as one batch at every time of every segment,
+    in the order segment-by-segment walks meet them, and move the lines of
+    each stage together.
 
     Returns ``(FrameSamples, [CheckReport, ...])``: structure constancy, path
     independence, and (when applicable) the flat-section Killing residual.
@@ -455,8 +459,8 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     tolerance = tolerance_of("flat_frame", tol_override)
 
     axis_order = list(range(spec.dimension))
-    frames = _transport_grid(spec, basepoint, deltas, ranges, axis_order)
-    frames_rev = _transport_grid(spec, basepoint, deltas, ranges, axis_order[::-1])
+    frames, frames_rev = _transport_grids(spec, basepoint, deltas, ranges,
+                                          [axis_order, axis_order[::-1]])
 
     samples = FrameSamples(
         offsets=tuple(offsets),

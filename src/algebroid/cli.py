@@ -2,9 +2,9 @@
 emit deterministic human- or machine-readable reports.
 
 ``check`` selects rows of one table keyed by flag; every spec block the
-selected rows read is evaluated once per sample point, and each row reduces
-its kernel's residuals to a report; ``free`` does the same over the quotient
-truncation.  A non-finite residual fails its check.
+selected rows read is evaluated once per chunk of sample points, and each row
+reduces its kernel's residuals to a report; ``free`` does the same over the
+quotient truncation.  A non-finite residual fails its check.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails, 2 input
 or schema error, an expression that cannot be evaluated at a sample point
