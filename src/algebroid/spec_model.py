@@ -524,10 +524,11 @@ def point_fields(source, points, orders: Mapping[str, int]):
     views of its chunk's.  A chunk whose read fails is read again point by
     point, so the error comes where a point-by-point read meets it, after the
     points before it were yielded."""
-    blocks = source.block_entries
-    size = max(1, CHUNK_BYTES // max(1, sum(
-        blocks[b].point_bytes(np.shape(points)[-1], o) for b, o in orders.items()
-        if b in blocks)))
+    # a block the source lacks is left to its reader, which raises naming it
+    n, blocks = np.shape(points)[-1], source.block_entries
+    point_bytes = sum(blocks[block].point_bytes(n, order)
+                      for block, order in orders.items() if block in blocks)
+    size = max(1, CHUNK_BYTES // max(1, point_bytes))
     for start in range(0, len(points), size):
         chunk = points[start:start + size]
         try:
@@ -537,7 +538,8 @@ def point_fields(source, points, orders: Mapping[str, int]):
             continue
         names = [name for name in vars(batch) if name != "point"]
         for k, p in enumerate(chunk):
-            yield SimpleNamespace(point=p, **{n: getattr(batch, n)[k] for n in names})
+            yield SimpleNamespace(point=p, **{name: getattr(batch, name)[k]
+                                              for name in names})
 
 
 # --------------------------------------------------------------------------
