@@ -528,7 +528,7 @@ class Jet:
 
 
 def _cycle(a):
-    """``a[..., i, j, k]`` moved to ``[..., k, i, j]``."""
+    """``a.transpose(2, 0, 1)`` on the last three axes of ``a``."""
     return a.swapaxes(-1, -2).swapaxes(-2, -3)
 
 
