@@ -1,13 +1,14 @@
 """Tensor calculus for anchored bundles and Lie algebroids with connections,
-as kernels over the fields of a spec at one point and the ``spec_model.Check``
-rows that ``algebroid check`` reduces over the sample points: compatibility
+as kernels over the fields of a spec and the ``spec_model.Check`` rows that
+``algebroid check`` runs once per chunk of sample points: compatibility
 tensor (frame and covariant forms), connection and induced-connection
 curvatures, Killing residuals in both formulations, generalized Riemannian /
 symplectic / Poisson residuals, the Koszul perturbation test, and the
 covariantly-constant-frame probe.
 
-Index conventions used throughout (all arrays numpy, all evaluations at a
-single chart point):
+Index conventions used throughout (all arrays numpy; a kernel reads and
+returns them with any leading point axes, which its ``...`` einsums and
+negative axes carry through):
 
     rho[a, i]          anchor components rho_a^i
     drho[a, i, j]      d_j rho_a^i
@@ -25,7 +26,7 @@ import numpy as np
 from .exprjet import Block, eval_block
 from .spec_model import (
     AlgebroidSpec, Check, CheckReport, cube_entries, eval_connection,
-    max_abs, point_fields, report_from_residuals, tolerance_of,
+    leading_minors, per_point, point_fields, report_from_residuals, tolerance_of,
 )
 
 __all__ = [
@@ -55,47 +56,47 @@ class FlatnessGateError(Exception):
 
 def lie_derivative_cov2(rho, drho, T, dT):
     """(L_{rho_a} T)_{ij} for a covariant 2-tensor, all frame rows at once."""
-    return (np.einsum("ak,ijk->aij", rho, dT)
-            + np.einsum("aki,kj->aij", drho, T)
-            + np.einsum("akj,ik->aij", drho, T))
+    return (np.einsum("...ak,...ijk->...aij", rho, dT)
+            + np.einsum("...aki,...kj->...aij", drho, T)
+            + np.einsum("...akj,...ik->...aij", drho, T))
 
 
 def curvature_components(omega, domega):
     """F[a,c,i,j] = F^c_{a,ij} = d_i omega^c_{a,j} - d_j omega^c_{a,i}
     + omega^q_{a,j} omega^c_{q,i} - omega^q_{a,i} omega^c_{q,j}."""
-    d1 = np.swapaxes(domega, 2, 3)           # d1[a,c,i,j] = d_i omega^c_{a,j}
-    quad = np.einsum("aqj,qci->acij", omega, omega)
-    return d1 - np.swapaxes(d1, 2, 3) + quad - np.swapaxes(quad, 2, 3)
+    d1 = np.swapaxes(domega, -2, -1)         # d1[a,c,i,j] = d_i omega^c_{a,j}
+    quad = np.einsum("...aqj,...qci->...acij", omega, omega)
+    return d1 - np.swapaxes(d1, -2, -1) + quad - np.swapaxes(quad, -2, -1)
 
 
 def a_torsion_components(rho, omega, C):
     """AT[a,b,c] = rho_a^j omega^c_{b,j} - rho_b^j omega^c_{a,j} - C^c_{ab}."""
-    t = np.einsum("aj,bcj->abc", rho, omega)
-    return t - t.transpose(1, 0, 2) - C
+    t = np.einsum("...aj,...bcj->...abc", rho, omega)
+    return t - np.swapaxes(t, -3, -2) - C
 
 
 def s_frame_components(rho, drho, C, dC, omega, domega, a, b):
     """S[c,k,i] = S^c_{a[k] b[k], i} from the local-frame expansion of the
     splitting curvature, for the frame index pairs listed in ``a`` and ``b``.
     Each component is summed in the same order whichever pairs are listed."""
-    N, k = len(rho), len(a)
+    N, k = rho.shape[-2], len(a)
     # the terms S antisymmetrizes, once per distinct ordered pair (u, v)
     # among the listed pairs and their swaps; at[k] is the slot of pair k
     slots: dict = {}
     at = np.array([slots.setdefault(key, len(slots)) for key in
                    np.concatenate([a * N + b, b * N + a]).tolist()], dtype=int)
     u, v = np.divmod(np.array(list(slots), dtype=int), N)
-    omega_u, omega_v = omega.take(u, 0), omega.take(v, 0)
-    lie = (np.einsum("kj,kcij->cki", rho.take(u, 0), domega.take(v, 0))
-           + np.einsum("kji,kcj->cki", drho.take(u, 0), omega_v))
-    quad = np.einsum("qj,kcj,kqi->cki", rho, omega_v, omega_u)
-    mix = np.einsum("kqi,kqc->cki", omega_v, C.take(u, 0))
+    omega_u, omega_v = omega.take(u, -3), omega.take(v, -3)
+    lie = (np.einsum("...kj,...kcij->...cki", rho.take(u, -2), domega.take(v, -4))
+           + np.einsum("...kji,...kcj->...cki", drho.take(u, -3), omega_v))
+    quad = np.einsum("...qj,...kcj,...kqi->...cki", rho, omega_v, omega_u)
+    mix = np.einsum("...kqi,...kqc->...cki", omega_v, C.take(u, -3))
     ab, ba = at[:k], at[k:]
-    asym = (lie.take(ab, 1) - lie.take(ba, 1)
-            - (quad.take(ab, 1) - quad.take(ba, 1))
-            + (mix.take(ab, 1) - mix.take(ba, 1)))
-    nabla_bracket = (dC[a, b].transpose(1, 0, 2)
-                     + np.einsum("kq,qci->cki", C[a, b], omega))
+    asym = (lie.take(ab, -2) - lie.take(ba, -2)
+            - (quad.take(ab, -2) - quad.take(ba, -2))
+            + (mix.take(ab, -2) - mix.take(ba, -2)))
+    nabla_bracket = (np.swapaxes(dC[..., a, b, :, :], -3, -2)
+                     + np.einsum("...kq,...qci->...cki", C[..., a, b, :], omega))
     return asym - nabla_bracket
 
 
@@ -103,62 +104,66 @@ def s_covariant_components(rho, drho, C, dC, omega, domega):
     """S[c,a,b,i] from the tensorial identity: covariant derivative of the
     A-torsion plus the antisymmetrized anchor-curvature contraction."""
     AT = a_torsion_components(rho, omega, C)
-    dAT = (np.einsum("aji,bcj->abci", drho, omega)
-           + np.einsum("aj,bcji->abci", rho, domega))
-    dAT = dAT - dAT.transpose(1, 0, 2, 3) - dC
+    dAT = (np.einsum("...aji,...bcj->...abci", drho, omega)
+           + np.einsum("...aj,...bcji->...abci", rho, domega))
+    dAT = dAT - np.swapaxes(dAT, -4, -3) - dC
     F = curvature_components(omega, domega)
-    cov = (dAT.transpose(2, 0, 1, 3)
-           + np.einsum("qci,abq->cabi", omega, AT)
-           - np.einsum("aqi,qbc->cabi", omega, AT)
-           - np.einsum("bqi,aqc->cabi", omega, AT))
-    anchor_F = np.einsum("aj,bcji->cabi", rho, F)
-    return cov + anchor_F - anchor_F.transpose(0, 2, 1, 3)
+    cov = (np.moveaxis(dAT, -2, -4)
+           + np.einsum("...qci,...abq->...cabi", omega, AT)
+           - np.einsum("...aqi,...qbc->...cabi", omega, AT)
+           - np.einsum("...bqi,...aqc->...cabi", omega, AT))
+    anchor_F = np.einsum("...aj,...bcji->...cabi", rho, F)
+    return cov + anchor_F - np.swapaxes(anchor_F, -3, -2)
 
 
 def killing_frame_components(rho, drho, g, dg, omega):
     """K[a,i,j] = (L_{rho_a} g)_{ij} - omega^b_{a,i} (i_{rho_b} g)_j
     - omega^b_{a,j} (i_{rho_b} g)_i."""
     lie = lie_derivative_cov2(rho, drho, g, dg)
-    rbar = np.einsum("ak,kj->aj", rho, g)
-    vee = np.einsum("abi,bj->aij", omega, rbar)
-    return lie - vee - np.swapaxes(vee, 1, 2)
+    rbar = np.einsum("...ak,...kj->...aj", rho, g)
+    vee = np.einsum("...abi,...bj->...aij", omega, rbar)
+    return lie - vee - np.swapaxes(vee, -2, -1)
 
 
 def require_positive_definite(g, point):
     """Raise SingularMetricError unless the leading minors of the metric g
-    read at ``point`` are all positive."""
-    minors = [float(np.linalg.det(g[:k, :k])) for k in range(1, g.shape[0] + 1)]
-    if min(minors) <= 0.0:
-        raise SingularMetricError(f"metric: leading minors {minors} not all "
-                                  f"positive at point {tuple(map(float, point))}")
+    read at ``point`` are all positive; of a stack of metrics read at a
+    ``(P, n)`` batch of points, the first one that fails names its point."""
+    n = g.shape[-1]
+    for k, minors in enumerate(leading_minors(g).reshape(-1, n).tolist()):
+        if min(minors) <= 0.0:
+            at = tuple(map(float, np.reshape(point, (-1, n))[k]))
+            raise SingularMetricError(f"metric: leading minors {minors} not all "
+                                      f"positive at point {at}")
 
 
 def christoffel_components(g, dg, point):
     """Gamma[k,i,j] and the inverse metric of g, dg read at ``point``."""
     require_positive_definite(g, point)
     ginv = np.linalg.inv(g)
-    gamma = 0.5 * (np.einsum("kl,jli->kij", ginv, dg)
-                   + np.einsum("kl,ilj->kij", ginv, dg)
-                   - np.einsum("kl,ijl->kij", ginv, dg))
+    gamma = 0.5 * (np.einsum("...kl,...jli->...kij", ginv, dg)
+                   + np.einsum("...kl,...ilj->...kij", ginv, dg)
+                   - np.einsum("...kl,...ijl->...kij", ginv, dg))
     return gamma, ginv
 
 
 def tau_coefficients(rho, drho, omega):
     """Theta[a,i,j] with tau-nabla_{e_a} d_j = Theta[a,i,j] d_i; equals
     [rho_a, d_j] + rho(nabla_{d_j} e_a) = (-d_j rho_a^i + omega^b_{a,j} rho_b^i) d_i."""
-    return -drho + np.einsum("abj,bi->aij", omega, rho)
+    return -drho + np.einsum("...abj,...bi->...aij", omega, rho)
 
 
 # --------------------------------------------------------------------------
-# Kernels over the fields at one point (spec_model.eval_fields: f.rho, f.dC...)
+# Kernels over the fields (spec_model.eval_fields: f.rho, f.dC...) at a point
+# or, with a leading point axis, at a chunk of points
 
 
 def _s_frame(f):
     """S[c,a,b,i] over all pairs of frame indices."""
-    r, n = f.rho.shape
+    r, n = f.rho.shape[-2:]
     a, b = np.divmod(np.arange(r * r), r)
-    return s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega,
-                              a, b).reshape(r, r, r, n)
+    S = s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega, a, b)
+    return S.reshape(S.shape[:-2] + (r, r, n))
 
 
 def _killing_frame(f):
@@ -170,27 +175,27 @@ def _killing_sym(f):
     anchor, [a,i,j]; vanishing is equivalent to the frame Killing equations."""
     g, dg, rho = f.g, f.dg, f.rho
     gamma, _ = christoffel_components(g, dg, f.point)
-    rbar = np.einsum("jk,ak->aj", g, rho)
-    drbar = (np.einsum("jki,ak->aji", dg, rho)
-             + np.einsum("jk,aki->aji", g, f.drho))   # d_i rbar_{a,j}
-    M = (drbar.transpose(0, 2, 1)                      # [a, i, j]
-         - np.einsum("kij,ak->aij", gamma, rbar)
-         - np.einsum("abi,bj->aij", f.omega, rbar))
-    return 0.5 * (M + M.transpose(0, 2, 1))
+    rbar = np.einsum("...jk,...ak->...aj", g, rho)
+    drbar = (np.einsum("...jki,...ak->...aji", dg, rho)
+             + np.einsum("...jk,...aki->...aji", g, f.drho))   # d_i rbar_{a,j}
+    M = (np.swapaxes(drbar, -2, -1)                            # [a, i, j]
+         - np.einsum("...kij,...ak->...aij", gamma, rbar)
+         - np.einsum("...abi,...bj->...aij", f.omega, rbar))
+    return 0.5 * (M + np.swapaxes(M, -2, -1))
 
 
 def _alpha_curvature(f):
     """Curvature R^d_{abc} of the dual A-connection on the bundle, [d,a,b,c]."""
     rho, C = f.rho, f.C
-    D = C + np.einsum("bj,acj->abc", rho, f.omega)
-    dD = (f.dC + np.einsum("bji,acj->abci", f.drho, f.omega)
-          + np.einsum("bj,acji->abci", rho, f.domega))
-    rhoD = np.einsum("ai,bcdi->abcd", rho, dD)
-    R = (rhoD - rhoD.transpose(1, 0, 2, 3)
-         + np.einsum("bce,aed->abcd", D, D)
-         - np.einsum("ace,bed->abcd", D, D)
-         - np.einsum("abe,ecd->abcd", C, D))
-    return R.transpose(3, 0, 1, 2)
+    D = C + np.einsum("...bj,...acj->...abc", rho, f.omega)
+    dD = (f.dC + np.einsum("...bji,...acj->...abci", f.drho, f.omega)
+          + np.einsum("...bj,...acji->...abci", rho, f.domega))
+    rhoD = np.einsum("...ai,...bcdi->...abcd", rho, dD)
+    R = (rhoD - np.swapaxes(rhoD, -4, -3)
+         + np.einsum("...bce,...aed->...abcd", D, D)
+         - np.einsum("...ace,...bed->...abcd", D, D)
+         - np.einsum("...abe,...ecd->...abcd", C, D))
+    return np.moveaxis(R, -1, -4)
 
 
 def _tau_curvature(f):
@@ -198,68 +203,68 @@ def _tau_curvature(f):
     fields, [i,a,b,j]."""
     rho, drho, omega = f.rho, f.drho, f.omega
     theta = tau_coefficients(rho, drho, omega)
-    dtheta = (-f.d2rho + np.einsum("abjk,bi->aijk", f.domega, rho)
-              + np.einsum("abj,bik->aijk", omega, drho))
-    rho_theta = np.einsum("ak,bijk->abij", rho, dtheta)
-    R = (rho_theta - rho_theta.transpose(1, 0, 2, 3)
-         + np.einsum("bkj,aik->abij", theta, theta)
-         - np.einsum("akj,bik->abij", theta, theta)
-         - np.einsum("abe,eij->abij", f.C, theta))
-    return R.transpose(2, 0, 1, 3)
+    dtheta = (-f.d2rho + np.einsum("...abjk,...bi->...aijk", f.domega, rho)
+              + np.einsum("...abj,...bik->...aijk", omega, drho))
+    rho_theta = np.einsum("...ak,...bijk->...abij", rho, dtheta)
+    R = (rho_theta - np.swapaxes(rho_theta, -4, -3)
+         + np.einsum("...bkj,...aik->...abij", theta, theta)
+         - np.einsum("...akj,...bik->...abij", theta, theta)
+         - np.einsum("...abe,...eij->...abij", f.C, theta))
+    return np.moveaxis(R, -2, -4)
 
 
 def _tau_intertwine(f):
     """(tau-nabla_{e_a} rho(e_b))^i - rho(alpha-nabla_{e_a} e_b)^i, [a,b,i]."""
     rho = f.rho
-    bracket = np.einsum("aj,bij->abi", rho, f.drho)
-    bracket = bracket - bracket.transpose(1, 0, 2)
-    lhs = bracket + np.einsum("bj,acj,ci->abi", rho, f.omega, rho)
-    D = f.C + np.einsum("bj,acj->abc", rho, f.omega)
-    return lhs - np.einsum("abc,ci->abi", D, rho)
+    bracket = np.einsum("...aj,...bij->...abi", rho, f.drho)
+    bracket = bracket - np.swapaxes(bracket, -3, -2)
+    lhs = bracket + np.einsum("...bj,...acj,...ci->...abi", rho, f.omega, rho)
+    D = f.C + np.einsum("...bj,...acj->...abc", rho, f.omega)
+    return lhs - np.einsum("...abc,...ci->...abi", D, rho)
 
 
 def _generalized(f):
     """(sym, skew) blocks of the combined residual for Phi = g + B with the
     endomorphism-valued 1-form psi."""
     rho, drho, omega, psi = f.rho, f.drho, f.omega, f.psi
-    rbar_g = np.einsum("ak,kj->aj", rho, f.g)
-    rbar_B = np.einsum("ak,kj->aj", rho, f.B)
+    rbar_g = np.einsum("...ak,...kj->...aj", rho, f.g)
+    rbar_B = np.einsum("...ak,...kj->...aj", rho, f.B)
 
     sym = killing_frame_components(rho, drho, f.g, f.dg, omega)
-    psi_vee = np.einsum("abi,bj->aij", psi, rbar_B)
-    sym = sym - (psi_vee + np.swapaxes(psi_vee, 1, 2))
+    psi_vee = np.einsum("...abi,...bj->...aij", psi, rbar_B)
+    sym = sym - (psi_vee + np.swapaxes(psi_vee, -2, -1))
 
     lie_B = lie_derivative_cov2(rho, drho, f.B, f.dB)
-    om_wedge = np.einsum("abi,bj->aij", omega, rbar_B)
-    psi_wedge = np.einsum("abi,bj->aij", psi, rbar_g)
-    skew = (lie_B - (om_wedge - np.swapaxes(om_wedge, 1, 2))
-            - (psi_wedge - np.swapaxes(psi_wedge, 1, 2)))
+    om_wedge = np.einsum("...abi,...bj->...aij", omega, rbar_B)
+    psi_wedge = np.einsum("...abi,...bj->...aij", psi, rbar_g)
+    skew = (lie_B - (om_wedge - np.swapaxes(om_wedge, -2, -1))
+            - (psi_wedge - np.swapaxes(psi_wedge, -2, -1)))
     return sym, skew
 
 
 def _closedness(f):
     """d_{[i} Omega_{jk]} (identically zero for n = 2)."""
-    t = f.dOm.transpose(2, 0, 1)           # t[i,j,k] = d_i Omega_{jk}
-    return t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+    t = np.moveaxis(f.dOm, -1, -3)          # t[i,j,k] = d_i Omega_{jk}
+    return t + np.moveaxis(t, -3, -1) + np.moveaxis(t, -1, -3)
 
 
 def _symplectic_residual(f):
     """tau-nabla residual of the symplectic form (covariant slots)."""
     lie = lie_derivative_cov2(f.rho, f.drho, f.Om, f.dOm)
-    iota = np.einsum("bk,kj->bj", f.rho, f.Om)
-    wedge = np.einsum("abi,bj->aij", f.omega, iota)
-    return lie - (wedge - np.swapaxes(wedge, 1, 2))
+    iota = np.einsum("...bk,...kj->...bj", f.rho, f.Om)
+    wedge = np.einsum("...abi,...bj->...aij", f.omega, iota)
+    return lie - (wedge - np.swapaxes(wedge, -2, -1))
 
 
 def _poisson_residual(f):
     """tau-nabla residual of the Poisson bivector (contravariant slots,
     left/right contraction placement)."""
     rho, drho, P = f.rho, f.drho, f.P
-    lie = (np.einsum("ak,ijk->aij", rho, f.dP)
-           - np.einsum("aik,kj->aij", drho, P)
-           - np.einsum("ajk,ik->aij", drho, P))
-    left = np.einsum("bi,abk,kj->aij", rho, f.omega, P)
-    right = np.einsum("ik,abk,bj->aij", P, f.omega, rho)
+    lie = (np.einsum("...ak,...ijk->...aij", rho, f.dP)
+           - np.einsum("...aik,...kj->...aij", drho, P)
+           - np.einsum("...ajk,...ik->...aij", drho, P))
+    left = np.einsum("...bi,...abk,...kj->...aij", rho, f.omega, P)
+    right = np.einsum("...ik,...abk,...bj->...aij", P, f.omega, rho)
     return lie + left + right
 
 
@@ -271,55 +276,54 @@ _FRAME1 = {"anchor": 1, "structure": 1, "connection": 1}
 
 def _cartan(f):
     S = _s_frame(f)
-    return max_abs(S), max_abs(S - s_covariant_components(
-        f.rho, f.drho, f.C, f.dC, f.omega, f.domega))
+    return S, S - s_covariant_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
 
 
 def _killing(f):
     K = _killing_frame(f)
-    return max_abs(K), max_abs(K - 2.0 * _killing_sym(f))
+    return K, K - 2.0 * _killing_sym(f)
 
 
 TAU_INTERTWINE = Check(("tau_intertwine",),
                        {"anchor": 1, "structure": 0, "connection": 0},
-                       lambda f: max_abs(_tau_intertwine(f)))
+                       lambda f: (_tau_intertwine(f),))
 CARTAN_CHECKS = (
     Check(("cartan_s_frame", "s_frame_vs_covariant"), _FRAME1, _cartan),
     TAU_INTERTWINE,
     # Cartan compatibility implies both induced connections are flat
     Check(("alpha_curvature_flat",), _FRAME1,
-          lambda f: max_abs(_alpha_curvature(f)), gate="cartan_s_frame"),
+          lambda f: (_alpha_curvature(f),), gate="cartan_s_frame"),
     Check(("tau_curvature_flat",), {"anchor": 2, "structure": 0, "connection": 1},
-          lambda f: max_abs(_tau_curvature(f)), gate="cartan_s_frame"),
+          lambda f: (_tau_curvature(f),), gate="cartan_s_frame"),
 )
 KILLING = Check(("killing_frame", "killing_frame_vs_sym"),
                 {"anchor": 1, "metric": 1, "connection": 0}, _killing)
 GENERALIZED = Check(("generalized_sym", "generalized_skew"),
                     {"anchor": 1, "metric": 1, "two_form": 1, "connection": 0,
-                     "psi": 0},
-                    lambda f: tuple(map(max_abs, _generalized(f))))
+                     "psi": 0}, _generalized)
 SYMPLECTIC = Check(("symplectic_closed", "symplectic_residual"),
                    {"anchor": 1, "symplectic": 1, "connection": 0},
-                   lambda f: (max_abs(_closedness(f)),
-                              max_abs(_symplectic_residual(f))))
+                   lambda f: (_closedness(f), _symplectic_residual(f)))
 POISSON = Check(("poisson_residual",), {"anchor": 1, "poisson": 1, "connection": 0},
-                lambda f: max_abs(_poisson_residual(f)))
+                lambda f: (_poisson_residual(f),))
 FLAT_FRAME_GATE = Check(("flat_frame_gate",), {"connection": 1},
-                        lambda f: max_abs(curvature_components(f.omega, f.domega)))
+                        lambda f: (curvature_components(f.omega, f.domega),))
 
 
 def koszul_check(psi_candidate) -> Check:
     """Koszul obstruction for perturbing the connection by the [a][b][i]
     expression cube ``psi_candidate``: symmetrized contraction of psi against
-    the metric dual of the anchor."""
+    the metric dual of the anchor.  The kernel reads psi at ``f.point``."""
     r, n = len(psi_candidate), len(psi_candidate[0][0])
     psi_block = Block(cube_entries(psi_candidate), (r, r, n), "psi")
 
     def kernel(f):
         psi, = eval_block(psi_block, f.point)
-        half = np.einsum("abi,bj->aij", psi, np.einsum("ak,kj->aj", f.rho, f.g))
-        return max_abs(0.5 * (half + np.swapaxes(half, 1, 2)))
-    return Check(("koszul_delta",), {"anchor": 0, "metric": 0}, kernel)
+        half = np.einsum("...abi,...bj->...aij", psi,
+                         np.einsum("...ak,...kj->...aj", f.rho, f.g))
+        return 0.5 * (half + np.swapaxes(half, -2, -1)),
+    return Check(("koszul_delta",), {"anchor": 0, "metric": 0}, kernel,
+                 blocks=((psi_block, 0),))
 
 
 # --------------------------------------------------------------------------
@@ -425,10 +429,11 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     metric that passes the Killing check, also monitor the metric Lie
     derivative along each transported flat section.
 
-    The node fields are read as one batch.  The transports in both axis
-    orders read the connection as one batch at every time of every segment,
-    in the order segment-by-segment walks meet them, and move the lines of
-    each stage together.
+    The node fields are read as one batch, and the gate, the transformed
+    structure functions and the flat-section Killing residual each run once
+    over it.  The transports in both axis orders read the connection as one
+    batch at every time of every segment, in the order segment-by-segment
+    walks meet them, and move the lines of each stage together.
 
     Returns ``(FrameSamples, [CheckReport, ...])``: structure constancy, path
     independence, and (when applicable) the flat-section Killing residual.
@@ -449,10 +454,11 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     reads = {"anchor": 0, "structure": 0, "connection": 1}
     if spec.metric is not None:
         reads.update(anchor=1, metric=1)
-    fields = dict(zip(offsets, point_fields(spec, grid_pts, reads)))
+    f = point_fields(spec, grid_pts, reads)
+    count = len(offsets)
 
     gate = report_from_residuals(
-        "flat_frame_grid_gate", [FLAT_FRAME_GATE.kernel(f) for f in fields.values()],
+        "flat_frame_grid_gate", per_point(*FLAT_FRAME_GATE.kernel(f), count),
         grid_pts, tolerance_of("flat_frame_gate", tol_override))
     if not gate.passed:
         raise FlatnessGateError(gate)
@@ -461,50 +467,35 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     axis_order = list(range(spec.dimension))
     frames, frames_rev = _transport_grids(spec, basepoint, deltas, ranges,
                                           [axis_order, axis_order[::-1]])
-
-    samples = FrameSamples(
-        offsets=tuple(offsets),
-        points=np.array(grid_pts),
-        frames=np.array([frames[off] for off in offsets]),
-    )
-
-    path_dev = [max_abs(frames[off] - frames_rev[off]) for off in offsets]
-    reports = []
+    U = np.array([frames[off] for off in offsets])
+    samples = FrameSamples(offsets=tuple(offsets), points=np.array(grid_pts), frames=U)
 
     # transformed structure functions, using covariant constancy of the frame
-    def transformed_structure(f, U):
-        Uinv = np.linalg.inv(U)
-        rho_t = np.einsum("pa,pi->ai", U, f.rho)        # anchors of e~_a
-        core = np.einsum("pa,qb,pqe->abe", U, U, f.C)
-        corr = np.einsum("ai,qei,qb->abe", rho_t, f.omega, U)
-        total = core - corr + np.einsum("bi,qei,qa->abe", rho_t, f.omega, U)
-        return np.einsum("abe,ec->abc", total, Uinv.T)
-
-    C_base = transformed_structure(fields[tuple(0 for _ in deltas)],
-                                   np.eye(spec.rank))
-    const_res = [max_abs(transformed_structure(fields[off], frames[off]) - C_base)
-                 for off in offsets]
-    reports.append(report_from_residuals("flat_frame_structure_constancy",
-                                         const_res, grid_pts, tolerance))
-    reports.append(report_from_residuals("flat_frame_path_independence",
-                                         path_dev, grid_pts, tolerance))
+    rho_t = np.einsum("...pa,...pi->...ai", U, f.rho)       # anchors of e~_a
+    total = (np.einsum("...pa,...qb,...pqe->...abe", U, U, f.C)
+             - np.einsum("...ai,...qei,...qb->...abe", rho_t, f.omega, U)
+             + np.einsum("...bi,...qei,...qa->...abe", rho_t, f.omega, U))
+    C_t = np.einsum("...abe,...ec->...abc", total,
+                    np.swapaxes(np.linalg.inv(U), -2, -1))
+    C_base = C_t[offsets.index(tuple(0 for _ in deltas))]     # where U = 1
+    reports = [
+        report_from_residuals("flat_frame_structure_constancy",
+                              per_point(C_t - C_base, count), grid_pts, tolerance),
+        report_from_residuals("flat_frame_path_independence", per_point(
+            U - np.array([frames_rev[off] for off in offsets]), count),
+            grid_pts, tolerance)]
 
     if spec.metric is not None:
-        killing_worst = float(np.max([
-            max_abs(_killing_frame(fields[off])) for off in offsets]))
-        if killing_worst <= tolerance_of("killing_frame", tol_override):
-            res = []
-            for off in offsets:
-                f, U = fields[off], frames[off]
-                v = np.einsum("pa,pk->ak", U, f.rho)
-                # d_i v^k via nabla e~ = 0: d_i U^p_a = -omega^p_{q,i} U^q_a
-                dv = (-np.einsum("qpi,qa,pk->aki", f.omega, U, f.rho)
-                      + np.einsum("pa,pki->aki", U, f.drho))
-                lie = (np.einsum("ak,ijk->aij", v, f.dg)
-                       + np.einsum("aki,kj->aij", dv, f.g)
-                       + np.einsum("akj,ik->aij", dv, f.g))
-                res.append(max_abs(lie))
-            reports.append(report_from_residuals("flat_section_killing",
-                                                 res, grid_pts, tolerance))
+        killing = killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)
+        if float(np.max(per_point(killing, count))) <= tolerance_of(
+                "killing_frame", tol_override):
+            v = np.einsum("...pa,...pk->...ak", U, f.rho)
+            # d_i v^k via nabla e~ = 0: d_i U^p_a = -omega^p_{q,i} U^q_a
+            dv = (-np.einsum("...qpi,...qa,...pk->...aki", f.omega, U, f.rho)
+                  + np.einsum("...pa,...pki->...aki", U, f.drho))
+            reports.append(report_from_residuals(
+                "flat_section_killing",
+                per_point(lie_derivative_cov2(v, dv, f.g, f.dg), count),
+                grid_pts, tolerance))
 
     return samples, reports

@@ -22,8 +22,10 @@ from .calculus import KILLING, christoffel_components, require_positive_definite
 
 __all__ = [
     "GeodesicTrace", "geodesic_integrate", "orthogonality_monitor",
-    "orthogonal_velocity",
+    "orthogonal_velocity", "MAX_STEPS",
 ]
+
+MAX_STEPS = 1_000_000       # RK4 steps one geodesic may ask for
 
 
 @dataclass
@@ -64,19 +66,22 @@ def _rhs(spec: AlgebroidSpec, x, v, U):
 def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float,
                        h: float) -> GeodesicTrace:
     """Integrate the geodesic equation from (x0, v0) in round(t_max / h)
-    fixed steps of size h, at least one, transporting the frame along the
-    trajectory."""
+    fixed steps of size h, at least one and at most ``MAX_STEPS``,
+    transporting the frame along the trajectory."""
     if not (0.0 < h < np.inf and abs(t_max / h) < np.inf
             and round(t_max / h) >= 1):
         raise ValueError(f"need a finite positive h and a finite t_max of at "
                          f"least one step, got t_max={t_max}, h={h}")
+    steps = int(round(t_max / h))
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_max={t_max}, h={h} asks for {steps} RK4 steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if not spec.chart.contains(x):
         raise ValueError(f"initial point {tuple(x)} outside chart domain")
     r = spec.rank
     U = np.eye(r)
-    steps = int(round(t_max / h))
 
     times, xs, vs, Us = [0.0], [x.copy()], [v.copy()], [U.copy()]
     gs = []                     # the metric at xs[k], read by stage k1
@@ -158,9 +163,9 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
         drift = np.max(np.abs(values - values[0]), axis=1)
         name = "orthogonality_flat_frame"
     else:
-        fields = point_fields(spec, trace.positions, {"metric": 0, "anchor": 0})
-        norms = np.array([_span_projection_norm(f.g, f.rho, v)
-                          for f, v in zip(fields, trace.velocities)])
+        f = point_fields(spec, trace.positions, {"metric": 0, "anchor": 0})
+        norms = np.array([_span_projection_norm(g, rho, v)
+                          for g, rho, v in zip(f.g, f.rho, trace.velocities)])
         drift = np.abs(norms - norms[0])
         name = "orthogonality_raw_span"
 

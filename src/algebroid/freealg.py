@@ -22,9 +22,7 @@ import numpy as np
 from .exprjet import (
     Block, Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block,
 )
-from .spec_model import (
-    AlgebroidSpec, Check, CheckReport, max_abs, run_checks, sample_points,
-)
+from .spec_model import AlgebroidSpec, Check, CheckReport, run_checks, sample_points
 from .calculus import KILLING, killing_frame_components, s_frame_components
 
 __all__ = [
@@ -457,7 +455,7 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
 
 
 # --------------------------------------------------------------------------
-# Checks on the extension: rows over the truncation's fields at a point
+# Checks on the extension: rows over the truncation's fields at a chunk of points
 
 
 def cartan_extended_check(free: FreeTruncation) -> Check:
@@ -469,8 +467,7 @@ def cartan_extended_check(free: FreeTruncation) -> Check:
     a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
 
     def kernel(f):
-        return max_abs(s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega,
-                                          f.domega, a, b))
+        return s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega, a, b),
     return Check(("cartan_extended",),
                  {"anchor": 1, "structure": 1, "connection": 1}, kernel)
 
@@ -479,11 +476,11 @@ def killing_checks(free: FreeTruncation) -> tuple[Check, Check]:
     """The Killing residual on the generator rows of the truncation (the
     base spec's own), then on all its rows, gated on the first."""
     r = len(free.basis[0])
-    generators = Check(("killing_generators",), KILLING.reads, lambda f: max_abs(
-        killing_frame_components(f.rho[:r], f.drho[:r], f.g, f.dg,
-                                 f.omega[:r, :r])))
-    extended = Check(("killing_extended",), KILLING.reads, lambda f: max_abs(
-        killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)),
+    generators = Check(("killing_generators",), KILLING.reads, lambda f: (
+        killing_frame_components(f.rho[..., :r, :], f.drho[..., :r, :, :], f.g,
+                                 f.dg, f.omega[..., :r, :r, :]),))
+    extended = Check(("killing_extended",), KILLING.reads, lambda f: (
+        killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega),),
         gate="killing_generators")
     return generators, extended
 
@@ -498,18 +495,20 @@ def rank_profile_check(free: FreeTruncation) -> Check:
 
     def kernel(f):
         mat, drho = f.rho, f.drho
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        rank_gen = int(np.linalg.matrix_rank(mat[:r], tol=1e-10 * scale))
-        rank_ext = int(np.linalg.matrix_rank(mat, tol=1e-10 * scale))
-        defect = 0.0
+        scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))   # NaN -> 1.0
+        rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
+        rank_ext = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
+        defect = np.zeros(scale.shape)
         for ku, kv in closure:
             # the vector-field commutator [rho_u, rho_v]
-            vec = (np.einsum("j,ij->i", mat[ku], drho[kv])
-                   - np.einsum("j,ij->i", mat[kv], drho[ku]))
-            if np.linalg.norm(vec) == 0.0:
-                continue
-            sol, res, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
-            defect = max(defect, float(np.linalg.norm(mat.T @ sol - vec)))
+            vecs = (np.einsum("...j,...ij->...i", mat.take(ku, -2), drho.take(kv, -3))
+                    - np.einsum("...j,...ij->...i", mat.take(kv, -2), drho.take(ku, -3)))
+            # np.linalg.lstsq does not stack: one solve per point
+            for p in np.ndindex(defect.shape):
+                vec, A = vecs[p], np.swapaxes(mat[p], -2, -1)
+                if np.linalg.norm(vec) != 0.0:
+                    sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
+                    defect[p] = max(defect[p], float(np.linalg.norm(A @ sol - vec)))
         return rank_gen, rank_ext, defect
     return Check(("rank_generators", "rank_extended", "closure_defect"),
                  {"anchor": 1}, kernel)
@@ -564,14 +563,16 @@ def jacobiator_check(free: FreeTruncation, points,
     def kernel(f):
         jac_val, jac_grad = eval_block(jac_block, f.point, 1)
         vecs, = eval_block(shifted_block, f.point)
-        worst = 0.0
+        residual = np.empty(jac_val.shape[:-1] + (f.omega.shape[-1], N))   # [t, i, w]
         for t in range(T):
             # nabla_i (Jac(args)) in the extended frame
-            residual = jac_grad[t].transpose(1, 0) + np.einsum(
-                "v,vwi->iw", jac_val[t], f.omega)
+            at = residual[..., t, :, :]
+            at[...] = np.swapaxes(jac_grad[..., t, :, :], -2, -1) + np.einsum(
+                "...v,...vwi->...iw", jac_val[..., t, :], f.omega)
             for slot, kh, kq in shifted[t]:
-                residual -= np.einsum("i,w->iw", f.omega[kh, kq], vecs[t, slot, kq])
-            worst = np.maximum(worst, max_abs(residual))
-        return float(worst)
-    return run_checks(free, points, [Check(("jacobiator_covariant_constancy",),
-                                           {"connection": 0}, kernel)], tol_override)[0]
+                at -= np.einsum("...i,...w->...iw", f.omega[..., kh, kq, :],
+                                vecs[..., t, slot, kq, :])
+        return residual,
+    return run_checks(free, points, [Check(
+        ("jacobiator_covariant_constancy",), {"connection": 0}, kernel,
+        blocks=((jac_block, 1), (shifted_block, 0)))], tol_override)[0]

@@ -166,20 +166,8 @@ class CheckReport:
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "points": self.points,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "worst_point": list(self.worst_point),
-        }
+        return {**vars(self), "pass": self.passed, "worst_point": list(self.worst_point)}
 
 
 def report_from_residuals(name: str, residuals: Sequence[float],
@@ -188,14 +176,9 @@ def report_from_residuals(name: str, residuals: Sequence[float],
     max, so the check fails and ``worst_point`` is the first NaN point."""
     residuals = np.asarray(residuals, dtype=float)
     worst = int(np.argmax(residuals))
-    return CheckReport(
-        name=name,
-        points=len(residuals),
-        max_residual=float(residuals[worst]),
-        mean_residual=float(np.mean(residuals)),
-        tolerance=tolerance,
-        worst_point=tuple(float(x) for x in points[worst]),
-    )
+    return CheckReport(name, len(residuals), float(residuals[worst]),
+                       float(np.mean(residuals)), tolerance,
+                       tuple(float(x) for x in points[worst]))
 
 
 # --------------------------------------------------------------------------
@@ -226,11 +209,8 @@ def sample_points(chart: ChartSpec, count: int = DEFAULT_POINTS,
                   seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """Draw ``count`` points uniformly from the chart domain box."""
     rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        p = np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
-        out.append(p)
-    return out
+    return [np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
+            for _ in range(count)]
 
 
 # --------------------------------------------------------------------------
@@ -518,36 +498,55 @@ def eval_fields(source, p, orders: Mapping[str, int]):
     return fields
 
 
-def point_fields(source, points, orders: Mapping[str, int]):
-    """Yield ``eval_fields`` at each of ``points`` in turn, read in chunks of
-    as many points as fit ``CHUNK_BYTES`` (at least one): a point's arrays are
-    views of its chunk's.  A chunk whose read fails is read again point by
-    point, so the error comes where a point-by-point read meets it, after the
-    points before it were yielded."""
+def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
+    """``run(eval_fields(...))`` on each chunk of as many ``points`` as the
+    blocks of ``orders`` and ``blocks``, ``(Block, order)`` pairs, fit in
+    ``CHUNK_BYTES`` (at least one).  A chunk whose read or run raises runs
+    again point by point, so the error is the one a point-by-point pass meets."""
     # a block the source lacks is left to its reader, which raises naming it
-    n, blocks = np.shape(points)[-1], source.block_entries
-    point_bytes = sum(blocks[block].point_bytes(n, order)
-                      for block, order in orders.items() if block in blocks)
+    n, entries = np.shape(points)[-1], source.block_entries
+    point_bytes = sum(entries[block].point_bytes(n, order)
+                      for block, order in orders.items() if block in entries)
+    point_bytes += sum(block.point_bytes(n, order) for block, order in blocks)
     size = max(1, CHUNK_BYTES // max(1, point_bytes))
+    out = []
     for start in range(0, len(points), size):
-        chunk = points[start:start + size]
+        chunk = np.array(points[start:start + size], dtype=float)
         try:
-            batch = eval_fields(source, np.array(chunk), orders)
-        except EvalDomainError:
-            yield from (eval_fields(source, p, orders) for p in chunk)
-            continue
-        names = [name for name in vars(batch) if name != "point"]
-        for k, p in enumerate(chunk):
-            yield SimpleNamespace(point=p, **{name: getattr(batch, name)[k]
-                                              for name in names})
+            out.append(run(eval_fields(source, chunk, orders)))
+        except Exception:       # whatever it was, the rerun raises it again
+            if len(chunk) == 1:
+                raise
+            out += [run(eval_fields(source, chunk[k:k + 1], orders))
+                    for k in range(len(chunk))]
+    return out
+
+
+def point_fields(source, points, orders: Mapping[str, int]):
+    """``eval_fields`` over a ``(P, n)`` batch of ``points``, read chunk by
+    chunk as ``check_values`` reads them, with the same error order."""
+    chunks = _chunked(source, points, orders, vars)
+    return SimpleNamespace(point=np.array(points, dtype=float), **{
+        name: np.concatenate([chunk[name] for chunk in chunks])
+        for name in chunks[0] if name != "point"})
 
 
 # --------------------------------------------------------------------------
-# Checks: a kernel over the fields at one point, reduced over the points
+# Checks: a kernel over the fields of a chunk of points, reduced per point
 
 
 def max_abs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
+
+
+def per_point(residual, count: int) -> np.ndarray:
+    """max |residual| over the axes after its point axis (0.0 if they are empty);
+    a residual with no further axis (a margin, a profile entry) is kept."""
+    residual = np.asarray(residual, dtype=float)
+    if residual.ndim == 1:
+        return residual
+    residual = np.abs(residual.reshape(count, -1))
+    return residual.max(axis=1) if residual.shape[1] else np.zeros(count)
 
 
 def tolerance_of(name: str, override: float | None = None) -> float:
@@ -558,28 +557,32 @@ def tolerance_of(name: str, override: float | None = None) -> float:
 
 
 class Check(NamedTuple):
-    """One kernel over the fields at a point, giving one residual per name."""
+    """One kernel over the fields of a chunk of points, giving one residual
+    tensor per name; written over leading axes, it also runs at one point."""
 
     names: tuple[str, ...]
     reads: Mapping[str, int]            # block -> highest derivative order read
     kernel: Callable
     gate: str | None = None             # reported only if the check so named passed
+    blocks: tuple = ()                  # (Block, order) the kernel reads at f.point
 
 
 def check_values(source, points, checks) -> list[np.ndarray]:
-    """One streaming pass over ``points`` (``point_fields``): each block the
-    checks read is evaluated once per chunk of points, at the highest order
-    any of them reads, and every check's kernel runs at each point on its
-    slices.  Returns each check's values, shape (points, names)."""
+    """One streaming pass over ``points`` (``_chunked``): each block the checks
+    read is evaluated once per chunk, at the highest order any of them reads,
+    and each kernel runs once per chunk; ``per_point`` reduces its residuals,
+    so a NaN is kept.  Returns each check's values, shape (points, names)."""
     orders: dict[str, int] = {}
     for check in checks:
         for block, order in check.reads.items():
             orders[block] = max(order, orders.get(block, 0))
-    values: list[list] = [[] for _ in checks]
-    for f in point_fields(source, points, orders):
-        for check, out in zip(checks, values):
-            out.append(check.kernel(f))
-    return [np.array(out, dtype=float).reshape(len(points), -1) for out in values]
+
+    def run(f):
+        return [np.stack([per_point(t, len(f.point)) for t in check.kernel(f)], axis=1)
+                for check in checks]
+    chunks = _chunked(source, points, orders, run,
+                      [pair for check in checks for pair in check.blocks])
+    return [np.concatenate(values) for values in zip(*chunks)]
 
 
 def reduce_checks(checks, values, points,
@@ -602,32 +605,31 @@ def run_checks(source, points, checks,
                          tol_override)
 
 
-def _anchor_morphism(f) -> float:
-    bracket = np.einsum("aj,bij->abi", f.rho, f.drho)
-    bracket = bracket - bracket.transpose(1, 0, 2)
-    return max_abs(bracket - np.einsum("abc,ci->abi", f.C, f.rho))
+def _anchor_morphism(f):
+    bracket = np.einsum("...aj,...bij->...abi", f.rho, f.drho)
+    bracket = bracket - np.swapaxes(bracket, -3, -2)
+    return bracket - np.einsum("...abc,...ci->...abi", f.C, f.rho),
 
 
-def _jacobi(f) -> float:
-    term = (np.einsum("aj,bcdj->abcd", f.rho, f.dC)
-            + np.einsum("bce,aed->abcd", f.C, f.C))
-    jac = term + term.transpose(1, 2, 0, 3) + term.transpose(2, 0, 1, 3)
-    triples = np.array(list(combinations(range(len(f.C)), 3)), dtype=int)
-    return max_abs(jac[tuple(triples.reshape(-1, 3).T)])
+def _jacobi(f):
+    term = (np.einsum("...aj,...bcdj->...abcd", f.rho, f.dC)
+            + np.einsum("...bce,...aed->...abcd", f.C, f.C))
+    jac = term + np.moveaxis(term, -4, -2) + np.moveaxis(term, -2, -4)
+    triples = np.array(list(combinations(range(f.C.shape[-1]), 3)), dtype=int)
+    return jac[(Ellipsis, *triples.reshape(-1, 3).T)],
 
 
-def _bivector_jacobi(f) -> float:
-    term = np.einsum("il,jkl->ijk", f.P, f.dP)
-    return max_abs(term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1))
+def _bivector_jacobi(f):
+    term = np.einsum("...il,...jkl->...ijk", f.P, f.dP)
+    return term + np.moveaxis(term, -3, -1) + np.moveaxis(term, -1, -3),
 
 
-def _leading_minors(mat: np.ndarray):
-    return [float(np.linalg.det(mat[:k, :k])) for k in range(1, mat.shape[0] + 1)]
-
-
-def _det_margin(mat) -> float:
-    """Amount by which |det| falls short of the nondegeneracy floor."""
-    return _DEFINITENESS_FLOOR - abs(float(np.linalg.det(mat)))
+def leading_minors(mat: np.ndarray) -> np.ndarray:
+    """[..., k]: det of the leading (k + 1) x (k + 1) block of each matrix."""
+    out = np.empty(mat.shape[:-1])
+    for k in range(mat.shape[-1]):
+        out[..., k] = np.linalg.det(mat[..., :k + 1, :k + 1])
+    return out
 
 
 ANCHOR_MORPHISM = Check(("anchor_morphism",), {"anchor": 1, "structure": 0},
@@ -635,10 +637,10 @@ ANCHOR_MORPHISM = Check(("anchor_morphism",), {"anchor": 1, "structure": 0},
 JACOBI = Check(("jacobi",), {"anchor": 0, "structure": 1}, _jacobi)
 # storage antisymmetry of the structure functions (exact by construction)
 STRUCTURE_ANTISYMMETRY = Check(("structure_antisymmetry",), {"structure": 0},
-                               lambda f: max_abs(f.C + f.C.transpose(1, 0, 2)))
+                               lambda f: (f.C + np.swapaxes(f.C, -3, -2),))
 METRIC_POSITIVE_DEFINITE = Check(
     ("metric_positive_definite",), {"metric": 0},
-    lambda f: _DEFINITENESS_FLOOR - float(np.min(_leading_minors(f.g))))
+    lambda f: (_DEFINITENESS_FLOOR - np.min(leading_minors(f.g), axis=-1),))
 
 
 def validate_spec(spec: AlgebroidSpec, points,
@@ -651,8 +653,9 @@ def validate_spec(spec: AlgebroidSpec, points,
     if spec.mode == "lie":
         checks += [ANCHOR_MORPHISM, JACOBI]
     if spec.symplectic is not None:
-        checks.append(Check(("symplectic_nondegenerate",), {"symplectic": 0},
-                            lambda f: _det_margin(f.Om)))
+        # the amount by which |det| falls short of the nondegeneracy floor
+        checks.append(Check(("symplectic_nondegenerate",), {"symplectic": 0}, lambda f: (
+            _DEFINITENESS_FLOOR - np.abs(np.linalg.det(f.Om)),)))
     if spec.poisson is not None:
         checks.append(Check(("poisson_jacobi",), {"poisson": 1}, _bivector_jacobi))
     return run_checks(spec, points, checks, tolerance)

@@ -221,8 +221,8 @@ def test_criterion_09_generalized_symplectic_poisson():
         K = ca._killing_frame(eval_fields(base, p, ca.KILLING.reads))
         exact &= np.array_equal(sym, K)
         exact &= not np.any(skew)
-        rot_worst = max(rot_worst, *ca.GENERALIZED.kernel(
-            eval_fields(base, p, ca.GENERALIZED.reads)))
+        rot_worst = max(rot_worst, *map(max_abs, ca.GENERALIZED.kernel(
+            eval_fields(base, p, ca.GENERALIZED.reads))))
     conf = _spec("fx_sympl_conf")
     for p in _points(conf, 100):
         symplectic = ca._symplectic_residual(

@@ -430,6 +430,41 @@ def test_kernel_error_at_an_earlier_point_wins(tmp_path, capsys):
         f"{point}\n")
 
 
+@pytest.mark.parametrize("psi_at, metric_at", [(2, 5), (2, 2)])
+def test_kernel_errors_within_one_chunk_keep_the_point_order(tmp_path, capsys,
+                                                              psi_at, metric_at):
+    # all 8 points are one chunk; the Killing row comes before the Koszul row,
+    # whose kernel reads the psi candidate, and the earlier point's error wins
+    points = _sample(8)
+    path = tmp_path / "two_kernel_errors.json"
+    path.write_text(json.dumps({
+        "chart": CHART, "rank": 1, "mode": "anchored", "anchor": [["1", "x"]],
+        "connection": [[["0", "0"]]],
+        "metric": [["1", "0"], ["0", _vanishing_at(points[metric_at])]]}))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"psi": [[[f"ln({_vanishing_at(points[psi_at])})",
+                                         "0"]]]}))
+    code, text = run(tmp_path, "check", "--spec", str(path), "--killing",
+                     "--koszul", "--psi-file", str(psi), "--points", "8")
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    point = tuple(float(c) for c in points[2])
+    if metric_at == psi_at:
+        assert err == (f"error: metric: leading minors [1.0, 0.0] not all positive "
+                       f"at point {point}\n")
+    else:
+        assert err.startswith("error: psi[0][0][0]: ln of nonpositive value in '")
+        assert err.endswith(f"' at point {point}\n")
+
+
+def test_geodesic_step_count_is_bounded(tmp_path, capsys):
+    code, text = run(tmp_path, "geodesic", "--spec", fx("fx_foliation_flat"),
+                     "--x0=0,0", "--v0=0,0", "--t-max", "1", "--h", "1e-9")
+    assert code == 2 and text is None
+    assert "asks for 1000000000 RK4 steps, more than MAX_STEPS = 1000000" \
+        in capsys.readouterr().err
+
+
 def test_evaluation_failure_at_the_last_point_names_it(tmp_path, capsys):
     points = _sample(20)
     path = tmp_path / "last_point.json"

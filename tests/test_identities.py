@@ -231,7 +231,7 @@ def test_probe_recovers_constant_bracket_through_gauge_twist():
     for p in points[:10]:
         f = eval_fields(spec, p, FRAME)
         assert max_abs(ca._s_frame(f)) <= 1e-15
-        assert ca.FLAT_FRAME_GATE.kernel(f) <= 1e-15
+        assert max_abs(*ca.FLAT_FRAME_GATE.kernel(f)) <= 1e-15
     samples, reports = ca.flat_frame_probe(spec, (0.3, 0.0), grid_steps=4)
     by_name = {r.name: r for r in reports}
     assert by_name["flat_frame_structure_constancy"].max_residual <= 1e-6
