@@ -1,9 +1,23 @@
-"""Differential test of the chunked check pass: every ``Check`` row run once
-per chunk of points must give the same bytes as the same rows run one point
-per chunk (``CHUNK_BYTES`` = 1), on all bundled fixtures at 100 points and on
-the degree-3 free truncations."""
+"""Differential tests of the chunked check pass.
 
+Every ``Check`` row run once per chunk of points must give the same bytes as
+the same rows run one point per chunk (``CHUNK_BYTES`` = 1), on all bundled
+fixtures at 100 points and on the degree-3 free truncations; no chunk may fall
+back to its one-point rerun.
+
+Both passes must also match the per-point values of the point-by-point kernels
+the chunked ones replaced: the sha256 of each row's ``check_values`` array
+(dtype, shape and bytes) in every case is frozen in
+``golden/check_value_fingerprints.json``.  Freeze (only when a value is meant
+to change, and say why in CHANGES.md)::
+
+    PYTHONPATH=src python tests/test_chunked_kernels.py --freeze
+"""
+
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,40 +35,10 @@ FIXTURES = (
     "fx_poisson_linear", "fx_rho0_n1", "fx_so2_conformal", "fx_so3_sphere",
     "fx_sympl_conf", "fx_taucurv", "fx_tm_flat",
 )
+FREE_FIXTURES = ("fx_free_heis", "fx_free_abelian", "fx_killing_nonabelian",
+                 "fx_nonriem_fol", "fx_so3_sphere")
+PRINTS = Path(__file__).resolve().parent / "golden" / "check_value_fingerprints.json"
 CHECK_VALUES = spec_model.check_values
-
-
-def _passes(monkeypatch, chunk_bytes, run):
-    """The arrays of every check_values call that ``run`` makes, and the
-    number of chunks read, with ``CHUNK_BYTES`` set to ``chunk_bytes``."""
-    values, reads = [], []
-    eval_fields = spec_model.eval_fields
-
-    def recording(*args):
-        out = CHECK_VALUES(*args)
-        values.extend(out)
-        return out
-
-    def counting(source, p, orders):
-        reads.append(len(p))
-        return eval_fields(source, p, orders)
-    with monkeypatch.context() as m:
-        m.setattr(spec_model, "CHUNK_BYTES", chunk_bytes)
-        m.setattr(spec_model, "check_values", recording)
-        m.setattr(spec_model, "eval_fields", counting)
-        reports = [r.to_dict() for r in run()]
-    return values, reports, reads
-
-
-def _same_bytes(monkeypatch, run):
-    chunked, reports, reads = _passes(monkeypatch, spec_model.CHUNK_BYTES, run)
-    single, single_reports, single_reads = _passes(monkeypatch, 1, run)
-    assert max(reads) > 1 and max(single_reads) == 1
-    assert len(chunked) == len(single) > 0
-    for a, b in zip(chunked, single):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert json.dumps(reports) == json.dumps(single_reports)
-    return chunked
 
 
 def _check_flags(spec):
@@ -67,25 +51,20 @@ def _check_flags(spec):
     return flags
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-def test_check_rows_chunked_match_one_point_chunks(monkeypatch, name):
+def _suite_case(name):
     spec = spec_model.load_spec_file(fixture_path(name))
     points = spec_model.sample_points(spec.chart, 100)
     # the connection cube as a psi candidate, so the Koszul kernel reads a
     # block that varies over the chart
-    psi = spec.connection
 
     def run():
         reports = spec_model.validate_spec(spec, points)
         return reports + run_check_suite(spec, points, _check_flags(spec),
-                                         psi_candidate=psi)
-    _same_bytes(monkeypatch, run)
+                                         psi_candidate=spec.connection)
+    return run
 
 
-@pytest.mark.parametrize("name", ["fx_free_heis", "fx_free_abelian",
-                                  "fx_killing_nonabelian", "fx_nonriem_fol",
-                                  "fx_so3_sphere"])
-def test_free_rows_chunked_match_one_point_chunks(monkeypatch, name):
+def _free_case(name):
     spec = spec_model.load_spec_file(fixture_path(name))
     points = spec_model.sample_points(spec.chart, 100 if spec.rank < 3 else 10)
     quotient = fa.free_extend(spec, 3, "quotient")
@@ -97,19 +76,112 @@ def test_free_rows_chunked_match_one_point_chunks(monkeypatch, name):
     def run():
         spec_model.check_values(quotient, points, checks)
         return [fa.jacobiator_check(almost, points)]
-    _same_bytes(monkeypatch, run)
+    return run
+
+
+# x^1000 overflows the anchor-morphism bracket to inf - inf = nan
+NON_FINITE = {"chart": {"coords": ["x", "y"], "domain": [[-2.0, 2.0], [-2.0, 2.0]]},
+              "rank": 1, "mode": "lie", "anchor": [["x^1000", "0"]],
+              "connection": [[["0", "0"]]]}
+
+
+def _non_finite_case():
+    spec = load_doc(NON_FINITE)
+    points = np.array(spec_model.sample_points(spec.chart, 100))
+
+    def run():
+        with np.errstate(invalid="ignore"):
+            return spec_model.validate_spec(spec, points)
+    return run
+
+
+CASES = {**{name: lambda name=name: _suite_case(name) for name in FIXTURES},
+         **{f"free/{name}": lambda name=name: _free_case(name)
+            for name in FREE_FIXTURES},
+         "non_finite": _non_finite_case}
+
+
+def _passes(monkeypatch, chunk_bytes, run):
+    """The reports of ``run()`` with ``CHUNK_BYTES`` set to ``chunk_bytes``,
+    each check_values call's (names, values) per check, and the size of each
+    batch of points read.  Each call must read each of its points once: a
+    chunk that ran again point by point would read its points twice."""
+    calls, reads = [], []
+    eval_fields = spec_model.eval_fields
+
+    def recording(source, points, checks):
+        first = len(reads)
+        out = CHECK_VALUES(source, points, checks)
+        assert sum(reads[first:]) == len(points)
+        calls.extend(("+".join(check.names), values)
+                     for check, values in zip(checks, out))
+        return out
+
+    def counting(source, p, orders):
+        reads.append(len(p))
+        return eval_fields(source, p, orders)
+    with monkeypatch.context() as m:
+        m.setattr(spec_model, "CHUNK_BYTES", chunk_bytes)
+        m.setattr(spec_model, "check_values", recording)
+        m.setattr(spec_model, "eval_fields", counting)
+        reports = [r.to_dict() for r in run()]
+    return reports, calls, reads
+
+
+def _fingerprints(calls) -> dict[str, str]:
+    """Call index and check names -> sha256 of the values' dtype, shape, bytes."""
+    out = {}
+    for k, (names, values) in enumerate(calls):
+        digest = hashlib.sha256(f"{values.dtype.str}{values.shape}".encode())
+        digest.update(np.ascontiguousarray(values).tobytes())
+        out[f"{k}/{names}"] = digest.hexdigest()
+    return out
+
+
+def _same_bytes(monkeypatch, case):
+    run = CASES[case]()
+    reports, chunked, reads = _passes(monkeypatch, spec_model.CHUNK_BYTES, run)
+    single_reports, single, single_reads = _passes(monkeypatch, 1, run)
+    assert max(reads) > 1 and max(single_reads) == 1
+    assert len(chunked) == len(single) > 0
+    for (name, a), (single_name, b) in zip(chunked, single):
+        assert name == single_name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert json.dumps(reports) == json.dumps(single_reports)
+    assert _fingerprints(chunked) == json.loads(PRINTS.read_text())[case]
+    return [values for _, values in chunked]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_check_rows_chunked_match_one_point_chunks(monkeypatch, name):
+    _same_bytes(monkeypatch, name)
+
+
+@pytest.mark.parametrize("name", FREE_FIXTURES)
+def test_free_rows_chunked_match_one_point_chunks(monkeypatch, name):
+    _same_bytes(monkeypatch, f"free/{name}")
 
 
 def test_non_finite_residual_in_the_same_place(monkeypatch):
-    # x^1000 overflows the anchor-morphism bracket to inf - inf = nan
-    spec = load_doc({"chart": {"coords": ["x", "y"],
-                               "domain": [[-2.0, 2.0], [-2.0, 2.0]]},
-                     "rank": 1, "mode": "lie", "anchor": [["x^1000", "0"]],
-                     "connection": [[["0", "0"]]]})
-    points = np.array(spec_model.sample_points(spec.chart, 100))
-    with np.errstate(invalid="ignore"):
-        values = _same_bytes(monkeypatch,
-                             lambda: spec_model.validate_spec(spec, points))
+    values = _same_bytes(monkeypatch, "non_finite")
+    points = np.array(spec_model.sample_points(load_doc(NON_FINITE).chart, 100))
     nan = np.isnan(values[-2][:, 0])        # the anchor_morphism row
     assert nan.any() and not nan.all()
     assert np.all(np.abs(points[nan, 0]) > 1.0)
+
+
+def freeze() -> None:
+    prints = {}
+    with pytest.MonkeyPatch.context() as m:
+        for case, make in CASES.items():
+            _, calls, _ = _passes(m, spec_model.CHUNK_BYTES, make())
+            prints[case] = _fingerprints(calls)
+    PRINTS.write_text(json.dumps(prints, indent=2, sort_keys=True) + "\n")
+    print(f"froze {sum(map(len, prints.values()))} check value fingerprints "
+          f"of {len(prints)} cases in {PRINTS}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--freeze"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_chunked_kernels.py --freeze")
+    freeze()
