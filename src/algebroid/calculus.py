@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprjet import Block, eval_block
+from .exprjet import Block
 from .spec_model import (
-    AlgebroidSpec, Check, CheckReport, cube_entries, eval_connection,
-    leading_minors, per_point, point_fields, report_from_residuals, tolerance_of,
+    AlgebroidSpec, Check, CheckReport, SingularMetricError, cube_entries,
+    eval_connection, leading_minors, per_point, point_fields, report_from_residuals,
+    tolerance_of,
 )
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
     "POISSON", "FLAT_FRAME_GATE", "koszul_check", "FrameSamples",
     "SingularMetricError", "FlatnessGateError", "flat_frame_probe",
 ]
-
-
-class SingularMetricError(Exception):
-    """Metric failed the leading-minor positivity test at a point."""
 
 
 class FlatnessGateError(Exception):
@@ -313,17 +310,17 @@ FLAT_FRAME_GATE = Check(("flat_frame_gate",), {"connection": 1},
 def koszul_check(psi_candidate) -> Check:
     """Koszul obstruction for perturbing the connection by the [a][b][i]
     expression cube ``psi_candidate``: symmetrized contraction of psi against
-    the metric dual of the anchor.  The kernel reads psi at ``f.point``."""
+    the metric dual of the anchor."""
     r, n = len(psi_candidate), len(psi_candidate[0][0])
     psi_block = Block(cube_entries(psi_candidate), (r, r, n), "psi")
 
     def kernel(f):
-        psi, = eval_block(psi_block, f.point)
+        psi, = f.psi_candidate()
         half = np.einsum("...abi,...bj->...aij", psi,
                          np.einsum("...ak,...kj->...aj", f.rho, f.g))
         return 0.5 * (half + np.swapaxes(half, -2, -1)),
     return Check(("koszul_delta",), {"anchor": 0, "metric": 0}, kernel,
-                 blocks=((psi_block, 0),))
+                 blocks=(("psi_candidate", psi_block, 0),))
 
 
 # --------------------------------------------------------------------------

@@ -561,8 +561,8 @@ def jacobiator_check(free: FreeTruncation, points,
     shifted_block = Block(shifted_entries, (T, 3, N, N), "jacobiator")
 
     def kernel(f):
-        jac_val, jac_grad = eval_block(jac_block, f.point, 1)
-        vecs, = eval_block(shifted_block, f.point)
+        jac_val, jac_grad = f.jacobiator()
+        vecs, = f.shifted_jacobiator()
         residual = np.empty(jac_val.shape[:-1] + (f.omega.shape[-1], N))   # [t, i, w]
         for t in range(T):
             # nabla_i (Jac(args)) in the extended frame
@@ -573,6 +573,7 @@ def jacobiator_check(free: FreeTruncation, points,
                 at -= np.einsum("...i,...w->...iw", f.omega[..., kh, kq, :],
                                 vecs[..., t, slot, kq, :])
         return residual,
-    return run_checks(free, points, [Check(
-        ("jacobiator_covariant_constancy",), {"connection": 0}, kernel,
-        blocks=((jac_block, 1), (shifted_block, 0)))], tol_override)[0]
+    check = Check(("jacobiator_covariant_constancy",), {"connection": 0}, kernel,
+                  blocks=(("jacobiator", jac_block, 1),
+                          ("shifted_jacobiator", shifted_block, 0)))
+    return run_checks(free, points, [check], tol_override)[0]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -81,6 +81,14 @@ class SchemaError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class SingularMetricError(Exception):
+    """Metric failed the leading-minor positivity test at a point."""
+
+
+# The errors a block read or a kernel meets at a sample point
+POINT_ERRORS = (EvalDomainError, SingularMetricError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,15 @@ class CheckReport:
         return self.max_residual <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {**vars(self), "pass": self.passed, "worst_point": list(self.worst_point)}
+        return {
+            "name": self.name,
+            "points": self.points,
+            "max_residual": self.max_residual,
+            "mean_residual": self.mean_residual,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
+            "worst_point": list(self.worst_point),
+        }
 
 
 def report_from_residuals(name: str, residuals: Sequence[float],
@@ -176,9 +192,14 @@ def report_from_residuals(name: str, residuals: Sequence[float],
     max, so the check fails and ``worst_point`` is the first NaN point."""
     residuals = np.asarray(residuals, dtype=float)
     worst = int(np.argmax(residuals))
-    return CheckReport(name, len(residuals), float(residuals[worst]),
-                       float(np.mean(residuals)), tolerance,
-                       tuple(float(x) for x in points[worst]))
+    return CheckReport(
+        name=name,
+        points=len(residuals),
+        max_residual=float(residuals[worst]),
+        mean_residual=float(np.mean(residuals)),
+        tolerance=tolerance,
+        worst_point=tuple(float(x) for x in points[worst]),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -209,8 +230,11 @@ def sample_points(chart: ChartSpec, count: int = DEFAULT_POINTS,
                   seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """Draw ``count`` points uniformly from the chart domain box."""
     rng = SplitMix64(seed)
-    return [np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
-            for _ in range(count)]
+    out = []
+    for _ in range(count):
+        p = np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
+        out.append(p)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -499,26 +523,33 @@ def eval_fields(source, p, orders: Mapping[str, int]):
 
 
 def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
-    """``run(eval_fields(...))`` on each chunk of as many ``points`` as the
-    blocks of ``orders`` and ``blocks``, ``(Block, order)`` pairs, fit in
-    ``CHUNK_BYTES`` (at least one).  A chunk whose read or run raises runs
-    again point by point, so the error is the one a point-by-point pass meets."""
+    """``run(f)`` on each chunk of as many ``points`` as fit ``CHUNK_BYTES``
+    (at least one): ``f`` holds the chunk's ``eval_fields`` and, for each
+    ``(name, Block, order)`` of ``blocks``, ``f.<name>()`` reading that block
+    over the chunk; the chunk size counts both.  A chunk that raises one of
+    ``POINT_ERRORS`` runs again point by point, so the error is the one a
+    point-by-point pass meets."""
     # a block the source lacks is left to its reader, which raises naming it
     n, entries = np.shape(points)[-1], source.block_entries
     point_bytes = sum(entries[block].point_bytes(n, order)
                       for block, order in orders.items() if block in entries)
-    point_bytes += sum(block.point_bytes(n, order) for block, order in blocks)
+    point_bytes += sum(block.point_bytes(n, order) for _, block, order in blocks)
     size = max(1, CHUNK_BYTES // max(1, point_bytes))
+
+    def run_at(chunk):
+        f = eval_fields(source, chunk, orders)
+        for name, block, order in blocks:
+            setattr(f, name, partial(eval_block, block, chunk, order))
+        return run(f)
     out = []
     for start in range(0, len(points), size):
         chunk = np.array(points[start:start + size], dtype=float)
         try:
-            out.append(run(eval_fields(source, chunk, orders)))
-        except Exception:       # whatever it was, the rerun raises it again
+            out.append(run_at(chunk))
+        except POINT_ERRORS:
             if len(chunk) == 1:
                 raise
-            out += [run(eval_fields(source, chunk[k:k + 1], orders))
-                    for k in range(len(chunk))]
+            out += [run_at(chunk[k:k + 1]) for k in range(len(chunk))]
     return out
 
 
@@ -564,7 +595,7 @@ class Check(NamedTuple):
     reads: Mapping[str, int]            # block -> highest derivative order read
     kernel: Callable
     gate: str | None = None             # reported only if the check so named passed
-    blocks: tuple = ()                  # (Block, order) the kernel reads at f.point
+    blocks: tuple = ()                  # (name, Block, order): read as f.<name>()
 
 
 def check_values(source, points, checks) -> list[np.ndarray]:
@@ -577,11 +608,14 @@ def check_values(source, points, checks) -> list[np.ndarray]:
         for block, order in check.reads.items():
             orders[block] = max(order, orders.get(block, 0))
 
+    blocks = [named for check in checks for named in check.blocks]
+    if len({name for name, _, _ in blocks}) < len(blocks):
+        raise ValueError("two checks of one pass read blocks of the same name")
+
     def run(f):
         return [np.stack([per_point(t, len(f.point)) for t in check.kernel(f)], axis=1)
                 for check in checks]
-    chunks = _chunked(source, points, orders, run,
-                      [pair for check in checks for pair in check.blocks])
+    chunks = _chunked(source, points, orders, run, blocks)
     return [np.concatenate(values) for values in zip(*chunks)]
 
 
@@ -616,7 +650,7 @@ def _jacobi(f):
             + np.einsum("...bce,...aed->...abcd", f.C, f.C))
     jac = term + np.moveaxis(term, -4, -2) + np.moveaxis(term, -2, -4)
     triples = np.array(list(combinations(range(f.C.shape[-1]), 3)), dtype=int)
-    return jac[(Ellipsis, *triples.reshape(-1, 3).T)],
+    return jac[(Ellipsis, *triples.reshape(-1, 3).T, slice(None))],
 
 
 def _bivector_jacobi(f):

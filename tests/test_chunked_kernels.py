@@ -170,6 +170,27 @@ def test_non_finite_residual_in_the_same_place(monkeypatch):
     assert np.all(np.abs(points[nan, 0]) > 1.0)
 
 
+def test_only_a_point_error_reruns_a_chunk(monkeypatch):
+    # a defect of the batched shapes must raise from the chunk, not hide in
+    # the one-point rerun
+    spec = spec_model.load_spec_file(fixture_path("fx_bla"))
+    points = spec_model.sample_points(spec.chart, 10)
+    reads = []
+    eval_fields = spec_model.eval_fields
+
+    def counting(source, p, orders):
+        reads.append(len(p))
+        return eval_fields(source, p, orders)
+
+    def kernel(f):
+        return f.rho[..., 5, :],
+    monkeypatch.setattr(spec_model, "eval_fields", counting)
+    with pytest.raises(IndexError):
+        spec_model.check_values(spec, points, [spec_model.Check(
+            ("broken",), {"anchor": 0}, kernel)])
+    assert reads == [10]
+
+
 def freeze() -> None:
     prints = {}
     with pytest.MonkeyPatch.context() as m:

@@ -232,13 +232,11 @@ def test_jacobi_violation_detected(spec_of, points_of):
     assert not report.passed
 
 
-def test_jacobi_brute_force_oracle(spec_of, points_of):
-    # independent expansion with explicit loops, no einsum
-    spec = spec_of("fx_bla_nojacobi")
-    r, n = spec.rank, spec.dimension
-    for p in points_of(spec, 10):
+def _assert_jacobi_oracle(spec, points):
+    # independent expansion with explicit loops, no einsum (the anchor is zero)
+    r = spec.rank
+    for p in points:
         C = eval_structure(spec, p)
-        rho = np.zeros((r, n))
         worst = 0.0
         for a in range(r):
             for b in range(r):
@@ -252,6 +250,33 @@ def test_jacobi_brute_force_oracle(spec_of, points_of):
                             worst = max(worst, abs(total))
         residual = max_abs(*JACOBI.kernel(eval_fields(spec, p, JACOBI.reads)))
         assert worst == pytest.approx(residual, rel=1e-12)
+
+
+def test_jacobi_brute_force_oracle(spec_of, points_of):
+    spec = spec_of("fx_bla_nojacobi")
+    _assert_jacobi_oracle(spec, points_of(spec, 10))
+
+
+def _zero_anchor_doc(rank: int, structure: list) -> dict:
+    zeros = ["0", "0"]
+    return {"chart": {"coords": ["x", "y"], "domain": [[0.5, 2.0], [-1.0, 1.0]]},
+            "rank": rank, "mode": "lie", "anchor": [zeros] * rank,
+            "structure": structure,
+            "connection": [[zeros] * rank for _ in range(rank)]}
+
+
+def test_jacobi_oracle_sees_every_jacobiator_component(points_of):
+    # fx_bla_nojacobi with its frame relabelled so that its Jacobiator points
+    # along the first frame vector, and constant random structure functions
+    # of rank 4, whose Jacobiators have every component
+    relabelled = load_doc(_zero_anchor_doc(3, [
+        {"a": 2, "b": 3, "c": 1, "expr": "x"}, {"a": 1, "b": 2, "c": 2, "expr": "-1"}]))
+    rng = np.random.default_rng(11)
+    random = load_doc(_zero_anchor_doc(4, [
+        {"a": a, "b": b, "c": c, "expr": f"{rng.uniform(-1.0, 1.0):.3f}"}
+        for a in range(1, 5) for b in range(a + 1, 5) for c in range(1, 5)]))
+    for spec in (relabelled, random):
+        _assert_jacobi_oracle(spec, points_of(spec, 10))
 
 
 # --------------------------------------------------------------------------
