@@ -608,14 +608,11 @@ def check_values(source, points, checks) -> list[np.ndarray]:
         for block, order in check.reads.items():
             orders[block] = max(order, orders.get(block, 0))
 
-    blocks = [named for check in checks for named in check.blocks]
-    if len({name for name, _, _ in blocks}) < len(blocks):
-        raise ValueError("two checks of one pass read blocks of the same name")
-
     def run(f):
         return [np.stack([per_point(t, len(f.point)) for t in check.kernel(f)], axis=1)
                 for check in checks]
-    chunks = _chunked(source, points, orders, run, blocks)
+    chunks = _chunked(source, points, orders, run,
+                      [named for check in checks for named in check.blocks])
     return [np.concatenate(values) for values in zip(*chunks)]
 
 
