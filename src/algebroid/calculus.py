@@ -86,7 +86,10 @@ def s_frame_components(rho, drho, C, dC, omega, domega, a, b):
     omega_u, omega_v = omega.take(u, -3), omega.take(v, -3)
     lie = (np.einsum("...kj,...kcij->...cki", rho.take(u, -2), domega.take(v, -4))
            + np.einsum("...kji,...kcj->...cki", drho.take(u, -3), omega_v))
-    quad = np.einsum("...qj,...kcj,...kqi->...cki", rho, omega_v, omega_u)
+    # omega_v(rho_q), then contracted with omega_u: two pairwise einsums, not
+    # numpy's nested loop over all three operands
+    quad = np.einsum("...kcq,...kqi->...cki",
+                     np.einsum("...qj,...kcj->...kcq", rho, omega_v), omega_u)
     mix = np.einsum("...kqi,...kqc->...cki", omega_v, C.take(u, -3))
     ab, ba = at[:k], at[k:]
     asym = (lie.take(ab, -2) - lie.take(ba, -2)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -247,7 +248,8 @@ def _join_vector_values(argv) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algebroid",
         description="Check compatibility structures on anchored bundles and "
@@ -296,8 +298,11 @@ def main(argv=None) -> int:
     p_geo.add_argument("--h", type=float, default=1e-3)
     p_geo.add_argument("--trace-csv", dest="trace_csv", default=None,
                        help="dump the trace as CSV")
+    return parser
 
-    args = parser.parse_args(_join_vector_values(
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(_join_vector_values(
         sys.argv[1:] if argv is None else argv))
     handlers = {"validate": _cmd_validate, "check": _cmd_check,
                 "free": _cmd_free, "geodesic": _cmd_geodesic}

@@ -13,7 +13,7 @@ degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -195,13 +195,14 @@ def _expansion_add(target: dict, w: HallWord, coeff: Expr):
         target[w] = combined
 
 
-def _commutator_exprs(rho_u, rho_v, n: int) -> tuple[Expr, ...]:
+def _commutator_exprs(rho_u, rho_v, jac_u, jac_v) -> tuple[Expr, ...]:
+    """[rho_u, rho_v] from the anchors and their Jacobians jac[i][j] = d_j rho^i."""
     comps = []
-    for i in range(n):
+    for i in range(len(rho_u)):
         total = Num(0.0)
-        for j in range(n):
-            total = e_add(total, e_sub(e_mul(rho_u[j], diff(rho_v[i], j)),
-                                       e_mul(rho_v[j], diff(rho_u[i], j))))
+        for j in range(len(rho_u)):
+            total = e_add(total, e_sub(e_mul(rho_u[j], jac_v[i][j]),
+                                       e_mul(rho_v[j], jac_u[i][j])))
         comps.append(total)
     return tuple(comps)
 
@@ -404,10 +405,12 @@ def _magma_anchors(spec: AlgebroidSpec, levels) -> dict:
     held = vars(spec).setdefault("_magma_anchors", {})
     if len(levels) not in held:
         anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
+        jac = cache(lambda w: [[diff(c, j) for j in range(spec.dimension)]
+                               for c in anchor[w]])     # once per word
         for level in levels[1:]:
             for w in level:
                 u, v = w.parts
-                anchor[w] = _commutator_exprs(anchor[u], anchor[v], spec.dimension)
+                anchor[w] = _commutator_exprs(anchor[u], anchor[v], jac(u), jac(v))
         held[len(levels)] = anchor
     return dict(held[len(levels)])
 
@@ -490,8 +493,9 @@ def rank_profile_check(free: FreeTruncation) -> Check:
     measures whether one-higher-degree commutators leave the realized span.
     A profile, not a residual: its values are read with ``profile_of``."""
     r, words, idx = len(free.basis[0]), free.words, free.index
-    closure = [(idx[u.key], idx[v.key]) for u in words for v in words
-               if u.key < v.key and u.degree + v.degree == free.degree + 1]
+    ku, kv = np.array([(idx[u.key], idx[v.key]) for u in words for v in words
+                       if u.key < v.key and u.degree + v.degree == free.degree + 1],
+                      dtype=int).reshape(-1, 2).T
 
     def kernel(f):
         mat, drho = f.rho, f.drho
@@ -499,16 +503,17 @@ def rank_profile_check(free: FreeTruncation) -> Check:
         rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
         rank_ext = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
         defect = np.zeros(scale.shape)
-        for ku, kv in closure:
-            # the vector-field commutator [rho_u, rho_v]
-            vecs = (np.einsum("...j,...ij->...i", mat.take(ku, -2), drho.take(kv, -3))
-                    - np.einsum("...j,...ij->...i", mat.take(kv, -2), drho.take(ku, -3)))
-            # np.linalg.lstsq does not stack: one solve per point
-            for p in np.ndindex(defect.shape):
-                vec, A = vecs[p], np.swapaxes(mat[p], -2, -1)
-                if np.linalg.norm(vec) != 0.0:
-                    sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
-                    defect[p] = max(defect[p], float(np.linalg.norm(A @ sol - vec)))
+        # the vector-field commutators [rho_u, rho_v] of every closure pair
+        vecs = (np.einsum("...kj,...kij->...ki", mat.take(ku, -2), drho.take(kv, -3))
+                - np.einsum("...kj,...kij->...ki", mat.take(kv, -2), drho.take(ku, -3)))
+        # the norm, not vecs != 0: a vector whose squares all underflow is skipped
+        nonzero = np.linalg.norm(vecs, axis=-1) != 0.0
+        # np.linalg.lstsq does not stack: one solve per point and pair
+        for p in np.ndindex(defect.shape):
+            A = np.swapaxes(mat[p], -2, -1)
+            for vec in vecs[p][nonzero[p]]:
+                sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
+                defect[p] = max(defect[p], float(np.linalg.norm(A @ sol - vec)))
         return rank_gen, rank_ext, defect
     return Check(("rank_generators", "rank_extended", "closure_defect"),
                  {"anchor": 1}, kernel)
@@ -534,12 +539,13 @@ def jacobiator_check(free: FreeTruncation, points,
     N = len(words)
     table = free.bracket_table
 
-    triples = [t for t in combinations(words, 3)
-               if sum(w.degree for w in t) <= free.degree]
+    degrees = [w.degree for w in words]
+    triples = [(words[i], words[j], words[k]) for i, j, k in combinations(range(N), 3)
+               if degrees[i] + degrees[j] + degrees[k] <= free.degree]
 
-    # Jac(triple) at [t, w]; Jac with slot s replaced by word q at [t, s, q, w]
-    jac_entries, shifted_entries = [], []
-    shifted = [[] for _ in triples]         # per triple: (slot, host, q) indices
+    # Jac(triple) at [t, w]; Jac with a slot of triple t, held by word h,
+    # replaced by word q at [row, w] for the row-th (t, h, q) of ``shifted``
+    jac_entries, shifted_entries, shifted = [], [], []
     for t, args in enumerate(triples):
         jac_entries += [((t, idx[w.key]), 1, c)
                         for w, c in _jacobiator(table, *args).items()]
@@ -553,25 +559,21 @@ def jacobiator_check(free: FreeTruncation, points,
                         and swapped[0].key != swapped[2].key:
                     jac_q = _jacobiator(table, *swapped)
                     if jac_q:
-                        shifted[t].append((slot, idx[host.key], idx[q.key]))
-                        shifted_entries += [((t, slot, idx[q.key], idx[w.key]), 1, c)
+                        shifted_entries += [((len(shifted), idx[w.key]), 1, c)
                                             for w, c in jac_q.items()]
-    T = len(triples)
-    jac_block = Block(jac_entries, (T, N), "jacobiator")
-    shifted_block = Block(shifted_entries, (T, 3, N, N), "jacobiator")
+                        shifted.append((t, idx[host.key], idx[q.key]))
+    jac_block = Block(jac_entries, (len(triples), N), "jacobiator")
+    shifted_block = Block(shifted_entries, (len(shifted), N), "jacobiator")
 
     def kernel(f):
         jac_val, jac_grad = f.jacobiator()
         vecs, = f.shifted_jacobiator()
-        residual = np.empty(jac_val.shape[:-1] + (f.omega.shape[-1], N))   # [t, i, w]
-        for t in range(T):
-            # nabla_i (Jac(args)) in the extended frame
-            at = residual[..., t, :, :]
-            at[...] = np.swapaxes(jac_grad[..., t, :, :], -2, -1) + np.einsum(
-                "...v,...vwi->...iw", jac_val[..., t, :], f.omega)
-            for slot, kh, kq in shifted[t]:
-                at -= np.einsum("...i,...w->...iw", f.omega[..., kh, kq, :],
-                                vecs[..., t, slot, kq, :])
+        # nabla_i (Jac(args)) in the extended frame, at [t, i, w]
+        residual = np.swapaxes(jac_grad, -2, -1) + np.einsum(
+            "...tv,...vwi->...tiw", jac_val, f.omega)
+        for row, (t, kh, kq) in enumerate(shifted):
+            residual[..., t, :, :] -= np.einsum(
+                "...i,...w->...iw", f.omega[..., kh, kq, :], vecs[..., row, :])
         return residual,
     check = Check(("jacobiator_covariant_constancy",), {"connection": 0}, kernel,
                   blocks=(("jacobiator", jac_block, 1),

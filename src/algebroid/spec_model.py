@@ -528,7 +528,8 @@ def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
     ``(name, Block, order)`` of ``blocks``, ``f.<name>()`` reading that block
     over the chunk; the chunk size counts both.  A chunk that raises one of
     ``POINT_ERRORS`` runs again point by point, so the error is the one a
-    point-by-point pass meets."""
+    point-by-point pass meets.  Kernels run with numpy's overflow and
+    invalid-value warnings off: a non-finite residual fails its report."""
     # a block the source lacks is left to its reader, which raises naming it
     n, entries = np.shape(points)[-1], source.block_entries
     point_bytes = sum(entries[block].point_bytes(n, order)
@@ -540,7 +541,8 @@ def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
         f = eval_fields(source, chunk, orders)
         for name, block, order in blocks:
             setattr(f, name, partial(eval_block, block, chunk, order))
-        return run(f)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return run(f)
     out = []
     for start in range(0, len(points), size):
         chunk = np.array(points[start:start + size], dtype=float)

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import algebroid
 from algebroid import fixture_path
 from algebroid import freealg as fa
 from algebroid import spec_model
@@ -267,7 +272,7 @@ def _anchor_spec(tmp_path, anchor_x):
     return str(path)
 
 
-def test_non_finite_residual_fails(tmp_path):
+def test_non_finite_residual_fails(tmp_path, capsys, recwarn):
     # x^1000 overflows the bracket to inf - inf = nan at some sample points
     code, text = run(tmp_path, "validate", "--spec",
                      _anchor_spec(tmp_path, "x^1000"), "--points", "20")
@@ -277,6 +282,9 @@ def test_non_finite_residual_fails(tmp_path):
     assert not check["pass"]
     assert check["max_residual"] != check["max_residual"]      # NaN
     assert abs(check["worst_point"][0]) > 1.0
+    # the report names the NaN; numpy must not warn about it as well
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("expr, reason", [
@@ -496,3 +504,26 @@ def test_geodesic_rejects_an_indefinite_metric_at_the_last_point(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: metric: leading minors [1.0, -2.62895")
     assert err.endswith("not all positive at point (0.0, -2.6289511472446514e-05)\n")
+
+
+def test_one_process_runs_subcommands_as_separate_processes_do(tmp_path):
+    # main() reuses one parser per process: a subcommand must parse the same
+    # after another one ran, with no option or default carried over
+    invocations = [
+        ["check", "--spec", fx("fx_rho0_n1"), "--killing", "--points", "5",
+         "--tol", "0.5", "--format", "text"],
+        ["free", "--spec", fx("fx_free_heis"), "--degree", "2", "--points", "3"],
+        ["check", "--spec", fx("fx_rho0_n1"), "--killing", "--points", "5"],
+        ["validate", "--spec", fx("fx_action_so2"), "--points", "4", "--seed", "7"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(algebroid.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    for k, argv in enumerate(invocations):
+        code, text = run(tmp_path, *argv)
+        out = tmp_path / f"separate{k}.out"
+        separate = subprocess.run(
+            [sys.executable, "-c", "import sys; from algebroid.cli import main; "
+                                   "sys.exit(main(sys.argv[1:]))",
+             *argv, "--out", str(out)], env=env, capture_output=True, text=True)
+        assert (code, text) == (separate.returncode, out.read_text()), argv
+    assert [run(tmp_path, *argv)[0] for argv in invocations] == [1, 0, 1, 0]

@@ -1,16 +1,21 @@
 from dataclasses import replace
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from algebroid import calculus as ca
+from algebroid import spec_model
 from algebroid import freealg as fa
-from algebroid.exprjet import Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet, parse_expr
+from algebroid.exprjet import (
+    Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet, parse_expr, render,
+)
 from algebroid.spec_model import (
     check_values, eval_fields, max_abs, run_checks, sample_points,
 )
 
-from conftest import fixture_doc, load_doc
+from conftest import FIXTURES, fixture_doc, load_doc
 
 
 def _anchored(name):
@@ -311,6 +316,27 @@ def test_jacobiator_degree_four():
     assert fa.jacobiator_check(free, points).max_residual <= 1e-8
 
 
+def test_jacobiator_lists_every_triple_and_reads_only_its_shifted_rows(monkeypatch):
+    # every triple of degree sum <= 4 gets residual rows, and the shifted
+    # Jacobiator is one row per listed (triple, slot, word), not a dense
+    # (triples, 3, N, N) block: the degree-4 fx_so3_sphere pass reads its
+    # 5 points in one chunk, not one point per chunk
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    free = fa.free_extend(spec, 4, "almost")
+    points = sample_points(spec.chart, 5, 42)
+    run, rows = fa.run_checks, []
+    monkeypatch.setattr(fa, "run_checks", lambda *args: rows.extend(args[2]) or run(*args))
+    read, sizes = spec_model.eval_block, []
+    monkeypatch.setattr(spec_model, "eval_block", lambda block, points, order=0: (
+        sizes.append(len(points)) or read(block, points, order)))
+    fa.jacobiator_check(free, points)
+    assert sizes and set(sizes) == {5}
+    (residual,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel,
+                                       rows[0].blocks)
+    triples = [t for t in combinations(free.words, 3) if sum(w.degree for w in t) <= 4]
+    assert residual.shape == (5, len(triples), spec.dimension, len(free.words))
+
+
 # --------------------------------------------------------------------------
 # Compatibility propagation
 
@@ -609,3 +635,131 @@ def test_relation_constancy_guard():
     with pytest.raises(fa.NonLocallyFreeError):
         fa._eliminate(rows, words, np.array([1.0, 0.0]),
                       [np.array([2.0, 0.0])])
+
+
+# --------------------------------------------------------------------------
+# Differential tests against the earlier paths of S, the anchors and the
+# rank profile
+
+
+def _s_frame_three_operand(rho, drho, C, dC, omega, domega, a, b):
+    # s_frame_components with its quadratic term as one three-operand einsum
+    N, k = rho.shape[-2], len(a)
+    slots: dict = {}
+    at = np.array([slots.setdefault(key, len(slots)) for key in
+                   np.concatenate([a * N + b, b * N + a]).tolist()], dtype=int)
+    u, v = np.divmod(np.array(list(slots), dtype=int), N)
+    omega_u, omega_v = omega.take(u, -3), omega.take(v, -3)
+    lie = (np.einsum("...kj,...kcij->...cki", rho.take(u, -2), domega.take(v, -4))
+           + np.einsum("...kji,...kcj->...cki", drho.take(u, -3), omega_v))
+    quad = np.einsum("...qj,...kcj,...kqi->...cki", rho, omega_v, omega_u)
+    mix = np.einsum("...kqi,...kqc->...cki", omega_v, C.take(u, -3))
+    ab, ba = at[:k], at[k:]
+    asym = (lie.take(ab, -2) - lie.take(ba, -2)
+            - (quad.take(ab, -2) - quad.take(ba, -2))
+            + (mix.take(ab, -2) - mix.take(ba, -2)))
+    nabla_bracket = (np.swapaxes(dC[..., a, b, :, :], -3, -2)
+                     + np.einsum("...kq,...qci->...cki", C[..., a, b, :], omega))
+    return asym - nabla_bracket
+
+
+def test_pairwise_quad_matches_the_three_operand_einsum():
+    # The pairwise contraction sums each quad component in another order than
+    # the three-operand einsum, so on random data S differs in the last bits:
+    # by at most 1e-13 of its largest component (about 2e-16 here; a component
+    # near zero can differ by more, relative to itself).  On the fixtures both
+    # give the same bytes, which the goldens and the check-value fingerprints
+    # hold and the degree-4 fx_so3_sphere case below shows.
+    rng = np.random.default_rng(9)
+    P, N, n = 4, 7, 3
+    fields = (rng.normal(size=(P, N, n)), rng.normal(size=(P, N, n, n)),
+              rng.normal(size=(P, N, N, N)), rng.normal(size=(P, N, N, N, n)),
+              rng.normal(size=(P, N, N, n)), rng.normal(size=(P, N, N, n, n)))
+    a, b = np.array([(a, b) for a in range(N) for b in range(N) if a != b]).T
+    for stack in (fields, [x[0] for x in fields]):        # with and without points
+        new = ca.s_frame_components(*stack, a, b)
+        old = _s_frame_three_operand(*stack, a, b)
+        assert new.shape == old.shape
+        np.testing.assert_allclose(new, old, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(old)))
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    free = fa.free_extend(spec, 4, "quotient")
+    a, b = np.array([(a, b) for a, u in enumerate(free.words)
+                     for b, v in enumerate(free.words)
+                     if a != b and u.degree + v.degree <= 4]).T
+    f = eval_fields(free, sample_points(spec.chart, 3, 42),
+                    {"anchor": 1, "structure": 1, "connection": 1})
+    fields = (f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
+    assert (ca.s_frame_components(*fields, a, b).tobytes()
+            == _s_frame_three_operand(*fields, a, b).tobytes())
+
+
+def _anchors_by_pair_diff(spec, levels):
+    # the magma anchors with every Jacobian entry taken again for each pair
+    n = spec.dimension
+    anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
+    for level in levels[1:]:
+        for w in level:
+            u, v = w.parts
+            comps = []
+            for i in range(n):
+                total = Num(0.0)
+                for j in range(n):
+                    total = e_add(total, e_sub(
+                        e_mul(anchor[u][j], diff(anchor[v][i], j)),
+                        e_mul(anchor[v][j], diff(anchor[u][i], j))))
+                comps.append(total)
+            anchor[w] = tuple(comps)
+    return anchor
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_magma_anchors_match_the_per_pair_diff_path(name):
+    spec = load_doc(fixture_doc(name))
+    levels = fa.magma_basis(spec.rank, 4)
+    new, old = fa._magma_anchors(spec, levels), _anchors_by_pair_diff(spec, levels)
+    assert list(new) == list(old)
+    for w in old:
+        assert [render(c) for c in new[w]] == [render(c) for c in old[w]], w
+
+
+def _rank_profile_by_pair(closure, r, f):
+    # the rank profile kernel with two einsums and a norm per closure pair
+    mat, drho = f.rho, f.drho
+    scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
+    rank_ext = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
+    defect = np.zeros(scale.shape)
+    for ku, kv in closure:
+        vecs = (np.einsum("...j,...ij->...i", mat.take(ku, -2), drho.take(kv, -3))
+                - np.einsum("...j,...ij->...i", mat.take(kv, -2), drho.take(ku, -3)))
+        for p in np.ndindex(defect.shape):
+            vec, A = vecs[p], np.swapaxes(mat[p], -2, -1)
+            if np.linalg.norm(vec) != 0.0:
+                sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
+                defect[p] = max(defect[p], float(np.linalg.norm(A @ sol - vec)))
+    return rank_gen, rank_ext, defect
+
+
+def test_rank_profile_kernel_matches_the_per_pair_kernel():
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    free = fa.free_extend(spec, 3, "quotient")
+    words, idx = free.words, free.index
+    closure = [(idx[u.key], idx[v.key]) for u in words for v in words
+               if u.key < v.key and u.degree + v.degree == 4]
+    N, n = len(words), spec.dimension
+    rng = np.random.default_rng(3)
+    rho, drho = rng.normal(size=(6, N, n)), rng.normal(size=(6, N, n, n))
+    rho[1], drho[1] = 0.0, 0.0                   # every commutator is zero
+    ku, kv = closure[0]
+    drho[2, [ku, kv]] = 0.0                      # the first pair's is zero
+    drho[3, 4, 1, 0] = np.nan                    # NaN commutators
+    drho[4, 5, 0, 1] = np.inf                    # infinite ones
+    rho[5] *= 1e-170                             # squares that underflow
+    kernel = fa.rank_profile_check(free).kernel
+    for f in (SimpleNamespace(rho=rho, drho=drho),
+              SimpleNamespace(rho=rho[0], drho=drho[0])):     # no point axis
+        new, old = kernel(f), _rank_profile_by_pair(closure, 3, f)
+        for x, y in zip(new, old):
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
