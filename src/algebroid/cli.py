@@ -189,7 +189,7 @@ def _cmd_free(args) -> int:
             "rank_generators_max": max(e["rank_generators"] for e in profile),
             "rank_extended_min": min(e["rank_extended"] for e in profile),
             "rank_extended_max": max(e["rank_extended"] for e in profile),
-            "max_closure_defect": max(e["closure_defect"] for e in profile),
+            "max_closure_defect": float(np.max([e["closure_defect"] for e in profile])),
             "per_point": per_point,
         },
     }

@@ -387,57 +387,62 @@ def e_neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def diff(e: Expr, index: int) -> Expr:
-    """Formal partial derivative with respect to coordinate ``index``."""
+def diff(e: Expr, index: int, memo: dict | None = None) -> Expr:
+    """Formal partial derivative with respect to coordinate ``index``, each
+    (node, index) taken once per ``memo`` (keyed on node identity, holding the node)."""
+    memo = {} if memo is None else memo
+    if (id(e), index) in memo:
+        return memo[id(e), index][1]
     if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.index == index else ZERO
-    if isinstance(e, Neg):
-        return e_neg(diff(e.arg, index))
-    if isinstance(e, Add):
-        return e_add(diff(e.left, index), diff(e.right, index))
-    if isinstance(e, Sub):
-        return e_sub(diff(e.left, index), diff(e.right, index))
-    if isinstance(e, Mul):
-        return e_add(e_mul(diff(e.left, index), e.right),
-                     e_mul(e.left, diff(e.right, index)))
-    if isinstance(e, Div):
-        num = e_sub(e_mul(diff(e.left, index), e.right),
-                    e_mul(e.left, diff(e.right, index)))
-        return e_div(num, e_mul(e.right, e.right))
-    if isinstance(e, Pow):
+        out = ZERO
+    elif isinstance(e, Var):
+        out = ONE if e.index == index else ZERO
+    elif isinstance(e, Neg):
+        out = e_neg(diff(e.arg, index, memo))
+    elif isinstance(e, Add):
+        out = e_add(diff(e.left, index, memo), diff(e.right, index, memo))
+    elif isinstance(e, Sub):
+        out = e_sub(diff(e.left, index, memo), diff(e.right, index, memo))
+    elif isinstance(e, Mul):
+        out = e_add(e_mul(diff(e.left, index, memo), e.right),
+                    e_mul(e.left, diff(e.right, index, memo)))
+    elif isinstance(e, Div):
+        num = e_sub(e_mul(diff(e.left, index, memo), e.right),
+                    e_mul(e.left, diff(e.right, index, memo)))
+        out = e_div(num, e_mul(e.right, e.right))
+    elif isinstance(e, Pow):
         p = _const(e.exponent)
         if p is None:
             raise ExprError(f"non-constant exponent in '{render(e)}'")
-        if p == 0.0:
-            return ZERO
-        return e_mul(Num(p), e_mul(Pow(e.base, Num(p - 1.0)), diff(e.base, index)))
-    if isinstance(e, Call):
-        du = diff(e.arg, index)
+        out = ZERO if p == 0.0 else e_mul(
+            Num(p), e_mul(Pow(e.base, Num(p - 1.0)), diff(e.base, index, memo)))
+    elif isinstance(e, Call):
+        du = diff(e.arg, index, memo)
         u = e.arg
         if e.func == "sin":
-            outer = Call("cos", u)
+            out = e_mul(Call("cos", u), du)
         elif e.func == "cos":
-            outer = e_neg(Call("sin", u))
+            out = e_mul(e_neg(Call("sin", u)), du)
         elif e.func == "tan":
             t = Call("tan", u)
-            outer = e_add(ONE, e_mul(t, t))
+            out = e_mul(e_add(ONE, e_mul(t, t)), du)
         elif e.func == "exp":
-            outer = Call("exp", u)
+            out = e_mul(Call("exp", u), du)
         elif e.func == "ln":
-            return e_div(du, u)
+            out = e_div(du, u)
         elif e.func == "sqrt":
-            return e_div(du, e_mul(Num(2.0), Call("sqrt", u)))
+            out = e_div(du, e_mul(Num(2.0), Call("sqrt", u)))
         elif e.func == "tanh":
             t = Call("tanh", u)
-            outer = e_sub(ONE, e_mul(t, t))
+            out = e_mul(e_sub(ONE, e_mul(t, t)), du)
         elif e.func == "abs":
-            outer = e_div(u, Call("abs", u))
+            out = e_mul(e_div(u, Call("abs", u)), du)
         else:  # pragma: no cover
             raise ExprError(f"unknown function '{e.func}'")
-        return e_mul(outer, du)
-    raise TypeError(f"not an Expr: {e!r}")
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    memo[id(e), index] = (e, out)
+    return out
 
 
 # --------------------------------------------------------------------------

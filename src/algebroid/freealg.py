@@ -13,11 +13,12 @@ degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
 import numpy as np
+from numpy.linalg._linalg import _raise_linalgerror_lstsq, _umath_linalg
 
 from .exprjet import (
     Block, Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block,
@@ -47,11 +48,12 @@ class NonLocallyFreeError(Exception):
 
 @dataclass(frozen=True)
 class HallWord:
-    """A bracket word: either a generator (gen set) or an ordered pair."""
+    """A bracket word: either a generator (gen set) or an ordered pair.
+    Compared and hashed by ``key`` alone, which encodes the structure."""
 
-    gen: int | None = None
-    parts: tuple["HallWord", "HallWord"] | None = None
-    degree: int = 1
+    gen: int | None = field(default=None, compare=False)
+    parts: tuple["HallWord", "HallWord"] | None = field(default=None, compare=False)
+    degree: int = field(default=1, compare=False)
     key: tuple = ()
 
     def __repr__(self):
@@ -195,14 +197,14 @@ def _expansion_add(target: dict, w: HallWord, coeff: Expr):
         target[w] = combined
 
 
-def _commutator_exprs(rho_u, rho_v, jac_u, jac_v) -> tuple[Expr, ...]:
-    """[rho_u, rho_v] from the anchors and their Jacobians jac[i][j] = d_j rho^i."""
+def _commutator_exprs(rho_u, rho_v, memo) -> tuple[Expr, ...]:
+    """[rho_u, rho_v], its derivatives taken through the ``diff`` memo."""
     comps = []
     for i in range(len(rho_u)):
         total = Num(0.0)
         for j in range(len(rho_u)):
-            total = e_add(total, e_sub(e_mul(rho_u[j], jac_v[i][j]),
-                                       e_mul(rho_v[j], jac_u[i][j])))
+            total = e_add(total, e_sub(e_mul(rho_u[j], diff(rho_v[i], j, memo)),
+                                       e_mul(rho_v[j], diff(rho_u[i], j, memo))))
         comps.append(total)
     return tuple(comps)
 
@@ -332,7 +334,7 @@ def _reduce_expansion(expansion: Expansion, substitution) -> dict:
     return out
 
 
-def _build_connection(spec, basis, table, anchor, degree):
+def _build_connection(spec, basis, table, anchor, degree, memo):
     """Extend the connection degree by degree via the bracket identity
     nabla[u,v] = L_u(nabla v) - L_v(nabla u) - nabla_{rho(nabla u)}v
     + nabla_{rho(nabla v)}u.  Coefficients live on words of degree <= deg w."""
@@ -354,8 +356,8 @@ def _build_connection(spec, basis, table, anchor, degree):
             for i in range(n):
                 total = Num(0.0)
                 for j in range(n):
-                    total = e_add(total, e_mul(rho_u[j], diff(theta[i], j)))
-                    total = e_add(total, e_mul(diff(rho_u[j], i), theta[j]))
+                    total = e_add(total, e_mul(rho_u[j], diff(theta[i], j, memo)))
+                    total = e_add(total, e_mul(diff(rho_u[j], i, memo), theta[j]))
                 lie.append(total)
             _conn_add(out, w, tuple(lie))
             for w2, c2 in table.get((u, w), {}).items():
@@ -398,19 +400,17 @@ def _conn_add(store: dict, w: HallWord, comps):
         store[w] = tuple(e_add(a, b) for a, b in zip(cur, comps))
 
 
-def _magma_anchors(spec: AlgebroidSpec, levels) -> dict:
+def _magma_anchors(spec: AlgebroidSpec, levels, memo=None) -> dict:
     """Anchor expressions of every word in the magma ``levels``: the spec's
     for the generators, vector-field commutators for the rest.  They are kept
     on the spec by degree, so its quotient and almost truncations share them."""
     held = vars(spec).setdefault("_magma_anchors", {})
     if len(levels) not in held:
         anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
-        jac = cache(lambda w: [[diff(c, j) for j in range(spec.dimension)]
-                               for c in anchor[w]])     # once per word
         for level in levels[1:]:
             for w in level:
                 u, v = w.parts
-                anchor[w] = _commutator_exprs(anchor[u], anchor[v], jac(u), jac(v))
+                anchor[w] = _commutator_exprs(anchor[u], anchor[v], memo)
         held[len(levels)] = anchor
     return dict(held[len(levels)])
 
@@ -427,7 +427,8 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
     levels = magma_basis(spec.rank, degree)
     words = [w for level in levels for w in level]
-    anchor = _magma_anchors(spec, levels)
+    memo: dict = {}         # this build's derivatives, freed when it returns
+    anchor = _magma_anchors(spec, levels, memo)
     table = _almost_table(words, degree)
 
     if mode == "quotient":
@@ -451,7 +452,7 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
         levels = new_levels
         anchor = {w: anchor[w] for level in levels for w in level}
 
-    conn = _build_connection(spec, levels, table, anchor, degree)
+    conn = _build_connection(spec, levels, table, anchor, degree, memo)
     return FreeTruncation(spec=spec, degree=degree, mode=mode,
                           basis=tuple(tuple(level) for level in levels),
                           anchor=anchor, bracket_table=table, conn=conn)
@@ -502,19 +503,22 @@ def rank_profile_check(free: FreeTruncation) -> Check:
         scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))   # NaN -> 1.0
         rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
         rank_ext = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
-        defect = np.zeros(scale.shape)
         # the vector-field commutators [rho_u, rho_v] of every closure pair
         vecs = (np.einsum("...kj,...kij->...ki", mat.take(ku, -2), drho.take(kv, -3))
                 - np.einsum("...kj,...kij->...ki", mat.take(kv, -2), drho.take(ku, -3)))
         # the norm, not vecs != 0: a vector whose squares all underflow is skipped
         nonzero = np.linalg.norm(vecs, axis=-1) != 0.0
-        # np.linalg.lstsq does not stack: one solve per point and pair
-        for p in np.ndindex(defect.shape):
-            A = np.swapaxes(mat[p], -2, -1)
-            for vec in vecs[p][nonzero[p]]:
-                sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
-                defect[p] = max(defect[p], float(np.linalg.norm(A @ sol - vec)))
-        return rank_gen, rank_ext, defect
+        # one dgelsd per nonzero vector and its point's rho^T, as np.linalg.lstsq
+        A = np.swapaxes(np.broadcast_to(mat[..., None, :, :], nonzero.shape
+                                        + mat.shape[-2:])[nonzero], -2, -1)
+        b = vecs[nonzero][..., None]
+        with np.errstate(call=_raise_linalgerror_lstsq, invalid="call"):
+            sol = _umath_linalg.lstsq(A, b, np.finfo(float).eps * max(mat.shape[-2:]),
+                                      signature="ddd->ddid")[0]
+        res = A @ sol - b       # its norm as the dot np.linalg.norm takes on one vector
+        norms = np.zeros(nonzero.shape)
+        norms[nonzero] = np.sqrt(np.swapaxes(res, -2, -1) @ res)[:, 0, 0]
+        return rank_gen, rank_ext, np.max(norms, axis=-1, initial=0.0)   # NaN kept
     return Check(("rank_generators", "rank_extended", "closure_defect"),
                  {"anchor": 1}, kernel)
 

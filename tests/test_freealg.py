@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
@@ -6,8 +8,9 @@ import numpy as np
 import pytest
 
 from algebroid import calculus as ca
-from algebroid import spec_model
+from algebroid import exprjet, fixture_path, spec_model
 from algebroid import freealg as fa
+from algebroid.cli import main
 from algebroid.exprjet import (
     Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet, parse_expr, render,
 )
@@ -737,7 +740,7 @@ def _rank_profile_by_pair(closure, r, f):
             vec, A = vecs[p], np.swapaxes(mat[p], -2, -1)
             if np.linalg.norm(vec) != 0.0:
                 sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
-                defect[p] = max(defect[p], float(np.linalg.norm(A @ sol - vec)))
+                defect[p] = np.maximum(defect[p], np.linalg.norm(A @ sol - vec))  # NaN kept
     return rank_gen, rank_ext, defect
 
 
@@ -763,3 +766,145 @@ def test_rank_profile_kernel_matches_the_per_pair_kernel():
         for x, y in zip(new, old):
             x, y = np.asarray(x), np.asarray(y)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    defect = kernel(SimpleNamespace(rho=rho, drho=drho))[2]
+    assert np.isnan(defect).tolist() == [False] * 3 + [True] * 2 + [False]
+
+
+# the gufunc behind np.linalg.lstsq, which the rank profile calls stacked
+UMATH_LSTSQ = np.linalg._umath_linalg.lstsq
+FREE_DEEP_FIXTURES = ["fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
+                      "fx_killing_nonabelian"]
+
+
+def _record_lstsq(monkeypatch, fail=lambda calls: False):
+    """Let the rank profile's stacked solves through, recording each call's
+    (A, b, rcond, signature, solution); a call that ``fail`` picks (given the
+    calls so far) raises the invalid flag first, as a failed dgelsd does."""
+    calls = []
+
+    def lstsq(A, b, rcond, signature):
+        calls.append([A, b, rcond, signature])
+        if fail(calls):
+            np.sqrt(-np.ones(1))
+        calls[-1].append(UMATH_LSTSQ(A, b, rcond, signature=signature)[0])
+        return calls[-1][-1], None, None, None
+    monkeypatch.setattr(fa, "_umath_linalg", SimpleNamespace(lstsq=lstsq))
+    return calls
+
+
+def _assert_each_solve_is_the_public_lstsq(A, b, rcond, signature, sol):
+    assert signature == "ddd->ddid" and sol.shape == A.shape[:-2] + (A.shape[-1], 1)
+    for k in range(len(A)):
+        public, *_ = np.linalg.lstsq(A[k], b[k, :, 0], rcond=None)
+        assert sol[k, :, 0].tobytes() == public.tobytes(), k
+
+
+def test_stacked_solve_matches_the_public_lstsq_on_random_stacks(monkeypatch):
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    free = fa.free_extend(spec, 3, "quotient")
+    N, n = len(free.words), spec.dimension
+    rng = np.random.default_rng(11)
+    rho, drho = rng.normal(size=(6, N, n)), rng.normal(size=(6, N, n, n))
+    rho[1, :, 1] = 2.0 * rho[1, :, 0]            # rank-deficient A = rho^T
+    rho[2, 1:] = 0.0                             # A zero but for one column
+    rho[3] *= 1e-170                             # tiny A, commutators of size 1
+    drho[3] *= 1e170
+    # a singular value ratio between eps * n and the cutoff eps * max(n, N)
+    rho[4, :, 1] = 2.0 * rho[4, :, 0] + 1e-14 * rng.normal(size=N)
+    high, low = np.linalg.svd(rho[4], compute_uv=False)
+    assert n < low / high / np.finfo(float).eps < N
+    calls = _record_lstsq(monkeypatch)
+    kernel = fa.rank_profile_check(free).kernel
+    kernel(SimpleNamespace(rho=rho, drho=drho))
+    kernel(SimpleNamespace(rho=rho[0], drho=drho[0]))        # no point axis
+    assert len(calls) == 2 and all(len(call[0]) for call in calls)
+    for A, b, rcond, signature, sol in calls:
+        _assert_each_solve_is_the_public_lstsq(A, b, rcond, signature, sol)
+        zero = np.zeros_like(A)                  # all-zero A, same call
+        _assert_each_solve_is_the_public_lstsq(
+            zero, b, rcond, signature, UMATH_LSTSQ(zero, b, rcond, signature=signature)[0])
+
+
+@pytest.mark.parametrize("name", FREE_DEEP_FIXTURES)
+def test_stacked_solve_matches_the_public_lstsq_at_degree_4(monkeypatch, name):
+    spec = load_doc(fixture_doc(name))
+    free = fa.free_extend(spec, 4, "quotient")
+    f = eval_fields(free, sample_points(spec.chart, 5 if spec.rank > 2 else 20, 42),
+                    {"anchor": 1})
+    calls = _record_lstsq(monkeypatch)
+    fa.rank_profile_check(free).kernel(f)
+    A, b, rcond, signature, sol = calls[0]
+    # the anchors of the two free fixtures commute to degree 4: no system
+    assert len(calls) == 1 and (len(A) > 0) == (name not in ("fx_free_heis",
+                                                             "fx_free_abelian"))
+    _assert_each_solve_is_the_public_lstsq(A, b, rcond, signature, sol)
+
+
+def test_a_failed_stacked_solve_reruns_its_chunk_point_by_point(monkeypatch):
+    spec = load_doc(fixture_doc("fx_killing_nonabelian"))
+    free = fa.free_extend(spec, 4, "quotient")
+    points = sample_points(spec.chart, 6, 42)
+    checks = [fa.rank_profile_check(free)]
+    monkeypatch.setattr(spec_model, "CHUNK_BYTES", 1 << 30)      # one chunk
+    expected, = check_values(free, points, checks)
+    calls = _record_lstsq(monkeypatch, fail=lambda calls: len(calls) == 1)
+    values, = check_values(free, points, checks)
+    assert values.tobytes() == expected.tobytes()
+    assert len(calls) == 1 + len(points) and len(calls[0]) == 4      # no solution
+    assert len(calls[0][0]) == sum(len(call[0]) for call in calls[1:])
+
+
+def test_a_failed_stacked_solve_exits_2_with_the_public_lstsq_message(
+        monkeypatch, capsys):
+    failing = SimpleNamespace(lstsq=lambda *args, **kwargs: np.sqrt(-np.ones(1)))
+    with monkeypatch.context() as patched, \
+            pytest.raises(np.linalg.LinAlgError) as public:
+        patched.setattr(np.linalg._linalg, "_umath_linalg", failing)
+        np.linalg.lstsq(np.eye(2), np.ones(2))
+    monkeypatch.setattr(fa, "_umath_linalg", failing)
+    code = main(["free", "--spec", str(fixture_path("fx_so3_sphere")),
+                 "--degree", "3", "--points", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {public.value}\n"
+
+
+def test_each_derivative_is_built_once_per_build(monkeypatch):
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    diff_of, calls, memos = exprjet.diff, [], []
+
+    def counted(e, index, memo=None):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        calls.append(((id(e), index), (id(e), index) in memo))
+        return diff_of(e, index, memo)
+    monkeypatch.setattr(exprjet, "diff", counted)     # the recursive calls
+    monkeypatch.setattr(fa, "diff", counted)
+    fa.free_extend(spec, 4, "quotient")
+    built = Counter(key for key, held in calls if not held)
+    assert len(memos) == 1 and set(built.values()) == {1}
+    assert len(built) == len(memos[0]) < len(calls)
+    holders = sys.getrefcount(memos[0]) - 1      # the call's own reference aside
+    assert holders == 1                          # ``memos``: the build freed it
+
+
+def _rebuilt(w):
+    return fa.leaf(w.gen) if w.gen is not None else fa.pair(*map(_rebuilt, w.parts))
+
+
+def _structure(w):
+    return w.gen if w.gen is not None else tuple(map(_structure, w.parts))
+
+
+def test_hall_words_compare_and_hash_by_key():
+    levels = fa.magma_basis(3, 4)                # MAX_DEGREE; degree 5 as it pairs
+    levels.append([fa.pair(u, v) for p in (4, 3, 2) for u in levels[p - 1]
+                   for v in levels[4 - p] if u.key > v.key])
+    words = [w for level in levels for w in level]
+    copies = [_rebuilt(w) for w in words]
+    shapes = [_structure(w) for w in words]
+    assert len(words) == 3 + 3 + 9 + 30 + 117 == len(set(words) | set(copies))
+    for u, su in zip(words, shapes):
+        for v, sv in zip(copies, shapes):
+            assert (u == v) == (u.key == v.key) == (su == sv)
+            if u == v:
+                assert hash(u) == hash(v) and u is not v
