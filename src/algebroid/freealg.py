@@ -48,8 +48,7 @@ class NonLocallyFreeError(Exception):
 
 @dataclass(frozen=True)
 class HallWord:
-    """A bracket word: either a generator (gen set) or an ordered pair.
-    Compared and hashed by ``key`` alone, which encodes the structure."""
+    """A generator (gen set) or an ordered pair; compared and hashed by ``key``."""
 
     gen: int | None = field(default=None, compare=False)
     parts: tuple["HallWord", "HallWord"] | None = field(default=None, compare=False)
@@ -405,6 +404,7 @@ def _magma_anchors(spec: AlgebroidSpec, levels, memo=None) -> dict:
     for the generators, vector-field commutators for the rest.  They are kept
     on the spec by degree, so its quotient and almost truncations share them."""
     held = vars(spec).setdefault("_magma_anchors", {})
+    memo = {} if memo is None else memo         # one memo across all the pairs
     if len(levels) not in held:
         anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
         for level in levels[1:]:
@@ -512,7 +512,8 @@ def rank_profile_check(free: FreeTruncation) -> Check:
         A = np.swapaxes(np.broadcast_to(mat[..., None, :, :], nonzero.shape
                                         + mat.shape[-2:])[nonzero], -2, -1)
         b = vecs[nonzero][..., None]
-        with np.errstate(call=_raise_linalgerror_lstsq, invalid="call"):
+        with np.errstate(call=_raise_linalgerror_lstsq, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):      # as np.linalg.lstsq
             sol = _umath_linalg.lstsq(A, b, np.finfo(float).eps * max(mat.shape[-2:]),
                                       signature="ddd->ddid")[0]
         res = A @ sol - b       # its norm as the dot np.linalg.norm takes on one vector

@@ -1,4 +1,4 @@
-import sys
+import gc
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -840,6 +840,26 @@ def test_stacked_solve_matches_the_public_lstsq_at_degree_4(monkeypatch, name):
     _assert_each_solve_is_the_public_lstsq(A, b, rcond, signature, sol)
 
 
+def test_the_stacked_solve_ignores_the_flags_the_public_lstsq_ignores(monkeypatch):
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    free = fa.free_extend(spec, 3, "quotient")
+    f = eval_fields(free, sample_points(spec.chart, 3, 42), {"anchor": 1})
+    systems = []
+
+    def flagging(A, b, rcond, signature):        # divide, over and under flags
+        systems.append(len(A))
+        np.ones(1) / np.zeros(1), np.exp(np.full(1, 1e3)), np.full(1, 1e-300) ** 2
+        return UMATH_LSTSQ(A, b, rcond, signature=signature)
+    with np.errstate(all="raise"):
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg._linalg, "_umath_linalg",
+                            SimpleNamespace(lstsq=flagging))
+            np.linalg.lstsq(np.eye(2), np.ones(2))
+        monkeypatch.setattr(fa, "_umath_linalg", SimpleNamespace(lstsq=flagging))
+        fa.rank_profile_check(free).kernel(f)
+    assert len(systems) == 2 and systems[1] > 0
+
+
 def test_a_failed_stacked_solve_reruns_its_chunk_point_by_point(monkeypatch):
     spec = load_doc(fixture_doc("fx_killing_nonabelian"))
     free = fa.free_extend(spec, 4, "quotient")
@@ -883,8 +903,7 @@ def test_each_derivative_is_built_once_per_build(monkeypatch):
     built = Counter(key for key, held in calls if not held)
     assert len(memos) == 1 and set(built.values()) == {1}
     assert len(built) == len(memos[0]) < len(calls)
-    holders = sys.getrefcount(memos[0]) - 1      # the call's own reference aside
-    assert holders == 1                          # ``memos``: the build freed it
+    assert gc.get_referrers(memos[0]) == [memos]     # the build let it go
 
 
 def _rebuilt(w):
