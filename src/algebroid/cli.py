@@ -7,11 +7,11 @@ reduces its kernel's residuals to a report; ``free`` does the same over the
 quotient truncation.  A non-finite residual fails its check.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails, 2 input
-or schema error, an expression that cannot be evaluated at a sample point
-(the message names the block entry, the subexpression and the point) or a
-metric that is not positive definite there, 3 numerical indeterminacy
-(free-algebroid rank ambiguity).  Reports with the same config (including
-seed) are byte-identical.
+or schema error (an expression deeper than ``exprjet.MAX_DEPTH`` too), an
+expression that cannot be evaluated at a sample point (the message names the
+entry, the subexpression and the point) or differentiated, or a metric not
+positive definite there, 3 numerical indeterminacy (free-algebroid rank
+ambiguity).  Reports with the same config (including seed) are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import calculus as ca
 from . import foliation as fo
 from . import freealg as fa
-from .exprjet import EvalDomainError, ParseError
+from .exprjet import ExprError
 from .spec_model import (
     ANCHOR_MORPHISM, JACOBI, AlgebroidSpec, CheckReport, SchemaError,
     check_values, load_cube, load_spec_file, reduce_checks, run_checks,
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0.0 < args.tol < np.inf:
             raise InputError("--tol must be finite and positive")
         return handlers[args.command](args)
-    except (SchemaError, ParseError, EvalDomainError, ca.SingularMetricError,
+    except (SchemaError, ExprError, ca.SingularMetricError,
             InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

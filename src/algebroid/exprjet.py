@@ -49,10 +49,15 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "Jet", "Block", "ExprError", "ParseError", "UndeclaredIdentifierError",
     "EvalDomainError", "parse_expr", "render", "diff", "eval_jet",
-    "eval_block", "fd_crosscheck", "FUNCTIONS",
+    "eval_block", "fd_crosscheck", "tree_depth", "FUNCTIONS", "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "tanh", "abs")
+
+# Levels a parsed expression may nest: the tree walks recurse once per level,
+# and at degree 4 a free truncation's derivative trees grow to about ten times
+# the depth of the anchor entry they come from
+MAX_DEPTH = 64
 
 
 class ExprError(Exception):
@@ -179,6 +184,7 @@ class _Parser:
         self.coords = {name: i for i, name in enumerate(coords)}
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -198,44 +204,46 @@ class _Parser:
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
-        if tok is not None:
+        if (tok := self.peek()) is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return e
 
+    def op_in(self, ops: str):
+        """The next token if it is one of the operators ``ops``, else None."""
+        tok = self.peek()
+        return tok if tok is not None and tok[0] == "op" and tok[1] in ops else None
+
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                rhs = self.term()
-                e = Add(e, rhs) if tok[1] == "+" else Sub(e, rhs)
-            else:
-                return e
+        while tok := self.op_in("+-"):
+            self.next()
+            e = (Add if tok[1] == "+" else Sub)(e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] in "*/":
-                self.next()
-                rhs = self.factor()
-                e = Mul(e, rhs) if tok[1] == "*" else Div(e, rhs)
-            else:
-                return e
+        while tok := self.op_in("*/"):
+            self.next()
+            e = (Mul if tok[1] == "*" else Div)(e, self.factor())
+        return e
 
     def factor(self) -> Expr:
+        # each recursion of the parser passes here: this bounds its stack
         tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"nested more than MAX_DEPTH = {MAX_DEPTH} levels "
+                             f"deep", tok[2] if tok else len(self.text))
+        if self.op_in("-"):
             # unary minus sits between */ and ^ in the precedence ranking
             self.next()
-            return Neg(self.factor())
-        e = self.base()
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            return Pow(e, self.factor())
+            e = Neg(self.factor())
+        else:
+            e = self.base()
+            if self.op_in("^"):
+                self.next()
+                e = Pow(e, self.factor())
+        self.nesting -= 1
         return e
 
     def base(self) -> Expr:
@@ -246,8 +254,7 @@ class _Parser:
         if kind == "num":
             return Num(float(value))
         if kind == "ident":
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "(":
+            if self.op_in("("):
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function '{value}'", offset)
                 self.next()
@@ -261,8 +268,6 @@ class _Parser:
             e = self.expr()
             self.expect_op(")")
             return e
-        if kind == "op" and value == "-":
-            return Neg(self.base())
         raise ParseError(f"unexpected token {value!r}", offset)
 
 
@@ -276,6 +281,15 @@ def parse_expr(text: str, coords) -> Expr:
     if len(set(coords)) != len(coords):
         raise ValueError("coordinate names must be duplicate-free")
     return _Parser(text, coords).parse()
+
+
+def tree_depth(e: Expr) -> int:
+    """Levels of the tree ``e`` (a leaf is one), counted without recursion."""
+    level, depth = [e], 0
+    while level:
+        level, depth = [c for node in level for c in vars(node).values()
+                        if not isinstance(c, (str, int, float))], depth + 1
+    return depth
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .exprjet import (
-    Block, EvalDomainError, Expr, Num, Neg, FUNCTIONS, ParseError, eval_block,
-    parse_expr,
+    Block, EvalDomainError, Expr, Num, Neg, FUNCTIONS, MAX_DEPTH, ParseError,
+    eval_block, parse_expr, tree_depth,
 )
 
 __all__ = [
@@ -150,14 +150,6 @@ class AlgebroidSpec:
                                    (n, n), block)
         return out
 
-    def structure_expr(self, a: int, b: int, c: int) -> tuple[float, Expr | None]:
-        """Signed lookup of C^c_{ab}; reading (b,a,c) returns the negation."""
-        if a == b:
-            return 0.0, None
-        if a < b:
-            return 1.0, self.structure.get((a, b, c))
-        return -1.0, self.structure.get((b, a, c))
-
 
 @dataclass
 class CheckReport:
@@ -205,36 +197,23 @@ def report_from_residuals(name: str, residuals: Sequence[float],
 # --------------------------------------------------------------------------
 # Deterministic sampling (splitmix64)
 
-_MASK = (1 << 64) - 1
-
-
-class SplitMix64:
-    """Seeded 64-bit PRNG; the uniform stream drives all point sampling so
-    reports are bit-reproducible across runs and platforms."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+def splitmix_uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms in [0, 1) of the SplitMix64 stream of
+    ``seed``.  The stream drives all point sampling, so reports are
+    bit-reproducible across runs and platforms; uint64 arithmetic wraps."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + seed % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
 
 
 def sample_points(chart: ChartSpec, count: int = DEFAULT_POINTS,
-                  seed: int = DEFAULT_SEED) -> list[np.ndarray]:
-    """Draw ``count`` points uniformly from the chart domain box."""
-    rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        p = np.array([lo + rng.uniform() * (hi - lo) for lo, hi in chart.domain])
-        out.append(p)
-    return out
+                  seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Draw ``count`` points uniformly from the chart domain box, as a
+    ``(count, n)`` array."""
+    lo, hi = np.array(chart.domain, dtype=float).reshape(-1, 2).T
+    u = splitmix_uniforms(seed, count * len(lo)).reshape(count, len(lo))
+    return lo + u * (hi - lo)
 
 
 # --------------------------------------------------------------------------
@@ -249,9 +228,13 @@ def _parse_at(text, coords, path: str) -> Expr:
     if not isinstance(text, str):
         raise SchemaError(path, f"expected expression string, got {type(text).__name__}")
     try:
-        return parse_expr(text, coords)
+        e = parse_expr(text, coords)
     except ParseError as exc:
         raise SchemaError(path, f"expression error: {exc}") from exc
+    if tree_depth(e) > MAX_DEPTH:
+        raise SchemaError(path, f"expression is {tree_depth(e)} levels deep, "
+                                f"more than MAX_DEPTH = {MAX_DEPTH}")
+    return e
 
 
 def _negation_of(e: Expr) -> Expr:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import algebroid
 from algebroid import fixture_path
 from algebroid import freealg as fa
 from algebroid import spec_model
-from algebroid.exprjet import render
+from algebroid.exprjet import MAX_DEPTH, parse_expr, render, tree_depth
 from algebroid.cli import main
 
 
@@ -527,3 +530,96 @@ def test_one_process_runs_subcommands_as_separate_processes_do(tmp_path):
              *argv, "--out", str(out)], env=env, capture_output=True, text=True)
         assert (code, text) == (separate.returncode, out.read_text()), argv
     assert [run(tmp_path, *argv)[0] for argv in invocations] == [1, 0, 1, 0]
+
+
+# --------------------------------------------------------------------------
+# Deep expressions
+
+# Each wrapper adds one level to the tree, and one to the parser's nesting,
+# around an expression of at least two levels: deep sums, differences,
+# products, quotients, powers, calls and parentheses
+_WRAPPERS = ("({})+y", "x - ({})", "y*({})", "-y*({})", "({})/(y+2)",
+             "({})^2", "sin({})", "exp({})")
+_DEEP_RUNS = (["validate"], ["check", "--cartan", "--killing"],
+              ["free", "--degree", "2"],
+              ["geodesic", "--x0=0.1,0.2", "--v0=0.3,0.1", "--t-max", "0.02",
+               "--h", "0.01"])
+_DEEP_SLOTS = (("anchor", 0, 0), ("connection", 1, 0, 1), ("metric", 0, 0))
+
+
+def _spec_with(tmp, slot, text):
+    """fx_so3_sphere with ``text`` at ``slot`` (block, indices), in ``tmp``."""
+    doc = json.loads(fixture_path("fx_so3_sphere").read_text())
+    entries = doc
+    for key in slot[:-1]:
+        entries = entries[key]
+    entries[slot[-1]] = text
+    path = tmp / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _quiet_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1])
+@given(wrappers=st.lists(st.sampled_from(_WRAPPERS), min_size=1, max_size=6),
+       slot=st.sampled_from(_DEEP_SLOTS))
+@settings(max_examples=6, deadline=None)
+def test_deep_expressions_load_or_exit_2(tmp_path_factory, levels, wrappers, slot):
+    # to the bound every subcommand runs (exit 0, 1 or 2 by the spec's
+    # content); past it each exits 2 naming the entry and its depth
+    text = "x*y"
+    for k in range(levels - 2):
+        text = wrappers[k % len(wrappers)].format(text)
+    assert tree_depth(parse_expr(text, ["x", "y"])) == levels
+    spec = _spec_with(tmp_path_factory.mktemp("deep"), slot, text)
+    entry = slot[0] + "".join(f"[{i}]" for i in slot[1:])
+    for argv in _DEEP_RUNS:
+        code, err = _quiet_main([argv[0], "--spec", spec, "--points", "2"]
+                                + argv[1:])
+        if levels > MAX_DEPTH:
+            assert (code, err) == (2, f"error: {entry}: expression is {levels} "
+                                      f"levels deep, more than MAX_DEPTH = "
+                                      f"{MAX_DEPTH}\n")
+        else:
+            assert code in (0, 1, 2) and "MAX_DEPTH" not in err
+
+
+@pytest.mark.parametrize("text, nesting", [
+    ("(" * 63 + "x" + ")" * 63, 64), ("-" * 63 + "x", 64),
+    ("sin(" * 63 + "x" + ")" * 63, 64), ("(" * 64 + "x" + ")" * 64, 65),
+    ("x" + "^1" * 63, 64), ("-" * 64 + "x", 65), ("x" + "^1" * 64, 65),
+])
+def test_the_parser_nests_to_the_bound(tmp_path, text, nesting):
+    spec = _spec_with(tmp_path, ("anchor", 0, 0), text)
+    code, err = _quiet_main(["validate", "--spec", spec, "--points", "2"])
+    if nesting <= MAX_DEPTH:
+        assert code in (0, 1)
+    else:
+        assert code == 2
+        assert err.startswith(f"error: anchor[0][0]: expression error: nested "
+                              f"more than MAX_DEPTH = {MAX_DEPTH} levels deep")
+
+
+def test_free_at_degree_4_builds_at_the_depth_bound(tmp_path):
+    # quotients nested on the left: a degree-4 derivative tree is about ten
+    # times as deep as its anchor entry, the deepest growth measured
+    text = "x*y"
+    for _ in range(MAX_DEPTH - 2):
+        text = f"({text})/(y+2)"
+    spec = _spec_with(tmp_path, ("anchor", 0, 0), text)
+    code, err = _quiet_main(["free", "--spec", spec, "--degree", "4",
+                             "--points", "2"])
+    assert code == 1 and err == ""
+
+
+def test_free_on_a_non_constant_exponent_exits_2(tmp_path):
+    spec = _spec_with(tmp_path, ("anchor", 0, 0), "x^1^1")
+    code, err = _quiet_main(["free", "--spec", spec, "--degree", "2",
+                             "--points", "2"])
+    assert (code, err) == (2, "error: non-constant exponent in 'x^1.0^1.0'\n")

@@ -4,8 +4,9 @@ import pytest
 from algebroid import spec_model
 from algebroid.exprjet import EvalDomainError, eval_jet
 from algebroid.spec_model import (
-    ANCHOR_MORPHISM, JACOBI, SchemaError, SplitMix64, eval_fields, max_abs,
-    eval_structure, load_spec, run_checks, sample_points, validate_spec,
+    ANCHOR_MORPHISM, JACOBI, SchemaError, eval_fields, max_abs,
+    eval_structure, load_spec, run_checks, sample_points, splitmix_uniforms,
+    validate_spec,
 )
 
 from conftest import fixture_doc, load_doc
@@ -130,9 +131,6 @@ def test_structure_forbidden_in_anchored_mode():
 
 def test_structure_storage_antisymmetry(spec_of, points_of):
     spec = spec_of("fx_so3_sphere")
-    sign, expr = spec.structure_expr(1, 0, 2)
-    assert sign == -1.0 and expr is not None
-    assert spec.structure_expr(0, 0, 2) == (0.0, None)
     for p in points_of(spec, 20):
         C = eval_structure(spec, p)
         assert np.array_equal(C + C.transpose(1, 0, 2), np.zeros_like(C))
@@ -153,9 +151,28 @@ def test_sampling_deterministic_and_in_box(spec_of):
         assert spec.chart.contains(p)
 
 
+def _splitmix_loop(seed, count):
+    """SplitMix64 uniforms one at a time in Python integers: the reference
+    for the vectorized draw."""
+    mask, state, out = (1 << 64) - 1, seed & ((1 << 64) - 1), []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**63 + 5, 2**64 - 1, 2**70 + 3, -3])
+def test_splitmix_draw_matches_the_one_at_a_time_loop(seed):
+    values = splitmix_uniforms(seed, 257)
+    assert values.dtype == np.float64
+    assert values.tolist() == _splitmix_loop(seed, 257)
+    assert splitmix_uniforms(seed, 0).shape == (0,)
+
+
 def test_splitmix_uniform_range():
-    rng = SplitMix64(7)
-    values = [rng.uniform() for _ in range(1000)]
+    values = splitmix_uniforms(7, 1000)
     assert all(0.0 <= v < 1.0 for v in values)
     assert 0.4 < float(np.mean(values)) < 0.6
 
