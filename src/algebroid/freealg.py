@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg._linalg import _raise_linalgerror_lstsq, _umath_linalg
 
 from .exprjet import (
-    Block, Expr, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block,
+    Block, Expr, ExprError, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block,
 )
 from .spec_model import AlgebroidSpec, Check, CheckReport, run_checks, sample_points
 from .calculus import KILLING, killing_frame_components, s_frame_components
@@ -196,6 +196,18 @@ def _expansion_add(target: dict, w: HallWord, coeff: Expr):
         target[w] = combined
 
 
+def _diff_entries(block: Block, n: int, memo) -> None:
+    """Each first partial of the spec ``block``'s entries, taken into the
+    build's ``memo``; an entry ``diff`` cannot take is named, as ``label[a][i]``."""
+    for index, _, e in block.entries:
+        try:
+            for j in range(n):
+                diff(e, j, memo)
+        except ExprError as exc:
+            raise ExprError(block.label + "".join(f"[{i}]" for i in index)
+                            + f": {exc}") from None
+
+
 def _commutator_exprs(rho_u, rho_v, memo) -> tuple[Expr, ...]:
     """[rho_u, rho_v], its derivatives taken through the ``diff`` memo."""
     comps = []
@@ -247,18 +259,13 @@ def _relation_rows(table, basis, degree: int):
     gens = basis[0]
     rows = {d: [] for d in range(3, degree + 1)}
     if degree >= 3:
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                for k in range(j + 1, len(gens)):
-                    rows[3].append(_jacobiator(table, gens[i], gens[j], gens[k]))
+        rows[3] = [_jacobiator(table, *triple) for triple in combinations(gens, 3)]
     if degree >= 4:
         for row in list(rows[3]):
             for g in gens:
                 rows[4].append(_expand_bracket(table, g, row))
         for w2 in basis[1]:
-            for i in range(len(gens)):
-                for j in range(i + 1, len(gens)):
-                    rows[4].append(_jacobiator(table, w2, gens[i], gens[j]))
+            rows[4] += [_jacobiator(table, w2, *two) for two in combinations(gens, 2)]
     return rows
 
 
@@ -338,6 +345,8 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
     nabla[u,v] = L_u(nabla v) - L_v(nabla u) - nabla_{rho(nabla u)}v
     + nabla_{rho(nabla v)}u.  Coefficients live on words of degree <= deg w."""
     n = spec.dimension
+    if len(basis) > 1 and basis[1]:             # the degree-2 words' Lie terms
+        _diff_entries(spec.block_entries["connection"], n, memo)
     conn: dict = {}
     for a, w in enumerate(basis[0]):
         entries = {}
@@ -406,6 +415,8 @@ def _magma_anchors(spec: AlgebroidSpec, levels, memo=None) -> dict:
     held = vars(spec).setdefault("_magma_anchors", {})
     memo = {} if memo is None else memo         # one memo across all the pairs
     if len(levels) not in held:
+        if len(levels) > 1 and levels[1]:       # the degree-2 commutators
+            _diff_entries(spec.block_entries["anchor"], spec.dimension, memo)
         anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
         for level in levels[1:]:
             for w in level:
@@ -464,16 +475,27 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
 
 def cartan_extended_check(free: FreeTruncation) -> Check:
     """max |S| over extended basis pairs with degree sum within truncation,
-    by the frame formula on the extended data."""
+    by the frame formula on the extended data.  With no connection entry
+    written, omega = 0 and S is -nabla C = -dC up to the sign of a zero, which
+    the max |.| hides; a non-finite rho, or drho or C of a listed word, which
+    the full formula turns into NaN by 0 * inf, sets NaN at its point."""
     words = free.words
     pairs = [(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
              if a != b and u.degree + v.degree <= free.degree]
     a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+    listed = sorted(set(a.tolist()))
+    if free.block_entries["connection"].written:
+        return Check(("cartan_extended",), {"anchor": 1, "structure": 1, "connection": 1},
+                     lambda f: (s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega,
+                                                   f.domega, a, b),))
 
     def kernel(f):
-        return s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega, f.domega, a, b),
-    return Check(("cartan_extended",),
-                 {"anchor": 1, "structure": 1, "connection": 1}, kernel)
+        finite = (np.isfinite(f.rho).all((-2, -1))
+                  & np.isfinite(f.drho.take(listed, -3)).all((-3, -2, -1))
+                  & np.isfinite(f.C.take(listed, -3)).all((-3, -2, -1)))
+        return np.where(finite[..., None, None, None],
+                        -np.swapaxes(f.dC[..., a, b, :, :], -3, -2), np.nan),
+    return Check(("cartan_extended",), {"anchor": 1, "structure": 1}, kernel)
 
 
 def killing_checks(free: FreeTruncation) -> tuple[Check, Check]:
@@ -500,6 +522,11 @@ def rank_profile_check(free: FreeTruncation) -> Check:
 
     def kernel(f):
         mat, drho = f.rho, f.drho
+        finite = np.isfinite(mat).all((-2, -1))
+        if not finite.all():        # kept from LAPACK, which fails on it loudly
+            bad = np.reshape(f.point, (-1, mat.shape[-1]))[np.argmin(finite)]
+            raise ValueError(f"extended anchor not finite at point "
+                             f"{tuple(float(c) for c in bad)}")
         scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))   # NaN -> 1.0
         rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
         rank_ext = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
@@ -530,23 +557,29 @@ def profile_of(values) -> list[dict]:
              "closure_defect": float(defect)} for gen, ext, defect in values]
 
 
+def _triples(words, degree: int) -> list:
+    """Index triples i < j < k of ``words``, sorted by degree, with degree sum
+    <= ``degree``; each word of one has degree <= degree - 2."""
+    low = sum(w.degree <= degree - 2 for w in words)
+    return [t for t in combinations(range(low), 3)
+            if sum(words[k].degree for k in t) <= degree]
+
+
 def jacobiator_check(free: FreeTruncation, points,
                      tol_override: float | None = None) -> CheckReport:
     """Covariant constancy of the Jacobiator on the almost-mode truncation:
     the connection applied to Jac(triple) must match Jac on nabla-shifted
-    arguments, for every basis triple with degree sum within truncation."""
+    arguments, for every basis triple with degree sum within truncation.
+    A shifted row (triple, host, q) is listed only where nabla host has an
+    entry at q: any other subtracts omega[host, q] = 0 times a Jac that is
+    finite (the table's coefficients are constant +-1s), so it could change
+    only the sign of a zero, and no NaN is lost."""
     if free.mode != "almost":
         raise ValueError("jacobiator_check needs a truncation built in almost mode")
     if free.degree < 3:
         raise ValueError("jacobiator_check needs degree >= 3")
-    words = free.words
-    idx = free.index
-    N = len(words)
-    table = free.bracket_table
-
-    degrees = [w.degree for w in words]
-    triples = [(words[i], words[j], words[k]) for i, j, k in combinations(range(N), 3)
-               if degrees[i] + degrees[j] + degrees[k] <= free.degree]
+    words, idx, table = free.words, free.index, free.bracket_table
+    triples = [tuple(words[k] for k in t) for t in _triples(words, free.degree)]
 
     # Jac(triple) at [t, w]; Jac with a slot of triple t, held by word h,
     # replaced by word q at [row, w] for the row-th (t, h, q) of ``shifted``
@@ -555,20 +588,17 @@ def jacobiator_check(free: FreeTruncation, points,
         jac_entries += [((t, idx[w.key]), 1, c)
                         for w, c in _jacobiator(table, *args).items()]
         for slot, host in enumerate(args):
-            for q in words:
-                if q.degree > host.degree:
-                    continue
+            for q in sorted(free.conn[host], key=words.index):
                 swapped = list(args)
                 swapped[slot] = q
-                if swapped[0].key != swapped[1].key != swapped[2].key \
-                        and swapped[0].key != swapped[2].key:
+                if len({w.key for w in swapped}) == 3:
                     jac_q = _jacobiator(table, *swapped)
                     if jac_q:
                         shifted_entries += [((len(shifted), idx[w.key]), 1, c)
                                             for w, c in jac_q.items()]
                         shifted.append((t, idx[host.key], idx[q.key]))
-    jac_block = Block(jac_entries, (len(triples), N), "jacobiator")
-    shifted_block = Block(shifted_entries, (len(shifted), N), "jacobiator")
+    jac_block = Block(jac_entries, (len(triples), len(words)), "jacobiator")
+    shifted_block = Block(shifted_entries, (len(shifted), len(words)), "jacobiator")
 
     def kernel(f):
         jac_val, jac_grad = f.jacobiator()

@@ -618,8 +618,39 @@ def test_free_at_degree_4_builds_at_the_depth_bound(tmp_path):
     assert code == 1 and err == ""
 
 
-def test_free_on_a_non_constant_exponent_exits_2(tmp_path):
-    spec = _spec_with(tmp_path, ("anchor", 0, 0), "x^1^1")
+def _assert_free_names_the_exponent(tmp_path, slot):
+    # the entry is named where the build differentiates it; at degree 1 it
+    # does not, and the tape evaluates the exponent as validate and check do
+    spec = _spec_with(tmp_path, slot, "x^1^1")
     code, err = _quiet_main(["free", "--spec", spec, "--degree", "2",
                              "--points", "2"])
-    assert (code, err) == (2, "error: non-constant exponent in 'x^1.0^1.0'\n")
+    entry = slot[0] + "".join(f"[{i}]" for i in slot[1:])
+    assert (code, err) == (2, f"error: {entry}: non-constant exponent in 'x^1.0^1.0'\n")
+    assert _quiet_main(["free", "--spec", spec, "--degree", "1",
+                        "--points", "2"]) == (1, "")
+
+
+def test_free_on_a_non_constant_exponent_exits_2(tmp_path):
+    _assert_free_names_the_exponent(tmp_path, ("anchor", 0, 0))
+
+
+def test_free_names_a_connection_entry_with_a_non_constant_exponent(tmp_path):
+    _assert_free_names_the_exponent(tmp_path, ("connection", 1, 2, 0))
+
+
+@pytest.mark.parametrize("base, squarings, at", [("x+2", 12, 0), ("2-x", 10, 1)])
+def test_free_on_a_non_finite_anchor_exits_2_naming_the_point(tmp_path, capfd,
+                                                              base, squarings, at):
+    # the earliest sample point whose extended anchor overflows is named, and
+    # LAPACK never sees it (it would print its own DLASCL lines)
+    text = f"({base})"
+    for _ in range(squarings):
+        text = f"({text})^2"
+    spec = _spec_with(tmp_path, ("anchor", 0, 0), text)
+    point = spec_model.sample_points(spec_model.load_spec_file(spec).chart, 2, 42)[at]
+    for degree in ("1", "2"):          # deeper, the first point overflows too
+        code = main(["free", "--spec", spec, "--degree", degree, "--points", "2"])
+        out, err = capfd.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (f"error: extended anchor not finite at point "
+                       f"{tuple(float(c) for c in point)}\n")

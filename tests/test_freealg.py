@@ -927,3 +927,113 @@ def test_hall_words_compare_and_hash_by_key():
             assert (u == v) == (u.key == v.key) == (su == sv)
             if u == v:
                 assert hash(u) == hash(v) and u is not v
+
+
+# --------------------------------------------------------------------------
+# Structural zeros: the rows skip the terms a zero connection makes void
+
+
+ZERO_OMEGA_FIXTURES = [name for name in FIXTURES
+                       if all(v == "0" for plane in fixture_doc(name)["connection"]
+                              for row in plane for v in row)]
+FULL_S = {"anchor": 1, "structure": 1, "connection": 1}
+
+
+def _full_s_values(free, source, points):
+    """Per-point max |S| of the full frame formula, on ``source``'s blocks."""
+    words = free.words
+    a, b = np.array([(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
+                     if a != b and u.degree + v.degree <= free.degree],
+                    dtype=int).reshape(-1, 2).T
+    f = eval_fields(source, points, FULL_S)
+    return spec_model.per_point(ca.s_frame_components(
+        f.rho, f.drho, f.C, f.dC, f.omega, f.domega, a, b), len(points))
+
+
+@pytest.mark.parametrize("name", ZERO_OMEGA_FIXTURES)
+def test_s_without_a_connection_is_the_full_formula_bit_for_bit(name):
+    spec = load_doc(fixture_doc(name))
+    points = sample_points(spec.chart, 4, 42)
+    assert len(ZERO_OMEGA_FIXTURES) == 13
+    for degree in (2, 3, 4):
+        for mode in ("almost", "quotient"):
+            free = fa.free_extend(spec, degree, mode)
+            check = fa.cartan_extended_check(free)
+            assert not free.block_entries["connection"].written
+            assert "connection" not in check.reads
+            values, = check_values(free, points, [check])
+            assert np.array_equal(values[:, 0], _full_s_values(free, free, points))
+
+
+def _overflowing(points, base) -> exprjet.Expr:
+    """``base`` plus an expression that overflows at the point with the
+    largest x and is finite, with finite partials, at every other point."""
+    xs = sorted(float(p[0]) for p in points)
+    text = f"exp(x - ({(xs[-1] + xs[-2]) / 2!r}))"
+    for _ in range(20):                         # exp(gap/2)^(2^20) overflows
+        text = f"({text})^2"
+    assert xs[-1] - xs[-2] > 2e-3
+    return e_add(base, parse_expr(text, ["x", "y"]))
+
+
+@pytest.mark.parametrize("block, listed", [("anchor", True), ("structure", True),
+                                           ("structure", False)])
+def test_s_without_a_connection_is_nan_where_the_full_formula_is(block, listed):
+    spec = load_doc(fixture_doc("fx_free_heis"))
+    free = fa.free_extend(spec, 3, "quotient")
+    points = sample_points(spec.chart, 6, 42)
+    entries = list(free.block_entries[block].entries)
+    if listed:          # rho of a generator, or C of a bracket of two of them
+        index, sign, e = entries[0]
+        entries[0] = (index, sign, _overflowing(points, e))
+    else:               # C of the top word: no listed pair reads it
+        entries.append(((len(free.words) - 1, 0, 0), 1, _overflowing(points, Num(0.0))))
+    source = SimpleNamespace(block_entries={**free.block_entries, block: exprjet.Block(
+        entries, free.block_entries[block].shape, block)})
+    values, = check_values(source, points, [fa.cartan_extended_check(free)])
+    full = _full_s_values(free, source, points)
+    assert np.array_equal(values[:, 0], full, equal_nan=True)
+    worst = np.argmax([p[0] for p in points])
+    assert np.isnan(full).tolist() == [listed and k == worst for k in range(6)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("degree", [3, 4])
+def test_jacobi_triples_are_the_filtered_combinations(rank, degree):
+    for levels in (fa.magma_basis(rank, degree), fa.hall_basis(rank, degree)):
+        words = [w for level in levels for w in level]
+        every = [t for t in combinations(range(len(words)), 3)
+                 if sum(words[k].degree for k in t) <= degree]
+        assert fa._triples(words, degree) == every
+
+
+def test_pruned_jacobiator_residual_is_the_unpruned_one(monkeypatch):
+    # fx_killing_nonabelian has omega != 0; listing every (triple, slot, q)
+    # with deg q <= deg host again gives the same residual up to zero signs
+    spec = load_doc(fixture_doc("fx_killing_nonabelian"))
+    free = fa.free_extend(spec, 4, "almost")
+    zeros = (Num(0.0),) * spec.dimension
+    padded = replace(free, conn={h: {**entries, **{q: zeros for q in free.words
+                                                   if q.degree <= h.degree
+                                                   and q not in entries}}
+                                 for h, entries in free.conn.items()})
+    assert padded.block_entries["connection"].written == \
+        free.block_entries["connection"].written
+    points = sample_points(spec.chart, 5, 42)
+    run, rows = fa.run_checks, []
+    monkeypatch.setattr(fa, "run_checks", lambda *args: rows.extend(args[2]) or run(*args))
+    reports = [fa.jacobiator_check(t, points) for t in (free, padded)]
+    assert reports[0] == reports[1]
+    (pruned,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel,
+                                     rows[0].blocks)
+    (every,), = spec_model._chunked(padded, points, rows[1].reads, rows[1].kernel,
+                                    rows[1].blocks)
+    assert np.array_equal(np.abs(pruned), np.abs(every))
+    assert 0 < rows[0].blocks[1][1].shape[0] < rows[1].blocks[1][1].shape[0]
+
+
+@pytest.mark.parametrize("name", ["fx_so3_sphere", "fx_killing_nonabelian"])
+def test_the_almost_table_has_constant_unit_coefficients(name):
+    free = fa.free_extend(load_doc(fixture_doc(name)), 4, "almost")
+    coeffs = [c for expansion in free.bracket_table.values() for c in expansion.values()]
+    assert coeffs and all(type(c) is Num and abs(c.value) == 1.0 for c in coeffs)
