@@ -26,7 +26,7 @@ import numpy as np
 from .exprjet import Block
 from .spec_model import (
     AlgebroidSpec, Check, CheckReport, SingularMetricError, cube_entries,
-    eval_connection, leading_minors, per_point, point_fields, report_from_residuals,
+    eval_fields, leading_minors, per_point, point_fields, report_from_residuals,
     tolerance_of,
 )
 
@@ -352,7 +352,7 @@ def _segment_connections(spec, q0, q1):
     dx = q1 - q0
     times = np.arange(2 * _SUBSTEPS + 1) / (2 * _SUBSTEPS)
     at = q0[:, None, :] + times[None, :, None] * dx[:, None, :]
-    omega = eval_connection(spec, at.reshape(-1, dx.shape[1]))
+    omega = eval_fields(spec, at.reshape(-1, dx.shape[1]), {"connection": 0}).omega
     return -np.einsum("si,stqai->staq", dx,
                       omega.reshape(at.shape[:2] + omega.shape[1:]))
 

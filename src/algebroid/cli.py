@@ -182,7 +182,7 @@ def _cmd_free(args) -> int:
         "degree": args.degree,
         "basis_counts": quotient.counts(),
         "almost_basis_counts": almost.counts(),
-        "hall_order": quotient.hall_order,
+        "hall_order": fa.HALL_ORDER,
         "propagation_checked": reports[-1].name == "killing_extended",
         "anchor_rank_profile": {
             "rank_generators_min": min(e["rank_generators"] for e in profile),

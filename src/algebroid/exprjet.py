@@ -77,8 +77,9 @@ class UndeclaredIdentifierError(ParseError):
 
 
 class EvalDomainError(ExprError):
-    """Raised when a subexpression leaves its real domain (or the float
-    range) at a point; ``path`` names the block entry when known."""
+    """Raised when a subexpression leaves its real domain at a point, or a
+    call or non-integer power overflows there (``+``, ``-``, ``*``, ``/`` and
+    integer powers overflow to inf); ``path`` names the block entry if known."""
 
     def __init__(self, reason: str, subexpr: "Expr", point, path: str = ""):
         pt = tuple(float(v) for v in point)

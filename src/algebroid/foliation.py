@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_model import (
-    AlgebroidSpec, CheckReport, check_values, eval_anchor, eval_connection,
-    eval_metric, point_fields, report_from_residuals, tolerance_of,
+    AlgebroidSpec, CheckReport, _chunked, check_values, eval_fields,
+    point_fields, report_from_residuals, tolerance_of,
 )
 from .calculus import KILLING, christoffel_components, require_positive_definite
 
@@ -52,11 +52,15 @@ class GeodesicTrace:
 
 
 def _rhs(spec: AlgebroidSpec, x, v, U):
-    """Derivatives of (x, v, U) over a batch, and the metric read at x."""
-    g, dg = eval_metric(spec, x, order=1)
-    gamma, _ = christoffel_components(g, dg, x)
+    """Derivatives of (x, v, U) over a batch, and the metric read at x.  The
+    chunk loop reads the metric, tests it, then reads the connection."""
+    def run(f):
+        return f.g, christoffel_components(f.g, f.dg, f.point)[0], f.omega()[0]
+    g, gamma, omega = (np.concatenate(a) for a in zip(*_chunked(
+        spec, x, {"metric": 1}, run,
+        [("omega", spec.block_entries["connection"], 0)])))
     acc = -np.einsum("...kij,...i,...j->...k", gamma, v, v)
-    W = np.einsum("...i,...qai->...aq", v, eval_connection(spec, x, order=0))
+    W = np.einsum("...i,...qai->...aq", v, omega)
     return v, acc, -W @ U, g
 
 
@@ -119,9 +123,9 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
     for p, end in enumerate(ends):
         xp, vp, Up, gp = (A[:end + 1, p].copy() for A in (X, V, F, G))
         if end == steps:        # the last point started no step
-            gp[-1] = eval_metric(spec, xp[-1], order=0)
+            gp[-1] = eval_fields(spec, xp[-1], {"metric": 0}).g
             require_positive_definite(gp[-1], xp[-1])
-        rho = eval_anchor(spec, xp, order=0)
+        rho = eval_fields(spec, xp, {"anchor": 0}).rho
         rho_flat = np.einsum("tpa,tpj->taj", Up, rho)
         traces.append(GeodesicTrace(
             times=np.arange(end + 1) * h, positions=xp, velocities=vp,
@@ -133,11 +137,15 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
     return traces[0] if np.ndim(x0) == 1 else traces
 
 
-def _span_projection_norm(g, rho, v):
+def _span_projection_norm(g, rho, v, point):
     """g-norm of the projection of v onto span{rho_a}: the distance of v
     from the orthogonal complement of the realized anchor span."""
-    G = rho @ g @ rho.T
-    b = rho @ g @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = rho @ g @ rho.T
+        b = rho @ g @ v
+    if not (np.isfinite(G).all() and np.isfinite(b).all()):   # lstsq fails or hangs
+        raise ValueError(f"anchor Gram matrix not finite at trace point "
+                         f"{tuple(map(float, point))}")
     scale = max(1.0, float(np.max(np.abs(G))))
     coeff, *_ = np.linalg.lstsq(G + 0.0, b, rcond=1e-10 * scale)
     return float(np.sqrt(max(float(coeff @ G @ coeff), 0.0)))
@@ -165,8 +173,8 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
         name = "orthogonality_flat_frame"
     else:
         f = point_fields(spec, trace.positions, {"metric": 0, "anchor": 0})
-        norms = np.array([_span_projection_norm(g, rho, v)
-                          for g, rho, v in zip(f.g, f.rho, trace.velocities)])
+        norms = np.array([_span_projection_norm(*at) for at in zip(
+            f.g, f.rho, trace.velocities, trace.positions)])
         drift = np.abs(norms - norms[0])
         name = "orthogonality_raw_span"
 
@@ -180,8 +188,8 @@ def orthogonal_velocity(spec: AlgebroidSpec, x0, direction) -> np.ndarray:
     Returns the zero vector when the realized span already fills the tangent
     space."""
     v = np.array(direction, dtype=float)
-    g = eval_metric(spec, x0, order=0)
-    rho = eval_anchor(spec, x0, order=0)
+    f = eval_fields(spec, x0, {"metric": 0, "anchor": 0})
+    g, rho = f.g, f.rho
     basis = []
     for a in range(spec.rank):
         w = rho[a].copy()

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 4          # anchors of degree-d words need order-(d-1) jets
+HALL_ORDER = "degree, then lexicographic on the recursive bracket structure"
 PIVOT_TOL = 1e-8
 ZERO_TOL = 1e-12
 
@@ -140,8 +141,6 @@ class FreeTruncation:
     anchor: dict                                        # word -> tuple[Expr]
     bracket_table: dict                                 # (u, v) -> Expansion
     conn: dict                                          # w -> {w': tuple[Expr]}
-    hall_order: str = field(default="degree, then lexicographic on the "
-                                    "recursive bracket structure")
 
     @property
     def words(self) -> tuple[HallWord, ...]:

@@ -444,62 +444,17 @@ def cube_entries(cube) -> list:
             for b, row in enumerate(plane) for i, e in enumerate(row)]
 
 
-def _eval_spec_block(source, block, p, order):
-    if block not in source.block_entries:
-        raise ValueError(f"spec carries no {block} block")
-    arrays = eval_block(source.block_entries[block], p, order)
-    return arrays[0] if order == 0 else tuple(arrays)
-
-
-def eval_anchor(spec: AlgebroidSpec, p, order: int = 0):
-    """rho[a,i] = rho_a^i; drho[a,i,j] = d_j rho_a^i; d2rho[a,i,j,k]."""
-    return _eval_spec_block(spec, "anchor", p, order)
-
-
-def eval_structure(spec: AlgebroidSpec, p, order: int = 0):
-    """C[a,b,c] = C^c_{ab} with C[b,a,c] = -C[a,b,c] exactly; dC[a,b,c,k]."""
-    return _eval_spec_block(spec, "structure", p, order)
-
-
-def eval_connection(spec: AlgebroidSpec, p, order: int = 0):
-    """omega[a,b,i] = omega^b_{a,i} (so that nabla e_a = omega_a^b e_b)."""
-    return _eval_spec_block(spec, "connection", p, order)
-
-
-def eval_psi(spec: AlgebroidSpec, p, order: int = 0):
-    return _eval_spec_block(spec, "psi", p, order)
-
-
-def eval_metric(spec: AlgebroidSpec, p, order: int = 0):
-    return _eval_spec_block(spec, "metric", p, order)
-
-
-def eval_two_form(spec: AlgebroidSpec, p, order: int = 0):
-    return _eval_spec_block(spec, "two_form", p, order)
-
-
-def eval_symplectic(spec: AlgebroidSpec, p, order: int = 0):
-    return _eval_spec_block(spec, "symplectic", p, order)
-
-
-def eval_poisson(spec: AlgebroidSpec, p, order: int = 0):
-    return _eval_spec_block(spec, "poisson", p, order)
-
-
 def eval_fields(source, p, orders: Mapping[str, int]):
     """Each block named in ``orders`` evaluated once at ``p`` up to its order;
     the arrays are attributes named by FIELD_NAMES (``f.rho``, ``f.dC``...).
     ``source`` is any block source: an object with ``block_entries``, such as
     an ``AlgebroidSpec`` or a ``freealg.FreeTruncation``.  ``p`` is a point,
     or a ``(P, n)`` batch whose arrays then lead with the point axis."""
-    readers = {"anchor": eval_anchor, "structure": eval_structure,
-               "connection": eval_connection, "psi": eval_psi,
-               "metric": eval_metric, "two_form": eval_two_form,
-               "symplectic": eval_symplectic, "poisson": eval_poisson}
     fields = SimpleNamespace(point=p)
     for block, order in orders.items():
-        arrays = readers[block](source, p, order)
-        arrays = arrays if order else (arrays,)
+        if block not in source.block_entries:
+            raise ValueError(f"spec carries no {block} block")
+        arrays = eval_block(source.block_entries[block], p, order)
         for name, array in zip(FIELD_NAMES[block], arrays):
             setattr(fields, name, array)
     return fields
@@ -513,7 +468,7 @@ def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
     ``POINT_ERRORS`` runs again point by point, so the error is the one a
     point-by-point pass meets.  Kernels run with numpy's overflow and
     invalid-value warnings off: a non-finite residual fails its report."""
-    # a block the source lacks is left to its reader, which raises naming it
+    # a block the source lacks is left to eval_fields, which raises naming it
     n, entries = np.shape(points)[-1], source.block_entries
     point_bytes = sum(entries[block].point_bytes(n, order)
                       for block, order in orders.items() if block in entries)
@@ -549,10 +504,6 @@ def point_fields(source, points, orders: Mapping[str, int]):
 
 # --------------------------------------------------------------------------
 # Checks: a kernel over the fields of a chunk of points, reduced per point
-
-
-def max_abs(x) -> float:
-    return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
 
 def per_point(residual, count: int) -> np.ndarray:

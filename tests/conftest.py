@@ -40,6 +40,10 @@ def load_doc(doc: dict):
     return load_spec(doc)
 
 
+def max_abs(x) -> float:
+    return float(np.max(np.abs(x))) if np.size(x) else 0.0
+
+
 def dual_coefficients(f):
     """Coefficients D^c_{ab} of the dual A-connection [s,s'] + nabla_{rho(s')}s,
     stored [a,b,c], from the fields of ``spec_model.eval_fields`` (anchor,

@@ -14,10 +14,10 @@ from algebroid import freealg as fa
 from algebroid import fixture_path, load_spec, load_spec_file
 from algebroid.cli import main
 from algebroid.spec_model import (
-    eval_fields, max_abs, run_checks, sample_points, splitmix_uniforms,
+    eval_fields, run_checks, sample_points, splitmix_uniforms,
 )
 
-from conftest import LIE_FIXTURES, METRIC_FIXTURES, fixture_doc, load_doc
+from conftest import LIE_FIXTURES, METRIC_FIXTURES, fixture_doc, load_doc, max_abs
 
 
 def _verdict(number, label, ok):

@@ -3,13 +3,11 @@ import pytest
 
 from algebroid import calculus as ca, spec_model
 from algebroid.exprjet import eval_block, parse_expr
-from algebroid.spec_model import (
-    eval_anchor, eval_connection, eval_fields, eval_metric, eval_structure,
-    max_abs, run_checks, sample_points,
-)
+from algebroid.spec_model import eval_fields, run_checks, sample_points
 
 from conftest import (
     LIE_FIXTURES, METRIC_FIXTURES, dual_coefficients, fixture_doc, load_doc,
+    max_abs,
 )
 
 # the blocks each kernel below reads, and to which derivative order
@@ -42,10 +40,8 @@ def _fd_arrays(spec, p, h=1e-5):
     n, r = spec.dimension, spec.rank
 
     def at(point):
-        rho = eval_anchor(spec, point, order=0)
-        C = eval_structure(spec, point, order=0)
-        omega = eval_connection(spec, point, order=0)
-        return rho, C, omega
+        f = eval_fields(spec, point, FRAME0)
+        return f.rho, f.C, f.omega
 
     rho, C, omega = at(p)
     drho = np.zeros((r, n, n))
@@ -86,13 +82,13 @@ def test_christoffel_matches_metric_finite_differences(spec_of, points_of):
     h = 1e-5
     n = spec.dimension
     for p in points_of(spec, 10):
-        g = eval_metric(spec, p, order=0)
+        g = eval_fields(spec, p, {"metric": 0}).g
         dg = np.zeros((n, n, n))
         for k in range(n):
             shift = np.zeros(n)
             shift[k] = h
-            dg[:, :, k] = (eval_metric(spec, p + shift, order=0)
-                           - eval_metric(spec, p - shift, order=0)) / (2 * h)
+            dg[:, :, k] = (eval_fields(spec, p + shift, {"metric": 0}).g
+                           - eval_fields(spec, p - shift, {"metric": 0}).g) / (2 * h)
         gamma_fd, _ = ca.christoffel_components(g, dg, p)
         gamma = _gamma(eval_fields(spec, p, METRIC))
         assert float(np.max(np.abs(gamma - gamma_fd))) <= 1e-6
@@ -122,14 +118,14 @@ def test_a_torsion_bundle_of_lie_algebras(spec_of):
     at = _torsion(eval_fields(spec, (1.3, 0.4), FRAME0))
     assert at[0, 1, 2] == -1.3
     assert at[1, 0, 2] == 1.3
-    C = eval_structure(spec, (1.3, 0.4))
+    C = eval_fields(spec, (1.3, 0.4), {"structure": 0}).C
     assert np.array_equal(at, -C)
 
 
 def test_a_torsion_so3(spec_of):
     spec = spec_of("fx_so3_sphere")
     at = _torsion(eval_fields(spec, (0.2, -0.1), FRAME0))
-    C = eval_structure(spec, (0.2, -0.1))
+    C = eval_fields(spec, (0.2, -0.1), {"structure": 0}).C
     assert np.array_equal(at, -C)
     assert at[0, 1, 2] == -1.0
 
@@ -166,7 +162,7 @@ def test_flat_connection_curvature_and_transport(spec_of):
         if right is None or left is None:
             continue
         dU = (samples.frames[right] - samples.frames[left]) / (2 * h)
-        omega = eval_connection(spec, samples.points[k], order=0)
+        omega = eval_fields(spec, samples.points[k], {"connection": 0}).omega
         expected = -(omega[:, :, 0].T @ samples.frames[k])
         assert float(np.max(np.abs(dU - expected))) <= h * h
         checked += 1
@@ -285,7 +281,7 @@ def test_killing_frame_is_twice_sym(name, spec_of, points_of):
 def test_dual_connection_bundle_of_lie_algebras(spec_of):
     spec = spec_of("fx_bla")
     D = dual_coefficients(eval_fields(spec, (1.2, -0.5), FRAME0))
-    C = eval_structure(spec, (1.2, -0.5))
+    C = eval_fields(spec, (1.2, -0.5), {"structure": 0}).C
     assert np.array_equal(D, C)
 
 
@@ -578,13 +574,13 @@ def test_killing_derivatives_against_finite_differences(name, spec_of, points_of
     n = spec.dimension
     for p in points_of(spec, 10):
         rho, drho, *_ , omega, _ = _fd_arrays(spec, p)
-        g = eval_metric(spec, p, order=0)
+        g = eval_fields(spec, p, {"metric": 0}).g
         dg = np.zeros((n, n, n))
         for k in range(n):
             shift = np.zeros(n)
             shift[k] = h
-            dg[:, :, k] = (eval_metric(spec, p + shift, order=0)
-                           - eval_metric(spec, p - shift, order=0)) / (2 * h)
+            dg[:, :, k] = (eval_fields(spec, p + shift, {"metric": 0}).g
+                           - eval_fields(spec, p - shift, {"metric": 0}).g) / (2 * h)
         K_fd = ca.killing_frame_components(rho, drho, g, dg, omega)
         K = ca._killing_frame(eval_fields(spec, p, KILLING))
         assert float(np.max(np.abs(K - K_fd))) <= 1e-6

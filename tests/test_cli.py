@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import algebroid
 from algebroid import fixture_path
+from algebroid import foliation as fo
 from algebroid import freealg as fa
 from algebroid import spec_model
 from algebroid.exprjet import MAX_DEPTH, parse_expr, render, tree_depth
@@ -564,6 +565,39 @@ def _quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize("block, squarings, x0, v0, at_start", [
+    ("anchor", 12, "0.1,0.2", "0.1,0", True),   # the anchor is inf
+    ("anchor", 10, "-0.5,0.2", "0.1,0", True),  # finite, its Gram matrix is not
+    ("anchor", 10, "-0.7,0.2", "1,0", False),   # the Gram matrix overflows at x > -0.59
+    ("metric", 12, "0.1,0.2", "0.1,0", True),
+])
+def test_geodesic_on_an_overflowing_anchor_span_exits_2_naming_the_point(
+        tmp_path, capfd, block, squarings, x0, v0, at_start):
+    # the raw-span monitor names the earliest trace point where g(rho_a, rho_b)
+    # or g(rho_a, v) is not finite, before LAPACK sees it: LAPACK would print
+    # its own DLASCL lines, or never return
+    text = "(x+2)"
+    for _ in range(squarings):
+        text = f"({text})^2"
+    spec = _spec_with(tmp_path, (block, 0, 0), text)
+    loaded = spec_model.load_spec_file(spec)
+    trace = fo.geodesic_integrate(loaded, np.array(x0.split(","), dtype=float),
+                                  np.array(v0.split(","), dtype=float), 0.2, 1e-2)
+    f = spec_model.point_fields(loaded, trace.positions, {"metric": 0, "anchor": 0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.einsum("tai,tij,tbj->tab", f.rho, f.g, f.rho)
+    k = np.argmin(np.isfinite(gram).all((1, 2)))
+    assert (k == 0) == at_start and not np.isfinite(gram[k]).all()
+    point = trace.positions[k]
+    capfd.readouterr()
+    code = main(["geodesic", "--spec", spec, f"--x0={x0}", f"--v0={v0}",
+                 "--t-max", "0.2", "--h", "1e-2"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (f"error: anchor Gram matrix not finite at trace point "
+                   f"{tuple(float(c) for c in point)}\n")
 
 
 @pytest.mark.parametrize("levels", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1])

@@ -9,7 +9,7 @@ from algebroid.exprjet import (
     Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_block, eval_jet,
     fd_crosscheck, parse_expr, render,
 )
-from algebroid.spec_model import eval_anchor, load_spec, sample_points
+from algebroid.spec_model import eval_fields, load_spec, sample_points
 
 from conftest import FIXTURES, fixture_doc, load_doc
 
@@ -162,6 +162,23 @@ def test_float_range_failures_are_domain_errors():
         eval_jet(parse_expr("sin(exp(x)*exp(x))", XY), (400.0, 0.0), order=0)
 
 
+def test_overflow_names_a_call_or_non_integer_power_and_gives_inf_elsewhere():
+    # the float-range contract of EvalDomainError and of the README: a call
+    # or a non-integer power that overflows raises naming its entry; +, -, *,
+    # / and integer powers overflow to inf, which reaches the checks
+    at = np.array([1000.0, 0.0])
+    for text, shown in (("exp(x)", "exp(x)"), ("x^1000.5", "x^1000.5")):
+        block = Block([((0,), 1, parse_expr(text, XY))], (1,), "anchor")
+        with pytest.raises(EvalDomainError) as err:
+            eval_block(block, at, 1)
+        assert str(err.value) == f"anchor[0]: overflow in '{shown}' at point (1000.0, 0.0)"
+    for text, value in (("x^1000", math.inf), ("x^999 + x^999", math.inf),
+                        ("-x^999 - x^999", -math.inf), ("x^999 * x", math.inf),
+                        ("x^999 / 0.001", math.inf)):
+        block = Block([((0,), 1, parse_expr(text, XY))], (1,), "anchor")
+        assert eval_block(block, at, 0)[0][0] == value, text
+
+
 def test_eval_block_mirrors_and_names_failing_entry():
     e = parse_expr("x*y + exp(x)", XY)
     value, grad = eval_block(Block([((0, 1), 1, e), ((1, 0), -1, e)], (2, 2),
@@ -225,7 +242,7 @@ def test_block_error_names_first_entry(anchor, message, order):
                       "rank": 2, "mode": "anchored", "anchor": anchor,
                       "connection": [zero, zero]})
     with pytest.raises(EvalDomainError) as err:
-        eval_anchor(spec, (-1.5, 0.5), order)
+        eval_fields(spec, (-1.5, 0.5), {"anchor": order})
     assert str(err.value) == message
 
 

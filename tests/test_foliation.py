@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from algebroid import foliation as fo
+from algebroid import foliation as fo, spec_model
 from algebroid.calculus import SingularMetricError
-from algebroid.spec_model import (
-    eval_anchor, eval_metric, sample_points, splitmix_uniforms,
-)
+from algebroid.exprjet import eval_block
+from algebroid.spec_model import eval_fields, sample_points, splitmix_uniforms
 
 from conftest import fixture_doc, load_doc
 
@@ -64,13 +63,16 @@ def test_metric_read_once_per_stage(spec_of, monkeypatch, v0, exits):
     # four RK4 stages per step, each reading the metric once at the starts
     # still inside the chart (read: (order, points)); a stored point's metric
     # is stage k1's, and only a last point that started no step reads it again
-    reads = []
-    monkeypatch.setattr(fo, "eval_metric",
-                        lambda spec, x, order=0: reads.append((order, np.size(x) // 2))
-                        or eval_metric(spec, x, order))
+    spec = spec_of("fx_foliation_flat")
+    metric, reads = spec.block_entries["metric"], []
+
+    def counting(block, x, order=0):
+        if block is metric:
+            reads.append((order, np.size(x) // 2))
+        return eval_block(block, x, order)
+    monkeypatch.setattr(spec_model, "eval_block", counting)
     x0 = np.broadcast_to([0.2, -0.3], np.shape(v0))
-    traces = fo.geodesic_integrate(spec_of("fx_foliation_flat"), x0, v0,
-                                   0.01, 1e-3)
+    traces = fo.geodesic_integrate(spec, x0, v0, 0.01, 1e-3)
     if np.ndim(v0) == 1:
         traces, exits = [traces], [exits]
     assert [trace.exited for trace in traces] == exits
@@ -182,6 +184,34 @@ def test_a_batch_raises_the_error_of_the_earliest_step_then_lowest_start():
         assert str(batch.value) == messages[first]
 
 
+@pytest.mark.parametrize("metric_yy, singular", [
+    ("y+ln(y+3)*0", [0.5, -1.0]),       # B's metric is indefinite
+    ("1+ln(y+1)*0", [0.5, -1.5]),       # B's metric entry leaves its domain
+])
+def test_a_batch_raises_what_its_lowest_failing_start_raises_alone(metric_yy, singular):
+    # start A reads a metric that passes and a connection entry that fails;
+    # B fails its metric read or test at the same stage: each stage runs the
+    # metric read, its test and the connection read start by start once a
+    # batch meets an error, so the lower index names its point
+    doc = fixture_doc("fx_foliation_flat")
+    doc["metric"] = [["1", "0"], ["0", metric_yy]]
+    doc["connection"] = [[["ln(x+1)*0", "0"]]]
+    spec = load_doc(doc)
+    starts = {"A": [-1.5, 0.5], "B": singular}
+    messages = {}
+    for key, x0 in starts.items():
+        with pytest.raises(Exception) as alone:
+            fo.geodesic_integrate(spec, x0, [0.0, 0.1], 0.1, 1e-2)
+        messages[key] = (type(alone.value), str(alone.value))
+    assert messages["A"][1].startswith("connection[0][0][0]: ")
+    assert messages["A"] != messages["B"]
+    for order in ("AB", "BA"):
+        with pytest.raises(Exception) as batch:
+            fo.geodesic_integrate(spec, [starts[k] for k in order],
+                                  [[0.0, 0.1]] * 2, 0.1, 1e-2)
+        assert (type(batch.value), str(batch.value)) == messages[order[0]]
+
+
 # --------------------------------------------------------------------------
 # Orthogonal starts
 
@@ -190,8 +220,8 @@ def test_orthogonal_velocity_is_orthogonal(spec_of):
     spec = spec_of("fx_so2_conformal")
     x0 = np.array([1.0, 0.4])
     v = fo.orthogonal_velocity(spec, x0, [0.5, -0.1])
-    g = eval_metric(spec, x0, order=0)
-    rho = eval_anchor(spec, x0, order=0)
+    f = eval_fields(spec, x0, {"metric": 0, "anchor": 0})
+    g, rho = f.g, f.rho
     assert abs(v @ g @ rho[0]) <= 1e-12
 
 

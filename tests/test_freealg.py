@@ -15,10 +15,10 @@ from algebroid.exprjet import (
     Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet, parse_expr, render,
 )
 from algebroid.spec_model import (
-    check_values, eval_fields, max_abs, run_checks, sample_points,
+    check_values, eval_fields, run_checks, sample_points,
 )
 
-from conftest import FIXTURES, fixture_doc, load_doc
+from conftest import FIXTURES, fixture_doc, load_doc, max_abs
 
 
 def _anchored(name):

@@ -34,8 +34,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algebroid import calculus, fixture_path, load_spec_file, sample_points, spec_model
+from algebroid import calculus, fixture_path, load_spec_file, sample_points
 from algebroid.cli import main
+from algebroid.exprjet import eval_block
 from algebroid.freealg import free_extend
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -130,12 +131,11 @@ def _fingerprint(source, block, points, order, batched) -> str:
     """sha256 of the arrays point by point, read as one batch of all the
     points or one point at a time."""
     digest = hashlib.sha256()
-    read = getattr(spec_model, f"eval_{block}")
     batches = [np.array(points)] if batched else [[p] for p in points]
     for batch in batches:
-        arrays = read(source, np.array(batch), order)
+        arrays = eval_block(source.block_entries[block], np.array(batch), order)
         for k in range(len(batch)):
-            for array in (arrays,) if order == 0 else arrays:
+            for array in arrays:
                 digest.update(np.ascontiguousarray(array[k]).tobytes())
     return digest.hexdigest()
 

@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from algebroid import calculus as ca
-from algebroid.spec_model import (
-    eval_anchor, eval_connection, eval_fields, eval_structure, load_spec,
-    max_abs, sample_points,
-)
+from algebroid.exprjet import eval_block
+from algebroid.spec_model import eval_fields, load_spec, sample_points
 
-from conftest import dual_coefficients
+from conftest import dual_coefficients, max_abs
 
 FRAME = ca._FRAME1
 
@@ -80,11 +78,9 @@ def test_dual_connection_identities_on_random_data(seed):
     # reflexivity and opposite torsion are asserted inside dual_coefficients
     spec = load_spec(_random_doc(seed, rank=3))
     for p in sample_points(spec.chart, 10, seed):
-        D = dual_coefficients(eval_fields(
-            spec, p, {"anchor": 0, "structure": 0, "connection": 0}))
-        rho = eval_anchor(spec, p)
-        omega = eval_connection(spec, p)
-        C = eval_structure(spec, p)
+        f = eval_fields(spec, p, {"anchor": 0, "structure": 0, "connection": 0})
+        D = dual_coefficients(f)
+        rho, omega, C = f.rho, f.omega, f.C
         assert np.allclose(D, C + np.einsum("bj,acj->abc", rho, omega),
                            rtol=0, atol=0)
 
@@ -100,8 +96,8 @@ def test_fiberwise_bracket_preservation_criterion(seed):
     spec = load_spec(doc)
     for p in sample_points(spec.chart, 15, seed):
         S = ca._s_frame(eval_fields(spec, p, FRAME))
-        C, dC = eval_structure(spec, p, order=1)
-        omega = eval_connection(spec, p)
+        C, dC = eval_block(spec.block_entries["structure"], p, 1)
+        omega = eval_fields(spec, p, {"connection": 0}).omega
         nabla_C = (dC.transpose(2, 0, 1, 3)
                    + np.einsum("qci,abq->cabi", omega, C)
                    - np.einsum("aqi,qbc->cabi", omega, C)
@@ -117,8 +113,8 @@ def _tau_nabla(spec, a, field, x, h=1e-5):
     """tau-nabla_{e_a} of a vector field given as a callable, evaluated at x:
     [rho_a, X] + rho(nabla_X e_a), with dX from central differences."""
     n = spec.dimension
-    rho, drho = eval_anchor(spec, x, order=1)
-    omega = eval_connection(spec, x, order=0)
+    rho, drho = eval_block(spec.block_entries["anchor"], x, 1)
+    omega = eval_fields(spec, x, {"connection": 0}).omega
     X = field(x)
     dX = np.zeros((n, n))          # dX[i, j] = d_j X^i
     for j in range(n):
@@ -133,9 +129,8 @@ def _alpha_nabla(spec, a, section, x, h=1e-5):
     """alpha-nabla_{e_a} of a section given by coefficient functions:
     [e_a, s] + nabla_{rho(s)} e_a."""
     n, r = spec.dimension, spec.rank
-    rho = eval_anchor(spec, x, order=0)
-    omega = eval_connection(spec, x, order=0)
-    C = eval_structure(spec, x, order=0)
+    f = eval_fields(spec, x, {"anchor": 0, "connection": 0, "structure": 0})
+    rho, omega, C = f.rho, f.omega, f.C
     s = section(x)
     ds = np.zeros((r, n))
     for j in range(n):
@@ -153,7 +148,7 @@ def test_tau_curvature_against_operator_composition(seed):
     for p in sample_points(spec.chart, 4, seed + 50):
         R = ca._tau_curvature(eval_fields(           # [i, a, b, j]
             spec, p, {"anchor": 2, "structure": 0, "connection": 1}))
-        C = eval_structure(spec, p, order=0)
+        C = eval_fields(spec, p, {"structure": 0}).C
         for a in range(r):
             for b in range(r):
                 for j in range(n):
@@ -184,7 +179,7 @@ def test_alpha_curvature_against_operator_composition(seed):
     r = spec.rank
     for p in sample_points(spec.chart, 4, seed + 60):
         R = ca._alpha_curvature(eval_fields(spec, p, FRAME))   # [d, a, b, c]
-        C = eval_structure(spec, p, order=0)
+        C = eval_fields(spec, p, {"structure": 0}).C
         for a in range(r):
             for b in range(r):
                 for c in range(r):

@@ -4,12 +4,11 @@ import pytest
 from algebroid import spec_model
 from algebroid.exprjet import EvalDomainError, eval_jet
 from algebroid.spec_model import (
-    ANCHOR_MORPHISM, JACOBI, SchemaError, eval_fields, max_abs,
-    eval_structure, load_spec, run_checks, sample_points, splitmix_uniforms,
-    validate_spec,
+    ANCHOR_MORPHISM, JACOBI, SchemaError, eval_fields, load_spec, run_checks,
+    sample_points, splitmix_uniforms, validate_spec,
 )
 
-from conftest import fixture_doc, load_doc
+from conftest import fixture_doc, load_doc, max_abs
 
 
 # --------------------------------------------------------------------------
@@ -37,7 +36,7 @@ def test_blocks_compile_at_first_evaluation():
     spec = load_doc(fixture_doc("fx_so3_sphere"))
     blocks = spec.block_entries
     assert not any("program" in vars(block) for block in blocks.values())
-    eval_structure(spec, spec.chart.center(), order=1)
+    eval_fields(spec, spec.chart.center(), {"structure": 1})
     assert [name for name, block in blocks.items() if "program" in vars(block)] \
         == ["structure"]
 
@@ -129,10 +128,18 @@ def test_structure_forbidden_in_anchored_mode():
 # Storage antisymmetry
 
 
+def test_reading_a_block_the_spec_lacks_raises():
+    spec = load_doc(fixture_doc("fx_bla"))
+    assert spec.metric is None and spec.poisson is None
+    for block in ("metric", "poisson"):
+        with pytest.raises(ValueError, match=f"^spec carries no {block} block$"):
+            eval_fields(spec, spec.chart.center(), {"anchor": 0, block: 0})
+
+
 def test_structure_storage_antisymmetry(spec_of, points_of):
     spec = spec_of("fx_so3_sphere")
     for p in points_of(spec, 20):
-        C = eval_structure(spec, p)
+        C = eval_fields(spec, p, {"structure": 0}).C
         assert np.array_equal(C + C.transpose(1, 0, 2), np.zeros_like(C))
 
 
@@ -212,7 +219,7 @@ def test_anchor_morphism_so3_independent_bracket_oracle(spec_of, points_of):
                         eval_jet(spec.anchor[a][i], p + shift, order=0, n=n).value
                         - eval_jet(spec.anchor[a][i], p - shift, order=0, n=n).value
                     ) / (2 * h)
-        C = eval_structure(spec, p)
+        C = eval_fields(spec, p, {"structure": 0}).C
         bracket = np.einsum("aj,bij->abi", rho, drho)
         defect = bracket - bracket.transpose(1, 0, 2) \
             - np.einsum("abc,ci->abi", C, rho)
@@ -253,7 +260,7 @@ def _assert_jacobi_oracle(spec, points):
     # independent expansion with explicit loops, no einsum (the anchor is zero)
     r = spec.rank
     for p in points:
-        C = eval_structure(spec, p)
+        C = eval_fields(spec, p, {"structure": 0}).C
         worst = 0.0
         for a in range(r):
             for b in range(r):
