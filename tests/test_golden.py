@@ -16,6 +16,9 @@ block of every fixture at orders 0-3 at 5 sample points, and of the extended
 anchor, structure and connection of the degree-4 quotient and almost
 truncations of the four ``free`` benchmark fixtures at order 1 at 3 points.
 They are checked with the points read one at a time and as one batch.
+The entries of every block of every fixture are frozen in
+``block_entries.json``: each block's shape, label and ``(index, sign,
+repr(expr))`` list, in order (``repr`` keeps the sign of a zero literal).
 Frame fingerprints are frozen in ``frame_fingerprints.json``: the sha256 of
 ``FrameSamples.frames`` of the flat-frame probe on every lie-mode fixture, at
 the default grid around the chart center, or the gate's message where the
@@ -43,6 +46,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 FINGERPRINTS = GOLDEN_DIR / "block_fingerprints.json"
 FRAME_PRINTS = GOLDEN_DIR / "frame_fingerprints.json"
+ENTRIES = GOLDEN_DIR / "block_entries.json"
 
 FIXTURES = (
     "fx_action_so2", "fx_bla", "fx_bla_const", "fx_bla_nojacobi", "fx_flat_exp",
@@ -161,6 +165,20 @@ def block_fingerprints(batched: bool = False) -> dict[str, str]:
     return out
 
 
+def block_entry_listing() -> dict[str, dict]:
+    """``fixture/block`` -> shape, label and ``[index, sign, repr(expr)]``
+    entries of that block, in the order the spec lists them."""
+    out = {}
+    for name in FIXTURES:
+        spec = load_spec_file(fixture_path(name))
+        for block, entries in spec.block_entries.items():
+            out[f"{name}/{block}"] = {
+                "shape": list(entries.shape), "label": entries.label,
+                "entries": [[list(index), sign, repr(e)]
+                            for index, sign, e in entries.entries]}
+    return out
+
+
 def frame_fingerprints() -> dict[str, str]:
     """Lie-mode fixture -> sha256 of the probe's frames at the chart center."""
     out = {}
@@ -197,6 +215,10 @@ def test_block_fingerprints_batched():
     assert block_fingerprints(batched=True) == json.loads(FINGERPRINTS.read_text())
 
 
+def test_block_entries():
+    assert block_entry_listing() == json.loads(ENTRIES.read_text())
+
+
 def test_frame_fingerprints():
     assert frame_fingerprints() == json.loads(FRAME_PRINTS.read_text())
 
@@ -215,8 +237,11 @@ def freeze() -> None:
     FINGERPRINTS.write_text(json.dumps(prints, indent=2, sort_keys=True) + "\n")
     frames = frame_fingerprints()
     FRAME_PRINTS.write_text(json.dumps(frames, indent=2, sort_keys=True) + "\n")
-    print(f"froze {len(codes)} reports, {len(prints)} block fingerprints and "
-          f"{len(frames)} frame fingerprints under {GOLDEN_DIR}")
+    listing = block_entry_listing()
+    ENTRIES.write_text(json.dumps(listing, indent=1, sort_keys=True) + "\n")
+    print(f"froze {len(codes)} reports, {len(prints)} block fingerprints, "
+          f"{len(frames)} frame fingerprints and {len(listing)} block entry "
+          f"lists under {GOLDEN_DIR}")
 
 
 if __name__ == "__main__":
