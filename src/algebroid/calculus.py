@@ -25,7 +25,7 @@ import numpy as np
 
 from .exprjet import Block
 from .spec_model import (
-    AlgebroidSpec, Check, CheckReport, SingularMetricError, cube_entries,
+    AlgebroidSpec, Check, CheckReport, SingularMetricError,
     eval_fields, leading_minors, per_point, point_fields, report_from_residuals,
     tolerance_of,
 )
@@ -310,13 +310,10 @@ FLAT_FRAME_GATE = Check(("flat_frame_gate",), {"connection": 1},
                         lambda f: (curvature_components(f.omega, f.domega),))
 
 
-def koszul_check(psi_candidate) -> Check:
+def koszul_check(psi_block: Block) -> Check:
     """Koszul obstruction for perturbing the connection by the [a][b][i]
-    expression cube ``psi_candidate``: symmetrized contraction of psi against
-    the metric dual of the anchor."""
-    r, n = len(psi_candidate), len(psi_candidate[0][0])
-    psi_block = Block(cube_entries(psi_candidate), (r, r, n), "psi")
-
+    ``psi_block`` (``spec_model.load_cube``): symmetrized contraction of psi
+    against the metric dual of the anchor."""
     def kernel(f):
         psi, = f.psi_candidate()
         half = np.einsum("...abi,...bj->...aij", psi,
@@ -452,7 +449,7 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     grid_pts = [basepoint + deltas * np.array(off, dtype=float) for off in offsets]
 
     reads = {"anchor": 0, "structure": 0, "connection": 1}
-    if spec.metric is not None:
+    if "metric" in spec.block_entries:
         reads.update(anchor=1, metric=1)
     f = point_fields(spec, grid_pts, reads)
     count = len(offsets)
@@ -485,7 +482,7 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
             U - np.array([frames_rev[off] for off in offsets]), count),
             grid_pts, tolerance)]
 
-    if spec.metric is not None:
+    if "metric" in spec.block_entries:
         killing = killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)
         if float(np.max(per_point(killing, count))) <= tolerance_of(
                 "killing_frame", tol_override):

@@ -49,22 +49,23 @@ class InputError(Exception):
 def run_check_suite(spec: AlgebroidSpec, points, flags, tol_override=None,
                     psi_candidate=None) -> list[CheckReport]:
     """Execute the selected checks; returns one CheckReport per check."""
-    lie, metric = spec.mode == "lie", spec.metric is not None
+    blocks = spec.block_entries
+    lie, metric = spec.mode == "lie", "metric" in blocks
     # (flag, what the input must satisfy, error otherwise, checks in report order)
     table = (
         ("axioms", lie, "--axioms needs a lie-mode spec (anchored bundles carry "
                         "no bracket; use `validate` instead)", (ANCHOR_MORPHISM, JACOBI)),
         ("cartan", lie, "--cartan needs a lie-mode spec", ca.CARTAN_CHECKS),
         ("killing", metric, "--killing needs a metric block", (ca.KILLING,)),
-        ("generalized", metric and spec.two_form is not None,
+        ("generalized", metric and "two_form" in blocks,
          "--generalized needs both metric and two_form blocks", (ca.GENERALIZED,)),
-        ("symplectic", spec.symplectic is not None,
+        ("symplectic", "symplectic" in blocks,
          "--symplectic needs a symplectic block", (ca.SYMPLECTIC,)),
-        ("poisson", spec.poisson is not None, "--poisson needs a poisson block",
+        ("poisson", "poisson" in blocks, "--poisson needs a poisson block",
          (ca.POISSON,)),
         ("koszul", psi_candidate is not None, "--koszul needs --psi-file", ()),
         ("koszul", metric, "--koszul needs a metric block",
-         (ca.koszul_check(psi_candidate),) if psi_candidate else ()),
+         (ca.koszul_check(psi_candidate),) if psi_candidate is not None else ()),
         ("flat_frame", lie, "--flat-frame needs a lie-mode spec",
          (ca.FLAT_FRAME_GATE,)),
     )
@@ -166,7 +167,7 @@ def _cmd_free(args) -> int:
 
     # one pass over the quotient truncation for its checks and rank profile
     checks = [fa.cartan_extended_check(quotient)]
-    if spec.metric is not None:
+    if "metric" in spec.block_entries:
         checks += fa.killing_checks(quotient)
     *values, profile = check_values(
         quotient, points, checks + [fa.rank_profile_check(quotient)])

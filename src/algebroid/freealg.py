@@ -343,14 +343,14 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
     """Extend the connection degree by degree via the bracket identity
     nabla[u,v] = L_u(nabla v) - L_v(nabla u) - nabla_{rho(nabla u)}v
     + nabla_{rho(nabla v)}u.  Coefficients live on words of degree <= deg w."""
-    n = spec.dimension
+    n, block = spec.dimension, spec.block_entries["connection"]
     if len(basis) > 1 and basis[1]:             # the degree-2 words' Lie terms
-        _diff_entries(spec.block_entries["connection"], n, memo)
+        _diff_entries(block, n, memo)
     conn: dict = {}
     for a, w in enumerate(basis[0]):
         entries = {}
         for b, wb in enumerate(basis[0]):
-            comps = tuple(spec.connection[a][b][i] for i in range(n))
+            comps = tuple(e for index, _, e in block.entries if index[:2] == (a, b))
             if any(not (isinstance(c, Num) and c.value == 0.0) for c in comps):
                 entries[wb] = comps
         conn[w] = entries
@@ -414,9 +414,11 @@ def _magma_anchors(spec: AlgebroidSpec, levels, memo=None) -> dict:
     held = vars(spec).setdefault("_magma_anchors", {})
     memo = {} if memo is None else memo         # one memo across all the pairs
     if len(levels) not in held:
+        block = spec.block_entries["anchor"]
         if len(levels) > 1 and levels[1]:       # the degree-2 commutators
-            _diff_entries(spec.block_entries["anchor"], spec.dimension, memo)
-        anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
+            _diff_entries(block, spec.dimension, memo)
+        anchor = {w: tuple(e for (b, _), _, e in block.entries if b == a)
+                  for a, w in enumerate(levels[0])}
         for level in levels[1:]:
             for w in level:
                 u, v = w.parts

@@ -4,18 +4,20 @@ A spec document is a JSON object carrying a chart, an anchor matrix, structure
 functions (stored for a<b only, so antisymmetry cannot be violated by input),
 connection forms, and optional geometric structures (metric, 2-form, psi,
 symplectic form, Poisson bivector), all as expression strings over the chart
-coordinates.  Loading parses every expression and enforces the shape and
-symmetry contracts; `validate_spec` then samples the chart box and checks the
-numeric axioms (positive definiteness, anchor morphism, Jacobi, bivector
-Jacobi, nondegeneracy).
+coordinates.  Loading parses every expression, enforces the shape and
+symmetry contracts, and builds each block once as the ``exprjet.Block`` that
+every reader evaluates: a stored triangle entry is listed with its mirror,
+signed +1 (symmetric) or -1 (antisymmetric).  `validate_spec` then samples
+the chart box and checks the numeric axioms (positive definiteness, anchor
+morphism, Jacobi, bivector Jacobi, nondegeneracy).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -109,46 +111,19 @@ class ChartSpec:
 
 @dataclass(frozen=True)
 class AlgebroidSpec:
-    """Parsed spec. Symmetric/antisymmetric blocks keep only their canonical
-    triangle; evaluation reconstructs the mirror entries exactly."""
+    """Parsed spec: ``block_entries`` maps each block it carries to its
+    ``exprjet.Block``: anchor [a][i], structure [a][b][c], connection and psi
+    [a][b][i] (an absent structure or psi has no entries), and metric,
+    two_form, symplectic and poisson [i][j] where the document gives them."""
 
     chart: ChartSpec
     rank: int
     mode: str                                   # "anchored" | "lie"
-    anchor: tuple[tuple[Expr, ...], ...]        # [a][i]
-    structure: Mapping[tuple[int, int, int], Expr] = field(default_factory=dict)
-    connection: tuple = ()                      # [a][b][i]
-    metric: Mapping[tuple[int, int], Expr] | None = None        # i <= j
-    two_form: Mapping[tuple[int, int], Expr] | None = None      # i < j
-    psi: tuple | None = None                    # [a][b][i]
-    symplectic: Mapping[tuple[int, int], Expr] | None = None    # i < j
-    poisson: Mapping[tuple[int, int], Expr] | None = None       # i < j
+    block_entries: Mapping[str, Block]
 
     @property
     def dimension(self) -> int:
         return self.chart.dimension
-
-    @cached_property
-    def block_entries(self) -> dict:
-        """block -> ``exprjet.Block`` of every block it carries (an absent
-        psi is carried as zero); mirror entries of a stored triangle reuse its
-        expression with sign +1 (symmetric) or -1 (antisymmetric)."""
-        r, n = self.rank, self.dimension
-        out = {"anchor": Block([((a, i), 1, e) for a, row in enumerate(self.anchor)
-                                for i, e in enumerate(row)], (r, n), "anchor"),
-               "structure": Block([t for (a, b, c), e in self.structure.items()
-                                   for t in (((a, b, c), 1, e), ((b, a, c), -1, e))],
-                                  (r, r, r), "structure"),
-               "connection": Block(cube_entries(self.connection), (r, r, n),
-                                   "connection"),
-               "psi": Block(cube_entries(self.psi or ()), (r, r, n), "psi")}
-        for block in ("metric", "two_form", "symplectic", "poisson"):
-            sign = 1 if block == "metric" else -1
-            if getattr(self, block) is not None:
-                out[block] = Block([t for (i, j), e in getattr(self, block).items()
-                                    for t in (((i, j), 1, e), ((j, i), sign, e))],
-                                   (n, n), block)
-        return out
 
 
 @dataclass
@@ -296,29 +271,31 @@ def _load_matrix(doc, coords, rows, cols, path) -> tuple:
     return tuple(out)
 
 
-def load_cube(doc, coords, r, n, path) -> tuple:
-    """Parse an [a][b][i] cube of expression strings of shape (r, r, n)."""
+def load_cube(doc, coords, r, n, path) -> Block:
+    """The ``Block`` of an [a][b][i] cube of expression strings of shape
+    (r, r, n), labelled ``path``."""
     if not isinstance(doc, Sequence) or len(doc) != r:
         raise SchemaError(path, f"expected {r} blocks")
-    return tuple(_load_matrix(doc[a], coords, r, n, f"{path}[{a}]") for a in range(r))
+    return Block([((a, b, i), 1, e) for a in range(r) for b, row in enumerate(
+        _load_matrix(doc[a], coords, r, n, f"{path}[{a}]")) for i, e in enumerate(row)],
+        (r, r, n), path)
 
 
-def _load_symmetric(doc, coords, n, path):
+def _load_symmetric(doc, coords, n, path) -> Block:
     mat = _load_matrix(doc, coords, n, n, path)
-    stored = {}
+    entries = []
     for i in range(n):
         for j in range(i, n):
             if j > i and mat[i][j] != mat[j][i]:
-                kind = path.split(".")[-1]
-                raise SchemaError(path, f"{kind} not symmetric: entry ({j+1},{i+1}) "
+                raise SchemaError(path, f"{path} not symmetric: entry ({j+1},{i+1}) "
                                         f"must equal entry ({i+1},{j+1})")
-            stored[(i, j)] = mat[i][j]
-    return stored
+            entries += [((i, j), 1, mat[i][j]), ((j, i), 1, mat[i][j])]
+    return Block(entries, (n, n), path)
 
 
-def _load_antisymmetric(doc, coords, n, path):
+def _load_antisymmetric(doc, coords, n, path) -> Block:
     mat = _load_matrix(doc, coords, n, n, path)
-    stored = {}
+    entries = []
     for i in range(n):
         if not _is_zero(mat[i][i]):
             raise SchemaError(path, f"not antisymmetric: diagonal entry ({i+1},{i+1}) "
@@ -327,14 +304,14 @@ def _load_antisymmetric(doc, coords, n, path):
             if mat[j][i] != _negation_of(mat[i][j]) and mat[i][j] != _negation_of(mat[j][i]):
                 raise SchemaError(path, f"not antisymmetric: entry ({j+1},{i+1}) must "
                                         f"be the negation of entry ({i+1},{j+1})")
-            stored[(i, j)] = mat[i][j]
-    return stored
+            entries += [((i, j), 1, mat[i][j]), ((j, i), -1, mat[i][j])]
+    return Block(entries, (n, n), path)
 
 
-def _load_structure(doc, coords, r, path="structure"):
+def _load_structure(doc, coords, r, path="structure") -> Block:
     if not isinstance(doc, Sequence):
         raise SchemaError(path, "expected list of {a, b, c, expr} entries")
-    stored = {}
+    stored, entries = set(), []
     for k, entry in enumerate(doc):
         where = f"{path}[{k}]"
         if not isinstance(entry, Mapping):
@@ -352,11 +329,12 @@ def _load_structure(doc, coords, r, path="structure"):
         if not a < b:
             raise SchemaError(where, f"need a < b (got a={a}, b={b}); store only the "
                                      f"a < b component")
-        key = (a - 1, b - 1, c - 1)
-        if key in stored:
+        if (a, b, c) in stored:
             raise SchemaError(where, f"duplicate entry for (a={a}, b={b}, c={c})")
-        stored[key] = _parse_at(text, coords, f"{where}.expr")
-    return stored
+        stored.add((a, b, c))
+        e = _parse_at(text, coords, f"{where}.expr")
+        entries += [((a - 1, b - 1, c - 1), 1, e), ((b - 1, a - 1, c - 1), -1, e)]
+    return Block(entries, (r, r, r), path)
 
 
 def load_spec(document) -> AlgebroidSpec:
@@ -389,32 +367,25 @@ def load_spec(document) -> AlgebroidSpec:
         raise SchemaError("mode", f"expected 'anchored' or 'lie', got {mode!r}")
 
     anchor = _load_matrix(document["anchor"], coords, r, n, "anchor")
-    connection = load_cube(document["connection"], coords, r, n, "connection")
-
-    structure = {}
+    blocks = {"anchor": Block([((a, i), 1, e) for a, row in enumerate(anchor)
+                               for i, e in enumerate(row)], (r, n), "anchor"),
+              "structure": Block([], (r, r, r), "structure"),
+              "connection": load_cube(document["connection"], coords, r, n,
+                                      "connection"),
+              "psi": Block([], (r, r, n), "psi")}
     if "structure" in document:
         if mode == "anchored" and document["structure"]:
             raise SchemaError("structure", "structure functions are not allowed in "
                                            "anchored mode (no bracket)")
-        structure = _load_structure(document["structure"], coords, r)
-
-    metric = two_form = symplectic = poisson = None
-    psi = None
-    if "metric" in document:
-        metric = _load_symmetric(document["metric"], coords, n, "metric")
-    if "two_form" in document:
-        two_form = _load_antisymmetric(document["two_form"], coords, n, "two_form")
-    if "symplectic" in document:
-        symplectic = _load_antisymmetric(document["symplectic"], coords, n, "symplectic")
-    if "poisson" in document:
-        poisson = _load_antisymmetric(document["poisson"], coords, n, "poisson")
+        blocks["structure"] = _load_structure(document["structure"], coords, r)
+    for block, load in (("metric", _load_symmetric), ("two_form", _load_antisymmetric),
+                        ("symplectic", _load_antisymmetric),
+                        ("poisson", _load_antisymmetric)):
+        if block in document:
+            blocks[block] = load(document[block], coords, n, block)
     if "psi" in document:
-        psi = load_cube(document["psi"], coords, r, n, "psi")
-
-    return AlgebroidSpec(chart=chart, rank=r, mode=mode, anchor=anchor,
-                         structure=structure, connection=connection,
-                         metric=metric, two_form=two_form, psi=psi,
-                         symplectic=symplectic, poisson=poisson)
+        blocks["psi"] = load_cube(document["psi"], coords, r, n, "psi")
+    return AlgebroidSpec(chart=chart, rank=r, mode=mode, block_entries=blocks)
 
 
 def load_spec_file(path) -> AlgebroidSpec:
@@ -436,12 +407,6 @@ FIELD_NAMES = {
     "metric": ("g", "dg"), "two_form": ("B", "dB"),
     "symplectic": ("Om", "dOm"), "poisson": ("P", "dP"),
 }
-
-
-def cube_entries(cube) -> list:
-    """``Block`` entries of an [a][b][i] cube of expressions."""
-    return [((a, b, i), 1, e) for a, plane in enumerate(cube)
-            for b, row in enumerate(plane) for i, e in enumerate(row)]
 
 
 def eval_fields(source, p, orders: Mapping[str, int]):
@@ -615,14 +580,14 @@ def validate_spec(spec: AlgebroidSpec, points,
     """Run every applicable structural check; failures are reported, not
     thrown.  ``tolerance`` overrides the table for the identity checks."""
     checks = [STRUCTURE_ANTISYMMETRY]
-    if spec.metric is not None:
+    if "metric" in spec.block_entries:
         checks.append(METRIC_POSITIVE_DEFINITE)
     if spec.mode == "lie":
         checks += [ANCHOR_MORPHISM, JACOBI]
-    if spec.symplectic is not None:
+    if "symplectic" in spec.block_entries:
         # the amount by which |det| falls short of the nondegeneracy floor
         checks.append(Check(("symplectic_nondegenerate",), {"symplectic": 0}, lambda f: (
             _DEFINITENESS_FLOOR - np.abs(np.linalg.det(f.Om)),)))
-    if spec.poisson is not None:
+    if "poisson" in spec.block_entries:
         checks.append(Check(("poisson_jacobi",), {"poisson": 1}, _bivector_jacobi))
     return run_checks(spec, points, checks, tolerance)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from algebroid import calculus as ca, spec_model
-from algebroid.exprjet import eval_block, parse_expr
+from algebroid.exprjet import eval_block
 from algebroid.spec_model import eval_fields, run_checks, sample_points
 
 from conftest import (
@@ -431,8 +431,7 @@ def test_poisson_residuals(spec_of, points_of):
 
 
 def _psi_cube(entries, coords):
-    return tuple(tuple(tuple(parse_expr(t, coords) for t in row)
-                       for row in block) for block in entries)
+    return spec_model.load_cube(entries, coords, len(entries), len(coords), "psi")
 
 
 def test_koszul_zero_perturbation(spec_of, points_of):

@@ -42,12 +42,13 @@ CHECK_VALUES = spec_model.check_values
 
 
 def _check_flags(spec):
+    blocks = spec.block_entries
     flags = {"axioms": spec.mode == "lie", "cartan": spec.mode == "lie",
-             "flat_frame": spec.mode == "lie", "killing": spec.metric is not None,
-             "koszul": spec.metric is not None,
-             "generalized": spec.metric is not None and spec.two_form is not None}
+             "flat_frame": spec.mode == "lie", "killing": "metric" in blocks,
+             "koszul": "metric" in blocks,
+             "generalized": "metric" in blocks and "two_form" in blocks}
     for block in ("symplectic", "poisson"):
-        flags[block] = getattr(spec, block) is not None
+        flags[block] = block in blocks
     return flags
 
 
@@ -60,7 +61,7 @@ def _suite_case(name):
     def run():
         reports = spec_model.validate_spec(spec, points)
         return reports + run_check_suite(spec, points, _check_flags(spec),
-                                         psi_candidate=spec.connection)
+                                         psi_candidate=spec.block_entries["connection"])
     return run
 
 
@@ -70,7 +71,7 @@ def _free_case(name):
     quotient = fa.free_extend(spec, 3, "quotient")
     almost = fa.free_extend(spec, 3, "almost")
     checks = [fa.cartan_extended_check(quotient), fa.rank_profile_check(quotient)]
-    if spec.metric is not None:
+    if "metric" in spec.block_entries:
         checks += fa.killing_checks(quotient)
 
     def run():

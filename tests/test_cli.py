@@ -486,7 +486,8 @@ def test_evaluation_failure_at_the_last_point_names_it(tmp_path, capsys):
         "connection": [[["0", "0"]]]}))
     code, text = run(tmp_path, "validate", "--spec", str(path), "--points", "20")
     assert code == 2 and text is None
-    entry = render(spec_model.load_spec_file(path).anchor[0][1])
+    anchor = spec_model.load_spec_file(path).block_entries["anchor"]
+    entry = render({index: e for index, _, e in anchor.entries}[0, 1])
     point = tuple(float(c) for c in points[-1])
     assert capsys.readouterr().err == (
         f"error: anchor[0][1]: ln of nonpositive value in '{entry}' at point "

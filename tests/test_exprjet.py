@@ -288,13 +288,10 @@ def test_fd_crosscheck_all_fixture_expressions():
     for name in FIXTURES:
         spec = load_doc(fixture_doc(name))
         points = sample_points(spec.chart, 100, seed=42)
-        exprs = [e for row in spec.anchor for e in row]
-        exprs += [e for block in spec.connection for row in block for e in row]
-        exprs += list(spec.structure.values())
-        for block in (spec.metric, spec.two_form, spec.symplectic, spec.poisson):
-            if block is not None:
-                exprs += list(block.values())
-        for e in exprs:
+        # each stored expression once: a mirror entry shares its object
+        exprs = {id(e): e for block in spec.block_entries.values()
+                 for _, _, e in block.entries}
+        for e in exprs.values():
             for p in points:
                 assert fd_crosscheck(e, p, h=1e-4) <= 1e-6, (name, render(e), p)
 

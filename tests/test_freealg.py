@@ -21,11 +21,11 @@ from algebroid.spec_model import (
 from conftest import FIXTURES, fixture_doc, load_doc, max_abs
 
 
-def _anchored(name):
+def _anchored(name, **blocks):
     doc = fixture_doc(name)
     doc["mode"] = "anchored"
     doc.pop("structure", None)
-    return load_doc(doc)
+    return load_doc({**doc, **blocks})
 
 
 def _witt(r, d):
@@ -387,15 +387,13 @@ def test_propagation_with_explicit_metric_block():
     # a metric-free generator spec can still be checked against a metric
     bare = _anchored("fx_free_heis")
     points = sample_points(bare.chart, 10, 42)
-    flat = {(0, 0): parse_expr("1", ["x", "y"]),
-            (0, 1): parse_expr("0", ["x", "y"]),
-            (1, 1): parse_expr("1", ["x", "y"])}
-    free = fa.free_extend(replace(bare, metric=flat), 2, "quotient")
+    flat = [["1", "0"], ["0", "1"]]
+    free = fa.free_extend(_anchored("fx_free_heis", metric=flat), 2, "quotient")
     # rho(e2) = x d_y is not Killing for the flat metric
     generators, = run_checks(free, points, fa.killing_checks(free))
     assert not generators.passed
-    abelian = load_doc(fixture_doc("fx_free_abelian"))
-    free_ab = fa.free_extend(replace(abelian, metric=flat), 3, "quotient")
+    abelian = load_doc({**fixture_doc("fx_free_abelian"), "metric": flat})
+    free_ab = fa.free_extend(abelian, 3, "quotient")
     _, report = run_checks(free_ab, points, fa.killing_checks(free_ab))
     assert report.max_residual == 0.0
 
@@ -700,7 +698,10 @@ def test_pairwise_quad_matches_the_three_operand_einsum():
 def _anchors_by_pair_diff(spec, levels):
     # the magma anchors with every Jacobian entry taken again for each pair
     n = spec.dimension
-    anchor = {w: tuple(spec.anchor[a]) for a, w in enumerate(levels[0])}
+    rows = np.empty(spec.block_entries["anchor"].shape, dtype=object)
+    for index, _, e in spec.block_entries["anchor"].entries:
+        rows[index] = e
+    anchor = {w: tuple(rows[a]) for a, w in enumerate(levels[0])}
     for level in levels[1:]:
         for w in level:
             u, v = w.parts

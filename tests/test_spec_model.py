@@ -20,7 +20,7 @@ def test_load_action_so2(spec_of):
     assert spec.rank == 1
     assert spec.dimension == 2
     assert spec.mode == "lie"
-    assert spec.metric is not None
+    assert "metric" in spec.block_entries
 
 
 def test_load_spec_accepts_json_text():
@@ -44,7 +44,8 @@ def test_blocks_compile_at_first_evaluation():
 def test_load_so3_sphere(spec_of):
     spec = spec_of("fx_so3_sphere")
     assert spec.rank == 3
-    assert len(spec.structure) == 3
+    # three stored a < b entries, each listed with its mirror
+    assert len(spec.block_entries["structure"].entries) == 2 * 3
 
 
 def test_metric_not_symmetric():
@@ -130,7 +131,7 @@ def test_structure_forbidden_in_anchored_mode():
 
 def test_reading_a_block_the_spec_lacks_raises():
     spec = load_doc(fixture_doc("fx_bla"))
-    assert spec.metric is None and spec.poisson is None
+    assert "metric" not in spec.block_entries and "poisson" not in spec.block_entries
     for block in ("metric", "poisson"):
         with pytest.raises(ValueError, match=f"^spec carries no {block} block$"):
             eval_fields(spec, spec.chart.center(), {"anchor": 0, block: 0})
@@ -206,8 +207,11 @@ def test_anchor_morphism_so3_independent_bracket_oracle(spec_of, points_of):
     spec = spec_of("fx_so3_sphere")
     h = 1e-5
     n, r = spec.dimension, spec.rank
+    anchor = np.empty((r, n), dtype=object)
+    for index, _, e in spec.block_entries["anchor"].entries:
+        anchor[index] = e
     for p in points_of(spec, 10):
-        rho = np.array([[eval_jet(spec.anchor[a][i], p, order=0, n=n).value
+        rho = np.array([[eval_jet(anchor[a][i], p, order=0, n=n).value
                          for i in range(n)] for a in range(r)])
         drho = np.zeros((r, n, n))
         for j in range(n):
@@ -216,8 +220,8 @@ def test_anchor_morphism_so3_independent_bracket_oracle(spec_of, points_of):
             for a in range(r):
                 for i in range(n):
                     drho[a, i, j] = (
-                        eval_jet(spec.anchor[a][i], p + shift, order=0, n=n).value
-                        - eval_jet(spec.anchor[a][i], p - shift, order=0, n=n).value
+                        eval_jet(anchor[a][i], p + shift, order=0, n=n).value
+                        - eval_jet(anchor[a][i], p - shift, order=0, n=n).value
                     ) / (2 * h)
         C = eval_fields(spec, p, {"structure": 0}).C
         bracket = np.einsum("aj,bij->abi", rho, drho)
