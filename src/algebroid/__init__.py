@@ -6,7 +6,7 @@ from importlib import resources
 
 from .exprjet import (
     Expr, Jet, ExprError, ParseError, UndeclaredIdentifierError,
-    EvalDomainError, parse_expr, render, diff, eval_jet, fd_crosscheck,
+    EvalDomainError, parse_expr, render, diff,
 )
 from .spec_model import (
     AlgebroidSpec, ChartSpec, CheckReport, SchemaError,
@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Expr", "Jet", "ExprError", "ParseError", "UndeclaredIdentifierError",
-    "EvalDomainError", "parse_expr", "render", "diff", "eval_jet",
-    "fd_crosscheck", "AlgebroidSpec", "ChartSpec", "CheckReport",
-    "SchemaError", "load_spec", "load_spec_file", "sample_points",
-    "validate_spec", "fixture_path",
+    "EvalDomainError", "parse_expr", "render", "diff", "AlgebroidSpec",
+    "ChartSpec", "CheckReport", "SchemaError", "load_spec", "load_spec_file",
+    "sample_points", "validate_spec", "fixture_path",
 ]
 
 

@@ -25,9 +25,8 @@ import numpy as np
 
 from .exprjet import Block
 from .spec_model import (
-    AlgebroidSpec, Check, CheckReport, SingularMetricError,
-    eval_fields, leading_minors, per_point, point_fields, report_from_residuals,
-    tolerance_of,
+    AlgebroidSpec, Check, CheckReport, SingularMetricError, leading_minors,
+    per_point, point_fields, report_from_residuals, tolerance_of,
 )
 
 __all__ = [
@@ -127,11 +126,11 @@ def killing_frame_components(rho, drho, g, dg, omega):
 
 def require_positive_definite(g, point):
     """Raise SingularMetricError unless the leading minors of the metric g
-    read at ``point`` are all positive; of a stack of metrics read at a
-    ``(P, n)`` batch of points, the first one that fails names its point."""
+    read at ``point`` are all finite and positive; of a stack of metrics read
+    at a ``(P, n)`` batch of points, the first one that fails names its point."""
     n = g.shape[-1]
     for k, minors in enumerate(leading_minors(g).reshape(-1, n).tolist()):
-        if min(minors) <= 0.0:
+        if not all(0.0 < m < np.inf for m in minors):
             at = tuple(map(float, np.reshape(point, (-1, n))[k]))
             raise SingularMetricError(f"metric: leading minors {minors} not all "
                                       f"positive at point {at}")
@@ -349,7 +348,7 @@ def _segment_connections(spec, q0, q1):
     dx = q1 - q0
     times = np.arange(2 * _SUBSTEPS + 1) / (2 * _SUBSTEPS)
     at = q0[:, None, :] + times[None, :, None] * dx[:, None, :]
-    omega = eval_fields(spec, at.reshape(-1, dx.shape[1]), {"connection": 0}).omega
+    omega = point_fields(spec, at.reshape(-1, dx.shape[1]), {"connection": 0}).omega
     return -np.einsum("si,stqai->staq", dx,
                       omega.reshape(at.shape[:2] + omega.shape[1:]))
 

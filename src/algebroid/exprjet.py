@@ -4,8 +4,6 @@ An :class:`Expr` is an immutable AST over coordinate identifiers, literals,
 arithmetic, and a small set of elementary functions.  Evaluation produces a
 :class:`Jet`: the value together with all partial derivatives up to a
 configurable order (0..3), propagated by truncated Taylor arithmetic.
-``fd_crosscheck`` provides the independent finite-difference oracle for the
-first-order slots.
 
 Expressions are evaluated in blocks over a batch of points.  A :class:`Block`
 is a list of ``(index, sign, expr)`` entries filling a dense array; at its
@@ -17,10 +15,10 @@ point axis (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13),
 one ``Jet`` per distinct node, with the operations a walk of each entry at
 each point would use: shared subexpressions cost once per batch, and each
 point's arrays are bit-identical to a walk of each entry there.  Denominator
-and exponent checks run where the walk ran them, and a batch that fails runs
-again one point at a time, so a failure names the earliest failing point, the
-subexpression and the first entry that reaches it.  :func:`eval_jet` runs
-the same evaluator on one expression at one point.
+and exponent checks run where the walk ran them, so a failure names the
+subexpression, the first entry that reaches it and the earliest point where
+that step fails; the chunk loop of ``spec_model`` runs a failing batch again
+one point at a time, so that its error names the earliest failing point.
 
 Grammar (whitespace insignificant)::
 
@@ -48,8 +46,8 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "Jet", "Block", "ExprError", "ParseError", "UndeclaredIdentifierError",
-    "EvalDomainError", "parse_expr", "render", "diff", "eval_jet",
-    "eval_block", "fd_crosscheck", "tree_depth", "FUNCTIONS", "MAX_DEPTH",
+    "EvalDomainError", "parse_expr", "render", "diff", "eval_block",
+    "tree_depth", "FUNCTIONS", "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "tanh", "abs")
@@ -473,8 +471,8 @@ def diff(e: Expr, index: int, memo: dict | None = None) -> Expr:
 class Jet:
     """Truncated Taylor data of a scalar over a batch of points: ``parts[k]``
     holds the k-th partials in ``n`` chart coordinates up to the order, shape
-    ``(P,) + (n,) * k``, or ``(n,) * k`` for the one point ``eval_jet``
-    returns.  Second and third partials are symmetric by construction."""
+    ``(P,) + (n,) * k``.  Second and third partials are symmetric by
+    construction."""
 
     __slots__ = ("parts",)
 
@@ -796,28 +794,19 @@ class Block:
     def program(self) -> _Program:
         return _Program([e for _, _, e in self.written])
 
+    @cached_property
+    def _value_steps(self) -> tuple[int, int]:
+        """The program's plain and raised value steps: the jets it makes."""
+        marks = [raised for op, _, _, raised, _ in self.program.steps if op <= _CALL]
+        return len(marks) - sum(marks), sum(marks)
+
     def point_bytes(self, n: int, order: int) -> int:
         """Bytes a point takes in the slots and arrays of an evaluation."""
         def floats(o):
             return sum(n ** k for k in range(o + 1))
-        return 8 * (sum(floats(max(order, 1) if raised else order)
-                        for op, _, _, raised, _ in self.program.steps if op <= _CALL)
+        plain, raised = self._value_steps
+        return 8 * (plain * floats(order) + raised * floats(max(order, 1))
                     + math.prod(self.shape) * floats(order))
-
-
-def eval_jet(e: Expr, point, order: int = 1, n: int | None = None) -> Jet:
-    """Evaluate ``e`` at ``point`` together with all partials up to ``order``.
-
-    ``point`` supplies one real per chart coordinate; ``n`` defaults to
-    ``len(point)``.  This is the block evaluator on one entry, at a batch of
-    one point; the jet it returns has no point axis.
-    """
-    point = np.asarray(point, dtype=float)
-    if n is None:
-        n = point.shape[0]
-    program = _Program([e])
-    jet = program.run(point.reshape(1, -1), n, order)[program.roots[0]]
-    return Jet([part[0] for part in jet.parts])
 
 
 def eval_block(block: Block, points, order: int = 0):
@@ -828,7 +817,9 @@ def eval_block(block: Block, points, order: int = 0):
     batch, so a mirrored entry is an exact copy or an exact negation.
     Returns ``[value, d1, ...]`` up to ``order``, of shapes ``shape``,
     ``shape + (n,)``, ...  A failure raises :class:`EvalDomainError` naming
-    the entry as ``label[i][j]...`` and the earliest failing point.
+    the entry as ``label[i][j]...`` and a failing point: the earliest point
+    where the first failing step fails, which need not be the earliest point
+    that fails (``spec_model``'s chunk loop reruns a batch point by point).
     """
     points = np.asarray(points, dtype=float)
     batch = points.reshape(-1, points.shape[-1])
@@ -837,9 +828,6 @@ def eval_block(block: Block, points, order: int = 0):
     try:
         jets = program.run(batch, n, order)
     except EvalDomainError as exc:
-        if count > 1:           # the earliest failing point raises its own error
-            for point in batch:
-                eval_block(block, point, order)
         index = block.written[program.entry_of(exc.step)][0]
         path = block.label + "".join(f"[{i}]" for i in index)
         raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
@@ -849,18 +837,3 @@ def eval_block(block: Block, points, order: int = 0):
         for array, part in zip(arrays, jets[slot].parts):
             array[at] = part if sign > 0 else -part
     return arrays if points.ndim > 1 else [array[0] for array in arrays]
-
-
-def fd_crosscheck(e: Expr, point, h: float = 1e-4) -> float:
-    """Max over coordinates of |jet first partial - central finite difference|."""
-    point = np.asarray(point, dtype=float)
-    n = point.shape[0]
-    jet = eval_jet(e, point, order=1, n=n)
-    worst = 0.0
-    for i in range(n):
-        shift = np.zeros(n)
-        shift[i] = h
-        plus = eval_jet(e, point + shift, order=0, n=n).value
-        minus = eval_jet(e, point - shift, order=0, n=n).value
-        worst = max(worst, abs(jet.grad[i] - (plus - minus) / (2.0 * h)))
-    return worst

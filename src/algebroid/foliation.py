@@ -125,7 +125,7 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
         if end == steps:        # the last point started no step
             gp[-1] = eval_fields(spec, xp[-1], {"metric": 0}).g
             require_positive_definite(gp[-1], xp[-1])
-        rho = eval_fields(spec, xp, {"anchor": 0}).rho
+        rho = point_fields(spec, xp, {"anchor": 0}).rho
         rho_flat = np.einsum("tpa,tpj->taj", Up, rho)
         traces.append(GeodesicTrace(
             times=np.arange(end + 1) * h, positions=xp, velocities=vp,

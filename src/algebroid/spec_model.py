@@ -564,15 +564,22 @@ def leading_minors(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _definiteness_margin(f):
+    """The amount by which the least leading minor falls short of the floor;
+    NaN where a minor is not finite, so an overflowed metric fails."""
+    minors = leading_minors(f.g)
+    return np.where(np.isfinite(minors).all(axis=-1),
+                    _DEFINITENESS_FLOOR - np.min(minors, axis=-1), np.nan),
+
+
 ANCHOR_MORPHISM = Check(("anchor_morphism",), {"anchor": 1, "structure": 0},
                         _anchor_morphism)
 JACOBI = Check(("jacobi",), {"anchor": 0, "structure": 1}, _jacobi)
 # storage antisymmetry of the structure functions (exact by construction)
 STRUCTURE_ANTISYMMETRY = Check(("structure_antisymmetry",), {"structure": 0},
                                lambda f: (f.C + np.swapaxes(f.C, -3, -2),))
-METRIC_POSITIVE_DEFINITE = Check(
-    ("metric_positive_definite",), {"metric": 0},
-    lambda f: (_DEFINITENESS_FLOOR - np.min(leading_minors(f.g), axis=-1),))
+METRIC_POSITIVE_DEFINITE = Check(("metric_positive_definite",), {"metric": 0},
+                                 _definiteness_margin)
 
 
 def validate_spec(spec: AlgebroidSpec, points,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from algebroid import fixture_path, load_spec, load_spec_file, sample_points
+from algebroid.exprjet import Block, Jet, eval_block
 
 FIXTURES = [
     "fx_action_so2", "fx_so3_sphere", "fx_bla", "fx_bla_const",
@@ -42,6 +43,29 @@ def load_doc(doc: dict):
 
 def max_abs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
+
+
+def eval_jet(e, point, order: int = 1, n: int | None = None) -> Jet:
+    """The jet of ``e`` at ``point`` with all partials up to ``order``: the
+    block evaluator on a block of the one entry, at the one point, whose
+    ``len(point)`` coordinates are the chart's (``n``, if given)."""
+    assert n in (None, len(point))
+    return Jet(eval_block(Block([((), 1, e)], (), ""), point, order))
+
+
+def fd_crosscheck(e, point, h: float = 1e-4) -> float:
+    """Max over coordinates of |jet first partial - central finite difference|."""
+    point = np.asarray(point, dtype=float)
+    n = point.shape[0]
+    jet = eval_jet(e, point, order=1, n=n)
+    worst = 0.0
+    for i in range(n):
+        shift = np.zeros(n)
+        shift[i] = h
+        plus = eval_jet(e, point + shift, order=0, n=n).value
+        minus = eval_jet(e, point - shift, order=0, n=n).value
+        worst = max(worst, abs(jet.grad[i] - (plus - minus) / (2.0 * h)))
+    return worst
 
 
 def dual_coefficients(f):

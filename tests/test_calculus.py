@@ -103,6 +103,18 @@ def test_christoffel_singular_metric_error(points_of):
         _gamma(eval_fields(spec, (-0.5, 0.0), METRIC))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_require_positive_definite_rejects_a_non_finite_minor(bad):
+    # of a stack, the first metric whose minors are not all finite and
+    # positive names its point; an inf minor is no pass
+    g = np.array([np.eye(2), [[1.0, 0.0], [0.0, bad]], [[bad, 0.0], [0.0, 1.0]]])
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ca.SingularMetricError, match=r"at point \(1\.0, 0\.0\)$"), \
+            np.errstate(invalid="ignore"):
+        ca.require_positive_definite(g, points)
+    ca.require_positive_definite(g[:1], points[:1])
+
+
 # --------------------------------------------------------------------------
 # A-torsion, curvature of the connection
 

@@ -494,6 +494,24 @@ def test_evaluation_failure_at_the_last_point_names_it(tmp_path, capsys):
         f"{point}\n")
 
 
+def test_validate_fails_a_metric_that_overflows(tmp_path):
+    # metric[0][0] = (x+4)^4096 by 12 nested squares overflows to inf on the
+    # whole chart: its leading minors are not finite, which must fail the
+    # check rather than pass it with a margin of -inf
+    doc = json.loads(fixture_path("fx_so3_sphere").read_text())
+    entry = "(x+4)"
+    for _ in range(12):
+        entry = f"({entry})^2"
+    doc["metric"][0][0] = entry
+    path = tmp_path / "inf_metric.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "validate", "--spec", str(path), "--points", "5")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert not checks["metric_positive_definite"]["pass"]
+    assert np.isnan(checks["metric_positive_definite"]["max_residual"])
+
+
 def test_geodesic_rejects_an_indefinite_metric_at_the_last_point(tmp_path, capsys):
     # metric diag(1, y): falling toward y = 0, the 25th RK4 step of this
     # size keeps its stages at y > 0 but lands at y = -2.6e-5; the last of
@@ -578,27 +596,37 @@ def test_geodesic_on_an_overflowing_anchor_span_exits_2_naming_the_point(
         tmp_path, capfd, block, squarings, x0, v0, at_start):
     # the raw-span monitor names the earliest trace point where g(rho_a, rho_b)
     # or g(rho_a, v) is not finite, before LAPACK sees it: LAPACK would print
-    # its own DLASCL lines, or never return
+    # its own DLASCL lines, or never return.  A metric that is inf at the
+    # start has inf leading minors, which the first RK4 stage rejects there
     text = "(x+2)"
     for _ in range(squarings):
         text = f"({text})^2"
     spec = _spec_with(tmp_path, (block, 0, 0), text)
     loaded = spec_model.load_spec_file(spec)
-    trace = fo.geodesic_integrate(loaded, np.array(x0.split(","), dtype=float),
-                                  np.array(v0.split(","), dtype=float), 0.2, 1e-2)
-    f = spec_model.point_fields(loaded, trace.positions, {"metric": 0, "anchor": 0})
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.einsum("tai,tij,tbj->tab", f.rho, f.g, f.rho)
-    k = np.argmin(np.isfinite(gram).all((1, 2)))
-    assert (k == 0) == at_start and not np.isfinite(gram[k]).all()
-    point = trace.positions[k]
+    start = np.array(x0.split(","), dtype=float)
+    if block == "metric":
+        with pytest.raises(spec_model.SingularMetricError), \
+                np.errstate(over="ignore", invalid="ignore"):
+            fo.geodesic_integrate(loaded, start, np.array(v0.split(","), dtype=float),
+                                  0.2, 1e-2)
+        expected = (f"metric: leading minors [inf, inf] not all positive at point "
+                    f"{tuple(float(c) for c in start)}")
+    else:
+        trace = fo.geodesic_integrate(loaded, start, np.array(v0.split(","), dtype=float),
+                                      0.2, 1e-2)
+        f = spec_model.point_fields(loaded, trace.positions, {"metric": 0, "anchor": 0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.einsum("tai,tij,tbj->tab", f.rho, f.g, f.rho)
+        k = np.argmin(np.isfinite(gram).all((1, 2)))
+        assert (k == 0) == at_start and not np.isfinite(gram[k]).all()
+        expected = (f"anchor Gram matrix not finite at trace point "
+                    f"{tuple(float(c) for c in trace.positions[k])}")
     capfd.readouterr()
     code = main(["geodesic", "--spec", spec, f"--x0={x0}", f"--v0={v0}",
                  "--t-max", "0.2", "--h", "1e-2"])
     out, err = capfd.readouterr()
     assert (code, out) == (2, "")
-    assert err == (f"error: anchor Gram matrix not finite at trace point "
-                   f"{tuple(float(c) for c in point)}\n")
+    assert err == f"error: {expected}\n"
 
 
 @pytest.mark.parametrize("levels", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1])

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from algebroid.exprjet import (
     Add, Block, Call, Div, EvalDomainError, Jet, Mul, Neg, Num, ParseError,
-    Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_block, eval_jet,
-    fd_crosscheck, parse_expr, render,
+    Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_block, parse_expr,
+    render,
 )
 from algebroid.spec_model import eval_fields, load_spec, sample_points
 
-from conftest import FIXTURES, fixture_doc, load_doc
+from conftest import FIXTURES, eval_jet, fd_crosscheck, fixture_doc, load_doc
 
 XY = ["x", "y"]
 

@@ -3,7 +3,7 @@ import pytest
 
 from algebroid import foliation as fo, spec_model
 from algebroid.calculus import SingularMetricError
-from algebroid.exprjet import eval_block
+from algebroid.exprjet import EvalDomainError, eval_block
 from algebroid.spec_model import eval_fields, sample_points, splitmix_uniforms
 
 from conftest import fixture_doc, load_doc
@@ -210,6 +210,19 @@ def test_a_batch_raises_what_its_lowest_failing_start_raises_alone(metric_yy, si
             fo.geodesic_integrate(spec, [starts[k] for k in order],
                                   [[0.0, 0.1]] * 2, 0.1, 1e-2)
         assert (type(batch.value), str(batch.value)) == messages[order[0]]
+
+
+def test_an_anchor_failing_at_two_trace_points_names_the_earlier_one():
+    # the trace runs x = -0.5, -0.46, -0.42, -0.38; anchor[0][0] fails only
+    # at the last point and anchor[0][1] only at the first, so a read of the
+    # whole trace at once meets the later point first
+    doc = fixture_doc("fx_foliation_flat")
+    doc["anchor"] = [["ln(-0.4-x)", "ln(x+0.48)"]]
+    spec = load_doc(doc)
+    with pytest.raises(EvalDomainError) as err:
+        fo.geodesic_integrate(spec, [-0.5, 0.3], [0.4, 0.0], 0.3, 0.1)
+    assert str(err.value).startswith("anchor[0][1]: ln of nonpositive value in ")
+    assert err.value.point == (-0.5, 0.3)
 
 
 # --------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from algebroid import exprjet, fixture_path, spec_model
 from algebroid import freealg as fa
 from algebroid.cli import main
 from algebroid.exprjet import (
-    Num, diff, e_add, e_mul, e_neg, e_sub, eval_jet, parse_expr, render,
+    Num, diff, e_add, e_mul, e_neg, e_sub, parse_expr, render,
 )
 from algebroid.spec_model import (
     check_values, eval_fields, run_checks, sample_points,
 )
 
-from conftest import FIXTURES, fixture_doc, load_doc, max_abs
+from conftest import FIXTURES, eval_jet, fixture_doc, load_doc, max_abs
 
 
 def _anchored(name, **blocks):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from algebroid import spec_model
-from algebroid.exprjet import EvalDomainError, eval_jet
+from algebroid.exprjet import EvalDomainError
 from algebroid.spec_model import (
     ANCHOR_MORPHISM, JACOBI, SchemaError, eval_fields, load_spec, run_checks,
     sample_points, splitmix_uniforms, validate_spec,
 )
 
-from conftest import fixture_doc, load_doc, max_abs
+from conftest import eval_jet, fixture_doc, load_doc, max_abs
 
 
 # --------------------------------------------------------------------------
