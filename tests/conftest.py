@@ -45,6 +45,15 @@ def max_abs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
 
+def block_exprs(block) -> np.ndarray:
+    """The expressions of a block that lists every entry, as an object array
+    of its shape (a mirrored entry holds the expression it mirrors)."""
+    out = np.empty(block.shape, dtype=object)
+    for index, _, e in block.entries:
+        out[index] = e
+    return out
+
+
 def eval_jet(e, point, order: int = 1, n: int | None = None) -> Jet:
     """The jet of ``e`` at ``point`` with all partials up to ``order``: the
     block evaluator on a block of the one entry, at the one point, whose

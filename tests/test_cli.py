@@ -20,6 +20,8 @@ from algebroid import spec_model
 from algebroid.exprjet import MAX_DEPTH, parse_expr, render, tree_depth
 from algebroid.cli import main
 
+from conftest import block_exprs
+
 
 def fx(name):
     return str(fixture_path(name))
@@ -486,8 +488,8 @@ def test_evaluation_failure_at_the_last_point_names_it(tmp_path, capsys):
         "connection": [[["0", "0"]]]}))
     code, text = run(tmp_path, "validate", "--spec", str(path), "--points", "20")
     assert code == 2 and text is None
-    anchor = spec_model.load_spec_file(path).block_entries["anchor"]
-    entry = render({index: e for index, _, e in anchor.entries}[0, 1])
+    anchor = block_exprs(spec_model.load_spec_file(path).block_entries["anchor"])
+    entry = render(anchor[0, 1])
     point = tuple(float(c) for c in points[-1])
     assert capsys.readouterr().err == (
         f"error: anchor[0][1]: ln of nonpositive value in '{entry}' at point "

@@ -18,7 +18,9 @@ from algebroid.spec_model import (
     check_values, eval_fields, run_checks, sample_points,
 )
 
-from conftest import FIXTURES, eval_jet, fixture_doc, load_doc, max_abs
+from conftest import (
+    FIXTURES, block_exprs, eval_jet, fixture_doc, load_doc, max_abs,
+)
 
 
 def _anchored(name, **blocks):
@@ -698,9 +700,7 @@ def test_pairwise_quad_matches_the_three_operand_einsum():
 def _anchors_by_pair_diff(spec, levels):
     # the magma anchors with every Jacobian entry taken again for each pair
     n = spec.dimension
-    rows = np.empty(spec.block_entries["anchor"].shape, dtype=object)
-    for index, _, e in spec.block_entries["anchor"].entries:
-        rows[index] = e
+    rows = block_exprs(spec.block_entries["anchor"])
     anchor = {w: tuple(rows[a]) for a, w in enumerate(levels[0])}
     for level in levels[1:]:
         for w in level:

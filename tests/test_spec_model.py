@@ -8,7 +8,7 @@ from algebroid.spec_model import (
     sample_points, splitmix_uniforms, validate_spec,
 )
 
-from conftest import eval_jet, fixture_doc, load_doc, max_abs
+from conftest import block_exprs, eval_jet, fixture_doc, load_doc, max_abs
 
 
 # --------------------------------------------------------------------------
@@ -207,9 +207,7 @@ def test_anchor_morphism_so3_independent_bracket_oracle(spec_of, points_of):
     spec = spec_of("fx_so3_sphere")
     h = 1e-5
     n, r = spec.dimension, spec.rank
-    anchor = np.empty((r, n), dtype=object)
-    for index, _, e in spec.block_entries["anchor"].entries:
-        anchor[index] = e
+    anchor = block_exprs(spec.block_entries["anchor"])
     for p in points_of(spec, 10):
         rho = np.array([[eval_jet(anchor[a][i], p, order=0, n=n).value
                          for i in range(n)] for a in range(r)])
