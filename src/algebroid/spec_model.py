@@ -462,9 +462,10 @@ def point_fields(source, points, orders: Mapping[str, int]):
     """``eval_fields`` over a ``(P, n)`` batch of ``points``, read chunk by
     chunk as ``check_values`` reads them, with the same error order."""
     chunks = _chunked(source, points, orders, vars)
+    # the arrays of a single chunk are kept, not copied by a concatenation
     return SimpleNamespace(point=np.array(points, dtype=float), **{
-        name: np.concatenate([chunk[name] for chunk in chunks])
-        for name in chunks[0] if name != "point"})
+        name: np.concatenate([chunk[name] for chunk in chunks]) if chunks[1:]
+        else chunks[0][name] for name in chunks[0] if name != "point"})
 
 
 # --------------------------------------------------------------------------
