@@ -3,7 +3,7 @@
 An :class:`Expr` is an immutable AST over coordinate identifiers, literals,
 arithmetic, and a small set of elementary functions.  Evaluation produces a
 :class:`Jet`: the value together with all partial derivatives up to a
-configurable order (0..3), propagated by truncated Taylor arithmetic.
+configurable order (0..2), propagated by truncated Taylor arithmetic.
 
 Expressions are evaluated in blocks over a batch of points.  A :class:`Block`
 is a list of ``(index, sign, expr)`` entries filling a dense array; at its
@@ -463,16 +463,16 @@ def diff(e: Expr, index: int, memo: dict | None = None) -> Expr:
 #
 # The array operations are elementwise in the point axis, so each point of a
 # batch gets the bytes a batch of one gives it.  The scalar coefficients of
-# a function (math.*, ``**``, reciprocals) and the domain checks run point by
+# a function (math.*, ``**``, reciprocals) and its domain checks run point by
 # point in Python floats: numpy's SIMD functions may differ from libm in the
-# last bit, and they do not raise.
+# last bit, and they do not raise.  A power reads its exponent once per batch
+# and tests its base with one comparison over the batch.
 
 
 class Jet:
     """Truncated Taylor data of a scalar over a batch of points: ``parts[k]``
     holds the k-th partials in ``n`` chart coordinates up to the order, shape
-    ``(P,) + (n,) * k``.  Second and third partials are symmetric by
-    construction."""
+    ``(P,) + (n,) * k``.  Second partials are symmetric by construction."""
 
     __slots__ = ("parts",)
 
@@ -483,7 +483,6 @@ class Jet:
     value = property(lambda self: self.parts[0])
     grad = property(lambda self: self.parts[1] if self.order >= 1 else None)
     hess = property(lambda self: self.parts[2] if self.order >= 2 else None)
-    third = property(lambda self: self.parts[3] if self.order >= 3 else None)
 
     @staticmethod
     def constant(values, n: int, order: int) -> "Jet":
@@ -510,30 +509,18 @@ class Jet:
             uv, vv = uv[..., None], vv[..., None]
             gg = u[1][..., :, None] * v[1][..., None, :]
             out.append(u[2] * vv + uv * v[2] + gg + gg.swapaxes(-1, -2))
-        if len(u) > 3:
-            a = np.einsum("...ij,...k->...ijk", u[2], v[1])
-            b = np.einsum("...ij,...k->...ijk", v[2], u[1])
-            mixed = (a + a.swapaxes(-1, -2) + _cycle(a)
-                     + b + b.swapaxes(-1, -2) + _cycle(b))
-            out.append(u[3] * vv[..., None] + uv[..., None] * v[3] + mixed)
         return Jet(out)
 
-    def compose(self, f0, f1, f2, f3) -> "Jet":
+    def compose(self, f0, f1, f2) -> "Jet":
         """Chain rule: apply a univariate function whose derivatives at each
-        point's value are ``f0``..``f3`` (arrays, one entry per point)."""
-        out, g, h, t = [f0], self.grad, self.hess, self.third
+        point's value are ``f0``..``f2`` (arrays, one entry per point)."""
+        out, g, h = [f0], self.grad, self.hess
         if g is not None:
             f1 = f1[..., None]
             out.append(f1 * g)
         if h is not None:
             f1, f2 = f1[..., None], f2[..., None, None]
             out.append(f2 * (g[..., :, None] * g[..., None, :]) + f1 * h)
-        if t is not None:
-            a = np.einsum("...ij,...k->...ijk", h, g)
-            out.append(f3[..., None, None, None]
-                       * np.einsum("...i,...j,...k->...ijk", g, g, g)
-                       + f2[..., None] * (a + a.swapaxes(-1, -2) + _cycle(a))
-                       + f1[..., None] * t)
         return Jet(out)
 
     def int_pow(self, k: int) -> "Jet":
@@ -543,11 +530,6 @@ class Jet:
         for _ in range(k):
             out = out * self
         return out
-
-
-def _cycle(a):
-    """``a.transpose(2, 0, 1)`` on the last three axes of ``a``."""
-    return a.swapaxes(-1, -2).swapaxes(-2, -3)
 
 
 def _pointwise(rule, node, points, *columns) -> list:
@@ -569,7 +551,7 @@ def _compose(u: Jet, rule, node, points) -> Jet:
 
 
 def _reciprocal(u: Jet, node, points) -> Jet:
-    return _compose(u, lambda v, _: (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4),
+    return _compose(u, lambda v, _: (1.0 / v, -1.0 / v**2, 2.0 / v**3),
                     node, points)
 
 
@@ -578,37 +560,37 @@ def _call_rule(func: str, order: int, node: Expr):
     def rule(v, point):
         if func == "sin":
             s, c = math.sin(v), math.cos(v)
-            return s, c, -s, -c
+            return s, c, -s
         if func == "cos":
             s, c = math.sin(v), math.cos(v)
-            return c, -s, -c, s
+            return c, -s, -c
         if func == "tan":
             t = math.tan(v)
             sec2 = 1.0 + t * t
-            return t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t)
+            return t, sec2, 2.0 * t * sec2
         if func == "exp":
             ev = math.exp(v)
-            return ev, ev, ev, ev
+            return ev, ev, ev
         if func == "ln":
             if v <= 0.0:
                 raise EvalDomainError("ln of nonpositive value", node, point)
-            return math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3
+            return math.log(v), 1.0 / v, -1.0 / v**2
         if func == "sqrt":
             if v < 0.0:
                 raise EvalDomainError("sqrt of negative value", node, point)
             s = math.sqrt(v)
             if order == 0:
-                return s, 0.0, 0.0, 0.0
+                return s, 0.0, 0.0
             if v == 0.0:
                 raise EvalDomainError("sqrt derivative at zero", node, point)
-            return s, 0.5 / s, -0.25 / v**1.5, 0.375 / v**2.5
+            return s, 0.5 / s, -0.25 / v**1.5
         if func == "tanh":
             t = math.tanh(v)
             d1 = 1.0 - t * t
-            return t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0)
+            return t, d1, -2.0 * t * d1
         if func == "abs":
             sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
-            return abs(v), sign, 0.0, 0.0
+            return abs(v), sign, 0.0
         raise ExprError(f"unknown function '{func}'")  # pragma: no cover
     return rule
 
@@ -617,28 +599,26 @@ def _power(base: Jet, p, node: Expr, points) -> Jet:
     """``base`` raised to the constant exponent values ``p``: an integer
     power by repeated multiplication (or its reciprocal), else the chain
     rule.  Points whose exponents differ go one at a time."""
-    def rule(p, v, point):
-        if p == round(p) and abs(p) <= 1024:
-            k = int(round(p))
-            if k < 0 and v == 0.0:
-                raise EvalDomainError("division by zero", node, point)
-            return k
-        if v <= 0.0:
-            raise EvalDomainError("non-integer power of nonpositive base", node, point)
-        return p        # a float: non-integral, or too large for repeated products
-
-    keys = _pointwise(rule, node, points, p, base.value)
-    if len(set(keys)) > 1:
+    if len(set(p.tolist())) > 1:
         rows = [_power(Jet([part[k:k + 1] for part in base.parts]), p[k:k + 1], node,
-                       points[k:k + 1]) for k in range(len(keys))]
+                       points[k:k + 1]) for k in range(len(p))]
         return Jet([np.concatenate(parts) for parts in zip(*(j.parts for j in rows))])
-    key = keys[0]
-    if type(key) is int:
-        jet = base.int_pow(abs(key))
-        return _reciprocal(jet, node, points) if key < 0 else jet
+    # a float key is non-integral, or too large for repeated products; an
+    # inf or nan exponent fails in round()
+    key, = _pointwise(lambda p, _: int(round(p)) if p == round(p) and abs(p) <= 1024
+                      else p, node, points[:1], p[:1])
+    integral = type(key) is int
+    if integral and key >= 0:
+        return base.int_pow(key)
+    bad = base.value == 0.0 if integral else base.value <= 0.0
+    if bad.any():
+        raise EvalDomainError("division by zero" if integral else
+                              "non-integer power of nonpositive base", node,
+                              points[int(np.argmax(bad))])
+    if integral:
+        return _reciprocal(base.int_pow(-key), node, points)
     return _compose(base, lambda v, _: (
-        v**key, key * v**(key - 1.0), key * (key - 1.0) * v**(key - 2.0),
-        key * (key - 1.0) * (key - 2.0) * v**(key - 3.0)), node, points)
+        v**key, key * v**(key - 1.0), key * (key - 1.0) * v**(key - 2.0)), node, points)
 
 
 # --------------------------------------------------------------------------
@@ -718,8 +698,8 @@ class _Program:
         """The jet of every slot over the ``(P, n)`` array ``points``; a
         failure raises :class:`EvalDomainError` at a failing point, with
         ``step`` set to the failing step."""
-        if not 0 <= order <= 3:
-            raise ValueError("jet order must be in 0..3")
+        if not 0 <= order <= 2:
+            raise ValueError("jet order must be in 0..2")
         jets = []
         append = jets.append
         raised_order = max(order, 1)

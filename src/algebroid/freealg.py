@@ -33,7 +33,7 @@ __all__ = [
     "NonLocallyFreeError", "MAX_DEGREE",
 ]
 
-MAX_DEGREE = 4          # anchors of degree-d words need order-(d-1) jets
+MAX_DEGREE = 4          # _relation_rows writes the Jacobi relations up to degree 4
 HALL_ORDER = "degree, then lexicographic on the recursive bracket structure"
 PIVOT_TOL = 1e-8
 ZERO_TOL = 1e-12

@@ -151,7 +151,7 @@ def block_fingerprints(batched: bool = False) -> dict[str, str]:
         spec = load_spec_file(fixture_path(name))
         points = sample_points(spec.chart, 5)
         for block in spec.block_entries:
-            for order in range(4):
+            for order in range(3):
                 out[f"{name}/{block}/o{order}"] = _fingerprint(
                     spec, block, points, order, batched)
     for name in FREE_FIXTURES:
