@@ -250,16 +250,20 @@ def test_block_error_names_first_entry(anchor, message, order):
     assert str(err.value) == message
 
 
+def _assert_points_match_one_point_runs(block, points, order):
+    batch = eval_block(block, points, order)
+    for k, point in enumerate(points):
+        for array, alone in zip(batch, eval_block(block, point, order)):
+            assert array[k].tobytes() == alone.tobytes()
+
+
 def test_batch_with_exponents_that_differ_between_points():
     # abs(x)/x is +1 or -1 with a zero gradient: each point takes its own rule
     e = parse_expr("(2 + y)^(abs(x)/x) + (1 + y^2)^(0.5*abs(x)/x) + x^(2*abs(x)/x)", XY)
     block = Block([((0,), 1, e)], (1,))
     points = np.array([[0.5, 0.3], [-0.5, 0.2], [0.25, -0.1], [-0.25, 0.9]])
     for order in range(3):
-        batch = eval_block(block, points, order)
-        for k, point in enumerate(points):
-            for array, alone in zip(batch, eval_block(block, point, order)):
-                assert array[k].tobytes() == alone.tobytes()
+        _assert_points_match_one_point_runs(block, points, order)
     # a power whose exponent is the same at every point tests its base over
     # the batch: a failure names the point a one-point evaluation names
     points = np.array([[0.5, 0.3], [1.5, 0.2], [0.25, -0.1], [2.0, 0.9]])
@@ -268,10 +272,7 @@ def test_batch_with_exponents_that_differ_between_points():
         failing = points.copy()
         failing[2, 0] = bad
         for order in range(3):
-            batch = eval_block(block, points, order)
-            for k, point in enumerate(points):
-                for array, alone in zip(batch, eval_block(block, point, order)):
-                    assert array[k].tobytes() == alone.tobytes()
+            _assert_points_match_one_point_runs(block, points, order)
             with pytest.raises(EvalDomainError) as err:
                 eval_block(block, failing, order)
             with pytest.raises(EvalDomainError) as alone:
