@@ -18,7 +18,9 @@ point's arrays are bit-identical to a walk of each entry there.  Denominator
 and exponent checks run where the walk ran them, so a failure names the
 subexpression, the first entry that reaches it and the earliest point where
 that step fails; the chunk loop of ``spec_model`` runs a failing batch again
-one point at a time, so that its error names the earliest failing point.
+one point at a time, so that its error names the earliest failing point.  A
+block that reads no coordinate is evaluated once per jet order, and every
+later batch shares its arrays as read-only views.
 
 Grammar (whitespace insignificant)::
 
@@ -465,8 +467,10 @@ def diff(e: Expr, index: int, memo: dict | None = None) -> Expr:
 # batch gets the bytes a batch of one gives it.  The scalar coefficients of
 # a function (math.*, ``**``, reciprocals) and its domain checks run point by
 # point in Python floats: numpy's SIMD functions may differ from libm in the
-# last bit, and they do not raise.  A power reads its exponent once per batch
-# and tests its base with one comparison over the batch.
+# last bit, and they do not raise.  A rule computes only the derivative terms
+# its jet's order reads and puts 0.0 in place of the others, which ``compose``
+# never reads, so a term no caller reads cannot raise.  A power reads its
+# exponent once per batch and tests its base with one comparison over the batch.
 
 
 class Jet:
@@ -551,8 +555,9 @@ def _compose(u: Jet, rule, node, points) -> Jet:
 
 
 def _reciprocal(u: Jet, node, points) -> Jet:
-    return _compose(u, lambda v, _: (1.0 / v, -1.0 / v**2, 2.0 / v**3),
-                    node, points)
+    order = u.order
+    return _compose(u, lambda v, _: (1.0 / v, -1.0 / v**2 if order else 0.0,
+                                     2.0 / v**3 if order == 2 else 0.0), node, points)
 
 
 def _call_rule(func: str, order: int, node: Expr):
@@ -574,7 +579,7 @@ def _call_rule(func: str, order: int, node: Expr):
         if func == "ln":
             if v <= 0.0:
                 raise EvalDomainError("ln of nonpositive value", node, point)
-            return math.log(v), 1.0 / v, -1.0 / v**2
+            return math.log(v), 1.0 / v, -1.0 / v**2 if order == 2 else 0.0
         if func == "sqrt":
             if v < 0.0:
                 raise EvalDomainError("sqrt of negative value", node, point)
@@ -583,7 +588,7 @@ def _call_rule(func: str, order: int, node: Expr):
                 return s, 0.0, 0.0
             if v == 0.0:
                 raise EvalDomainError("sqrt derivative at zero", node, point)
-            return s, 0.5 / s, -0.25 / v**1.5
+            return s, 0.5 / s, -0.25 / v**1.5 if order == 2 else 0.0
         if func == "tanh":
             t = math.tanh(v)
             d1 = 1.0 - t * t
@@ -617,8 +622,10 @@ def _power(base: Jet, p, node: Expr, points) -> Jet:
                               points[int(np.argmax(bad))])
     if integral:
         return _reciprocal(base.int_pow(-key), node, points)
+    order = base.order
     return _compose(base, lambda v, _: (
-        v**key, key * v**(key - 1.0), key * (key - 1.0) * v**(key - 2.0)), node, points)
+        v**key, key * v**(key - 1.0) if order else 0.0,
+        key * (key - 1.0) * v**(key - 2.0) if order == 2 else 0.0), node, points)
 
 
 # --------------------------------------------------------------------------
@@ -756,7 +763,9 @@ class Block:
     ``(index, sign, expr)``, and the jet of ``expr`` fills ``index`` of an
     array of ``shape``, negated where ``sign`` is -1; unlisted entries are
     zero.  ``label`` names an entry in error messages as ``label[i][j]``.
-    The entries compile once, at the first evaluation."""
+    The entries compile once, at the first evaluation.  A ``constant`` block
+    reads no coordinate: ``eval_block`` evaluates it once per jet order and
+    shares its arrays, read-only, with every later call."""
 
     entries: Sequence
     shape: tuple
@@ -780,8 +789,21 @@ class Block:
         marks = [raised for op, _, _, raised, _ in self.program.steps if op <= _CALL]
         return len(marks) - sum(marks), sum(marks)
 
+    @cached_property
+    def constant(self) -> bool:
+        """True when no step of the program reads a coordinate: the block has
+        the same value at every point, and zero derivatives."""
+        return all(op != _VAR for op, *_ in self.program.steps)
+
+    @cached_property
+    def _shared(self) -> dict:
+        """(order, n) -> the read-only arrays of a constant block at one point,
+        with their point axis."""
+        return {}
+
     def point_bytes(self, n: int, order: int) -> int:
-        """Bytes a point takes in the slots and arrays of an evaluation."""
+        """Bytes a point takes in the slots and arrays of an evaluation; a
+        constant block takes them once, not per point (``eval_block``)."""
         def floats(o):
             return sum(n ** k for k in range(o + 1))
         plain, raised = self._value_steps
@@ -789,20 +811,8 @@ class Block:
                     + math.prod(self.shape) * floats(order))
 
 
-def eval_block(block: Block, points, order: int = 0):
-    """Dense value and derivative arrays of a :class:`Block` at a point, or
-    at each point of a ``(P, n)`` batch (with a leading point axis).
-
-    Each distinct subexpression of the block's entries is evaluated once per
-    batch, so a mirrored entry is an exact copy or an exact negation.
-    Returns ``[value, d1, ...]`` up to ``order``, of shapes ``shape``,
-    ``shape + (n,)``, ...  A failure raises :class:`EvalDomainError` naming
-    the entry as ``label[i][j]...`` and a failing point: the earliest point
-    where the first failing step fails, which need not be the earliest point
-    that fails (``spec_model``'s chunk loop reruns a batch point by point).
-    """
-    points = np.asarray(points, dtype=float)
-    batch = points.reshape(-1, points.shape[-1])
+def _evaluate(block: Block, batch, order: int) -> list:
+    """The dense arrays of ``block`` over the ``(P, n)`` array ``batch``."""
     count, n = batch.shape
     program = block.program
     try:
@@ -816,4 +826,39 @@ def eval_block(block: Block, points, order: int = 0):
         at = (slice(None),) + index
         for array, part in zip(arrays, jets[slot].parts):
             array[at] = part if sign > 0 else -part
-    return arrays if points.ndim > 1 else [array[0] for array in arrays]
+    return arrays
+
+
+def eval_block(block: Block, points, order: int = 0):
+    """Dense value and derivative arrays of a :class:`Block` at a point, or
+    at each point of a ``(P, n)`` batch (with a leading point axis).
+
+    Each distinct subexpression of the block's entries is evaluated once per
+    batch, so a mirrored entry is an exact copy or an exact negation.
+    Returns ``[value, d1, ...]`` up to ``order``, of shapes ``shape``,
+    ``shape + (n,)``, ...  A failure raises :class:`EvalDomainError` naming
+    the entry as ``label[i][j]...`` and a failing point: the earliest point
+    where the first failing step fails, which need not be the earliest point
+    that fails (``spec_model``'s chunk loop reruns a batch point by point).
+
+    A constant block is evaluated at the first point of the first batch it
+    gets at an order, and its arrays are kept: a point gets them, and a batch
+    gets ``np.broadcast_to`` views with its point axis, all read-only.  Each
+    point's bytes are those of its own evaluation.  A failure is not kept; a
+    constant entry fails at every point, so it names the batch's first point.
+    """
+    points = np.asarray(points, dtype=float)
+    batch = points.reshape(-1, points.shape[-1])
+    if not block.constant or not len(batch):
+        arrays = _evaluate(block, batch, order)
+        return arrays if points.ndim > 1 else [array[0] for array in arrays]
+    key = (order, batch.shape[1])
+    arrays = block._shared.get(key)
+    if arrays is None:
+        arrays = _evaluate(block, batch[:1], order)
+        for array in arrays:
+            array.flags.writeable = False
+        block._shared[key] = arrays
+    if points.ndim == 1:
+        return [array[0] for array in arrays]
+    return [np.broadcast_to(array, (len(batch),) + array.shape[1:]) for array in arrays]

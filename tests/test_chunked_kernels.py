@@ -24,7 +24,7 @@ import pytest
 
 from algebroid import fixture_path, spec_model
 from algebroid import freealg as fa
-from algebroid.cli import run_check_suite
+from algebroid.cli import main, run_check_suite
 
 from conftest import load_doc
 
@@ -190,6 +190,40 @@ def test_only_a_point_error_reruns_a_chunk(monkeypatch):
         spec_model.check_values(spec, points, [spec_model.Check(
             ("broken",), {"anchor": 0}, kernel)])
     assert reads == [10]
+
+
+def _chunk_reads(monkeypatch, run) -> list[int]:
+    """The size of each batch of points that ``run()`` reads."""
+    reads = []
+    eval_fields = spec_model.eval_fields
+
+    def counting(source, p, orders):
+        reads.append(len(p))
+        return eval_fields(source, p, orders)
+    with monkeypatch.context() as m:
+        m.setattr(spec_model, "eval_fields", counting)
+        run()
+    return reads
+
+
+def test_free_degree_four_reads_its_points_as_one_chunk(monkeypatch):
+    # the dense structure of the degree-4 truncation (32^3 entries) is
+    # constant, so it takes no bytes a point: the quotient pass and the
+    # Jacobiator pass each read the 5 points at once
+    path = str(fixture_path("fx_so3_sphere"))
+    reads = _chunk_reads(monkeypatch, lambda: main(
+        ["free", "--spec", path, "--degree", "4", "--points", "5"]))
+    assert reads == [5, 5]
+
+
+def test_a_pass_of_constant_blocks_still_reads_in_chunks(monkeypatch):
+    # every block of fx_bla_const is constant: a chunk is sized by their value
+    # arrays, which the kernels still build point by point
+    spec = spec_model.load_spec_file(fixture_path("fx_bla_const"))
+    assert all(block.constant for block in spec.block_entries.values())
+    points = spec_model.sample_points(spec.chart, 20000)
+    reads = _chunk_reads(monkeypatch, lambda: spec_model.validate_spec(spec, points))
+    assert len(reads) > 1 and sum(reads) == len(points)
 
 
 def freeze() -> None:

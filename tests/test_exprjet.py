@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from algebroid.exprjet import (
     Add, Block, Call, Div, EvalDomainError, Jet, Mul, Neg, Num, ParseError,
-    Pow, Sub, UndeclaredIdentifierError, Var, diff, eval_block, parse_expr,
-    render,
+    Pow, Sub, UndeclaredIdentifierError, Var, _Program, diff, eval_block,
+    parse_expr, render,
 )
 from algebroid.spec_model import eval_fields, load_spec, sample_points
 
@@ -183,6 +183,17 @@ def test_no_failure_from_a_derivative_above_order_two(text, x, value, order):
     assert eval_jet(parse_expr(text, XY), (x, 1.0), order).value == value
 
 
+@pytest.mark.parametrize("text, x, value", [
+    ("1/x", 1e-110, 1.0 / 1e-110), ("ln(x)", 1e-170, math.log(1e-170)),
+    ("x^0.5", 1e-300, 1e-300**0.5), ("sqrt(x)", 1e-250, math.sqrt(1e-250))])
+@pytest.mark.parametrize("order", [0, 1])
+def test_no_failure_from_a_derivative_term_the_order_does_not_read(text, x, value,
+                                                                   order):
+    # the second derivatives (2/v^3, -1/v^2, -0.25/v^1.5, v^-1.5) underflow
+    # into a zero divisor or overflow here; below order 2 they are not computed
+    assert eval_jet(parse_expr(text, XY), (x, 1.0), order).value == value
+
+
 def test_eval_block_mirrors_and_names_failing_entry():
     e = parse_expr("x*y + exp(x)", XY)
     value, grad = eval_block(Block([((0, 1), 1, e), ((1, 0), -1, e)], (2, 2),
@@ -279,6 +290,74 @@ def test_batch_with_exponents_that_differ_between_points():
                 eval_block(block, failing[2], order)
             assert err.value.point == tuple(failing[2])
             assert str(err.value) == str(alone.value)
+
+
+# --------------------------------------------------------------------------
+# Constant blocks: evaluated once per order, shared read-only
+
+
+CONSTANT = [((0, 1), 1, parse_expr("2*3 - ln(4)", XY)),
+            ((1, 0), -1, parse_expr("2*3 - ln(4)", XY)),
+            ((1, 1), 1, parse_expr("sqrt(2)^3/exp(1)", XY))]
+POINTS = np.array([[0.5, 0.3], [1.5, 0.2], [0.25, -0.1]])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_constant_block_arrays_are_read_only(order):
+    block = Block(CONSTANT, (2, 2))
+    assert block.constant
+    for points in (POINTS, POINTS[0]):
+        for array in eval_block(block, points, order):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 1.0
+    varying = Block(CONSTANT + [((0, 0), 1, parse_expr("x", XY))], (2, 2))
+    assert not varying.constant
+    for array in eval_block(varying, POINTS, order):
+        array[...] = 1.0
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_constant_blocks_give_each_point_its_own_bytes(order):
+    # each constant block of the fixtures, twice (the second call reads the
+    # kept arrays), against a new block of its entries evaluated at one point
+    for name in FIXTURES:
+        spec = load_spec(fixture_doc(name))
+        points = sample_points(spec.chart, 3)
+        for block in spec.block_entries.values():
+            if not block.constant:
+                continue
+            for batch in (eval_block(block, points, order),
+                          eval_block(block, points[1:], order)):
+                for k, point in enumerate(points[-len(batch[0]):]):
+                    alone = eval_block(Block(block.entries, block.shape), point, order)
+                    for array, single in zip(batch, alone):
+                        assert array[k].tobytes() == single.tobytes()
+
+
+def test_constant_block_runs_its_program_once_per_order(monkeypatch):
+    orders = []
+    run = _Program.run
+
+    def counting(program, points, n, order):
+        orders.append(order)
+        return run(program, points, n, order)
+    monkeypatch.setattr(_Program, "run", counting)
+    block = Block(CONSTANT, (2, 2))
+    for order in (1, 1, 0, 1, 0):
+        eval_block(block, POINTS, order)
+        eval_block(block, POINTS[2], order)
+    assert orders == [1, 0]
+
+
+def test_failing_constant_entry_names_the_first_point_of_each_batch():
+    # a failure is not kept: each batch raises again, at its own first point
+    block = Block([((0,), 1, parse_expr("1/(1-1)", XY))], (1,), "structure")
+    for points in (POINTS, POINTS[1:], POINTS[2]):
+        with pytest.raises(EvalDomainError) as err:
+            eval_block(block, points)
+        first = tuple(np.reshape(points, (-1, 2))[0].tolist())
+        assert str(err.value) == (f"structure[0]: division by zero in "
+                                  f"'1.0/(1.0 - 1.0)' at point {first}")
 
 
 def test_non_constant_exponent_rejected():

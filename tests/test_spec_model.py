@@ -4,8 +4,8 @@ import pytest
 from algebroid import spec_model
 from algebroid.exprjet import EvalDomainError
 from algebroid.spec_model import (
-    ANCHOR_MORPHISM, JACOBI, SchemaError, eval_fields, load_spec, run_checks,
-    sample_points, splitmix_uniforms, validate_spec,
+    ANCHOR_MORPHISM, JACOBI, STRUCTURE_ANTISYMMETRY, SchemaError, eval_fields,
+    load_spec, run_checks, sample_points, splitmix_uniforms, validate_spec,
 )
 
 from conftest import block_exprs, eval_jet, fixture_doc, load_doc, max_abs
@@ -367,10 +367,23 @@ def test_chunks_give_the_same_reports_and_errors(monkeypatch, chunk_points):
     points = sample_points(spec.chart, 20)
     whole = [r.to_dict() for r in validate_spec(spec, points)]
     # the budget of exactly chunk_points points of the blocks validate reads
+    # that vary: the constant structure counts nothing
     orders = {"structure": 1, "metric": 0, "anchor": 1}
-    per_point = sum(spec.block_entries[b].point_bytes(2, o) for b, o in orders.items())
+    blocks = spec.block_entries
+    assert blocks["structure"].constant
+    per_point = sum(blocks[b].point_bytes(2, o) for b, o in orders.items()
+                    if not blocks[b].constant)
     monkeypatch.setattr(spec_model, "CHUNK_BYTES", chunk_points * per_point)
-    assert [r.to_dict() for r in validate_spec(spec, points)] == whole
+    reads = []
+    eval_fields = spec_model.eval_fields
+
+    def counting(source, p, orders):
+        reads.append(len(p))
+        return eval_fields(source, p, orders)
+    with monkeypatch.context() as m:
+        m.setattr(spec_model, "eval_fields", counting)
+        assert [r.to_dict() for r in validate_spec(spec, points)] == whole
+    assert reads == {1: [1] * 20, 3: [3] * 6 + [2], 7: [7, 7, 6]}[chunk_points]
     # an anchor that cannot be evaluated at sample point 10 only
     x, y = (repr(float(c)) for c in points[10])
     doc = fixture_doc("fx_so3_sphere")
@@ -378,6 +391,21 @@ def test_chunks_give_the_same_reports_and_errors(monkeypatch, chunk_points):
     with pytest.raises(EvalDomainError, match=r"^anchor\[1\]\[0\]: ln of nonpositive "
                        rf"value in .* at point \({x}, {y}\)$"):
         validate_spec(load_doc(doc), points)
+
+
+def test_overflowing_constant_structure_fails_at_every_point():
+    # the structure is constant and read once; its inf still reaches every
+    # point's residuals, so no point passes
+    doc = fixture_doc("fx_so3_sphere")
+    doc["structure"][0]["expr"] = "(10^200)*(10^200)"
+    spec = load_doc(doc)
+    assert spec.block_entries["structure"].constant
+    points = sample_points(spec.chart, 20)
+    failed = {"structure_antisymmetry", "anchor_morphism", "jacobi"}
+    assert {r.name for r in validate_spec(spec, points) if not r.passed} == failed
+    checks = [STRUCTURE_ANTISYMMETRY, ANCHOR_MORPHISM, JACOBI]
+    for values in spec_model.check_values(spec, points, checks):
+        assert not np.isfinite(values).any()
 
 
 # --------------------------------------------------------------------------
