@@ -19,8 +19,8 @@ and exponent checks run where the walk ran them, so a failure names the
 subexpression, the first entry that reaches it and the earliest point where
 that step fails; the chunk loop of ``spec_model`` runs a failing batch again
 one point at a time, so that its error names the earliest failing point.  A
-block that reads no coordinate is evaluated once per jet order, and every
-later batch shares its arrays as read-only views.
+block that reads no coordinate is evaluated at one point of a batch, and the
+batch shares its arrays as read-only views.
 
 Grammar (whitespace insignificant)::
 
@@ -764,8 +764,8 @@ class Block:
     array of ``shape``, negated where ``sign`` is -1; unlisted entries are
     zero.  ``label`` names an entry in error messages as ``label[i][j]``.
     The entries compile once, at the first evaluation.  A ``constant`` block
-    reads no coordinate: ``eval_block`` evaluates it once per jet order and
-    shares its arrays, read-only, with every later call."""
+    reads no coordinate: ``eval_block`` evaluates it at one point of a batch
+    and shares its arrays, read-only, across the batch."""
 
     entries: Sequence
     shape: tuple
@@ -795,38 +795,14 @@ class Block:
         the same value at every point, and zero derivatives."""
         return all(op != _VAR for op, *_ in self.program.steps)
 
-    @cached_property
-    def _shared(self) -> dict:
-        """(order, n) -> the read-only arrays of a constant block at one point,
-        with their point axis."""
-        return {}
-
     def point_bytes(self, n: int, order: int) -> int:
         """Bytes a point takes in the slots and arrays of an evaluation; a
-        constant block takes them once, not per point (``eval_block``)."""
+        constant block takes them once a batch, not per point (``eval_block``)."""
         def floats(o):
             return sum(n ** k for k in range(o + 1))
         plain, raised = self._value_steps
         return 8 * (plain * floats(order) + raised * floats(max(order, 1))
                     + math.prod(self.shape) * floats(order))
-
-
-def _evaluate(block: Block, batch, order: int) -> list:
-    """The dense arrays of ``block`` over the ``(P, n)`` array ``batch``."""
-    count, n = batch.shape
-    program = block.program
-    try:
-        jets = program.run(batch, n, order)
-    except EvalDomainError as exc:
-        index = block.written[program.entry_of(exc.step)][0]
-        path = block.label + "".join(f"[{i}]" for i in index)
-        raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
-    arrays = [np.zeros((count,) + block.shape + (n,) * k) for k in range(order + 1)]
-    for (index, sign, _), slot in zip(block.written, program.roots):
-        at = (slice(None),) + index
-        for array, part in zip(arrays, jets[slot].parts):
-            array[at] = part if sign > 0 else -part
-    return arrays
 
 
 def eval_block(block: Block, points, order: int = 0):
@@ -841,24 +817,31 @@ def eval_block(block: Block, points, order: int = 0):
     where the first failing step fails, which need not be the earliest point
     that fails (``spec_model``'s chunk loop reruns a batch point by point).
 
-    A constant block is evaluated at the first point of the first batch it
-    gets at an order, and its arrays are kept: a point gets them, and a batch
-    gets ``np.broadcast_to`` views with its point axis, all read-only.  Each
-    point's bytes are those of its own evaluation.  A failure is not kept; a
-    constant entry fails at every point, so it names the batch's first point.
+    A constant block is evaluated at the first point of a batch only, and a
+    batch of more points gets read-only ``np.broadcast_to`` views of its
+    arrays; each point's bytes are those of its own evaluation.  A constant
+    entry that fails fails at every point, so its error names the batch's
+    first point.
     """
     points = np.asarray(points, dtype=float)
     batch = points.reshape(-1, points.shape[-1])
-    if not block.constant or not len(batch):
-        arrays = _evaluate(block, batch, order)
-        return arrays if points.ndim > 1 else [array[0] for array in arrays]
-    key = (order, batch.shape[1])
-    arrays = block._shared.get(key)
-    if arrays is None:
-        arrays = _evaluate(block, batch[:1], order)
-        for array in arrays:
-            array.flags.writeable = False
-        block._shared[key] = arrays
+    count, n = batch.shape
+    if block.constant:
+        batch = batch[:1]
+    program = block.program
+    try:
+        jets = program.run(batch, n, order)
+    except EvalDomainError as exc:
+        index = block.written[program.entry_of(exc.step)][0]
+        path = block.label + "".join(f"[{i}]" for i in index)
+        raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
+    arrays = [np.zeros((len(batch),) + block.shape + (n,) * k) for k in range(order + 1)]
+    for (index, sign, _), slot in zip(block.written, program.roots):
+        at = (slice(None),) + index
+        for array, part in zip(arrays, jets[slot].parts):
+            array[at] = part if sign > 0 else -part
     if points.ndim == 1:
         return [array[0] for array in arrays]
-    return [np.broadcast_to(array, (len(batch),) + array.shape[1:]) for array in arrays]
+    if len(batch) < count:
+        return [np.broadcast_to(array, (count,) + array.shape[1:]) for array in arrays]
+    return arrays

@@ -42,7 +42,7 @@ DEFAULT_SEED = 42
 _DEFINITENESS_FLOOR = 1e-12
 
 # Bytes of evaluation slots and block arrays a chunk of point_fields takes,
-# counting the blocks that vary from point to point (see _chunked)
+# counting a constant block by its value array alone (see _chunked)
 CHUNK_BYTES = 1 << 20
 
 # Default tolerance of every check, by report name.  A zero entry marks an
@@ -431,10 +431,9 @@ def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
     (at least one): ``f`` holds the chunk's ``eval_fields`` and, for each
     ``(name, Block, order)`` of ``blocks``, ``f.<name>()`` reading that block
     over the chunk.  A point counts the ``point_bytes`` of each block of
-    both that varies; a constant block is evaluated once and shared, so it
-    counts nothing, unless no block of the pass varies: then a point counts
-    the value arrays of the constant blocks, as the kernels still build
-    arrays per point from them.  A chunk that raises one of
+    both that varies, and the value array of each constant block: that one is
+    evaluated once a chunk, but the kernels still build arrays of about its
+    size per point.  A chunk that raises one of
     ``POINT_ERRORS`` runs again point by point, so the error is the one a
     point-by-point pass meets.  Kernels run with numpy's overflow and
     invalid-value warnings off: a non-finite residual fails its report."""
@@ -442,10 +441,8 @@ def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
     n, entries = np.shape(points)[-1], source.block_entries
     read = [(entries[block], order) for block, order in orders.items()
             if block in entries] + [(block, order) for _, block, order in blocks]
-    varying = [block.point_bytes(n, order) for block, order in read
-               if not block.constant]
-    point_bytes = sum(varying) if varying else sum(
-        8 * math.prod(block.shape) for block, _ in read)
+    point_bytes = sum(8 * math.prod(block.shape) if block.constant
+                      else block.point_bytes(n, order) for block, order in read)
     size = max(1, CHUNK_BYTES // max(1, point_bytes))
 
     def run_at(chunk):

@@ -206,19 +206,20 @@ def _chunk_reads(monkeypatch, run) -> list[int]:
     return reads
 
 
-def test_free_degree_four_reads_its_points_as_one_chunk(monkeypatch):
+def test_free_degree_four_counts_its_constant_structure_by_value(monkeypatch):
     # the dense structure of the degree-4 truncation (32^3 entries) is
-    # constant, so it takes no bytes a point: the quotient pass and the
-    # Jacobiator pass each read the 5 points at once
+    # constant: it counts its 256 KiB value array a point, not the 768 KiB of
+    # its value and derivative arrays, so the quotient pass reads 3 points a
+    # chunk where it read 1; the Jacobiator pass reads the 5 points at once
     path = str(fixture_path("fx_so3_sphere"))
     reads = _chunk_reads(monkeypatch, lambda: main(
         ["free", "--spec", path, "--degree", "4", "--points", "5"]))
-    assert reads == [5, 5]
+    assert reads == [3, 2, 5]
 
 
 def test_a_pass_of_constant_blocks_still_reads_in_chunks(monkeypatch):
-    # every block of fx_bla_const is constant: a chunk is sized by their value
-    # arrays, which the kernels still build point by point
+    # every block of fx_bla_const is constant: a chunk is still sized by their
+    # value arrays, which the kernels build point by point
     spec = spec_model.load_spec_file(fixture_path("fx_bla_const"))
     assert all(block.constant for block in spec.block_entries.values())
     points = spec_model.sample_points(spec.chart, 20000)

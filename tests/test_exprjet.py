@@ -293,7 +293,7 @@ def test_batch_with_exponents_that_differ_between_points():
 
 
 # --------------------------------------------------------------------------
-# Constant blocks: evaluated once per order, shared read-only
+# Constant blocks: evaluated at one point, shared read-only across a batch
 
 
 CONSTANT = [((0, 1), 1, parse_expr("2*3 - ln(4)", XY)),
@@ -306,10 +306,9 @@ POINTS = np.array([[0.5, 0.3], [1.5, 0.2], [0.25, -0.1]])
 def test_constant_block_arrays_are_read_only(order):
     block = Block(CONSTANT, (2, 2))
     assert block.constant
-    for points in (POINTS, POINTS[0]):
-        for array in eval_block(block, points, order):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 1.0
+    for array in eval_block(block, POINTS, order):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 1.0
     varying = Block(CONSTANT + [((0, 0), 1, parse_expr("x", XY))], (2, 2))
     assert not varying.constant
     for array in eval_block(varying, POINTS, order):
@@ -318,8 +317,8 @@ def test_constant_block_arrays_are_read_only(order):
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_constant_blocks_give_each_point_its_own_bytes(order):
-    # each constant block of the fixtures, twice (the second call reads the
-    # kept arrays), against a new block of its entries evaluated at one point
+    # each constant block of the fixtures, over two batches, against a new
+    # block of its entries evaluated at each point alone
     for name in FIXTURES:
         spec = load_spec(fixture_doc(name))
         points = sample_points(spec.chart, 3)
@@ -334,23 +333,23 @@ def test_constant_blocks_give_each_point_its_own_bytes(order):
                         assert array[k].tobytes() == single.tobytes()
 
 
-def test_constant_block_runs_its_program_once_per_order(monkeypatch):
-    orders = []
+def test_constant_block_runs_its_program_at_one_point(monkeypatch):
+    batches = []
     run = _Program.run
 
     def counting(program, points, n, order):
-        orders.append(order)
+        batches.append(points.tolist())
         return run(program, points, n, order)
     monkeypatch.setattr(_Program, "run", counting)
-    block = Block(CONSTANT, (2, 2))
-    for order in (1, 1, 0, 1, 0):
-        eval_block(block, POINTS, order)
-        eval_block(block, POINTS[2], order)
-    assert orders == [1, 0]
+    varying = Block(CONSTANT + [((0, 0), 1, parse_expr("x", XY))], (2, 2))
+    for order in (0, 1):
+        eval_block(Block(CONSTANT, (2, 2)), POINTS, order)
+        eval_block(varying, POINTS, order)
+    assert batches == [POINTS[:1].tolist(), POINTS.tolist()] * 2
 
 
 def test_failing_constant_entry_names_the_first_point_of_each_batch():
-    # a failure is not kept: each batch raises again, at its own first point
+    # each batch raises at its own first point
     block = Block([((0,), 1, parse_expr("1/(1-1)", XY))], (1,), "structure")
     for points in (POINTS, POINTS[1:], POINTS[2]):
         with pytest.raises(EvalDomainError) as err:
