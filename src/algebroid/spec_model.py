@@ -433,10 +433,10 @@ def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
     over the chunk.  A point counts the ``point_bytes`` of each block of
     both that varies, and the value array of each constant block: that one is
     evaluated once a chunk, but the kernels still build arrays of about its
-    size per point.  A chunk that raises one of
-    ``POINT_ERRORS`` runs again point by point, so the error is the one a
-    point-by-point pass meets.  Kernels run with numpy's overflow and
-    invalid-value warnings off: a non-finite residual fails its report."""
+    size per point.  A chunk that raises one of ``POINT_ERRORS`` runs again
+    point by point, so the error is the one a point-by-point pass meets.
+    Kernels run with numpy's overflow and invalid-value warnings off: a
+    non-finite residual fails its report."""
     # a block the source lacks is left to eval_fields, which raises naming it
     n, entries = np.shape(points)[-1], source.block_entries
     read = [(entries[block], order) for block, order in orders.items()
