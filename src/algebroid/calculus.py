@@ -380,7 +380,7 @@ def _grid_offsets(chart, basepoint, grid_steps):
 def _transport_grids(spec, basepoint, deltas, ranges, axis_orders):
     """Fill U on the whole grid once per axis order, transporting axis by
     axis: stage k walks the order's k-th axis both ways from every node
-    filled so far that is zero on the axes still to come.  The connection is
+    filled so far (each is zero on the axes still to come).  The connection is
     read once, at every time of every segment in the order the transports
     visit them; then the j-th segments of the k-th stages of all orders move
     together."""
@@ -391,8 +391,6 @@ def _transport_grids(spec, basepoint, deltas, ranges, axis_orders):
         for k, axis in enumerate(order):
             walks = []
             for start in filled:
-                if any(start[ax] for ax in order[k + 1:]):
-                    continue
                 for d in (1, -1):
                     ks = sorted((i for i in ranges[axis] if i * d > 0), key=abs)
                     walks.append([start] + [start[:axis] + (i,) + start[axis + 1:]

@@ -162,8 +162,8 @@ def _cmd_check(args) -> int:
 def _cmd_free(args) -> int:
     spec = load_spec_file(args.spec)
     points = sample_points(spec.chart, args.points, args.seed)
-    quotient = fa.free_extend(spec, args.degree, "quotient", seed=args.seed)
-    almost = fa.free_extend(spec, args.degree, "almost", seed=args.seed)
+    quotient = fa.free_extend(spec, args.degree, "quotient")
+    almost = fa.free_extend(spec, args.degree, "almost")
 
     # one pass over the quotient truncation for its checks and rank profile
     checks = [fa.cartan_extended_check(quotient)]
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
             InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (fa.IndeterminateRankError, fa.NonLocallyFreeError) as exc:
+    except fa.IndeterminateRankError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
 

@@ -555,9 +555,12 @@ def _compose(u: Jet, rule, node, points) -> Jet:
 
 
 def _reciprocal(u: Jet, node, points) -> Jet:
+    """1/u; a derivative term whose power of u underflows to 0 is +-inf."""
     order = u.order
-    return _compose(u, lambda v, _: (1.0 / v, -1.0 / v**2 if order else 0.0,
-                                     2.0 / v**3 if order == 2 else 0.0), node, points)
+    return _compose(u, lambda v, _: (
+        1.0 / v, (-1.0 / v2 if (v2 := v**2) else -math.inf) if order else 0.0,
+        (2.0 / v3 if (v3 := v**3) else math.copysign(math.inf, v)) if order == 2
+        else 0.0), node, points)
 
 
 def _call_rule(func: str, order: int, node: Expr):

@@ -4,10 +4,10 @@ bundle with connection.
 Basis words are bracket trees over the generators.  In almost mode the basis
 is the anticommutative-magma normal form (antisymmetry only); in quotient mode
 the Jacobiator relations are eliminated degreewise by numeric-rank Gaussian
-reduction at a reference point, which leaves exactly the Hall words.  Anchors
-extend by vector-field commutators, and the connection extends by the bracket
-formula that keeps the compatibility tensor of the extension identically zero
-degree by degree.
+reduction from their constant coefficients, which leaves exactly the Hall
+words.  Anchors extend by vector-field commutators, and the connection extends
+by the bracket formula that keeps the compatibility tensor of the extension
+identically zero degree by degree.
 """
 
 from __future__ import annotations
@@ -20,17 +20,14 @@ from typing import Mapping
 import numpy as np
 from numpy.linalg._linalg import _raise_linalgerror_lstsq, _umath_linalg
 
-from .exprjet import (
-    Block, Expr, ExprError, Num, diff, e_add, e_mul, e_neg, e_sub, eval_block,
-)
-from .spec_model import AlgebroidSpec, Check, CheckReport, run_checks, sample_points
+from .exprjet import Block, Expr, ExprError, Num, diff, e_add, e_mul, e_neg, e_sub
+from .spec_model import AlgebroidSpec, Check, CheckReport, run_checks
 from .calculus import KILLING, killing_frame_components, s_frame_components
 
 __all__ = [
     "HallWord", "FreeTruncation", "hall_basis", "magma_basis", "free_extend",
     "cartan_extended_check", "killing_checks", "rank_profile_check",
-    "profile_of", "jacobiator_check", "IndeterminateRankError",
-    "NonLocallyFreeError", "MAX_DEGREE",
+    "profile_of", "jacobiator_check", "IndeterminateRankError", "MAX_DEGREE",
 ]
 
 MAX_DEGREE = 4          # _relation_rows writes the Jacobi relations up to degree 4
@@ -41,10 +38,6 @@ ZERO_TOL = 1e-12
 
 class IndeterminateRankError(Exception):
     """A rank decision fell into the ambiguous pivot band [1e-12, 1e-8]."""
-
-
-class NonLocallyFreeError(Exception):
-    """A relation accepted at the reference point fails at auxiliary points."""
 
 
 @dataclass(frozen=True)
@@ -268,27 +261,20 @@ def _relation_rows(table, basis, degree: int):
     return rows
 
 
-def _eliminate(rows, level_words, ref_point, aux_points):
+def _eliminate(rows, level_words):
     """RREF of the relation rows over one degree level; returns the kept
-    words and the substitution for eliminated ones.  Columns are ordered with
-    non-Hall words first so the surviving basis is the Hall basis whenever the
-    relations are in general position."""
+    words and the substitution for eliminated ones.  The rows' coefficients
+    are the constant ``Num``s of the free Lie algebra's Jacobi relations.
+    Columns are ordered with non-Hall words first so the surviving basis is
+    the Hall basis whenever the relations are in general position."""
     if not rows:
         return list(level_words), {}
     cols = sorted(level_words, key=lambda w: (is_hall(w), w.key))
     col_index = {w: k for k, w in enumerate(cols)}
-
-    block = Block([((r_i, col_index[w]), 1, coeff)
-                   for r_i, row in enumerate(rows) for w, coeff in row.items()],
-                  (len(rows), len(cols)), "relation")
-
-    M, *others = eval_block(block, np.array([ref_point, *aux_points]))[0]
-    for other in others:
-        if float(np.max(np.abs(other - M))) > 1e-9:
-            raise NonLocallyFreeError("non-locally-free locus detected: relation "
-                                      "coefficients vary across sample points")
-
-    R = M.copy()
+    R = np.zeros((len(rows), len(cols)))
+    for r_i, row in enumerate(rows):
+        for w, coeff in row.items():
+            R[r_i, col_index[w]] = coeff.value
     pivots = []
     row_at = 0
     for c in range(len(cols)):
@@ -428,7 +414,7 @@ def _magma_anchors(spec: AlgebroidSpec, levels, memo=None) -> dict:
 
 
 def free_extend(spec: AlgebroidSpec, degree: int = 3,
-                mode: str = "quotient", seed: int = 42) -> FreeTruncation:
+                mode: str = "quotient") -> FreeTruncation:
     """Construct the degree-truncated free almost-Lie algebroid over the
     anchored bundle of ``spec`` (structure functions of the input are
     ignored; the bundle enters as generators), extend the connection, and in
@@ -444,14 +430,11 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
     table = _almost_table(words, degree)
 
     if mode == "quotient":
-        ref = spec.chart.center()
-        aux = sample_points(spec.chart, 20, seed)
         rows = _relation_rows(table, levels, degree)
         substitution: dict = {}
         new_levels = [list(levels[0])]
         for d in range(2, degree + 1):
-            kept, eliminated = _eliminate(rows.get(d, []), levels[d - 1],
-                                          ref, aux)
+            kept, eliminated = _eliminate(rows.get(d, []), levels[d - 1])
             substitution.update(eliminated)
             new_levels.append(kept)
         kept_set = {w.key for level in new_levels for w in level}

@@ -3,7 +3,7 @@ import pytest
 
 from algebroid import calculus as ca, spec_model
 from algebroid.exprjet import eval_block
-from algebroid.spec_model import eval_fields, run_checks, sample_points
+from algebroid.spec_model import SchemaError, eval_fields, run_checks, sample_points
 
 from conftest import (
     LIE_FIXTURES, METRIC_FIXTURES, dual_coefficients, fixture_doc, load_doc,
@@ -393,6 +393,26 @@ def test_generalized_lie_derivative_oracle(points_of):
         assert skew[0, 0, 1] == pytest.approx(lie_fd, abs=1e-8)
 
 
+def test_generalized_reads_the_spec_psi_block(points_of):
+    # fx_action_so2's residuals are 0 at psi = 0; a psi block moves them by
+    # -(psi_vee + psi_vee^T) and -(psi_wedge - psi_wedge^T), with
+    # psi_vee = psi (x) rho^T B = psi (x) (-x, -y) and
+    # psi_wedge = psi (x) rho^T g = psi (x) (-y, x)
+    doc = fixture_doc("fx_action_so2")
+    doc["psi"] = [[["x", "1 + y"]]]
+    spec = load_doc(doc)
+    for p in points_of(spec, 10):
+        x, y = p
+        sym, skew = ca._generalized(eval_fields(spec, p, ca.GENERALIZED.reads))
+        psi = np.array([x, 1.0 + y])
+        vee, wedge = np.outer(psi, [-x, -y]), np.outer(psi, [-y, x])
+        np.testing.assert_allclose(sym[0], -(vee + vee.T), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(skew[0], -(wedge - wedge.T), rtol=0.0, atol=1e-14)
+    doc["psi"] = [[["x"]]]
+    with pytest.raises(SchemaError, match=r"^psi\[0\]\[0\]: expected 2 entries$"):
+        load_doc(doc)
+
+
 def test_generalized_requires_blocks(spec_of, points_of):
     spec = spec_of("fx_tm_flat")
     with pytest.raises(ValueError):
@@ -538,6 +558,23 @@ def test_probe_transport_matches_exact_solution(spec_of):
     samples, reports = ca.flat_frame_probe(spec, (0.0, 0.0), grid_steps=3)
     expected = np.exp(-samples.points[:, 0] * samples.points[:, 1])
     assert float(np.max(np.abs(samples.frames[:, 0, 0] - expected))) <= 1e-6
+    assert all(r.passed for r in reports)
+
+
+def test_probe_three_dimensional_exact_connection():
+    # omega = df with f = x + 2y - z: the transport factor is exp(-(f - f(base))),
+    # and the grid's two axis orders, (x, y, z) and (z, y, x), must agree
+    doc = {"chart": {"coords": ["x", "y", "z"], "domain": [[-1, 1]] * 3},
+           "rank": 1, "mode": "lie", "anchor": [["0", "0", "0"]],
+           "connection": [[["1", "2", "-1"]]]}
+    base = np.array([0.1, -0.2, 0.3])
+    samples, reports = ca.flat_frame_probe(load_doc(doc), base, grid_steps=3)
+    assert len(samples.offsets) == 6 ** 3
+    f = samples.points @ np.array([1.0, 2.0, -1.0])
+    expected = np.exp(-(f - base @ np.array([1.0, 2.0, -1.0])))
+    assert float(np.max(np.abs(samples.frames[:, 0, 0] - expected))) <= 1e-4
+    by_name = {r.name: r for r in reports}
+    assert by_name["flat_frame_path_independence"].passed
     assert all(r.passed for r in reports)
 
 

@@ -229,6 +229,14 @@ def test_text_format(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "[PASS] anchor_morphism" in captured
     assert "verdict: pass" in captured
+    code = main(["free", "--spec", fx("fx_free_heis"), "--degree", "3",
+                 "--points", "5", "--format", "text"])
+    assert code == 0
+    captured = capsys.readouterr().out
+    assert "basis_counts: [2, 1, 2]" in captured
+    assert "[PASS] cartan_extended" in captured
+    assert "[PASS] jacobiator_covariant_constancy" in captured
+    assert "per_point" not in captured and "verdict: pass" in captured
 
 
 def test_flat_frame_flag(tmp_path):
@@ -291,6 +299,31 @@ def test_non_finite_residual_fails(tmp_path, capsys, recwarn):
     # the report names the NaN; numpy must not warn about it as well
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def test_reciprocal_derivative_overflow_fails_the_check(tmp_path, capsys):
+    # d(1/x)/dx = -1/x^2 at x near 1e-170 overflows to -inf, and the anchor
+    # morphism reads it: a NaN residual (exit 1), not a division by zero (exit 2)
+    doc = {"chart": {"coords": ["x", "y"], "domain": [[1e-170, 2e-170], [-1.0, 1.0]]},
+           "rank": 1, "mode": "lie", "anchor": [["1/x", "0"]],
+           "connection": [[["0", "0"]]]}
+    path = tmp_path / "reciprocal.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "check", "--spec", str(path), "--axioms",
+                     "--points", "5")
+    assert code == 1 and capsys.readouterr().err == ""
+    check = next(c for c in json.loads(text)["checks"]
+                 if c["name"] == "anchor_morphism")
+    assert not check["pass"] and check["max_residual"] != check["max_residual"]
+
+
+def test_indeterminate_rank_exits_3(tmp_path, capsys, monkeypatch):
+    def ambiguous(rows, level_words):
+        raise fa.IndeterminateRankError("rank decision ambiguous")
+    monkeypatch.setattr(fa, "_eliminate", ambiguous)
+    code, text = run(tmp_path, "free", "--spec", fx("fx_free_heis"), "--points", "5")
+    assert code == 3 and text is None
+    assert capsys.readouterr().err == "indeterminate: rank decision ambiguous\n"
 
 
 @pytest.mark.parametrize("expr, reason", [
@@ -395,8 +428,7 @@ def test_free_reads_each_block_once_per_point(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(fa, "free_extend", recording_extend)
-    for module in (spec_model, fa):
-        monkeypatch.setattr(module, "eval_block", counting(module.eval_block))
+    monkeypatch.setattr(spec_model, "eval_block", counting(spec_model.eval_block))
     code, _ = run(tmp_path, "free", "--spec", fx("fx_killing_nonabelian"),
                   "--degree", "3", "--points", "20")
     assert code == 0

@@ -194,6 +194,16 @@ def test_no_failure_from_a_derivative_term_the_order_does_not_read(text, x, valu
     assert eval_jet(parse_expr(text, XY), (x, 1.0), order).value == value
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_reciprocal_derivative_terms_overflow_to_inf(sign):
+    # x^2 at 1e-170 and x^3 at 1e-110 underflow to 0: -1/x^2 and 2/x^3 are
+    # then inf of their sign, where Python's float division would raise
+    first = eval_jet(parse_expr("1/x", XY), (sign * 1e-170, 1.0), 1)
+    assert first.value == sign * 1e170 and first.grad[0] == -math.inf
+    second = eval_jet(parse_expr("1/x", XY), (sign * 1e-110, 1.0), 2)
+    assert second.grad[0] == -1.0 / 1e-110**2 and second.hess[0, 0] == sign * math.inf
+
+
 def test_eval_block_mirrors_and_names_failing_entry():
     e = parse_expr("x*y + exp(x)", XY)
     value, grad = eval_block(Block([((0, 1), 1, e), ((1, 0), -1, e)], (2, 2),
@@ -457,7 +467,7 @@ def test_hessian_symmetry():
 
 @pytest.mark.parametrize("text", [
     "x^2*y", "sin(x*y)", "exp(x)/(1 + y^2)", "sqrt(1 + x^2)", "tanh(x)*ln(2 + y)",
-    "tan(x/4)", "abs(1 + x^2)",
+    "tan(x/4)", "abs(1 + x^2)", "cos(x*y)",
 ])
 def test_diff_matches_jet_gradient(text):
     e = parse_expr(text, XY)

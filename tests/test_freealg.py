@@ -628,16 +628,29 @@ def test_indeterminate_rank_detected():
     words = basis[2]
     rows = [{words[0]: Num(3e-10)}]
     with pytest.raises(fa.IndeterminateRankError):
-        fa._eliminate(rows, words, np.zeros(2), [])
+        fa._eliminate(rows, words)
 
 
-def test_relation_constancy_guard():
-    basis = fa.magma_basis(3, 3)
-    words = basis[2]
-    rows = [{words[0]: parse_expr("x", ["x", "y"])}]
-    with pytest.raises(fa.NonLocallyFreeError):
-        fa._eliminate(rows, words, np.array([1.0, 0.0]),
-                      [np.array([2.0, 0.0])])
+def test_relation_rows_left_after_elimination_are_indeterminate():
+    # each entry of the first column is below the zero tolerance, so the
+    # column is skipped; the row the pivot on the second leaves is not
+    words = fa.magma_basis(3, 3)[2]
+    first, second = sorted(words, key=lambda w: (fa.is_hall(w), w.key))[:2]
+    rows = [{first: Num(9e-13), second: Num(1.0)}, {first: Num(-9e-13), second: Num(1.0)}]
+    with pytest.raises(fa.IndeterminateRankError, match="survived elimination"):
+        fa._eliminate(rows, words)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_the_relations_have_constant_unit_coefficients(rank):
+    # _eliminate reads each relation coefficient as the constant it is
+    levels = fa.magma_basis(rank, 4)
+    table = fa._almost_table([w for level in levels for w in level], 4)
+    rows = fa._relation_rows(table, levels, 4)
+    coeffs = [c for expansion in table.values() for c in expansion.values()]
+    coeffs += [c for level in rows.values() for row in level for c in row.values()]
+    assert all(type(c) is Num and abs(c.value) == 1.0 for c in coeffs)
+    assert (rank == 1) == (not coeffs)
 
 
 # --------------------------------------------------------------------------

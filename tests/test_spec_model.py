@@ -89,12 +89,37 @@ def test_two_form_not_antisymmetric():
     pytest.param(lambda d: d["chart"].update(domain=[[float("nan"), 1], [-2, 2]]),
                  "must be finite", id="nan bound"),
     (lambda d: d["chart"].update(domain=[["0", 1], [-2, 2]]), "numbers"),
+    pytest.param(lambda d: d.update(anchor=[[1, "x"]]),
+                 r"^anchor\[0\]\[0\]: expected expression string, got int$",
+                 id="expression not a string"),
+    pytest.param(lambda d: d.update(chart=[["x", "y"]]), r"^chart: expected object",
+                 id="chart not an object"),
+    pytest.param(lambda d: d["chart"].update(coords=[]),
+                 r"^chart\.coords: expected nonempty list", id="empty coords"),
+    pytest.param(lambda d: d["chart"].update(domain=[[-2, 2]]),
+                 r"^chart\.domain: expected one \[lo, hi\] pair per coordinate$",
+                 id="domain count"),
+    pytest.param(lambda d: d["chart"].update(domain=[[-2, 0, 2], [-2, 2]]),
+                 r"^chart\.domain\[0\]: expected \[lo, hi\]$", id="domain pair"),
+    pytest.param(lambda d: d.update(anchor=[["-y", "x"], ["0", "0"]]),
+                 r"^anchor: expected 1 rows$", id="anchor rows"),
+    pytest.param(lambda d: d.update(structure={"a": 1}),
+                 r"^structure: expected list of", id="structure not a list"),
+    pytest.param(lambda d: d.update(structure=[["1", "1", "1", "x"]]),
+                 r"^structure\[0\]: expected object", id="structure entry not an object"),
+    pytest.param(lambda d: d.update(structure=[{"a": 1, "b": 2, "c": 1}]),
+                 r"^structure\[0\]: missing field 'expr'$", id="structure entry no expr"),
 ])
 def test_schema_errors(mutate, match):
     doc = fixture_doc("fx_action_so2")
     mutate(doc)
     with pytest.raises(SchemaError, match=match):
         load_spec(doc)
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    with pytest.raises(SchemaError, match=r"^\$: expected a JSON object$"):
+        load_spec([])
 
 
 def test_expression_error_carries_field_path():
