@@ -18,9 +18,7 @@ point's arrays are bit-identical to a walk of each entry there.  Denominator
 and exponent checks run where the walk ran them, so a failure names the
 subexpression, the first entry that reaches it and the earliest point where
 that step fails; the chunk loop of ``spec_model`` runs a failing batch again
-one point at a time, so that its error names the earliest failing point.  A
-block that reads no coordinate is evaluated at one point of a batch, and the
-batch shares its arrays as read-only views.
+one point at a time, so that its error names the earliest failing point.
 
 Grammar (whitespace insignificant)::
 
@@ -469,8 +467,10 @@ def diff(e: Expr, index: int, memo: dict | None = None) -> Expr:
 # point in Python floats: numpy's SIMD functions may differ from libm in the
 # last bit, and they do not raise.  A rule computes only the derivative terms
 # its jet's order reads and puts 0.0 in place of the others, which ``compose``
-# never reads, so a term no caller reads cannot raise.  A power reads its
-# exponent once per batch and tests its base with one comparison over the batch.
+# never reads, so a term no caller reads cannot raise; a term whose power of
+# the value overflows or underflows is a signed 0 or inf (``_pow``, ``_over``),
+# so only a value raises.  A power reads its exponent once per batch and tests
+# its base with one comparison over the batch.
 
 
 class Jet:
@@ -554,13 +554,28 @@ def _compose(u: Jet, rule, node, points) -> Jet:
     return u.compose(*np.array(_pointwise(rule, node, points, u.value), dtype=float).T)
 
 
+def _pow(v: float, k) -> float:
+    """Python's ``v**k``, or the signed inf it overflows to in place of raising."""
+    try:
+        return v**k
+    except OverflowError:
+        return -math.inf if v < 0 and k % 2 == 1 else math.inf
+
+
+def _over(c: float, v: float, k) -> float:
+    """``c / v**k`` where a power that overflows gives a signed 0 and one that
+    underflows to 0 a signed inf, in place of raising."""
+    d = _pow(v, k)
+    return c / d if d else math.copysign(math.inf, c) * math.copysign(1.0, d)
+
+
 def _reciprocal(u: Jet, node, points) -> Jet:
-    """1/u; a derivative term whose power of u underflows to 0 is +-inf."""
+    """1/u; its derivative terms are signed 0 or inf where the power of u
+    overflows or underflows."""
     order = u.order
     return _compose(u, lambda v, _: (
-        1.0 / v, (-1.0 / v2 if (v2 := v**2) else -math.inf) if order else 0.0,
-        (2.0 / v3 if (v3 := v**3) else math.copysign(math.inf, v)) if order == 2
-        else 0.0), node, points)
+        1.0 / v, _over(-1.0, v, 2) if order else 0.0,
+        _over(2.0, v, 3) if order == 2 else 0.0), node, points)
 
 
 def _call_rule(func: str, order: int, node: Expr):
@@ -582,7 +597,7 @@ def _call_rule(func: str, order: int, node: Expr):
         if func == "ln":
             if v <= 0.0:
                 raise EvalDomainError("ln of nonpositive value", node, point)
-            return math.log(v), 1.0 / v, -1.0 / v**2 if order == 2 else 0.0
+            return math.log(v), 1.0 / v, _over(-1.0, v, 2) if order == 2 else 0.0
         if func == "sqrt":
             if v < 0.0:
                 raise EvalDomainError("sqrt of negative value", node, point)
@@ -591,7 +606,7 @@ def _call_rule(func: str, order: int, node: Expr):
                 return s, 0.0, 0.0
             if v == 0.0:
                 raise EvalDomainError("sqrt derivative at zero", node, point)
-            return s, 0.5 / s, -0.25 / v**1.5 if order == 2 else 0.0
+            return s, 0.5 / s, _over(-0.25, v, 1.5) if order == 2 else 0.0
         if func == "tanh":
             t = math.tanh(v)
             d1 = 1.0 - t * t
@@ -627,8 +642,8 @@ def _power(base: Jet, p, node: Expr, points) -> Jet:
         return _reciprocal(base.int_pow(-key), node, points)
     order = base.order
     return _compose(base, lambda v, _: (
-        v**key, key * v**(key - 1.0) if order else 0.0,
-        key * (key - 1.0) * v**(key - 2.0) if order == 2 else 0.0), node, points)
+        v**key, key * _pow(v, key - 1.0) if order else 0.0,
+        key * (key - 1.0) * _pow(v, key - 2.0) if order == 2 else 0.0), node, points)
 
 
 # --------------------------------------------------------------------------
@@ -766,9 +781,7 @@ class Block:
     ``(index, sign, expr)``, and the jet of ``expr`` fills ``index`` of an
     array of ``shape``, negated where ``sign`` is -1; unlisted entries are
     zero.  ``label`` names an entry in error messages as ``label[i][j]``.
-    The entries compile once, at the first evaluation.  A ``constant`` block
-    reads no coordinate: ``eval_block`` evaluates it at one point of a batch
-    and shares its arrays, read-only, across the batch."""
+    The entries compile once, at the first evaluation."""
 
     entries: Sequence
     shape: tuple
@@ -792,15 +805,8 @@ class Block:
         marks = [raised for op, _, _, raised, _ in self.program.steps if op <= _CALL]
         return len(marks) - sum(marks), sum(marks)
 
-    @cached_property
-    def constant(self) -> bool:
-        """True when no step of the program reads a coordinate: the block has
-        the same value at every point, and zero derivatives."""
-        return all(op != _VAR for op, *_ in self.program.steps)
-
     def point_bytes(self, n: int, order: int) -> int:
-        """Bytes a point takes in the slots and arrays of an evaluation; a
-        constant block takes them once a batch, not per point (``eval_block``)."""
+        """Bytes a point takes in the slots and arrays of an evaluation."""
         def floats(o):
             return sum(n ** k for k in range(o + 1))
         plain, raised = self._value_steps
@@ -819,18 +825,10 @@ def eval_block(block: Block, points, order: int = 0):
     the entry as ``label[i][j]...`` and a failing point: the earliest point
     where the first failing step fails, which need not be the earliest point
     that fails (``spec_model``'s chunk loop reruns a batch point by point).
-
-    A constant block is evaluated at the first point of a batch only, and a
-    batch of more points gets read-only ``np.broadcast_to`` views of its
-    arrays; each point's bytes are those of its own evaluation.  A constant
-    entry that fails fails at every point, so its error names the batch's
-    first point.
     """
     points = np.asarray(points, dtype=float)
     batch = points.reshape(-1, points.shape[-1])
-    count, n = batch.shape
-    if block.constant:
-        batch = batch[:1]
+    n = batch.shape[1]
     program = block.program
     try:
         jets = program.run(batch, n, order)
@@ -845,6 +843,4 @@ def eval_block(block: Block, points, order: int = 0):
             array[at] = part if sign > 0 else -part
     if points.ndim == 1:
         return [array[0] for array in arrays]
-    if len(batch) < count:
-        return [np.broadcast_to(array, (count,) + array.shape[1:]) for array in arrays]
     return arrays

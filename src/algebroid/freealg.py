@@ -153,21 +153,26 @@ class FreeTruncation:
         return {w.key: k for k, w in enumerate(self.words)}
 
     @cached_property
+    def structure(self) -> np.ndarray:
+        """C[u, v, w], the coefficient of w in [u, v]: the bracket table's
+        constants over ``words``.  Pairs beyond the truncation are
+        zero-filled; checks only read pairs with degree sum within it."""
+        idx = self.index
+        C = np.zeros((len(idx),) * 3)
+        for (u, v), expansion in self.bracket_table.items():
+            C[idx[u.key], idx[v.key]] = _coefficients(expansion, idx)
+        return C
+
+    @cached_property
     def block_entries(self) -> dict:
-        """block -> ``exprjet.Block`` of the extended anchor, structure and
-        connection over ``words``, and the base metric block when the spec
-        has one: a block source for ``spec_model.eval_fields``.
-        Structure entries for pairs beyond the truncation are zero-filled;
-        checks only read pairs with degree sum within the truncation."""
+        """block -> ``exprjet.Block`` of the extended anchor and connection
+        over ``words``, and the base metric block when the spec has one: a
+        block source for ``spec_model.eval_fields``."""
         idx, N, n = self.index, len(self.words), self.spec.dimension
         out = {
             "anchor": Block([((idx[w.key], i), 1, c)
                              for w, comps in self.anchor.items()
                              for i, c in enumerate(comps)], (N, n), "extended anchor"),
-            "structure": Block([((idx[u.key], idx[v.key], idx[w.key]), 1, c)
-                                for (u, v), expansion in self.bracket_table.items()
-                                for w, c in expansion.items()], (N, N, N),
-                               "extended structure"),
             "connection": Block([((idx[w.key], idx[w2.key], i), 1, c)
                                  for w, entries in self.conn.items()
                                  for w2, comps in entries.items()
@@ -177,6 +182,14 @@ class FreeTruncation:
         if "metric" in self.spec.block_entries:
             out["metric"] = self.spec.block_entries["metric"]
         return out
+
+
+def _coefficients(expansion: Expansion, index: dict) -> np.ndarray:
+    """The constant coefficients of ``expansion`` over ``index``'s words."""
+    row = np.zeros(len(index))
+    for w, c in expansion.items():
+        row[index[w.key]] = c.value
+    return row
 
 
 def _expansion_add(target: dict, w: HallWord, coeff: Expr):
@@ -459,27 +472,27 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
 
 def cartan_extended_check(free: FreeTruncation) -> Check:
     """max |S| over extended basis pairs with degree sum within truncation,
-    by the frame formula on the extended data.  With no connection entry
-    written, omega = 0 and S is -nabla C = -dC up to the sign of a zero, which
-    the max |.| hides; a non-finite rho, or drho or C of a listed word, which
-    the full formula turns into NaN by 0 * inf, sets NaN at its point."""
+    by the frame formula on the extended data, whose structure C is the
+    constant ``free.structure`` (so dC = 0).  With no connection entry
+    written, omega = 0 and S = -dC vanishes; a non-finite rho or drho of a
+    listed word, which the full formula turns into NaN by 0 * inf, sets NaN
+    at its point."""
     words = free.words
     pairs = [(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
              if a != b and u.degree + v.degree <= free.degree]
     a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
     listed = sorted(set(a.tolist()))
     if free.block_entries["connection"].written:
-        return Check(("cartan_extended",), {"anchor": 1, "structure": 1, "connection": 1},
-                     lambda f: (s_frame_components(f.rho, f.drho, f.C, f.dC, f.omega,
-                                                   f.domega, a, b),))
+        C = free.structure
+        dC = np.zeros(C.shape + (free.spec.dimension,))
+        return Check(("cartan_extended",), {"anchor": 1, "connection": 1}, lambda f: (
+            s_frame_components(f.rho, f.drho, C, dC, f.omega, f.domega, a, b),))
 
     def kernel(f):
         finite = (np.isfinite(f.rho).all((-2, -1))
-                  & np.isfinite(f.drho.take(listed, -3)).all((-3, -2, -1))
-                  & np.isfinite(f.C.take(listed, -3)).all((-3, -2, -1)))
-        return np.where(finite[..., None, None, None],
-                        -np.swapaxes(f.dC[..., a, b, :, :], -3, -2), np.nan),
-    return Check(("cartan_extended",), {"anchor": 1, "structure": 1}, kernel)
+                  & np.isfinite(f.drho.take(listed, -3)).all((-3, -2, -1)))
+        return np.where(finite[..., None], np.zeros(len(a)), np.nan),
+    return Check(("cartan_extended",), {"anchor": 1}, kernel)
 
 
 def killing_checks(free: FreeTruncation) -> tuple[Check, Check]:
@@ -565,12 +578,11 @@ def jacobiator_check(free: FreeTruncation, points,
     words, idx, table = free.words, free.index, free.bracket_table
     triples = [tuple(words[k] for k in t) for t in _triples(words, free.degree)]
 
-    # Jac(triple) at [t, w]; Jac with a slot of triple t, held by word h,
-    # replaced by word q at [row, w] for the row-th (t, h, q) of ``shifted``
-    jac_entries, shifted_entries, shifted = [], [], []
+    # Jac(triple) at jac[t]; Jac with a slot of triple t, held by word h,
+    # replaced by word q at shifted_jac[row] for the row-th (t, h, q) of ``shifted``
+    jac, shifted_jac, shifted = np.zeros((len(triples), len(words))), [], []
     for t, args in enumerate(triples):
-        jac_entries += [((t, idx[w.key]), 1, c)
-                        for w, c in _jacobiator(table, *args).items()]
+        jac[t] = _coefficients(_jacobiator(table, *args), idx)
         for slot, host in enumerate(args):
             for q in sorted(free.conn[host], key=words.index):
                 swapped = list(args)
@@ -578,23 +590,15 @@ def jacobiator_check(free: FreeTruncation, points,
                 if len({w.key for w in swapped}) == 3:
                     jac_q = _jacobiator(table, *swapped)
                     if jac_q:
-                        shifted_entries += [((len(shifted), idx[w.key]), 1, c)
-                                            for w, c in jac_q.items()]
+                        shifted_jac.append(_coefficients(jac_q, idx))
                         shifted.append((t, idx[host.key], idx[q.key]))
-    jac_block = Block(jac_entries, (len(triples), len(words)), "jacobiator")
-    shifted_block = Block(shifted_entries, (len(shifted), len(words)), "jacobiator")
 
     def kernel(f):
-        jac_val, jac_grad = f.jacobiator()
-        vecs, = f.shifted_jacobiator()
-        # nabla_i (Jac(args)) in the extended frame, at [t, i, w]
-        residual = np.swapaxes(jac_grad, -2, -1) + np.einsum(
-            "...tv,...vwi->...tiw", jac_val, f.omega)
-        for row, (t, kh, kq) in enumerate(shifted):
+        # nabla_i (Jac(args)) in the extended frame, at [t, i, w]: Jac is constant
+        residual = np.einsum("...tv,...vwi->...tiw", jac, f.omega)
+        for (t, kh, kq), vec in zip(shifted, shifted_jac):
             residual[..., t, :, :] -= np.einsum(
-                "...i,...w->...iw", f.omega[..., kh, kq, :], vecs[..., row, :])
+                "...i,...w->...iw", f.omega[..., kh, kq, :], vec)
         return residual,
-    check = Check(("jacobiator_covariant_constancy",), {"connection": 0}, kernel,
-                  blocks=(("jacobiator", jac_block, 1),
-                          ("shifted_jacobiator", shifted_block, 0)))
+    check = Check(("jacobiator_covariant_constancy",), {"connection": 0}, kernel)
     return run_checks(free, points, [check], tol_override)[0]

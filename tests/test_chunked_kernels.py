@@ -206,22 +206,20 @@ def _chunk_reads(monkeypatch, run) -> list[int]:
     return reads
 
 
-def test_free_degree_four_counts_its_constant_structure_by_value(monkeypatch):
-    # the dense structure of the degree-4 truncation (32^3 entries) is
-    # constant: it counts its 256 KiB value array a point, not the 768 KiB of
-    # its value and derivative arrays, so the quotient pass reads 3 points a
-    # chunk where it read 1; the Jacobiator pass reads the 5 points at once
+def test_free_degree_four_reads_its_five_points_as_one_chunk(monkeypatch):
+    # the structure and the Jacobiators are constant arrays, not blocks: the
+    # quotient pass reads the extended anchor alone (omega = 0), and both
+    # passes read the 5 points of degree-4 fx_so3_sphere at once
     path = str(fixture_path("fx_so3_sphere"))
     reads = _chunk_reads(monkeypatch, lambda: main(
         ["free", "--spec", path, "--degree", "4", "--points", "5"]))
-    assert reads == [3, 2, 5]
+    assert reads == [5, 5]
 
 
 def test_a_pass_of_constant_blocks_still_reads_in_chunks(monkeypatch):
-    # every block of fx_bla_const is constant: a chunk is still sized by their
-    # value arrays, which the kernels build point by point
+    # no block of fx_bla_const reads a coordinate: a chunk is still sized by
+    # each block's point_bytes
     spec = spec_model.load_spec_file(fixture_path("fx_bla_const"))
-    assert all(block.constant for block in spec.block_entries.values())
     points = spec_model.sample_points(spec.chart, 20000)
     reads = _chunk_reads(monkeypatch, lambda: spec_model.validate_spec(spec, points))
     assert len(reads) > 1 and sum(reads) == len(points)

@@ -317,6 +317,20 @@ def test_reciprocal_derivative_overflow_fails_the_check(tmp_path, capsys):
     assert not check["pass"] and check["max_residual"] != check["max_residual"]
 
 
+def test_reciprocal_of_a_huge_coordinate_passes_the_axioms(tmp_path, capsys):
+    # d(1/x)/dx = -1/x^2 at x near 1e200 underflows to -0.0 where x^2
+    # overflows: the anchor morphism reads finite values and passes
+    doc = {"chart": {"coords": ["x", "y"], "domain": [[1e200, 2e200], [-1.0, 1.0]]},
+           "rank": 1, "mode": "lie", "anchor": [["1/x", "0"]],
+           "connection": [[["0", "0"]]]}
+    path = tmp_path / "reciprocal.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "check", "--spec", str(path), "--axioms",
+                     "--points", "3")
+    assert code == 0 and capsys.readouterr().err == ""
+    assert all(c["pass"] for c in json.loads(text)["checks"])
+
+
 def test_indeterminate_rank_exits_3(tmp_path, capsys, monkeypatch):
     def ambiguous(rows, level_words):
         raise fa.IndeterminateRankError("rank decision ambiguous")

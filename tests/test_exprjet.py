@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from algebroid.exprjet import (
     Add, Block, Call, Div, EvalDomainError, Jet, Mul, Neg, Num, ParseError,
-    Pow, Sub, UndeclaredIdentifierError, Var, _Program, diff, eval_block,
+    Pow, Sub, UndeclaredIdentifierError, Var, _VAR, _over, diff, eval_block,
     parse_expr, render,
 )
 from algebroid.spec_model import eval_fields, load_spec, sample_points
@@ -204,6 +204,30 @@ def test_reciprocal_derivative_terms_overflow_to_inf(sign):
     assert second.grad[0] == -1.0 / 1e-110**2 and second.hess[0, 0] == sign * math.inf
 
 
+@pytest.mark.parametrize("text, x, order, grad, hess", [
+    ("1/x", 1.7e200, 1, 0.0, None), ("1/x", 1.7e200, 2, 0.0, 0.0),
+    ("ln(x)", 1.7e200, 2, 1.0 / 1.7e200, 0.0),
+    ("ln(x)", 1e-170, 2, 1.0 / 1e-170, -math.inf),
+    ("sqrt(x)", 1e-250, 2, 0.5 / math.sqrt(1e-250), -math.inf),
+    ("x^0.5", 1e-300, 2, 0.5 * 1e-300**-0.5, -math.inf)])
+def test_derivative_terms_are_zero_or_inf_where_a_power_overflows(
+        text, x, order, grad, hess):
+    # x^2 and x^-1.5 overflow, where Python's ** raises, and x^2 and x^1.5
+    # underflow to a zero divisor: each term is then 0 or inf, of its sign
+    jet = eval_jet(parse_expr(text, XY), (x, 1.0), order)
+    assert math.isfinite(jet.value) and jet.grad[0] == grad
+    assert order < 2 or jet.hess[0, 0] == hess
+
+
+@pytest.mark.parametrize("c, v, k, quotient", [
+    (-1.0, 1.7e200, 2, -0.0), (-1.0, -1.7e200, 2, -0.0), (2.0, 1.7e200, 3, 0.0),
+    (2.0, -1.7e200, 3, -0.0), (2.0, -1e-110, 3, -math.inf), (-1.0, 1e-170, 2, -math.inf),
+    (-0.25, 1e-250, 1.5, -math.inf), (-0.25, 1e300, 1.5, -0.0)])
+def test_a_term_over_a_power_out_of_range_keeps_its_sign(c, v, k, quotient):
+    got = _over(c, v, k)
+    assert got == quotient and math.copysign(1.0, got) == math.copysign(1.0, quotient)
+
+
 def test_eval_block_mirrors_and_names_failing_entry():
     e = parse_expr("x*y + exp(x)", XY)
     value, grad = eval_block(Block([((0, 1), 1, e), ((1, 0), -1, e)], (2, 2),
@@ -303,37 +327,21 @@ def test_batch_with_exponents_that_differ_between_points():
 
 
 # --------------------------------------------------------------------------
-# Constant blocks: evaluated at one point, shared read-only across a batch
+# Constant blocks: a block that reads no coordinate is evaluated at every point
 
 
-CONSTANT = [((0, 1), 1, parse_expr("2*3 - ln(4)", XY)),
-            ((1, 0), -1, parse_expr("2*3 - ln(4)", XY)),
-            ((1, 1), 1, parse_expr("sqrt(2)^3/exp(1)", XY))]
 POINTS = np.array([[0.5, 0.3], [1.5, 0.2], [0.25, -0.1]])
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_constant_block_arrays_are_read_only(order):
-    block = Block(CONSTANT, (2, 2))
-    assert block.constant
-    for array in eval_block(block, POINTS, order):
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 1.0
-    varying = Block(CONSTANT + [((0, 0), 1, parse_expr("x", XY))], (2, 2))
-    assert not varying.constant
-    for array in eval_block(varying, POINTS, order):
-        array[...] = 1.0
-
-
-@pytest.mark.parametrize("order", [0, 1, 2])
 def test_constant_blocks_give_each_point_its_own_bytes(order):
-    # each constant block of the fixtures, over two batches, against a new
-    # block of its entries evaluated at each point alone
+    # each fixture block that reads no coordinate, over two batches, against
+    # a new block of its entries evaluated at each point alone
     for name in FIXTURES:
         spec = load_spec(fixture_doc(name))
         points = sample_points(spec.chart, 3)
         for block in spec.block_entries.values():
-            if not block.constant:
+            if any(op == _VAR for op, *_ in block.program.steps):
                 continue
             for batch in (eval_block(block, points, order),
                           eval_block(block, points[1:], order)):
@@ -341,21 +349,6 @@ def test_constant_blocks_give_each_point_its_own_bytes(order):
                     alone = eval_block(Block(block.entries, block.shape), point, order)
                     for array, single in zip(batch, alone):
                         assert array[k].tobytes() == single.tobytes()
-
-
-def test_constant_block_runs_its_program_at_one_point(monkeypatch):
-    batches = []
-    run = _Program.run
-
-    def counting(program, points, n, order):
-        batches.append(points.tolist())
-        return run(program, points, n, order)
-    monkeypatch.setattr(_Program, "run", counting)
-    varying = Block(CONSTANT + [((0, 0), 1, parse_expr("x", XY))], (2, 2))
-    for order in (0, 1):
-        eval_block(Block(CONSTANT, (2, 2)), POINTS, order)
-        eval_block(varying, POINTS, order)
-    assert batches == [POINTS[:1].tolist(), POINTS.tolist()] * 2
 
 
 def test_failing_constant_entry_names_the_first_point_of_each_batch():

@@ -57,6 +57,11 @@ def _magma_count(r, d):
     return counts[d]
 
 
+def _constant_structure(free):
+    """The truncation's structure array C and its zero derivative dC."""
+    return free.structure, np.zeros(free.structure.shape + (free.spec.dimension,))
+
+
 # --------------------------------------------------------------------------
 # Hall and magma bases
 
@@ -270,8 +275,8 @@ def test_s_on_listed_pairs_matches_all_pairs_bit_for_bit(name, degree):
                      if a != b and u.degree + v.degree <= degree]).T
     every_a, every_b = np.divmod(np.arange(N * N), N)
     for p in sample_points(spec.chart, 2, 42):
-        f = eval_fields(free, p, {"anchor": 1, "structure": 1, "connection": 1})
-        fields = (f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
+        f = eval_fields(free, p, {"anchor": 1, "connection": 1})
+        fields = (f.rho, f.drho, *_constant_structure(free), f.omega, f.domega)
         every = ca.s_frame_components(*fields, every_a, every_b).reshape(N, N, N, n)
         listed = ca.s_frame_components(*fields, a, b)
         assert listed.shape == (N, len(a), n)
@@ -323,9 +328,9 @@ def test_jacobiator_degree_four():
 
 def test_jacobiator_lists_every_triple_and_reads_only_its_shifted_rows(monkeypatch):
     # every triple of degree sum <= 4 gets residual rows, and the shifted
-    # Jacobiator is one row per listed (triple, slot, word), not a dense
-    # (triples, 3, N, N) block: the degree-4 fx_so3_sphere pass reads its
-    # 5 points in one chunk, not one point per chunk
+    # Jacobiator is one constant row per listed (triple, slot, word), not a
+    # dense (triples, 3, N, N) block: the degree-4 fx_so3_sphere pass reads
+    # its 5 points in one chunk, not one point per chunk
     spec = load_doc(fixture_doc("fx_so3_sphere"))
     free = fa.free_extend(spec, 4, "almost")
     points = sample_points(spec.chart, 5, 42)
@@ -336,8 +341,7 @@ def test_jacobiator_lists_every_triple_and_reads_only_its_shifted_rows(monkeypat
         sizes.append(len(points)) or read(block, points, order)))
     fa.jacobiator_check(free, points)
     assert sizes and set(sizes) == {5}
-    (residual,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel,
-                                       rows[0].blocks)
+    (residual,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel)
     triples = [t for t in combinations(free.words, 3) if sum(w.degree for w in t) <= 4]
     assert residual.shape == (5, len(triples), spec.dimension, len(free.words))
 
@@ -703,9 +707,8 @@ def test_pairwise_quad_matches_the_three_operand_einsum():
     a, b = np.array([(a, b) for a, u in enumerate(free.words)
                      for b, v in enumerate(free.words)
                      if a != b and u.degree + v.degree <= 4]).T
-    f = eval_fields(free, sample_points(spec.chart, 3, 42),
-                    {"anchor": 1, "structure": 1, "connection": 1})
-    fields = (f.rho, f.drho, f.C, f.dC, f.omega, f.domega)
+    f = eval_fields(free, sample_points(spec.chart, 3, 42), {"anchor": 1, "connection": 1})
+    fields = (f.rho, f.drho, *_constant_structure(free), f.omega, f.domega)
     assert (ca.s_frame_components(*fields, a, b).tobytes()
             == _s_frame_three_operand(*fields, a, b).tobytes())
 
@@ -950,18 +953,18 @@ def test_hall_words_compare_and_hash_by_key():
 ZERO_OMEGA_FIXTURES = [name for name in FIXTURES
                        if all(v == "0" for plane in fixture_doc(name)["connection"]
                               for row in plane for v in row)]
-FULL_S = {"anchor": 1, "structure": 1, "connection": 1}
 
 
 def _full_s_values(free, source, points):
-    """Per-point max |S| of the full frame formula, on ``source``'s blocks."""
+    """Per-point max |S| of the full frame formula, on ``source``'s anchor and
+    connection blocks and ``free``'s constant structure."""
     words = free.words
     a, b = np.array([(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
                      if a != b and u.degree + v.degree <= free.degree],
                     dtype=int).reshape(-1, 2).T
-    f = eval_fields(source, points, FULL_S)
+    f = eval_fields(source, points, {"anchor": 1, "connection": 1})
     return spec_model.per_point(ca.s_frame_components(
-        f.rho, f.drho, f.C, f.dC, f.omega, f.domega, a, b), len(points))
+        f.rho, f.drho, *_constant_structure(free), f.omega, f.domega, a, b), len(points))
 
 
 @pytest.mark.parametrize("name", ZERO_OMEGA_FIXTURES)
@@ -990,18 +993,15 @@ def _overflowing(points, base) -> exprjet.Expr:
     return e_add(base, parse_expr(text, ["x", "y"]))
 
 
-@pytest.mark.parametrize("block, listed", [("anchor", True), ("structure", True),
-                                           ("structure", False)])
+# the structure is an array of finite constants: rho is the input that can overflow
+@pytest.mark.parametrize("block, listed", [("anchor", True)])
 def test_s_without_a_connection_is_nan_where_the_full_formula_is(block, listed):
     spec = load_doc(fixture_doc("fx_free_heis"))
     free = fa.free_extend(spec, 3, "quotient")
     points = sample_points(spec.chart, 6, 42)
     entries = list(free.block_entries[block].entries)
-    if listed:          # rho of a generator, or C of a bracket of two of them
-        index, sign, e = entries[0]
-        entries[0] = (index, sign, _overflowing(points, e))
-    else:               # C of the top word: no listed pair reads it
-        entries.append(((len(free.words) - 1, 0, 0), 1, _overflowing(points, Num(0.0))))
+    index, sign, e = entries[0]         # rho of a generator
+    entries[0] = (index, sign, _overflowing(points, e))
     source = SimpleNamespace(block_entries={**free.block_entries, block: exprjet.Block(
         entries, free.block_entries[block].shape, block)})
     values, = check_values(source, points, [fa.cartan_extended_check(free)])
@@ -1036,14 +1036,22 @@ def test_pruned_jacobiator_residual_is_the_unpruned_one(monkeypatch):
     points = sample_points(spec.chart, 5, 42)
     run, rows = fa.run_checks, []
     monkeypatch.setattr(fa, "run_checks", lambda *args: rows.extend(args[2]) or run(*args))
-    reports = [fa.jacobiator_check(t, points) for t in (free, padded)]
+    # each check takes the Jacobiator of every triple and of every shifted row
+    # it lists
+    jacobiator, calls = fa._jacobiator, []
+    monkeypatch.setattr(fa, "_jacobiator", lambda *args: calls.append(args)
+                        or jacobiator(*args))
+    triples = len(fa._triples(free.words, free.degree))
+    reports, shifted = [], []
+    for t in (free, padded):
+        calls.clear()
+        reports.append(fa.jacobiator_check(t, points))
+        shifted.append(len(calls) - triples)
     assert reports[0] == reports[1]
-    (pruned,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel,
-                                     rows[0].blocks)
-    (every,), = spec_model._chunked(padded, points, rows[1].reads, rows[1].kernel,
-                                    rows[1].blocks)
+    (pruned,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel)
+    (every,), = spec_model._chunked(padded, points, rows[1].reads, rows[1].kernel)
     assert np.array_equal(np.abs(pruned), np.abs(every))
-    assert 0 < rows[0].blocks[1][1].shape[0] < rows[1].blocks[1][1].shape[0]
+    assert 0 < shifted[0] < shifted[1]
 
 
 @pytest.mark.parametrize("name", ["fx_so3_sphere", "fx_killing_nonabelian"])

@@ -391,13 +391,9 @@ def test_chunks_give_the_same_reports_and_errors(monkeypatch, chunk_points):
     spec = load_doc(fixture_doc("fx_so3_sphere"))
     points = sample_points(spec.chart, 20)
     whole = [r.to_dict() for r in validate_spec(spec, points)]
-    # the budget of exactly chunk_points points of the blocks validate reads:
-    # the constant structure counts its value array alone
+    # the budget of exactly chunk_points points of the blocks validate reads
     orders = {"structure": 1, "metric": 0, "anchor": 1}
-    blocks = spec.block_entries
-    assert blocks["structure"].constant
-    per_point = sum(8 * np.prod(blocks[b].shape) if blocks[b].constant
-                    else blocks[b].point_bytes(2, o) for b, o in orders.items())
+    per_point = sum(spec.block_entries[b].point_bytes(2, o) for b, o in orders.items())
     monkeypatch.setattr(spec_model, "CHUNK_BYTES", chunk_points * per_point)
     reads = []
     eval_fields = spec_model.eval_fields
@@ -419,12 +415,11 @@ def test_chunks_give_the_same_reports_and_errors(monkeypatch, chunk_points):
 
 
 def test_overflowing_constant_structure_fails_at_every_point():
-    # the structure is constant and read at one point; its inf still reaches every
-    # point's residuals, so no point passes
+    # the structure reads no coordinate; its inf reaches every point's
+    # residuals, so no point passes
     doc = fixture_doc("fx_so3_sphere")
     doc["structure"][0]["expr"] = "(10^200)*(10^200)"
     spec = load_doc(doc)
-    assert spec.block_entries["structure"].constant
     points = sample_points(spec.chart, 20)
     failed = {"structure_antisymmetry", "anchor_morphism", "jacobi"}
     assert {r.name for r in validate_spec(spec, points) if not r.passed} == failed
