@@ -6,9 +6,9 @@ curvatures, Killing residuals in both formulations, generalized Riemannian /
 symplectic / Poisson residuals, the Koszul perturbation test, and the
 covariantly-constant-frame probe.
 
-Index conventions used throughout (all arrays numpy; a kernel reads and
-returns them with any leading point axes, which its ``...`` einsums and
-negative axes carry through):
+Index conventions used throughout (all arrays numpy; a kernel reads them with
+any leading point axes, which its ``...`` einsums and negative axes carry
+through, and which ``eval_block`` and ``take`` keep innermost in memory):
 
     rho[a, i]          anchor components rho_a^i
     drho[a, i, j]      d_j rho_a^i
@@ -20,6 +20,7 @@ negative axes carry through):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -48,6 +49,13 @@ class FlatnessGateError(Exception):
 
 # --------------------------------------------------------------------------
 # Array-level kernels (shared with the free-algebroid extension)
+
+
+def take(x, k, axis):
+    """``x.take(k, axis)`` in the memory order of ``x``: a point axis innermost
+    in memory stays innermost, where a plain take would copy to C order."""
+    shape = x.shape[:axis] + (len(k),) + x.shape[axis:][1:]
+    return x.take(k, axis, out=np.empty_like(x, shape=shape))
 
 
 def lie_derivative_cov2(rho, drho, T, dT):
@@ -82,18 +90,18 @@ def s_frame_components(rho, drho, C, dC, omega, domega, a, b):
     at = np.array([slots.setdefault(key, len(slots)) for key in
                    np.concatenate([a * N + b, b * N + a]).tolist()], dtype=int)
     u, v = np.divmod(np.array(list(slots), dtype=int), N)
-    omega_u, omega_v = omega.take(u, -3), omega.take(v, -3)
-    lie = (np.einsum("...kj,...kcij->...cki", rho.take(u, -2), domega.take(v, -4))
-           + np.einsum("...kji,...kcj->...cki", drho.take(u, -3), omega_v))
+    omega_u, omega_v = take(omega, u, -3), take(omega, v, -3)
+    lie = (np.einsum("...kj,...kcij->...cki", take(rho, u, -2), take(domega, v, -4))
+           + np.einsum("...kji,...kcj->...cki", take(drho, u, -3), omega_v))
     # omega_v(rho_q), then contracted with omega_u: two pairwise einsums, not
     # numpy's nested loop over all three operands
     quad = np.einsum("...kcq,...kqi->...cki",
                      np.einsum("...qj,...kcj->...kcq", rho, omega_v), omega_u)
-    mix = np.einsum("...kqi,...kqc->...cki", omega_v, C.take(u, -3))
+    mix = np.einsum("...kqi,...kqc->...cki", omega_v, take(C, u, -3))
     ab, ba = at[:k], at[k:]
-    asym = (lie.take(ab, -2) - lie.take(ba, -2)
-            - (quad.take(ab, -2) - quad.take(ba, -2))
-            + (mix.take(ab, -2) - mix.take(ba, -2)))
+    asym = (take(lie, ab, -2) - take(lie, ba, -2)
+            - (take(quad, ab, -2) - take(quad, ba, -2))
+            + (take(mix, ab, -2) - take(mix, ba, -2)))
     nabla_bracket = (np.swapaxes(dC[..., a, b, :, :], -3, -2)
                      + np.einsum("...kq,...qci->...cki", C[..., a, b, :], omega))
     return asym - nabla_bracket
@@ -355,7 +363,8 @@ def _segment_connections(spec, q0, q1):
 
 def _transport(W, U):
     """RK4 for dU/dt = -omega(gamma')U over t in [0, 1], for a stack of
-    segments with their ``_segment_connections`` W and start frames U."""
+    segments with their ``_segment_connections`` W and start frames U.  The
+    step is linear in U, so U = 1 gives each segment's propagator."""
     h = 1.0 / _SUBSTEPS
     for k in range(_SUBSTEPS):
         k1 = W[:, 2 * k] @ U
@@ -377,42 +386,38 @@ def _grid_offsets(chart, basepoint, grid_steps):
     return np.array(deltas), ranges
 
 
-def _transport_grids(spec, basepoint, deltas, ranges, axis_orders):
-    """Fill U on the whole grid once per axis order, transporting axis by
-    axis: stage k walks the order's k-th axis both ways from every node
-    filled so far (each is zero on the axes still to come).  The connection is
-    read once, at every time of every segment in the order the transports
-    visit them; then the j-th segments of the k-th stages of all orders move
-    together."""
-    origin = tuple(0 for _ in deltas)
-    stages = []                 # per order, per stage: the walks
-    for order in axis_orders:
-        filled, per_stage = [origin], []
+def _transport_grids(spec, grid_pts, ranges, axis_orders):
+    """U at the grid nodes (C order of ``ranges``) once per axis order,
+    transported axis by axis: stage k walks the order's k-th axis both ways
+    from every node filled so far (each is zero on the axes still to come).
+    Each distinct segment's propagator is transported once, from one read of
+    the connection; then the j-th steps of the k-th stages of all orders are
+    one stacked product U[dst] = P[segment] @ U[src].  Returns U as
+    (orders, nodes, r, r)."""
+    count, zero = len(grid_pts), [-rg.start for rg in ranges]
+    nodes = np.arange(count).reshape([len(rg) for rg in ranges])
+    steps: dict = {}            # (stage, step) -> its (src, dst) rows, all orders
+    for o, order in enumerate(axis_orders):
         for k, axis in enumerate(order):
-            walks = []
-            for start in filled:
-                for d in (1, -1):
-                    ks = sorted((i for i in ranges[axis] if i * d > 0), key=abs)
-                    walks.append([start] + [start[:axis] + (i,) + start[axis + 1:]
-                                            for i in ks])
-            per_stage.append(walks)
-            filled += [b for walk in walks for b in walk[1:]]
-        stages.append(per_stage)
-    segments = list(dict.fromkeys((a, b) for per_stage in stages for walks in per_stage
-                                  for walk in walks for a, b in zip(walk, walk[1:])))
-    ends = basepoint + deltas * np.array(segments, dtype=float)     # (S, 2, n)
-    W = dict(zip(segments, _segment_connections(spec, ends[:, 0], ends[:, 1])))
-    frames = [{origin: np.eye(spec.rank)} for _ in axis_orders]
-    for k in range(len(deltas)):
-        lines = [(grid, walk) for grid, per_stage in zip(frames, stages)
-                 for walk in per_stage[k]]
-        for j in range(max(len(walk) for _, walk in lines) - 1):
-            steps = [(grid, walk[j], walk[j + 1]) for grid, walk in lines if len(walk) > j + 1]
-            moved = _transport(np.array([W[a, b] for _, a, b in steps]),
-                               np.array([grid[a] for grid, a, _ in steps]))
-            for (grid, _, b), U in zip(steps, moved):
-                grid[b] = U
-    return frames
+            at = tuple(slice(z, z + 1) if a in order[k + 1:] else slice(None)
+                       for a, z in enumerate(zero))
+            line = np.moveaxis(nodes[at], axis, 0).reshape(len(ranges[axis]), -1)
+            for i in ranges[axis]:
+                if i:           # node offset i on the axis, from the one before it
+                    steps.setdefault((k, abs(i)), []).append(
+                        o * count + line[[zero[axis] + i - np.sign(i), zero[axis] + i]])
+    moves = [np.hstack(steps[key]) for key in sorted(steps)]
+    src, dst = np.hstack(moves) % count
+    ends, segment = np.unique(src * count + dst, return_inverse=True)
+    P = _transport(_segment_connections(spec, grid_pts[ends // count],
+                                        grid_pts[ends % count]), np.eye(spec.rank))
+    U = np.zeros((len(axis_orders) * count, spec.rank, spec.rank))
+    U[nodes[tuple(zero)] + count * np.arange(len(axis_orders))] = np.eye(spec.rank)
+    first = 0
+    for src, dst in moves:
+        U[dst] = P[segment[first:first + len(dst)]] @ U[src]
+        first += len(dst)
+    return U.reshape((len(axis_orders), count) + U.shape[1:])
 
 
 def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
@@ -425,9 +430,9 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
 
     The node fields are read as one batch, and the gate, the transformed
     structure functions and the flat-section Killing residual each run once
-    over it.  The transports in both axis orders read the connection as one
-    batch at every time of every segment, in the order segment-by-segment
-    walks meet them, and move the lines of each stage together.
+    over it.  The connection is read as one batch at every RK4 time of every
+    grid segment, each segment's propagator is transported once, and the
+    grid of both axis orders is filled stage by stage from the propagators.
 
     Returns ``(FrameSamples, [CheckReport, ...])``: structure constancy, path
     independence, and (when applicable) the flat-section Killing residual.
@@ -441,9 +446,8 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
         raise ValueError(f"basepoint {tuple(basepoint)} outside chart domain")
 
     deltas, ranges = _grid_offsets(spec.chart, basepoint, grid_steps)
-    offsets = sorted(set(np.ndindex(*[len(rg) for rg in ranges])))
-    offsets = [tuple(rg[k] for rg, k in zip(ranges, idx)) for idx in offsets]
-    grid_pts = [basepoint + deltas * np.array(off, dtype=float) for off in offsets]
+    offsets = list(product(*ranges))
+    grid_pts = basepoint + deltas * np.array(offsets, dtype=float)
 
     reads = {"anchor": 0, "structure": 0, "connection": 1}
     if "metric" in spec.block_entries:
@@ -459,10 +463,8 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
     tolerance = tolerance_of("flat_frame", tol_override)
 
     axis_order = list(range(spec.dimension))
-    frames, frames_rev = _transport_grids(spec, basepoint, deltas, ranges,
-                                          [axis_order, axis_order[::-1]])
-    U = np.array([frames[off] for off in offsets])
-    samples = FrameSamples(offsets=tuple(offsets), points=np.array(grid_pts), frames=U)
+    U, U_rev = _transport_grids(spec, grid_pts, ranges, [axis_order, axis_order[::-1]])
+    samples = FrameSamples(offsets=tuple(offsets), points=grid_pts, frames=U)
 
     # transformed structure functions, using covariant constancy of the frame
     rho_t = np.einsum("...pa,...pi->...ai", U, f.rho)       # anchors of e~_a
@@ -471,13 +473,12 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
              + np.einsum("...bi,...qei,...qa->...abe", rho_t, f.omega, U))
     C_t = np.einsum("...abe,...ec->...abc", total,
                     np.swapaxes(np.linalg.inv(U), -2, -1))
-    C_base = C_t[offsets.index(tuple(0 for _ in deltas))]     # where U = 1
+    C_base = C_t[offsets.index((0,) * len(ranges))]         # where U = 1
     reports = [
         report_from_residuals("flat_frame_structure_constancy",
                               per_point(C_t - C_base, count), grid_pts, tolerance),
-        report_from_residuals("flat_frame_path_independence", per_point(
-            U - np.array([frames_rev[off] for off in offsets]), count),
-            grid_pts, tolerance)]
+        report_from_residuals("flat_frame_path_independence",
+                              per_point(U - U_rev, count), grid_pts, tolerance)]
 
     if "metric" in spec.block_entries:
         killing = killing_frame_components(f.rho, f.drho, f.g, f.dg, f.omega)

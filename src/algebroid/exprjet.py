@@ -524,7 +524,11 @@ class Jet:
             out.append(f1 * g)
         if h is not None:
             f1, f2 = f1[..., None], f2[..., None, None]
-            out.append(f2 * (g[..., :, None] * g[..., None, :]) + f1 * h)
+            term = f2 * (g[..., :, None] * g[..., None, :])
+            if np.isinf(f2).any():      # no inf * 0 where g_i or g_j is exactly 0
+                zero = g == 0
+                term[np.isinf(f2) & (zero[..., :, None] | zero[..., None, :])] = 0.0
+            out.append(term + f1 * h)
         return Jet(out)
 
     def int_pow(self, k: int) -> "Jet":
@@ -836,7 +840,9 @@ def eval_block(block: Block, points, order: int = 0):
         index = block.written[program.entry_of(exc.step)][0]
         path = block.label + "".join(f"[{i}]" for i in index)
         raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
-    arrays = [np.zeros((len(batch),) + block.shape + (n,) * k) for k in range(order + 1)]
+    # the point axis leads logically but is innermost in memory
+    arrays = [np.zeros(block.shape + (n,) * k + (len(batch),)).transpose(
+        -1, *range(len(block.shape) + k)) for k in range(order + 1)]
     for (index, sign, _), slot in zip(block.written, program.roots):
         at = (slice(None),) + index
         for array, part in zip(arrays, jets[slot].parts):

@@ -60,7 +60,8 @@ def _rhs(spec: AlgebroidSpec, x, v, U):
         spec, x, {"metric": 1}, run,
         [("omega", spec.block_entries["connection"], 0)])))
     acc = -np.einsum("...kij,...i,...j->...k", gamma, v, v)
-    W = np.einsum("...i,...qai->...aq", v, omega)
+    # omega in C order: point-innermost, W would sum over i in another order
+    W = np.einsum("...i,...qai->...aq", v, np.ascontiguousarray(omega))
     return v, acc, -W @ U, g
 
 

@@ -22,7 +22,7 @@ from numpy.linalg._linalg import _raise_linalgerror_lstsq, _umath_linalg
 
 from .exprjet import Block, Expr, ExprError, Num, diff, e_add, e_mul, e_neg, e_sub
 from .spec_model import AlgebroidSpec, Check, CheckReport, run_checks
-from .calculus import KILLING, killing_frame_components, s_frame_components
+from .calculus import KILLING, killing_frame_components, s_frame_components, take
 
 __all__ = [
     "HallWord", "FreeTruncation", "hall_basis", "magma_basis", "free_extend",
@@ -490,7 +490,7 @@ def cartan_extended_check(free: FreeTruncation) -> Check:
 
     def kernel(f):
         finite = (np.isfinite(f.rho).all((-2, -1))
-                  & np.isfinite(f.drho.take(listed, -3)).all((-3, -2, -1)))
+                  & np.isfinite(take(f.drho, listed, -3)).all((-3, -2, -1)))
         return np.where(finite[..., None], np.zeros(len(a)), np.nan),
     return Check(("cartan_extended",), {"anchor": 1}, kernel)
 

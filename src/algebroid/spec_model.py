@@ -479,8 +479,8 @@ def per_point(residual, count: int) -> np.ndarray:
     residual = np.asarray(residual, dtype=float)
     if residual.ndim == 1:
         return residual
-    residual = np.abs(residual.reshape(count, -1))
-    return residual.max(axis=1) if residual.shape[1] else np.zeros(count)
+    axes = tuple(range(1, residual.ndim))       # reduced in place: no C-order copy
+    return np.abs(residual).max(axis=axes) if residual.size else np.zeros(count)
 
 
 def tolerance_of(name: str, override: float | None = None) -> float:

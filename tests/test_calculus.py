@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -561,14 +563,17 @@ def test_probe_transport_matches_exact_solution(spec_of):
     assert all(r.passed for r in reports)
 
 
+# omega = df with f = x + 2y - z: the transport factor is exp(-(f - f(base)))
+EXACT_3D = {"chart": {"coords": ["x", "y", "z"], "domain": [[-1, 1]] * 3},
+            "rank": 1, "mode": "lie", "anchor": [["0", "0", "0"]],
+            "connection": [[["1", "2", "-1"]]]}
+EXACT_3D_BASE = (0.1, -0.2, 0.3)
+
+
 def test_probe_three_dimensional_exact_connection():
-    # omega = df with f = x + 2y - z: the transport factor is exp(-(f - f(base))),
-    # and the grid's two axis orders, (x, y, z) and (z, y, x), must agree
-    doc = {"chart": {"coords": ["x", "y", "z"], "domain": [[-1, 1]] * 3},
-           "rank": 1, "mode": "lie", "anchor": [["0", "0", "0"]],
-           "connection": [[["1", "2", "-1"]]]}
-    base = np.array([0.1, -0.2, 0.3])
-    samples, reports = ca.flat_frame_probe(load_doc(doc), base, grid_steps=3)
+    # the grid's two axis orders, (x, y, z) and (z, y, x), must agree
+    base = np.array(EXACT_3D_BASE)
+    samples, reports = ca.flat_frame_probe(load_doc(EXACT_3D), base, grid_steps=3)
     assert len(samples.offsets) == 6 ** 3
     f = samples.points @ np.array([1.0, 2.0, -1.0])
     expected = np.exp(-(f - base @ np.array([1.0, 2.0, -1.0])))
@@ -576,6 +581,63 @@ def test_probe_three_dimensional_exact_connection():
     assert [r.name for r in reports] == ["flat_frame_structure_constancy",
                                          "flat_frame_path_independence"]
     assert all(r.passed for r in reports)
+
+
+def _sequential_grids(spec, grid_pts, ranges, axis_orders):
+    """The probe's grids by RK4 on U itself, walk by walk and step by step,
+    with each segment's connection read alone: the transport that the
+    per-segment propagators replace, kept as their oracle."""
+    offsets = list(product(*ranges))
+    at = dict(zip(offsets, grid_pts))
+    grids = []
+    for order in axis_orders:
+        frames = {(0,) * len(ranges): np.eye(spec.rank)}
+        for axis in order:
+            for start in list(frames):
+                for d in (1, -1):
+                    node = start
+                    for i in sorted((i for i in ranges[axis] if i * d > 0), key=abs):
+                        step = node[:axis] + (i,) + node[axis + 1:]
+                        W = ca._segment_connections(spec, at[node][None],
+                                                    at[step][None])
+                        frames[step] = ca._transport(W, frames[node][None])[0]
+                        node = step
+        grids.append([frames[off] for off in offsets])
+    return np.array(grids)
+
+
+@pytest.mark.parametrize("name", LIE_FIXTURES + ["exact_3d"])
+def test_probe_propagators_match_sequential_transport(monkeypatch, spec_of, name):
+    # one _transport call per probe; frames within 8 ULP of max |U| of the
+    # sequential transport, and the same verdicts (or the same gate failure)
+    if name == "exact_3d":
+        spec, base, steps = load_doc(EXACT_3D), EXACT_3D_BASE, 3
+    else:
+        spec = spec_of(name)
+        base, steps = spec.chart.center(), 4
+    calls, transport = [], ca._transport
+    monkeypatch.setattr(ca, "_transport",
+                        lambda W, U: calls.append(len(W)) or transport(W, U))
+
+    def probe():
+        try:
+            return ca.flat_frame_probe(spec, base, grid_steps=steps)
+        except ca.FlatnessGateError as exc:
+            return str(exc)
+    got = probe()
+    assert len(calls) == (0 if isinstance(got, str) else 1)
+    monkeypatch.setattr(ca, "_transport_grids", _sequential_grids)
+    want = probe()
+    if isinstance(want, str):
+        assert got == want
+        return
+    (samples, reports), (oracle, oracle_reports) = got, want
+    assert samples.offsets == oracle.offsets
+    assert np.array_equal(samples.points, oracle.points)
+    ulp = np.spacing(np.max(np.abs(oracle.frames)))
+    assert np.max(np.abs(samples.frames - oracle.frames)) <= 8 * ulp
+    assert ([(r.name, r.passed) for r in reports]
+            == [(r.name, r.passed) for r in oracle_reports])
 
 
 def test_probe_flatness_gate(spec_of):

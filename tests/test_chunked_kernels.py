@@ -5,6 +5,9 @@ the same rows run one point per chunk (``CHUNK_BYTES`` = 1), on all bundled
 fixtures at 100 points and on the degree-3 free truncations; no chunk may fall
 back to its one-point rerun.
 
+The rows must also give the same bytes when ``eval_block`` returns C-ordered
+copies of its arrays, whose point axis is not innermost in memory.
+
 Both passes must also match the per-point values of the point-by-point kernels
 the chunked ones replaced: the sha256 of each row's ``check_values`` array
 (dtype, shape and bytes) in every case is frozen in
@@ -161,6 +164,27 @@ def test_check_rows_chunked_match_one_point_chunks(monkeypatch, name):
 @pytest.mark.parametrize("name", FREE_FIXTURES)
 def test_free_rows_chunked_match_one_point_chunks(monkeypatch, name):
     _same_bytes(monkeypatch, f"free/{name}")
+
+
+def _c_ordered(eval_block):
+    """``eval_block`` giving C-ordered copies of its arrays."""
+    return lambda *args: [np.ascontiguousarray(a) for a in eval_block(*args)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rows_do_not_depend_on_the_memory_layout(monkeypatch, case):
+    # eval_block keeps the point axis innermost in memory; an einsum's
+    # summation order follows its operands' strides, so every row (the probe's
+    # included) must give the bytes it gives on C-ordered arrays
+    run = CASES[case]()
+    reports, built, _ = _passes(monkeypatch, spec_model.CHUNK_BYTES, run)
+    with monkeypatch.context() as m:
+        m.setattr(spec_model, "eval_block", _c_ordered(spec_model.eval_block))
+        c_reports, c_ordered, _ = _passes(m, spec_model.CHUNK_BYTES, run)
+    assert [name for name, _ in built] == [name for name, _ in c_ordered]
+    for (_, a), (_, b) in zip(built, c_ordered):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert json.dumps(reports) == json.dumps(c_reports)
 
 
 def test_non_finite_residual_in_the_same_place(monkeypatch):

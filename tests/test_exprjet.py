@@ -219,6 +219,27 @@ def test_derivative_terms_are_zero_or_inf_where_a_power_overflows(
     assert order < 2 or jet.hess[0, 0] == hess
 
 
+@pytest.mark.parametrize("text, x, hess", [
+    ("ln(x)", 1e-170, -math.inf), ("1/x", 1e-110, math.inf),
+    ("1/x", -1e-110, -math.inf)])
+def test_an_infinite_second_derivative_meets_a_zero_gradient_as_zero(text, x, hess):
+    # f''(v) is inf here, and the chain rule's f'' (g g^T) term would put
+    # inf * 0 = NaN in the partials through y, which the jet does not depend on
+    jet = eval_jet(parse_expr(text, XY), (x, 1.0), 2)
+    assert jet.hess.tolist() == [[hess, 0.0], [0.0, 0.0]]
+
+
+def test_a_nan_value_still_gives_nan_second_partials():
+    # in one batch: at y = 1 the value is 1e-110, f'' = inf and the gradient's
+    # y-component is exactly 0; at y = 10, y^1000 - y^1000 is inf - inf = NaN
+    e = parse_expr("1/(x + (y^1000 - y^1000))", XY)
+    with np.errstate(invalid="ignore", over="ignore"):
+        value, _, hess = eval_block(Block([((), 1, e)], (), ""),
+                                    [(1e-110, 1.0), (1e-110, 10.0)], 2)
+    assert value[0] == 1e110 and hess[0].tolist() == [[math.inf, 0.0], [0.0, 0.0]]
+    assert np.isnan(value[1]) and np.isnan(hess[1]).all()
+
+
 @pytest.mark.parametrize("c, v, k, quotient", [
     (-1.0, 1.7e200, 2, -0.0), (-1.0, -1.7e200, 2, -0.0), (2.0, 1.7e200, 3, 0.0),
     (2.0, -1.7e200, 3, -0.0), (2.0, -1e-110, 3, -math.inf), (-1.0, 1e-170, 2, -math.inf),
@@ -226,6 +247,17 @@ def test_derivative_terms_are_zero_or_inf_where_a_power_overflows(
 def test_a_term_over_a_power_out_of_range_keeps_its_sign(c, v, k, quotient):
     got = _over(c, v, k)
     assert got == quotient and math.copysign(1.0, got) == math.copysign(1.0, quotient)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_eval_block_keeps_the_point_axis_innermost_in_memory(name):
+    # the arrays lead with the point axis, which has the smallest stride
+    spec = load_doc(fixture_doc(name))
+    points = sample_points(spec.chart, 5, 42)
+    for block in spec.block_entries.values():
+        for array in eval_block(block, points, 2):
+            assert array.shape[0] == 5 and array.strides[0] == array.itemsize
+            assert all(stride > array.itemsize for stride in array.strides[1:])
 
 
 def test_eval_block_mirrors_and_names_failing_entry():
