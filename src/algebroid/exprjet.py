@@ -820,7 +820,8 @@ class Block:
 
 def eval_block(block: Block, points, order: int = 0):
     """Dense value and derivative arrays of a :class:`Block` at a point, or
-    at each point of a ``(P, n)`` batch (with a leading point axis).
+    at each point of a ``(P, n)`` batch (with a leading point axis, innermost
+    in memory).
 
     Each distinct subexpression of the block's entries is evaluated once per
     batch, so a mirrored entry is an exact copy or an exact negation.
@@ -840,7 +841,7 @@ def eval_block(block: Block, points, order: int = 0):
         index = block.written[program.entry_of(exc.step)][0]
         path = block.label + "".join(f"[{i}]" for i in index)
         raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
-    # the point axis leads logically but is innermost in memory
+    # so that the kernels' einsums loop over the points
     arrays = [np.zeros(block.shape + (n,) * k + (len(batch),)).transpose(
         -1, *range(len(block.shape) + k)) for k in range(order + 1)]
     for (index, sign, _), slot in zip(block.written, program.roots):

@@ -60,7 +60,7 @@ def _rhs(spec: AlgebroidSpec, x, v, U):
         spec, x, {"metric": 1}, run,
         [("omega", spec.block_entries["connection"], 0)])))
     acc = -np.einsum("...kij,...i,...j->...k", gamma, v, v)
-    # omega in C order: point-innermost, W would sum over i in another order
+    # C order, as a one-start batch reads it: a trace does not depend on its batch
     W = np.einsum("...i,...qai->...aq", v, np.ascontiguousarray(omega))
     return v, acc, -W @ U, g
 

@@ -479,7 +479,7 @@ def per_point(residual, count: int) -> np.ndarray:
     residual = np.asarray(residual, dtype=float)
     if residual.ndim == 1:
         return residual
-    axes = tuple(range(1, residual.ndim))       # reduced in place: no C-order copy
+    axes = tuple(range(1, residual.ndim))       # not a reshape, which would copy
     return np.abs(residual).max(axis=axes) if residual.size else np.zeros(count)
 
 
