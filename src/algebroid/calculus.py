@@ -387,13 +387,12 @@ def _grid_offsets(chart, basepoint, grid_steps):
 
 
 def _transport_grids(spec, grid_pts, ranges, axis_orders):
-    """U at the grid nodes (C order of ``ranges``) once per axis order,
-    transported axis by axis: stage k walks the order's k-th axis both ways
-    from every node filled so far (each is zero on the axes still to come).
-    Each distinct segment's propagator is transported once, from one read of
-    the connection; then the j-th steps of the k-th stages of all orders are
-    one stacked product U[dst] = P[segment] @ U[src].  Returns U as
-    (orders, nodes, r, r)."""
+    """U at the grid nodes (C order of ``ranges``), shape (orders, nodes, r, r),
+    transported axis by axis in each order: stage k walks the order's k-th axis
+    both ways from every node filled so far (each is zero on the axes still to
+    come).  Each distinct segment's propagator is transported once, from one
+    read of the connection; then the j-th steps of the k-th stages of all
+    orders are one stacked product U[dst] = P[segment] @ U[src]."""
     count, zero = len(grid_pts), [-rg.start for rg in ranges]
     nodes = np.arange(count).reshape([len(rg) for rg in ranges])
     steps: dict = {}            # (stage, step) -> its (src, dst) rows, all orders
@@ -408,7 +407,9 @@ def _transport_grids(spec, grid_pts, ranges, axis_orders):
                         o * count + line[[zero[axis] + i - np.sign(i), zero[axis] + i]])
     moves = [np.hstack(steps[key]) for key in sorted(steps)]
     src, dst = np.hstack(moves) % count
-    ends, segment = np.unique(src * count + dst, return_inverse=True)
+    ids: dict = {}              # not np.unique, whose sort pages in 0.5 MB of code
+    segment = [ids.setdefault(c, len(ids)) for c in (src * count + dst).tolist()]
+    ends = np.array(list(ids))
     P = _transport(_segment_connections(spec, grid_pts[ends // count],
                                         grid_pts[ends % count]), np.eye(spec.rank))
     U = np.zeros((len(axis_orders) * count, spec.rank, spec.rank))
