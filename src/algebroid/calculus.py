@@ -52,10 +52,9 @@ class FlatnessGateError(Exception):
 
 
 def take(x, k, axis):
-    """``x.take(k, axis)`` in the memory order of ``x``: a point axis innermost
-    in memory stays innermost, where a plain take would copy to C order."""
-    shape = x.shape[:axis] + (len(k),) + x.shape[axis:][1:]
-    return x.take(k, axis, out=np.empty_like(x, shape=shape))
+    """``x.take(k, axis)`` for a negative ``axis``, by indexing, which keeps a
+    point axis innermost in memory (a take copies ``x`` and its result to C order)."""
+    return x[(Ellipsis, k) + (slice(None),) * (-1 - axis)]
 
 
 def lie_derivative_cov2(rho, drho, T, dT):
