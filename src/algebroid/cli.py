@@ -10,8 +10,8 @@ Exit codes: 0 all selected checks pass, 1 at least one check fails, 2 input
 or schema error (an expression deeper than ``exprjet.MAX_DEPTH`` too), an
 expression that cannot be evaluated at a sample point (the message names the
 entry, the subexpression and the point) or differentiated, or a metric not
-positive definite there, 3 numerical indeterminacy (free-algebroid rank
-ambiguity).  Reports with the same config (including seed) are byte-identical.
+positive definite there.  Reports with the same config (including seed) are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = ["main", "run_check_suite", "InputError"]
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-EXIT_INDETERMINATE = 3
 
 
 class InputError(Exception):
@@ -319,9 +318,6 @@ def main(argv=None) -> int:
             InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except fa.IndeterminateRankError as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@ bundle with connection.
 
 Basis words are bracket trees over the generators.  In almost mode the basis
 is the anticommutative-magma normal form (antisymmetry only); in quotient mode
-the Jacobiator relations are eliminated degreewise by numeric-rank Gaussian
-reduction from their constant coefficients, which leaves exactly the Hall
-words.  Anchors extend by vector-field commutators, and the connection extends
-by the bracket formula that keeps the compatibility tensor of the extension
-identically zero degree by degree.
+it is the Hall basis, and each bracket of Hall words is rewritten in it by the
+Jacobi identity, exactly and with integer coefficients.  Anchors extend by
+vector-field commutators, and the connection extends by the bracket formula
+that keeps the compatibility tensor of the extension identically zero degree
+by degree.
 """
 
 from __future__ import annotations
@@ -27,17 +27,12 @@ from .calculus import KILLING, killing_frame_components, s_frame_components, tak
 __all__ = [
     "HallWord", "FreeTruncation", "hall_basis", "magma_basis", "free_extend",
     "cartan_extended_check", "killing_checks", "rank_profile_check",
-    "profile_of", "jacobiator_check", "IndeterminateRankError", "MAX_DEGREE",
+    "profile_of", "jacobiator_check", "MAX_DEGREE",
 ]
 
-MAX_DEGREE = 4          # _relation_rows writes the Jacobi relations up to degree 4
+MAX_DEGREE = 4          # waits on a size bound for the build (ROADMAP); the
+                        # Hall rewriting itself has no ceiling
 HALL_ORDER = "degree, then lexicographic on the recursive bracket structure"
-PIVOT_TOL = 1e-8
-ZERO_TOL = 1e-12
-
-
-class IndeterminateRankError(Exception):
-    """A rank decision fell into the ambiguous pivot band [1e-12, 1e-8]."""
 
 
 @dataclass(frozen=True)
@@ -259,83 +254,29 @@ def _jacobiator(table, w1, w2, w3) -> dict:
     return out
 
 
-def _relation_rows(table, basis, degree: int):
-    """Constant-coefficient Jacobi relations grouped by degree."""
-    gens = basis[0]
-    rows = {d: [] for d in range(3, degree + 1)}
-    if degree >= 3:
-        rows[3] = [_jacobiator(table, *triple) for triple in combinations(gens, 3)]
-    if degree >= 4:
-        for row in list(rows[3]):
-            for g in gens:
-                rows[4].append(_expand_bracket(table, g, row))
-        for w2 in basis[1]:
-            rows[4] += [_jacobiator(table, w2, *two) for two in combinations(gens, 2)]
-    return rows
-
-
-def _eliminate(rows, level_words):
-    """RREF of the relation rows over one degree level; returns the kept
-    words and the substitution for eliminated ones.  The rows' coefficients
-    are the constant ``Num``s of the free Lie algebra's Jacobi relations.
-    Columns are ordered with non-Hall words first so the surviving basis is
-    the Hall basis whenever the relations are in general position."""
-    if not rows:
-        return list(level_words), {}
-    cols = sorted(level_words, key=lambda w: (is_hall(w), w.key))
-    col_index = {w: k for k, w in enumerate(cols)}
-    R = np.zeros((len(rows), len(cols)))
-    for r_i, row in enumerate(rows):
-        for w, coeff in row.items():
-            R[r_i, col_index[w]] = coeff.value
-    pivots = []
-    row_at = 0
-    for c in range(len(cols)):
-        if row_at >= len(rows):
-            break
-        sub = np.abs(R[row_at:, c])
-        best = int(np.argmax(sub)) + row_at
-        mag = abs(R[best, c])
-        if mag < ZERO_TOL:
-            continue
-        if mag < PIVOT_TOL:
-            raise IndeterminateRankError(
-                f"rank decision ambiguous: pivot magnitude {mag:.3e} lies "
-                f"between {ZERO_TOL:.0e} and {PIVOT_TOL:.0e}")
-        R[[row_at, best]] = R[[best, row_at]]
-        R[row_at] /= R[row_at, c]
-        for r_i in range(len(rows)):
-            if r_i != row_at and R[r_i, c] != 0.0:
-                R[r_i] -= R[r_i, c] * R[row_at]
-        pivots.append((row_at, c))
-        row_at += 1
-    leftover = float(np.max(np.abs(R[row_at:]))) if row_at < len(rows) else 0.0
-    if leftover > ZERO_TOL:
-        raise IndeterminateRankError(f"relation rows of size {leftover:.3e} "
-                                     f"survived elimination")
-
-    eliminated = {}
-    pivot_cols = {c for _, c in pivots}
-    for row_i, c in pivots:
-        expansion = {}
-        for c2 in range(len(cols)):
-            if c2 != c and abs(R[row_i, c2]) > ZERO_TOL:
-                expansion[cols[c2]] = Num(-R[row_i, c2])
-        eliminated[cols[c]] = expansion
-    kept = [w for k, w in enumerate(cols) if k not in pivot_cols]
-    kept.sort(key=lambda w: w.key)
-    return kept, eliminated
-
-
-def _reduce_expansion(expansion: Expansion, substitution) -> dict:
-    out: dict = {}
-    for w, coeff in expansion.items():
-        if w in substitution:
-            for w2, c2 in substitution[w].items():
-                _expansion_add(out, w2, e_mul(coeff, c2))
+def _hall_bracket(u: HallWord, v: HallWord, memo: dict) -> dict:
+    """[u, v] of Hall words in the Hall basis, with integer coefficients
+    (M. Hall, Proc. AMS 1, 1950; C. Reutenauer, Free Lie Algebras, ch. 4):
+    a pair that fails the Hall condition is rewritten by the Jacobi identity
+    [[a, b], v] = [[a, v], b] + [a, [b, v]]."""
+    if u == v:
+        return {}
+    if (u, v) not in memo:
+        if u.key < v.key:
+            out = {w: -c for w, c in _hall_bracket(v, u, memo).items()}
+        elif u.gen is not None or u.parts[1].key <= v.key:
+            out = {pair(u, v): 1}
         else:
-            _expansion_add(out, w, coeff)
-    return out
+            a, b = u.parts
+            terms = [(c, w, b) for w, c in _hall_bracket(a, v, memo).items()]
+            terms += [(c, a, w) for w, c in _hall_bracket(b, v, memo).items()]
+            out = {}
+            for c, x, y in terms:
+                for w, c2 in _hall_bracket(x, y, memo).items():
+                    out[w] = out.get(w, 0) + c * c2
+            out = {w: c for w, c in out.items() if c != 0}
+        memo[(u, v)] = out
+    return memo[(u, v)]
 
 
 def _build_connection(spec, basis, table, anchor, degree, memo):
@@ -431,34 +372,26 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
     """Construct the degree-truncated free almost-Lie algebroid over the
     anchored bundle of ``spec`` (structure functions of the input are
     ignored; the bundle enters as generators), extend the connection, and in
-    quotient mode eliminate the Jacobiator relations degreewise."""
+    quotient mode keep the Hall words, with each bracket rewritten exactly in
+    them by ``_hall_bracket``."""
     if mode not in ("almost", "quotient"):
         raise ValueError(f"mode must be 'almost' or 'quotient', got {mode!r}")
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
     levels = magma_basis(spec.rank, degree)
-    words = [w for level in levels for w in level]
     memo: dict = {}         # this build's derivatives, freed when it returns
     anchor = _magma_anchors(spec, levels, memo)
-    table = _almost_table(words, degree)
-
-    if mode == "quotient":
-        rows = _relation_rows(table, levels, degree)
-        substitution: dict = {}
-        new_levels = [list(levels[0])]
-        for d in range(2, degree + 1):
-            kept, eliminated = _eliminate(rows.get(d, []), levels[d - 1])
-            substitution.update(eliminated)
-            new_levels.append(kept)
-        kept_set = {w.key for level in new_levels for w in level}
-        reduced = {}
-        for (u, v), expansion in table.items():
-            if u.key in kept_set and v.key in kept_set \
-                    and u.degree + v.degree <= degree:
-                reduced[(u, v)] = _reduce_expansion(expansion, substitution)
-        table = reduced
-        levels = new_levels
+    if mode == "almost":
+        table = _almost_table([w for level in levels for w in level], degree)
+    else:
+        levels = [[w for w in level if is_hall(w)] for level in levels]
         anchor = {w: anchor[w] for level in levels for w in level}
+        words, rewritten = {w: w for w in anchor}, {}   # each word as the basis holds it
+        table = {(u, v): {words[w]: Num(float(c)) for w, c in
+                          sorted(_hall_bracket(u, v, rewritten).items(),
+                                 key=lambda wc: wc[0].key)}
+                 for u in words for v in words
+                 if u != v and u.degree + v.degree <= degree}
 
     conn = _build_connection(spec, levels, table, anchor, degree, memo)
     return FreeTruncation(spec=spec, degree=degree, mode=mode,

@@ -331,15 +331,6 @@ def test_reciprocal_of_a_huge_coordinate_passes_the_axioms(tmp_path, capsys):
     assert all(c["pass"] for c in json.loads(text)["checks"])
 
 
-def test_indeterminate_rank_exits_3(tmp_path, capsys, monkeypatch):
-    def ambiguous(rows, level_words):
-        raise fa.IndeterminateRankError("rank decision ambiguous")
-    monkeypatch.setattr(fa, "_eliminate", ambiguous)
-    code, text = run(tmp_path, "free", "--spec", fx("fx_free_heis"), "--points", "5")
-    assert code == 3 and text is None
-    assert capsys.readouterr().err == "indeterminate: rank decision ambiguous\n"
-
-
 @pytest.mark.parametrize("expr, reason", [
     ("ln(x)", "ln of nonpositive value in 'ln(x)'"),
     ("exp(exp(exp(10*x)))", "overflow in 'exp(exp(10.0*x))'"),

@@ -1,7 +1,7 @@
 import gc
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -613,7 +613,7 @@ def test_formula_reproduces_stored_extension_on_basis_pairs():
 
 
 # --------------------------------------------------------------------------
-# Rank profile and elimination edge cases
+# Rank profile
 
 
 def test_anchor_rank_growth_at_degenerate_point():
@@ -627,34 +627,75 @@ def test_anchor_rank_growth_at_degenerate_point():
     assert profile[0]["closure_defect"] <= 1e-12
 
 
-def test_indeterminate_rank_detected():
-    basis = fa.magma_basis(3, 3)
-    words = basis[2]
-    rows = [{words[0]: Num(3e-10)}]
-    with pytest.raises(fa.IndeterminateRankError):
-        fa._eliminate(rows, words)
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_the_almost_table_has_constant_unit_coefficients_at_every_rank(rank):
+    # jacobiator_check reads each coefficient as a finite constant
+    levels = fa.magma_basis(rank, 4)
+    table = fa._almost_table([w for level in levels for w in level], 4)
+    coeffs = [c for expansion in table.values() for c in expansion.values()]
+    assert all(type(c) is Num and abs(c.value) == 1.0 for c in coeffs)
+    assert (rank == 1) == (not coeffs)
 
 
-def test_relation_rows_left_after_elimination_are_indeterminate():
-    # each entry of the first column is below the zero tolerance, so the
-    # column is skipped; the row the pivot on the second leaves is not
-    words = fa.magma_basis(3, 3)[2]
-    first, second = sorted(words, key=lambda w: (fa.is_hall(w), w.key))[:2]
-    rows = [{first: Num(9e-13), second: Num(1.0)}, {first: Num(-9e-13), second: Num(1.0)}]
-    with pytest.raises(fa.IndeterminateRankError, match="survived elimination"):
-        fa._eliminate(rows, words)
+# --------------------------------------------------------------------------
+# Exact Hall rewriting of the quotient brackets
+
+
+def _synthetic_anchored(rank):
+    """An anchored spec of ``rank`` generators on the plane, with anchor row
+    k (k+1)x d/dx + y d/dy and a zero connection."""
+    return load_doc({"chart": {"coords": ["x", "y"], "domain": [[-1.0, 1.0], [-1.0, 1.0]]},
+                     "rank": rank, "mode": "anchored",
+                     "anchor": [[f"{k + 1}*x", "y"] for k in range(rank)],
+                     "connection": [[["0", "0"]] * rank for _ in range(rank)]})
+
+
+def _matrix_of(w, gens):
+    """The word ``w`` as nested commutators of the generator matrices."""
+    if w.gen is not None:
+        return gens[w.gen]
+    a, b = (_matrix_of(part, gens) for part in w.parts)
+    return a @ b - b @ a
+
+
+def test_hall_rewriting_matches_integer_matrix_commutators():
+    # an independent oracle: the free Lie algebra maps to matrices, so each
+    # expansion evaluated in integer matrices must equal the commutator exactly
+    rng = np.random.default_rng(20)
+    checked = 0
+    for rank in range(1, 6):
+        gens = rng.integers(-3, 4, size=(rank, 5, 5), dtype=np.int64)
+        words = [w for level in fa.hall_basis(rank, 4) for w in level]
+        memo: dict = {}
+        for u in words:
+            for v in words:
+                if u == v or u.degree + v.degree > 4:
+                    continue
+                expansion = fa._hall_bracket(u, v, memo)
+                assert expansion and all(fa.is_hall(w) for w in expansion)
+                assert all(type(c) is int for c in expansion.values())
+                mu, mv = _matrix_of(u, gens), _matrix_of(v, gens)
+                total = sum(c * _matrix_of(w, gens) for w, c in expansion.items())
+                assert np.array_equal(total, mu @ mv - mv @ mu)
+                checked += 1
+        table = fa.free_extend(_synthetic_anchored(rank), 4, "quotient").bracket_table
+        for expansion in table.values():
+            keys = [w.key for w in expansion]
+            assert keys == sorted(keys)
+    assert checked == 952
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_the_relations_have_constant_unit_coefficients(rank):
-    # _eliminate reads each relation coefficient as the constant it is
-    levels = fa.magma_basis(rank, 4)
-    table = fa._almost_table([w for level in levels for w in level], 4)
-    rows = fa._relation_rows(table, levels, 4)
-    coeffs = [c for expansion in table.values() for c in expansion.values()]
-    coeffs += [c for level in rows.values() for row in level for c in row.values()]
-    assert all(type(c) is Num and abs(c.value) == 1.0 for c in coeffs)
-    assert (rank == 1) == (not coeffs)
+def test_quotient_structure_is_a_lie_algebra(rank):
+    # N = 90 words at rank 4; the dense structure grows as N^3 past it
+    free = fa.free_extend(_synthetic_anchored(rank), 4, "quotient")
+    assert free.counts() == [_witt(rank, d) for d in range(1, 5)]
+    C, words = free.structure, free.words
+    low = [k for k, w in enumerate(words) if w.degree <= 2]
+    for a, b, c in product(low, repeat=3):
+        if words[a].degree + words[b].degree + words[c].degree <= 4:
+            jacobi = C[b, c] @ C[a] + C[c, a] @ C[b] + C[a, b] @ C[c]
+            assert np.all(jacobi == 0.0)
 
 
 # --------------------------------------------------------------------------
