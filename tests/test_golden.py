@@ -13,9 +13,9 @@ Exit codes are frozen alongside in ``exit_codes.json``.
 Block fingerprints are frozen in ``block_fingerprints.json``: the sha256 of
 the value and derivative array bytes (so the sign of zero counts) of every
 block of every fixture at orders 0-2 at 5 sample points, and of the extended
-anchor and connection of the degree-4 quotient and almost truncations of the
-four ``free`` benchmark fixtures at order 1 at 3 points, with their constant
-structure array followed by its zero first derivative at each point.
+anchor and connection of the degree-4 quotient and almost truncations of
+every fixture at order 1 at 3 points, with their constant structure array
+followed by its zero first derivative at each point.
 They are checked with the points read one at a time and as one batch.
 The entries of every block of every fixture are frozen in
 ``block_entries.json``: each block's shape, label and ``(index, sign,
@@ -128,8 +128,6 @@ def run_case(argv: list[str], directory: Path) -> tuple[int, str]:
 
 
 CASES = cases()
-FREE_FIXTURES = ("fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
-                 "fx_killing_nonabelian")
 
 
 def _fingerprint(source, block, points, order, batched) -> str:
@@ -155,7 +153,7 @@ def block_fingerprints(batched: bool = False) -> dict[str, str]:
             for order in range(3):
                 out[f"{name}/{block}/o{order}"] = _fingerprint(
                     spec, block, points, order, batched)
-    for name in FREE_FIXTURES:
+    for name in FIXTURES:
         spec = load_spec_file(fixture_path(name))
         points = sample_points(spec.chart, 3)
         for mode in ("quotient", "almost"):
