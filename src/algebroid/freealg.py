@@ -108,7 +108,7 @@ def hall_basis(rank: int, degree: int) -> list[list[HallWord]]:
 # Free truncation
 
 
-Expansion = Mapping[HallWord, Expr]          # linear combination of basis words
+Expansion = Mapping[HallWord, int]           # integer combination of basis words
 
 
 @dataclass
@@ -117,7 +117,10 @@ class FreeTruncation:
     extended connection coefficients.
 
     bracket_table maps ordered pairs (u, v), u != v, deg u + deg v <= d, to
-    the expansion of [u, v] in the basis.  conn maps each basis word w to the
+    the expansion of [u, v] in the basis, with int coefficients in both modes:
+    the signed pair in almost mode, the Hall rewriting in quotient mode.  A
+    pair it lacks (u = v, or beyond the truncation) brackets to zero, as
+    ``bracket_table.get((u, v), {})``.  conn maps each basis word w to the
     per-word 1-form coefficients of nabla w (degree-filtered: coefficients on
     words of degree > deg w vanish identically).
     """
@@ -136,11 +139,6 @@ class FreeTruncation:
 
     def counts(self) -> list[int]:
         return [len(level) for level in self.basis]
-
-    def bracket(self, u: HallWord, v: HallWord) -> Expansion:
-        if u is v or u.key == v.key:
-            return {}
-        return self.bracket_table[(u, v)]
 
     @cached_property
     def index(self) -> dict:
@@ -183,17 +181,8 @@ def _coefficients(expansion: Expansion, index: dict) -> np.ndarray:
     """The constant coefficients of ``expansion`` over ``index``'s words."""
     row = np.zeros(len(index))
     for w, c in expansion.items():
-        row[index[w.key]] = c.value
+        row[index[w.key]] = c
     return row
-
-
-def _expansion_add(target: dict, w: HallWord, coeff: Expr):
-    cur = target.get(w)
-    combined = e_add(cur, coeff) if cur is not None else coeff
-    if isinstance(combined, Num) and combined.value == 0.0:
-        target.pop(w, None)
-    else:
-        target[w] = combined
 
 
 def _diff_entries(block: Block, n: int, memo) -> None:
@@ -220,38 +209,14 @@ def _commutator_exprs(rho_u, rho_v, memo) -> tuple[Expr, ...]:
     return tuple(comps)
 
 
-def _almost_table(words, degree) -> dict:
-    index = {w.key: w for w in words}
-    table = {}
-    for u in words:
-        for v in words:
-            if u.key == v.key or u.degree + v.degree > degree:
-                continue
-            if u.key > v.key:
-                table[(u, v)] = {index[pair(u, v).key]: Num(1.0)}
-            else:
-                table[(u, v)] = {index[pair(v, u).key]: Num(-1.0)}
-    return table
-
-
-def _expand_bracket(table, u: HallWord, expansion: Expansion) -> dict:
-    """[u, sum c_w w] with C-infinity-linear coefficients."""
-    out: dict = {}
-    for w, coeff in expansion.items():
-        if u.key == w.key:
-            continue
-        for w2, c2 in table[(u, w)].items():
-            _expansion_add(out, w2, e_mul(coeff, c2))
-    return out
-
-
 def _jacobiator(table, w1, w2, w3) -> dict:
+    """[w1, [w2, w3]] + [w2, [w3, w1]] + [w3, [w1, w2]] over ``table``."""
     out: dict = {}
     for a, b, c in ((w1, w2, w3), (w2, w3, w1), (w3, w1, w2)):
-        inner = table.get((b, c), {})
-        for w, coeff in _expand_bracket(table, a, inner).items():
-            _expansion_add(out, w, coeff)
-    return out
+        for w, c1 in table.get((b, c), {}).items():
+            for w2, c2 in table.get((a, w), {}).items():
+                out[w2] = out.get(w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c != 0}
 
 
 def _hall_bracket(u: HallWord, v: HallWord, memo: dict) -> dict:
@@ -308,7 +273,8 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
                 lie.append(total)
             _conn_add(out, w, tuple(lie))
             for w2, c2 in table.get((u, w), {}).items():
-                _conn_add(out, w2, tuple(e_mul(c2, theta[i]) for i in range(n)))
+                _conn_add(out, w2, tuple(e_mul(Num(float(c2)), theta[i])
+                                         for i in range(n)))
 
     def contraction_term(theta_map_u, theta_map_v, out, sign):
         # -/+ nabla_{rho(nabla u)} v pieces
@@ -373,25 +339,25 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
     anchored bundle of ``spec`` (structure functions of the input are
     ignored; the bundle enters as generators), extend the connection, and in
     quotient mode keep the Hall words, with each bracket rewritten exactly in
-    them by ``_hall_bracket``."""
+    them by ``_hall_bracket``.  In almost mode the bracket of u != v is the
+    signed pair: [u, v] if u > v, else -[v, u]."""
     if mode not in ("almost", "quotient"):
         raise ValueError(f"mode must be 'almost' or 'quotient', got {mode!r}")
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
     levels = magma_basis(spec.rank, degree)
     memo: dict = {}         # this build's derivatives, freed when it returns
     anchor = _magma_anchors(spec, levels, memo)
-    if mode == "almost":
-        table = _almost_table([w for level in levels for w in level], degree)
-    else:
+    if mode == "quotient":
         levels = [[w for w in level if is_hall(w)] for level in levels]
         anchor = {w: anchor[w] for level in levels for w in level}
-        words, rewritten = {w: w for w in anchor}, {}   # each word as the basis holds it
-        table = {(u, v): {words[w]: Num(float(c)) for w, c in
-                          sorted(_hall_bracket(u, v, rewritten).items(),
-                                 key=lambda wc: wc[0].key)}
-                 for u in words for v in words
-                 if u != v and u.degree + v.degree <= degree}
+    words, rewritten = {w: w for w in anchor}, {}   # each word as the basis holds it
+
+    def bracket(u, v):
+        if mode == "quotient":
+            return _hall_bracket(u, v, rewritten)
+        return {pair(u, v): 1} if u.key > v.key else {pair(v, u): -1}
+    table = {(u, v): {words[w]: c for w, c in sorted(bracket(u, v).items(),
+                                                     key=lambda wc: wc[0].key)}
+             for u in words for v in words if u != v and u.degree + v.degree <= degree}
 
     conn = _build_connection(spec, levels, table, anchor, degree, memo)
     return FreeTruncation(spec=spec, degree=degree, mode=mode,
@@ -417,7 +383,7 @@ def cartan_extended_check(free: FreeTruncation) -> Check:
     listed = sorted(set(a.tolist()))
     if free.block_entries["connection"].written:
         C = free.structure
-        dC = np.zeros(C.shape + (free.spec.dimension,))
+        dC = np.broadcast_to(0.0, C.shape + (free.spec.dimension,))
         return Check(("cartan_extended",), {"anchor": 1, "connection": 1}, lambda f: (
             s_frame_components(f.rho, f.drho, C, dC, f.omega, f.domega, a, b),))
 

@@ -184,39 +184,11 @@ def test_anchor_extension_is_bracket_morphism():
 
 
 def test_bracket_table_antisymmetric():
-    spec = _anchored("fx_so3_sphere")
-    free = fa.free_extend(spec, 3, "quotient")
-    p = spec.chart.center()
-    for (u, v), expansion in free.bracket_table.items():
-        mirror = free.bracket_table[(v, u)]
-        words = set(expansion) | set(mirror)
-        for w in words:
-            a = eval_jet(expansion.get(w, Num(0.0)), p, order=0, n=2).value
-            b = eval_jet(mirror.get(w, Num(0.0)), p, order=0, n=2).value
-            assert a == -b
-
-
-def test_quotient_bracket_respects_jacobi():
-    # in the reduced table every Jacobiator of kept generators expands to zero
-    spec = _anchored("fx_so3_sphere")
-    free = fa.free_extend(spec, 3, "quotient")
-    gens = free.basis[0]
-    p = spec.chart.center()
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for k in range(j + 1, 3):
-                out = {}
-                for a, b, c in ((gens[i], gens[j], gens[k]),
-                                (gens[j], gens[k], gens[i]),
-                                (gens[k], gens[i], gens[j])):
-                    inner = free.bracket(b, c)
-                    for w, coeff in inner.items():
-                        for w2, c2 in free.bracket(a, w).items():
-                            cur = out.get(w2, 0.0)
-                            out[w2] = cur + (
-                                eval_jet(coeff, p, order=0, n=2).value
-                                * eval_jet(c2, p, order=0, n=2).value)
-                assert all(abs(val) <= 1e-12 for val in out.values())
+    for mode in ("quotient", "almost"):
+        table = fa.free_extend(_anchored("fx_so3_sphere"), 3, mode).bracket_table
+        assert table
+        for (u, v), expansion in table.items():
+            assert table[(v, u)] == {w: -c for w, c in expansion.items()}
 
 
 # --------------------------------------------------------------------------
@@ -431,8 +403,8 @@ def _sec_bracket(free, s1, s2, n):
     out = {}
     for u, f in s1.items():
         for v, g in s2.items():
-            for w, c in free.bracket(u, v).items():
-                _acc(out, w, e_mul(e_mul(f, g), c))
+            for w, c in free.bracket_table.get((u, v), {}).items():
+                _acc(out, w, e_mul(e_mul(f, g), Num(float(c))))
             # Leibniz terms: f rho_u(g) v - g rho_v(f) u
             rug = Num(0.0)
             rvf = Num(0.0)
@@ -562,11 +534,7 @@ def test_quotient_connection_descends_from_almost_mode():
     assert len(eliminated) == 1
     w_elim = next(w for w in almost.words if w.key in eliminated)
 
-    gens = almost.basis[0]
-    p = spec.chart.center()
-    relation = fa._jacobiator(almost.bracket_table, *gens)
-    coeffs = {w: eval_jet(c, p, order=0, n=n).value
-              for w, c in relation.items()}
+    coeffs = fa._jacobiator(almost.bracket_table, *almost.basis[0])
     pivot = coeffs.pop(w_elim)
     substitution = {w: -c / pivot for w, c in coeffs.items()}
 
@@ -630,10 +598,9 @@ def test_anchor_rank_growth_at_degenerate_point():
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_the_almost_table_has_constant_unit_coefficients_at_every_rank(rank):
     # jacobiator_check reads each coefficient as a finite constant
-    levels = fa.magma_basis(rank, 4)
-    table = fa._almost_table([w for level in levels for w in level], 4)
+    table = fa.free_extend(_synthetic_anchored(rank), 4, "almost").bracket_table
     coeffs = [c for expansion in table.values() for c in expansion.values()]
-    assert all(type(c) is Num and abs(c.value) == 1.0 for c in coeffs)
+    assert all(type(c) is int and abs(c) == 1 for c in coeffs)
     assert (rank == 1) == (not coeffs)
 
 
@@ -682,6 +649,7 @@ def test_hall_rewriting_matches_integer_matrix_commutators():
         for expansion in table.values():
             keys = [w.key for w in expansion]
             assert keys == sorted(keys)
+            assert all(type(c) is int for c in expansion.values())
     assert checked == 952
 
 
@@ -1099,4 +1067,4 @@ def test_pruned_jacobiator_residual_is_the_unpruned_one(monkeypatch):
 def test_the_almost_table_has_constant_unit_coefficients(name):
     free = fa.free_extend(load_doc(fixture_doc(name)), 4, "almost")
     coeffs = [c for expansion in free.bracket_table.values() for c in expansion.values()]
-    assert coeffs and all(type(c) is Num and abs(c.value) == 1.0 for c in coeffs)
+    assert coeffs and all(type(c) is int and abs(c) == 1 for c in coeffs)
