@@ -355,9 +355,11 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
         if mode == "quotient":
             return _hall_bracket(u, v, rewritten)
         return {pair(u, v): 1} if u.key > v.key else {pair(v, u): -1}
+
     table = {(u, v): {words[w]: c for w, c in sorted(bracket(u, v).items(),
                                                      key=lambda wc: wc[0].key)}
-             for u in words for v in words if u != v and u.degree + v.degree <= degree}
+             for u in words for v in words
+             if u.degree + v.degree <= degree and u != v}
 
     conn = _build_connection(spec, levels, table, anchor, degree, memo)
     return FreeTruncation(spec=spec, degree=degree, mode=mode,
