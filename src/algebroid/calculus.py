@@ -443,7 +443,7 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
         raise ValueError(f"flat_frame_probe requires lie mode, spec is '{spec.mode}'")
     basepoint = np.asarray(basepoint, dtype=float)
     if not spec.chart.contains(basepoint):
-        raise ValueError(f"basepoint {tuple(basepoint)} outside chart domain")
+        raise ValueError(f"basepoint {tuple(map(float, basepoint))} outside chart domain")
 
     deltas, ranges = _grid_offsets(spec.chart, basepoint, grid_steps)
     offsets = list(product(*ranges))

@@ -87,7 +87,10 @@ def run_check_suite(spec: AlgebroidSpec, points, flags, tol_override=None,
 
 def _load_psi_cube(path, spec: AlgebroidSpec):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("psi", f"invalid JSON: {exc}") from exc
     cube = doc.get("psi", doc) if isinstance(doc, dict) else doc
     return load_cube(cube, spec.chart.coords, spec.rank, spec.dimension, "psi")
 

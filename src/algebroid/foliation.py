@@ -92,7 +92,7 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
     x, v = (np.array(a, dtype=float, ndmin=2) for a in (x0, v0))
     for p in x:
         if not spec.chart.contains(p):
-            raise ValueError(f"initial point {tuple(p)} outside chart domain")
+            raise ValueError(f"initial point {tuple(map(float, p))} outside chart domain")
     U = np.tile(np.eye(spec.rank), (len(x), 1, 1))
 
     # states[k] = (live, x, v, U, g): the starts inside the chart at step k

@@ -1,21 +1,22 @@
 """Degree-truncated free (almost-)Lie algebroid generated by an anchored
 bundle with connection.
 
-Basis words are bracket trees over the generators.  In almost mode the basis
-is the anticommutative-magma normal form (antisymmetry only); in quotient mode
-it is the Hall basis, and each bracket of Hall words is rewritten in it by the
-Jacobi identity, exactly and with integer coefficients.  Anchors extend by
-vector-field commutators, and the connection extends by the bracket formula
-that keeps the compatibility tensor of the extension identically zero degree
-by degree.
+Basis words are bracket trees over the generators, ``(degree, gen, parts)``
+tuples that compare, sort and hash in the Hall order (``index`` is keyed by
+them).  In almost mode the basis is the anticommutative-magma normal form
+(antisymmetry only); in quotient mode it is the Hall basis, and each bracket
+of Hall words is rewritten in it by the Jacobi identity, exactly and with
+integer coefficients.  Anchors extend by vector-field commutators, and the
+connection extends by the bracket formula that keeps the compatibility tensor
+of the extension identically zero degree by degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from numpy.linalg._linalg import _raise_linalgerror_lstsq, _umath_linalg
@@ -35,27 +36,24 @@ MAX_DEGREE = 4          # waits on a size bound for the build (ROADMAP); the
 HALL_ORDER = "degree, then lexicographic on the recursive bracket structure"
 
 
-@dataclass(frozen=True)
-class HallWord:
-    """A generator (gen set) or an ordered pair; compared and hashed by ``key``."""
+class HallWord(NamedTuple):
+    """A generator ``(1, a, None)`` or a pair ``(deg u + deg v, None, (u, v))``;
+    compared, sorted and hashed as that tuple, in the Hall order."""
 
-    gen: int | None = field(default=None, compare=False)
-    parts: tuple["HallWord", "HallWord"] | None = field(default=None, compare=False)
-    degree: int = field(default=1, compare=False)
-    key: tuple = ()
+    degree: int
+    gen: int | None
+    parts: tuple["HallWord", "HallWord"] | None
 
     def __repr__(self):
         return word_str(self)
 
 
 def leaf(a: int) -> HallWord:
-    return HallWord(gen=a, parts=None, degree=1, key=(1, a))
+    return HallWord(1, a, None)
 
 
 def pair(u: HallWord, v: HallWord) -> HallWord:
-    deg = u.degree + v.degree
-    return HallWord(gen=None, parts=(u, v), degree=deg,
-                    key=(deg,) + u.key + v.key)
+    return HallWord(u.degree + v.degree, None, (u, v))
 
 
 def word_str(w: HallWord) -> str:
@@ -69,31 +67,24 @@ def is_hall(w: HallWord) -> bool:
     if w.gen is not None:
         return True
     u, v = w.parts
-    if not (is_hall(u) and is_hall(v) and u.key > v.key):
+    if not (is_hall(u) and is_hall(v) and u > v):
         return False
-    if u.gen is None and u.parts[1].key > v.key:
+    if u.gen is None and u.parts[1] > v:
         return False
     return True
 
 
 def magma_basis(rank: int, degree: int) -> list[list[HallWord]]:
     """Anticommutative-magma normal forms per degree: all pairs (u, v) of
-    lower-degree basis words with u > v in the word order."""
+    lower-degree basis words with u > v, each level sorted in the word order."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
     levels = [[leaf(a) for a in range(rank)]]
     for d in range(2, degree + 1):
-        words = []
-        for p in range(d - 1, d // 2 - 1, -1):
-            q = d - p
-            for u in levels[p - 1]:
-                for v in levels[q - 1]:
-                    if u.key > v.key:
-                        words.append(pair(u, v))
-        words.sort(key=lambda w: w.key)
-        levels.append(words)
+        levels.append(sorted(pair(u, v) for p in range(1, d) for u in levels[p - 1]
+                             for v in levels[d - p - 1] if u > v))
     return levels
 
 
@@ -142,8 +133,8 @@ class FreeTruncation:
 
     @cached_property
     def index(self) -> dict:
-        """word key -> position in ``words``."""
-        return {w.key: k for k, w in enumerate(self.words)}
+        """word -> position in ``words``."""
+        return {w: k for k, w in enumerate(self.words)}
 
     @cached_property
     def structure(self) -> np.ndarray:
@@ -153,7 +144,7 @@ class FreeTruncation:
         idx = self.index
         C = np.zeros((len(idx),) * 3)
         for (u, v), expansion in self.bracket_table.items():
-            C[idx[u.key], idx[v.key]] = _coefficients(expansion, idx)
+            C[idx[u], idx[v]] = _coefficients(expansion, idx)
         return C
 
     @cached_property
@@ -163,10 +154,10 @@ class FreeTruncation:
         block source for ``spec_model.eval_fields``."""
         idx, N, n = self.index, len(self.words), self.spec.dimension
         out = {
-            "anchor": Block([((idx[w.key], i), 1, c)
+            "anchor": Block([((idx[w], i), 1, c)
                              for w, comps in self.anchor.items()
                              for i, c in enumerate(comps)], (N, n), "extended anchor"),
-            "connection": Block([((idx[w.key], idx[w2.key], i), 1, c)
+            "connection": Block([((idx[w], idx[w2], i), 1, c)
                                  for w, entries in self.conn.items()
                                  for w2, comps in entries.items()
                                  for i, c in enumerate(comps)], (N, N, n),
@@ -181,7 +172,7 @@ def _coefficients(expansion: Expansion, index: dict) -> np.ndarray:
     """The constant coefficients of ``expansion`` over ``index``'s words."""
     row = np.zeros(len(index))
     for w, c in expansion.items():
-        row[index[w.key]] = c
+        row[index[w]] = c
     return row
 
 
@@ -227,9 +218,9 @@ def _hall_bracket(u: HallWord, v: HallWord, memo: dict) -> dict:
     if u == v:
         return {}
     if (u, v) not in memo:
-        if u.key < v.key:
+        if u < v:
             out = {w: -c for w, c in _hall_bracket(v, u, memo).items()}
-        elif u.gen is not None or u.parts[1].key <= v.key:
+        elif u.gen is not None or u.parts[1] <= v:
             out = {pair(u, v): 1}
         else:
             a, b = u.parts
@@ -349,16 +340,15 @@ def free_extend(spec: AlgebroidSpec, degree: int = 3,
     if mode == "quotient":
         levels = [[w for w in level if is_hall(w)] for level in levels]
         anchor = {w: anchor[w] for level in levels for w in level}
-    words, rewritten = {w: w for w in anchor}, {}   # each word as the basis holds it
+    rewritten: dict = {}
 
     def bracket(u, v):
         if mode == "quotient":
             return _hall_bracket(u, v, rewritten)
-        return {pair(u, v): 1} if u.key > v.key else {pair(v, u): -1}
+        return {pair(u, v): 1} if u > v else {pair(v, u): -1}
 
-    table = {(u, v): {words[w]: c for w, c in sorted(bracket(u, v).items(),
-                                                     key=lambda wc: wc[0].key)}
-             for u in words for v in words
+    table = {(u, v): dict(sorted(bracket(u, v).items()))
+             for u in anchor for v in anchor
              if u.degree + v.degree <= degree and u != v}
 
     conn = _build_connection(spec, levels, table, anchor, degree, memo)
@@ -378,10 +368,9 @@ def cartan_extended_check(free: FreeTruncation) -> Check:
     written, omega = 0 and S = -dC vanishes; a non-finite rho or drho of a
     listed word, which the full formula turns into NaN by 0 * inf, sets NaN
     at its point."""
-    words = free.words
-    pairs = [(a, b) for a, u in enumerate(words) for b, v in enumerate(words)
-             if a != b and u.degree + v.degree <= free.degree]
-    a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+    idx = free.index
+    a, b = np.array([(idx[u], idx[v]) for u, v in free.bracket_table],
+                    dtype=int).reshape(-1, 2).T
     listed = sorted(set(a.tolist()))
     if free.block_entries["connection"].written:
         C = free.structure
@@ -414,8 +403,8 @@ def rank_profile_check(free: FreeTruncation) -> Check:
     measures whether one-higher-degree commutators leave the realized span.
     A profile, not a residual: its values are read with ``profile_of``."""
     r, words, idx = len(free.basis[0]), free.words, free.index
-    ku, kv = np.array([(idx[u.key], idx[v.key]) for u in words for v in words
-                       if u.key < v.key and u.degree + v.degree == free.degree + 1],
+    ku, kv = np.array([(idx[u], idx[v]) for u in words for v in words
+                       if u < v and u.degree + v.degree == free.degree + 1],
                       dtype=int).reshape(-1, 2).T
 
     def kernel(f):
@@ -485,14 +474,14 @@ def jacobiator_check(free: FreeTruncation, points,
     for t, args in enumerate(triples):
         jac[t] = _coefficients(_jacobiator(table, *args), idx)
         for slot, host in enumerate(args):
-            for q in sorted(free.conn[host], key=words.index):
+            for q in sorted(free.conn[host]):
                 swapped = list(args)
                 swapped[slot] = q
-                if len({w.key for w in swapped}) == 3:
+                if len(set(swapped)) == 3:
                     jac_q = _jacobiator(table, *swapped)
                     if jac_q:
                         shifted_jac.append(_coefficients(jac_q, idx))
-                        shifted.append((t, idx[host.key], idx[q.key]))
+                        shifted.append((t, idx[host], idx[q]))
 
     def kernel(f):
         # nabla_i (Jac(args)) in the extended frame, at [t, i, w]: Jac is constant

@@ -554,6 +554,12 @@ def test_probe_bla_detects_nonconstant_bracket(spec_of):
     assert constancy.max_residual >= 0.3  # comparable to the grid extent
 
 
+def test_probe_outside_the_chart_names_the_basepoint_as_floats(spec_of):
+    with pytest.raises(ValueError) as exc:
+        ca.flat_frame_probe(spec_of("fx_flat_exp"), (9.0, 0.0))
+    assert str(exc.value) == "basepoint (9.0, 0.0) outside chart domain"
+
+
 def test_probe_transport_matches_exact_solution(spec_of):
     # for omega = d(xy) the transport factor is exp(-xy)
     spec = spec_of("fx_flat_exp")

@@ -89,6 +89,16 @@ def test_psi_file_with_the_wrong_block_count_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: psi: expected 1 blocks\n"
 
 
+def test_psi_file_with_invalid_json_exits_2_naming_psi(tmp_path, capsys):
+    psi = tmp_path / "psi.json"
+    psi.write_text('{"psi"\n')
+    code, text = run(tmp_path, "check", "--spec", fx("fx_action_so2"),
+                     "--koszul", "--psi-file", str(psi), "--points", "5")
+    assert code == 2 and text is None
+    assert capsys.readouterr().err == (
+        "error: psi: invalid JSON: Expecting ':' delimiter: line 2 column 1 (char 7)\n")
+
+
 def test_default_selection_is_axioms(tmp_path):
     code, text = run(tmp_path, "check", "--spec", fx("fx_so3_sphere"),
                      "--points", "10")
@@ -210,6 +220,14 @@ def test_geodesic_argument_validation(tmp_path):
         code, text = run(tmp_path, "geodesic", "--spec", fx("fx_foliation_flat"),
                          "--x0", "0,0", "--v0", "1,0", *steps)
         assert code == 2 and text is None, steps
+
+
+def test_geodesic_outside_the_chart_names_the_point_as_floats(tmp_path, capsys):
+    code, text = run(tmp_path, "geodesic", "--spec", fx("fx_foliation_flat"),
+                     "--x0=9,0", "--v0=1,0")
+    assert code == 2 and text is None
+    assert capsys.readouterr().err == (
+        "error: initial point (9.0, 0.0) outside chart domain\n")
 
 
 def test_geodesic_failure_exit_code(tmp_path):

@@ -139,8 +139,8 @@ def test_quotient_counts_equal_hall_for_three_generators():
     spec = _anchored("fx_so3_sphere")
     free = fa.free_extend(spec, 3, "quotient")
     assert free.counts() == [3, 3, 8]
-    hall_keys = {w.key for level in fa.hall_basis(3, 3) for w in level}
-    assert {w.key for w in free.words} == hall_keys
+    hall_words = {w for level in fa.hall_basis(3, 3) for w in level}
+    assert set(free.words) == hall_words
     almost = fa.free_extend(spec, 3, "almost")
     assert almost.counts() == [3, 3, 9]
 
@@ -485,10 +485,10 @@ def _form_values(form, p, words, n):
     for w in words:
         comps = form.get(w)
         if comps is None:
-            out[w.key] = np.zeros(n)
+            out[w] = np.zeros(n)
         else:
-            out[w.key] = np.array([eval_jet(c, p, order=0, n=n).value
-                                   for c in comps])
+            out[w] = np.array([eval_jet(c, p, order=0, n=n).value
+                               for c in comps])
     return out
 
 
@@ -529,18 +529,16 @@ def test_quotient_connection_descends_from_almost_mode():
     n = spec.dimension
     almost = fa.free_extend(spec, 3, "almost")
     quotient = fa.free_extend(spec, 3, "quotient")
-    eliminated = ({w.key for w in almost.words}
-                  - {w.key for w in quotient.words})
+    eliminated = set(almost.words) - set(quotient.words)
     assert len(eliminated) == 1
-    w_elim = next(w for w in almost.words if w.key in eliminated)
+    w_elim, = eliminated
 
     coeffs = fa._jacobiator(almost.bracket_table, *almost.basis[0])
     pivot = coeffs.pop(w_elim)
     substitution = {w: -c / pivot for w, c in coeffs.items()}
 
     touches_eliminated = sum(1 for w in quotient.words
-                             if any(w2.key == w_elim.key
-                                    for w2 in almost.conn[w]))
+                             if w_elim in almost.conn[w])
     assert touches_eliminated > 0  # the substitution path is exercised
 
     points = sample_points(spec.chart, 10, 9)
@@ -550,13 +548,13 @@ def test_quotient_connection_descends_from_almost_mode():
             for w2, comps in almost.conn[w].items():
                 vals = np.array([eval_jet(c, q, order=0, n=n).value
                                  for c in comps])
-                if w2.key == w_elim.key:
+                if w2 == w_elim:
                     for w3, factor in substitution.items():
-                        reduced[w3.key] = reduced.get(w3.key, 0.0) + factor * vals
+                        reduced[w3] = reduced.get(w3, 0.0) + factor * vals
                 else:
-                    reduced[w2.key] = reduced.get(w2.key, 0.0) + vals
-            stored = {w2.key: np.array([eval_jet(c, q, order=0, n=n).value
-                                        for c in comps])
+                    reduced[w2] = reduced.get(w2, 0.0) + vals
+            stored = {w2: np.array([eval_jet(c, q, order=0, n=n).value
+                                    for c in comps])
                       for w2, comps in quotient.conn[w].items()}
             keys = set(reduced) | set(stored)
             for key in keys:
@@ -647,8 +645,7 @@ def test_hall_rewriting_matches_integer_matrix_commutators():
                 checked += 1
         table = fa.free_extend(_synthetic_anchored(rank), 4, "quotient").bracket_table
         for expansion in table.values():
-            keys = [w.key for w in expansion]
-            assert keys == sorted(keys)
+            assert list(expansion) == sorted(expansion)
             assert all(type(c) is int for c in expansion.values())
     assert checked == 952
 
@@ -774,8 +771,8 @@ def test_rank_profile_kernel_matches_the_per_pair_kernel():
     spec = load_doc(fixture_doc("fx_so3_sphere"))
     free = fa.free_extend(spec, 3, "quotient")
     words, idx = free.words, free.index
-    closure = [(idx[u.key], idx[v.key]) for u in words for v in words
-               if u.key < v.key and u.degree + v.degree == 4]
+    closure = [(idx[u], idx[v]) for u in words for v in words
+               if u < v and u.degree + v.degree == 4]
     N, n = len(words), spec.dimension
     rng = np.random.default_rng(3)
     rho, drho = rng.normal(size=(6, N, n)), rng.normal(size=(6, N, n, n))
@@ -940,19 +937,52 @@ def _structure(w):
     return w.gen if w.gen is not None else tuple(map(_structure, w.parts))
 
 
-def test_hall_words_compare_and_hash_by_key():
-    levels = fa.magma_basis(3, 4)                # MAX_DEGREE; degree 5 as it pairs
-    levels.append([fa.pair(u, v) for p in (4, 3, 2) for u in levels[p - 1]
-                   for v in levels[4 - p] if u.key > v.key])
-    words = [w for level in levels for w in level]
+def _flat_key(w):
+    # the Hall order as a flat tuple: degree, then the generator or both parts'
+    # keys; a prefix code, since degree 1 takes one label and a pair two words
+    if w.gen is not None:
+        return (1, w.gen)
+    return (w.degree,) + _flat_key(w.parts[0]) + _flat_key(w.parts[1])
+
+
+def _oracle_levels(rank, degree):
+    """Magma words per degree, paired and sorted by ``_flat_key`` alone."""
+    levels = [[fa.leaf(a) for a in range(rank)]]
+    for d in range(2, degree + 1):
+        levels.append(sorted((fa.pair(u, v) for p in range(1, d) for u in levels[p - 1]
+                              for v in levels[d - p - 1] if _flat_key(u) > _flat_key(v)),
+                             key=_flat_key))
+    return levels
+
+
+def test_hall_words_compare_and_hash_by_structure():
+    # past MAX_DEGREE by pairing: degree 6 at ranks 1-3, degree 5 at rank 4
+    rng = np.random.default_rng(25)
+    words = []
+    for rank, top in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        levels = _oracle_levels(rank, top)
+        for d in range(1, fa.MAX_DEGREE + 1):
+            assert fa.magma_basis(rank, d) == levels[:d]
+            assert [len(level) for level in fa.hall_basis(rank, d)] == [
+                _witt(rank, k) for k in range(1, d + 1)]
+        assert [sum(map(fa.is_hall, level)) for level in levels] == [
+            _witt(rank, k) for k in range(1, top + 1)]
+        flat = [w for level in levels for w in level]
+        assert len(set(flat)) == len(flat)
+        words += flat
+    assert len(words) == 1417
+    shuffled = [words[k] for k in rng.permutation(len(words))]
+    assert sorted(shuffled) == sorted(shuffled, key=_flat_key)
+
     copies = [_rebuilt(w) for w in words]
-    shapes = [_structure(w) for w in words]
-    assert len(words) == 3 + 3 + 9 + 30 + 117 == len(set(words) | set(copies))
-    for u, su in zip(words, shapes):
-        for v, sv in zip(copies, shapes):
-            assert (u == v) == (u.key == v.key) == (su == sv)
-            if u == v:
-                assert hash(u) == hash(v) and u is not v
+    keys, shapes = [_flat_key(w) for w in words], [_structure(w) for w in words]
+    for i, j in rng.integers(len(words), size=(20_000, 2)).tolist() + [
+            (k, k) for k in range(len(words))]:
+        u, v = words[i], copies[j]
+        assert (u < v) == (keys[i] < keys[j])
+        assert (u == v) == (keys[i] == keys[j]) == (shapes[i] == shapes[j])
+        if u == v:
+            assert hash(u) == hash(v) and u is not v
 
 
 # --------------------------------------------------------------------------
