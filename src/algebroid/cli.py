@@ -178,9 +178,10 @@ def _cmd_free(args) -> int:
     if almost is not None:
         reports.insert(1, fa.jacobiator_check(almost, points, args.tol))
 
-    profile = fa.profile_of(profile)
-    per_point = [{"point": [float(c) for c in p], **entry}
-                 for p, entry in zip(points, profile)]
+    gen, ext, defect = profile.T
+    per_point = [{"point": [float(c) for c in p], "rank_generators": int(g),
+                  "rank_extended": int(e), "closure_defect": float(d)}
+                 for p, g, e, d in zip(points, gen, ext, defect)]
     payload = {
         "spec": args.spec, "seed": args.seed, "points": args.points,
         "degree": args.degree,
@@ -190,11 +191,11 @@ def _cmd_free(args) -> int:
         "hall_order": fa.HALL_ORDER,
         "propagation_checked": reports[-1].name == "killing_extended",
         "anchor_rank_profile": {
-            "rank_generators_min": min(e["rank_generators"] for e in profile),
-            "rank_generators_max": max(e["rank_generators"] for e in profile),
-            "rank_extended_min": min(e["rank_extended"] for e in profile),
-            "rank_extended_max": max(e["rank_extended"] for e in profile),
-            "max_closure_defect": float(np.max([e["closure_defect"] for e in profile])),
+            "rank_generators_min": int(gen.min()),
+            "rank_generators_max": int(gen.max()),
+            "rank_extended_min": int(ext.min()),
+            "rank_extended_max": int(ext.max()),
+            "max_closure_defect": float(np.max(defect)),
             "per_point": per_point,
         },
     }

@@ -8,7 +8,9 @@ them).  In almost mode the basis is the anticommutative-magma normal form
 of Hall words is rewritten in it by the Jacobi identity, exactly and with
 integer coefficients.  Anchors extend by vector-field commutators, and the
 connection extends by the bracket formula that keeps the compatibility tensor
-of the extension identically zero degree by degree.
+of the extension identically zero degree by degree.  The rank profile reads
+the foliation the anchors span: one SVD per point of the extended anchor
+gives its rank and the closure defect of the next degree's commutators.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from itertools import combinations
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from numpy.linalg._linalg import _raise_linalgerror_lstsq, _umath_linalg
 
 from .exprjet import Block, Expr, ExprError, Num, diff, e_add, e_mul, e_neg, e_sub
 from .spec_model import AlgebroidSpec, Check, CheckReport, run_checks
@@ -28,7 +29,7 @@ from .calculus import KILLING, killing_frame_components, s_frame_components, tak
 __all__ = [
     "HallWord", "FreeTruncation", "hall_basis", "magma_basis", "free_extend",
     "cartan_extended_check", "killing_checks", "rank_profile_check",
-    "profile_of", "jacobiator_check", "MAX_DEGREE",
+    "jacobiator_check", "MAX_DEGREE",
 ]
 
 MAX_DEGREE = 4          # waits on a size bound for the build (ROADMAP); the
@@ -399,9 +400,12 @@ def killing_checks(free: FreeTruncation) -> tuple[Check, Check]:
 
 
 def rank_profile_check(free: FreeTruncation) -> Check:
-    """Per-point (generator rank, extended rank, closure defect): the defect
-    measures whether one-higher-degree commutators leave the realized span.
-    A profile, not a residual: its values are read with ``profile_of``."""
+    """Per-point (generator rank, extended rank, closure defect), from one SVD
+    of the extended anchor: the rank counts singular values above
+    1e-10 * max(1, max |rho|), and the defect is the largest norm of a
+    one-higher-degree commutator's part off the span that np.linalg.lstsq
+    keeps (singular values above eps * max(N, n) * sigma_max), its residual.
+    A profile, not a residual: read as the (points, 3) array of values."""
     r, words, idx = len(free.basis[0]), free.words, free.index
     ku, kv = np.array([(idx[u], idx[v]) for u in words for v in words
                        if u < v and u.degree + v.degree == free.degree + 1],
@@ -410,38 +414,23 @@ def rank_profile_check(free: FreeTruncation) -> Check:
     def kernel(f):
         mat, drho = f.rho, f.drho
         finite = np.isfinite(mat).all((-2, -1))
-        if not finite.all():        # kept from LAPACK, which fails on it loudly
+        if not finite.all():        # kept from the SVD, which fails without naming it
             bad = np.reshape(f.point, (-1, mat.shape[-1]))[np.argmin(finite)]
             raise ValueError(f"extended anchor not finite at point "
                              f"{tuple(float(c) for c in bad)}")
-        scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))   # NaN -> 1.0
+        scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))
         rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
-        rank_ext = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
         # the vector-field commutators [rho_u, rho_v] of every closure pair
         vecs = (np.einsum("...kj,...kij->...ki", mat.take(ku, -2), drho.take(kv, -3))
                 - np.einsum("...kj,...kij->...ki", mat.take(kv, -2), drho.take(ku, -3)))
-        # the norm, not vecs != 0: a vector whose squares all underflow is skipped
-        nonzero = np.linalg.norm(vecs, axis=-1) != 0.0
-        # one dgelsd per nonzero vector and its point's rho^T, as np.linalg.lstsq
-        A = np.swapaxes(np.broadcast_to(mat[..., None, :, :], nonzero.shape
-                                        + mat.shape[-2:])[nonzero], -2, -1)
-        b = vecs[nonzero][..., None]
-        with np.errstate(call=_raise_linalgerror_lstsq, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):      # as np.linalg.lstsq
-            sol = _umath_linalg.lstsq(A, b, np.finfo(float).eps * max(mat.shape[-2:]),
-                                      signature="ddd->ddid")[0]
-        res = A @ sol - b       # its norm as the dot np.linalg.norm takes on one vector
-        norms = np.zeros(nonzero.shape)
-        norms[nonzero] = np.sqrt(np.swapaxes(res, -2, -1) @ res)[:, 0, 0]
-        return rank_gen, rank_ext, np.max(norms, axis=-1, initial=0.0)   # NaN kept
+        _, s, vt = np.linalg.svd(mat, full_matrices=False)
+        rank_ext = np.count_nonzero(s > 1e-10 * scale[..., None], axis=-1)
+        # the rows np.linalg.lstsq keeps: its residual is the part off their span
+        span = vt * (s > np.finfo(float).eps * max(mat.shape[-2:]) * s[..., :1])[..., None]
+        off = vecs - (vecs @ np.swapaxes(span, -2, -1)) @ span
+        return rank_gen, rank_ext, np.max(np.linalg.norm(off, axis=-1), axis=-1, initial=0.0)
     return Check(("rank_generators", "rank_extended", "closure_defect"),
                  {"anchor": 1}, kernel)
-
-
-def profile_of(values) -> list[dict]:
-    """Per-point dicts of the rank profile row's values; ranks as ints."""
-    return [{"rank_generators": int(gen), "rank_extended": int(ext),
-             "closure_defect": float(defect)} for gen, ext, defect in values]
 
 
 def _triples(words, degree: int) -> list:

@@ -587,10 +587,9 @@ def test_anchor_rank_growth_at_degenerate_point():
     free = fa.free_extend(spec, 2, "quotient")
     values, = check_values(free, [np.array([0.0, 0.5])],
                            [fa.rank_profile_check(free)])
-    profile = fa.profile_of(values)
-    assert profile[0]["rank_generators"] == 1
-    assert profile[0]["rank_extended"] == 2
-    assert profile[0]["closure_defect"] <= 1e-12
+    (rank_gen, rank_ext, defect), = values
+    assert (rank_gen, rank_ext) == (1, 2)
+    assert defect <= 1e-12
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -750,165 +749,108 @@ def test_magma_anchors_match_the_per_pair_diff_path(name):
 
 
 def _rank_profile_by_pair(closure, r, f):
-    # the rank profile kernel with two einsums and a norm per closure pair
+    # the rank profile kernel with two einsums, a norm and a public lstsq per
+    # closure pair and point; also the largest commutator norm at each point
     mat, drho = f.rho, f.drho
     scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))
     rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
     rank_ext = np.linalg.matrix_rank(mat, tol=1e-10 * scale)
-    defect = np.zeros(scale.shape)
+    defect, size = np.zeros(scale.shape), np.zeros(scale.shape)
     for ku, kv in closure:
         vecs = (np.einsum("...j,...ij->...i", mat.take(ku, -2), drho.take(kv, -3))
                 - np.einsum("...j,...ij->...i", mat.take(kv, -2), drho.take(ku, -3)))
         for p in np.ndindex(defect.shape):
             vec, A = vecs[p], np.swapaxes(mat[p], -2, -1)
+            size[p] = np.fmax(size[p], np.linalg.norm(vec))
             if np.linalg.norm(vec) != 0.0:
                 sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
                 defect[p] = np.maximum(defect[p], np.linalg.norm(A @ sol - vec))  # NaN kept
-    return rank_gen, rank_ext, defect
+    return (rank_gen, rank_ext, defect), size
+
+
+def _closure(free):
+    idx = free.index
+    return [(idx[u], idx[v]) for u in free.words for v in free.words
+            if u < v and u.degree + v.degree == free.degree + 1]
+
+
+def _assert_profiles_agree(free, f):
+    with np.errstate(invalid="ignore", over="ignore"):      # as check_values runs it
+        gen, ext, defect = fa.rank_profile_check(free).kernel(f)
+    (gen0, ext0, defect0), size = _rank_profile_by_pair(
+        _closure(free), len(free.basis[0]), f)
+    assert np.shape(gen) == np.shape(ext) == np.shape(defect) == np.shape(size)
+    assert np.array_equal(gen, gen0) and np.array_equal(ext, ext0)
+    assert np.array_equal(np.isnan(defect), np.isnan(defect0))
+    kept = ~np.isnan(defect0)
+    assert np.all(np.abs(defect - defect0)[kept] <= 1e-13 * np.fmax(1.0, size[kept]))
+    return defect
 
 
 def test_rank_profile_kernel_matches_the_per_pair_kernel():
     spec = load_doc(fixture_doc("fx_so3_sphere"))
     free = fa.free_extend(spec, 3, "quotient")
-    words, idx = free.words, free.index
-    closure = [(idx[u], idx[v]) for u in words for v in words
-               if u < v and u.degree + v.degree == 4]
-    N, n = len(words), spec.dimension
+    ku, kv = _closure(free)[0]
+    N, n = len(free.words), spec.dimension
     rng = np.random.default_rng(3)
-    rho, drho = rng.normal(size=(6, N, n)), rng.normal(size=(6, N, n, n))
+    rho, drho = rng.normal(size=(10, N, n)), rng.normal(size=(10, N, n, n))
     rho[1], drho[1] = 0.0, 0.0                   # every commutator is zero
-    ku, kv = closure[0]
     drho[2, [ku, kv]] = 0.0                      # the first pair's is zero
     drho[3, 4, 1, 0] = np.nan                    # NaN commutators
     drho[4, 5, 0, 1] = np.inf                    # infinite ones
     rho[5] *= 1e-170                             # squares that underflow
-    kernel = fa.rank_profile_check(free).kernel
-    for f in (SimpleNamespace(rho=rho, drho=drho),
-              SimpleNamespace(rho=rho[0], drho=drho[0])):     # no point axis
-        new, old = kernel(f), _rank_profile_by_pair(closure, 3, f)
-        for x, y in zip(new, old):
-            x, y = np.asarray(x), np.asarray(y)
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
-    defect = kernel(SimpleNamespace(rho=rho, drho=drho))[2]
-    assert np.isnan(defect).tolist() == [False] * 3 + [True] * 2 + [False]
+    rho[6, :, 1] = 2.0 * rho[6, :, 0]            # rank-deficient rho
+    rho[7, 1:] = 0.0                             # rho^T zero but for one column
+    rho[8] *= 1e-170                             # tiny rho, commutators of size 1
+    drho[8] *= 1e170
+    # a singular value ratio between eps * n and the lstsq cutoff eps * max(n, N)
+    rho[9, :, 1] = 2.0 * rho[9, :, 0] + 1e-14 * rng.normal(size=N)
+    high, low = np.linalg.svd(rho[9], compute_uv=False)[[0, -1]]
+    assert n < low / high / np.finfo(float).eps < N
+    defect = _assert_profiles_agree(free, SimpleNamespace(rho=rho, drho=drho))
+    _assert_profiles_agree(free, SimpleNamespace(rho=rho[0], drho=drho[0]))  # no point axis
+    assert np.isnan(defect).tolist() == [False] * 3 + [True] * 2 + [False] * 5
+    for name in ("fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
+                 "fx_killing_nonabelian"):                  # the degree-4 fixtures
+        spec = load_doc(fixture_doc(name))
+        free = fa.free_extend(spec, 4, "quotient")
+        _assert_profiles_agree(free, eval_fields(
+            free, sample_points(spec.chart, 5 if spec.rank > 2 else 20, 42), {"anchor": 1}))
 
 
-# the gufunc behind np.linalg.lstsq, which the rank profile calls stacked
-UMATH_LSTSQ = np.linalg._umath_linalg.lstsq
-FREE_DEEP_FIXTURES = ["fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
-                      "fx_killing_nonabelian"]
+def _failing_svd(monkeypatch, fail):
+    """np.linalg.svd, recording each call's matrix stack; a call that ``fail``
+    picks (given the calls so far) raises as a failed LAPACK SVD does."""
+    svd, calls = np.linalg.svd, []
 
-
-def _record_lstsq(monkeypatch, fail=lambda calls: False):
-    """Let the rank profile's stacked solves through, recording each call's
-    (A, b, rcond, signature, solution); a call that ``fail`` picks (given the
-    calls so far) raises the invalid flag first, as a failed dgelsd does."""
-    calls = []
-
-    def lstsq(A, b, rcond, signature):
-        calls.append([A, b, rcond, signature])
+    def patched(a, *args, **kwargs):
+        calls.append(a)
         if fail(calls):
-            np.sqrt(-np.ones(1))
-        calls[-1].append(UMATH_LSTSQ(A, b, rcond, signature=signature)[0])
-        return calls[-1][-1], None, None, None
-    monkeypatch.setattr(fa, "_umath_linalg", SimpleNamespace(lstsq=lstsq))
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", patched)
     return calls
 
 
-def _assert_each_solve_is_the_public_lstsq(A, b, rcond, signature, sol):
-    assert signature == "ddd->ddid" and sol.shape == A.shape[:-2] + (A.shape[-1], 1)
-    for k in range(len(A)):
-        public, *_ = np.linalg.lstsq(A[k], b[k, :, 0], rcond=None)
-        assert sol[k, :, 0].tobytes() == public.tobytes(), k
-
-
-def test_stacked_solve_matches_the_public_lstsq_on_random_stacks(monkeypatch):
-    spec = load_doc(fixture_doc("fx_so3_sphere"))
-    free = fa.free_extend(spec, 3, "quotient")
-    N, n = len(free.words), spec.dimension
-    rng = np.random.default_rng(11)
-    rho, drho = rng.normal(size=(6, N, n)), rng.normal(size=(6, N, n, n))
-    rho[1, :, 1] = 2.0 * rho[1, :, 0]            # rank-deficient A = rho^T
-    rho[2, 1:] = 0.0                             # A zero but for one column
-    rho[3] *= 1e-170                             # tiny A, commutators of size 1
-    drho[3] *= 1e170
-    # a singular value ratio between eps * n and the cutoff eps * max(n, N)
-    rho[4, :, 1] = 2.0 * rho[4, :, 0] + 1e-14 * rng.normal(size=N)
-    high, low = np.linalg.svd(rho[4], compute_uv=False)
-    assert n < low / high / np.finfo(float).eps < N
-    calls = _record_lstsq(monkeypatch)
-    kernel = fa.rank_profile_check(free).kernel
-    kernel(SimpleNamespace(rho=rho, drho=drho))
-    kernel(SimpleNamespace(rho=rho[0], drho=drho[0]))        # no point axis
-    assert len(calls) == 2 and all(len(call[0]) for call in calls)
-    for A, b, rcond, signature, sol in calls:
-        _assert_each_solve_is_the_public_lstsq(A, b, rcond, signature, sol)
-        zero = np.zeros_like(A)                  # all-zero A, same call
-        _assert_each_solve_is_the_public_lstsq(
-            zero, b, rcond, signature, UMATH_LSTSQ(zero, b, rcond, signature=signature)[0])
-
-
-@pytest.mark.parametrize("name", FREE_DEEP_FIXTURES)
-def test_stacked_solve_matches_the_public_lstsq_at_degree_4(monkeypatch, name):
-    spec = load_doc(fixture_doc(name))
-    free = fa.free_extend(spec, 4, "quotient")
-    f = eval_fields(free, sample_points(spec.chart, 5 if spec.rank > 2 else 20, 42),
-                    {"anchor": 1})
-    calls = _record_lstsq(monkeypatch)
-    fa.rank_profile_check(free).kernel(f)
-    A, b, rcond, signature, sol = calls[0]
-    # the anchors of the two free fixtures commute to degree 4: no system
-    assert len(calls) == 1 and (len(A) > 0) == (name not in ("fx_free_heis",
-                                                             "fx_free_abelian"))
-    _assert_each_solve_is_the_public_lstsq(A, b, rcond, signature, sol)
-
-
-def test_the_stacked_solve_ignores_the_flags_the_public_lstsq_ignores(monkeypatch):
-    spec = load_doc(fixture_doc("fx_so3_sphere"))
-    free = fa.free_extend(spec, 3, "quotient")
-    f = eval_fields(free, sample_points(spec.chart, 3, 42), {"anchor": 1})
-    systems = []
-
-    def flagging(A, b, rcond, signature):        # divide, over and under flags
-        systems.append(len(A))
-        np.ones(1) / np.zeros(1), np.exp(np.full(1, 1e3)), np.full(1, 1e-300) ** 2
-        return UMATH_LSTSQ(A, b, rcond, signature=signature)
-    with np.errstate(all="raise"):
-        with monkeypatch.context() as patched:
-            patched.setattr(np.linalg._linalg, "_umath_linalg",
-                            SimpleNamespace(lstsq=flagging))
-            np.linalg.lstsq(np.eye(2), np.ones(2))
-        monkeypatch.setattr(fa, "_umath_linalg", SimpleNamespace(lstsq=flagging))
-        fa.rank_profile_check(free).kernel(f)
-    assert len(systems) == 2 and systems[1] > 0
-
-
-def test_a_failed_stacked_solve_reruns_its_chunk_point_by_point(monkeypatch):
+def test_a_failed_svd_reruns_its_chunk_point_by_point(monkeypatch):
     spec = load_doc(fixture_doc("fx_killing_nonabelian"))
     free = fa.free_extend(spec, 4, "quotient")
     points = sample_points(spec.chart, 6, 42)
     checks = [fa.rank_profile_check(free)]
     monkeypatch.setattr(spec_model, "CHUNK_BYTES", 1 << 30)      # one chunk
     expected, = check_values(free, points, checks)
-    calls = _record_lstsq(monkeypatch, fail=lambda calls: len(calls) == 1)
+    calls = _failing_svd(monkeypatch, lambda calls: len(calls) == 1)
     values, = check_values(free, points, checks)
     assert values.tobytes() == expected.tobytes()
-    assert len(calls) == 1 + len(points) and len(calls[0]) == 4      # no solution
-    assert len(calls[0][0]) == sum(len(call[0]) for call in calls[1:])
+    assert [len(a) for a in calls] == [len(points)] + [1] * len(points)
 
 
-def test_a_failed_stacked_solve_exits_2_with_the_public_lstsq_message(
-        monkeypatch, capsys):
-    failing = SimpleNamespace(lstsq=lambda *args, **kwargs: np.sqrt(-np.ones(1)))
-    with monkeypatch.context() as patched, \
-            pytest.raises(np.linalg.LinAlgError) as public:
-        patched.setattr(np.linalg._linalg, "_umath_linalg", failing)
-        np.linalg.lstsq(np.eye(2), np.ones(2))
-    monkeypatch.setattr(fa, "_umath_linalg", failing)
+def test_a_failed_svd_exits_2_with_its_message(monkeypatch, capsys):
+    _failing_svd(monkeypatch, lambda calls: True)
     code = main(["free", "--spec", str(fixture_path("fx_so3_sphere")),
                  "--degree", "3", "--points", "3"])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {public.value}\n"
+    assert capsys.readouterr().err == "error: SVD did not converge\n"
 
 
 def test_each_derivative_is_built_once_per_build(monkeypatch):
