@@ -251,6 +251,8 @@ class _Parser:
             raise ParseError("unexpected end of input", len(self.text))
         kind, value, offset = tok
         if kind == "num":
+            if math.isinf(float(value)):
+                raise ParseError(f"number '{value}' overflows to inf", offset)
             return Num(float(value))
         if kind == "ident":
             if self.op_in("("):

@@ -63,6 +63,18 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert main(["check", "--spec", str(tmp_path / "missing.json")]) == 2
 
 
+def test_a_number_literal_that_overflows_is_rejected_at_load(tmp_path, capsys):
+    doc = json.loads(Path(fx("fx_action_so2")).read_text())
+    doc["anchor"][0][0] = "1e400*x"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, text = run(tmp_path, "validate", "--spec", str(spec))
+    assert code == 2 and text is None
+    assert capsys.readouterr().err == (
+        "error: anchor[0][0]: expression error: number '1e400' overflows to inf "
+        "(at byte offset 0)\n")
+
+
 def test_axioms_require_lie_mode(tmp_path):
     code, _ = run(tmp_path, "check", "--spec", fx("fx_free_heis"))
     assert code == 2

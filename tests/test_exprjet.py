@@ -53,6 +53,15 @@ def test_parse_syntax_error_offset():
         parse_expr("foo(x)", XY)
 
 
+def test_parse_rejects_a_number_literal_that_overflows():
+    for text, literal, offset in (("1e400*x", "1e400", 0), ("-1e309", "1e309", 1)):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, XY)
+        assert str(err.value) == (f"number '{literal}' overflows to inf "
+                                  f"(at byte offset {offset})")
+    assert parse_expr("1.7e308", XY) == Num(1.7e308)       # finite, kept
+
+
 def test_precedence():
     # ^ binds tighter than unary minus, which binds tighter than *
     assert parse_expr("-x^2", XY) == Neg(Pow(Var("x", 0), Num(2.0)))
