@@ -592,6 +592,28 @@ def test_anchor_rank_growth_at_degenerate_point():
     assert defect <= 1e-12
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_the_closure_defect_of_the_contact_distribution(degree):
+    # span{d/dx, d/dy + x d/dz}: their commutator d/dz lies off it by the
+    # normal component 1/sqrt(1 + x^2), and the degree-2 word spans it
+    spec = load_doc({"chart": {"coords": ["x", "y", "z"], "domain": [[-2.0, 2.0]] * 3},
+                     "rank": 2, "mode": "anchored",
+                     "anchor": [["1", "0", "0"], ["0", "1", "x"]],
+                     "connection": [[["0", "0", "0"]] * 2 for _ in range(2)]})
+    free = fa.free_extend(spec, degree, "quotient")
+    points = sample_points(spec.chart, 20, 42)
+    values, = check_values(free, points, [fa.rank_profile_check(free)])
+    rank_gen, rank_ext, defect = values.T
+    assert rank_gen.tolist() == [2.0] * 20
+    if degree == 1:
+        assert rank_ext.tolist() == [2.0] * 20
+        exact = 1.0 / np.sqrt(1.0 + points[:, 0] ** 2)
+        np.testing.assert_allclose(defect, exact, rtol=1e-15, atol=0.0)
+    else:
+        assert rank_ext.tolist() == [3.0] * 20
+        assert np.all(defect <= 1e-15)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_the_almost_table_has_constant_unit_coefficients_at_every_rank(rank):
     # jacobiator_check reads each coefficient as a finite constant
