@@ -8,9 +8,8 @@ them).  In almost mode the basis is the anticommutative-magma normal form
 of Hall words is rewritten in it by the Jacobi identity, exactly and with
 integer coefficients.  Anchors extend by vector-field commutators, and the
 connection extends by the bracket formula that keeps the compatibility tensor
-of the extension identically zero degree by degree.  The rank profile reads
-the foliation the anchors span: one SVD per point of the extended anchor
-gives its rank and the closure defect of the next degree's commutators.
+of the extension identically zero degree by degree.  The rank profile takes
+the extended anchor's rank and closure defect from one SVD per point.
 """
 
 from __future__ import annotations
@@ -400,12 +399,11 @@ def killing_checks(free: FreeTruncation) -> tuple[Check, Check]:
 
 
 def rank_profile_check(free: FreeTruncation) -> Check:
-    """Per-point (generator rank, extended rank, closure defect), from one SVD
-    of the extended anchor: the rank counts singular values above
-    1e-10 * max(1, max |rho|), and the defect is the largest norm of a
-    one-higher-degree commutator's part off the span that np.linalg.lstsq
-    keeps (singular values above eps * max(N, n) * sigma_max), its residual.
-    A profile, not a residual: read as the (points, 3) array of values."""
+    """Per-point (generator rank, extended rank, closure defect), a profile
+    read as a (points, 3) array.  One SVD of the extended anchor gives both:
+    its rank counts the singular values above 1e-10 * max(1, max |rho|), and
+    the defect is the largest norm of a next-degree commutator's part off the
+    span np.linalg.lstsq keeps (singular values above eps * max(N, n) * s_max)."""
     r, words, idx = len(free.basis[0]), free.words, free.index
     ku, kv = np.array([(idx[u], idx[v]) for u in words for v in words
                        if u < v and u.degree + v.degree == free.degree + 1],
@@ -414,21 +412,21 @@ def rank_profile_check(free: FreeTruncation) -> Check:
     def kernel(f):
         mat, drho = f.rho, f.drho
         finite = np.isfinite(mat).all((-2, -1))
-        if not finite.all():        # kept from the SVD, which fails without naming it
+        if not finite.all():        # the SVD would fail without naming the point
             bad = np.reshape(f.point, (-1, mat.shape[-1]))[np.argmin(finite)]
             raise ValueError(f"extended anchor not finite at point "
                              f"{tuple(float(c) for c in bad)}")
-        scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+        scale = np.fmax(1.0, np.max(np.abs(mat), axis=(-2, -1)))   # NaN -> 1.0
         rank_gen = np.linalg.matrix_rank(mat[..., :r, :], tol=1e-10 * scale)
         # the vector-field commutators [rho_u, rho_v] of every closure pair
         vecs = (np.einsum("...kj,...kij->...ki", mat.take(ku, -2), drho.take(kv, -3))
                 - np.einsum("...kj,...kij->...ki", mat.take(kv, -2), drho.take(ku, -3)))
         _, s, vt = np.linalg.svd(mat, full_matrices=False)
         rank_ext = np.count_nonzero(s > 1e-10 * scale[..., None], axis=-1)
-        # the rows np.linalg.lstsq keeps: its residual is the part off their span
-        span = vt * (s > np.finfo(float).eps * max(mat.shape[-2:]) * s[..., :1])[..., None]
-        off = vecs - (vecs @ np.swapaxes(span, -2, -1)) @ span
-        return rank_gen, rank_ext, np.max(np.linalg.norm(off, axis=-1), axis=-1, initial=0.0)
+        cut = np.finfo(float).eps * max(mat.shape[-2:]) * s[..., :1]   # lstsq's cutoff
+        span = vt * (s > cut)[..., None]
+        off = vecs - (vecs @ np.swapaxes(span, -2, -1)) @ span      # lstsq's residual
+        return rank_gen, rank_ext, np.linalg.norm(off, axis=-1).max(-1, initial=0.0)
     return Check(("rank_generators", "rank_extended", "closure_defect"),
                  {"anchor": 1}, kernel)
 

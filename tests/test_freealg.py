@@ -783,8 +783,9 @@ def _rank_profile_by_pair(closure, r, f):
                 - np.einsum("...j,...ij->...i", mat.take(kv, -2), drho.take(ku, -3)))
         for p in np.ndindex(defect.shape):
             vec, A = vecs[p], np.swapaxes(mat[p], -2, -1)
-            size[p] = np.fmax(size[p], np.linalg.norm(vec))
-            if np.linalg.norm(vec) != 0.0:
+            norm = np.linalg.norm(vec)
+            size[p] = np.fmax(size[p], norm)
+            if norm != 0.0:
                 sol, *_ = np.linalg.lstsq(A, vec, rcond=None)
                 defect[p] = np.maximum(defect[p], np.linalg.norm(A @ sol - vec))  # NaN kept
     return (rank_gen, rank_ext, defect), size
