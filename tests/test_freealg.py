@@ -807,7 +807,7 @@ def _assert_profiles_agree(free, f):
     assert np.array_equal(np.isnan(defect), np.isnan(defect0))
     kept = ~np.isnan(defect0)
     assert np.all(np.abs(defect - defect0)[kept] <= 1e-13 * np.fmax(1.0, size[kept]))
-    return defect
+    return defect, size
 
 
 def test_rank_profile_kernel_matches_the_per_pair_kernel():
@@ -816,29 +816,47 @@ def test_rank_profile_kernel_matches_the_per_pair_kernel():
     ku, kv = _closure(free)[0]
     N, n = len(free.words), spec.dimension
     rng = np.random.default_rng(3)
-    rho, drho = rng.normal(size=(10, N, n)), rng.normal(size=(10, N, n, n))
+    rho, drho = rng.normal(size=(6, N, n)), rng.normal(size=(6, N, n, n))
     rho[1], drho[1] = 0.0, 0.0                   # every commutator is zero
     drho[2, [ku, kv]] = 0.0                      # the first pair's is zero
     drho[3, 4, 1, 0] = np.nan                    # NaN commutators
     drho[4, 5, 0, 1] = np.inf                    # infinite ones
     rho[5] *= 1e-170                             # squares that underflow
-    rho[6, :, 1] = 2.0 * rho[6, :, 0]            # rank-deficient rho
-    rho[7, 1:] = 0.0                             # rho^T zero but for one column
-    rho[8] *= 1e-170                             # tiny rho, commutators of size 1
-    drho[8] *= 1e170
-    # a singular value ratio between eps * n and the lstsq cutoff eps * max(n, N)
-    rho[9, :, 1] = 2.0 * rho[9, :, 0] + 1e-14 * rng.normal(size=N)
-    high, low = np.linalg.svd(rho[9], compute_uv=False)[[0, -1]]
-    assert n < low / high / np.finfo(float).eps < N
-    defect = _assert_profiles_agree(free, SimpleNamespace(rho=rho, drho=drho))
+    defect, _ = _assert_profiles_agree(free, SimpleNamespace(rho=rho, drho=drho))
     _assert_profiles_agree(free, SimpleNamespace(rho=rho[0], drho=drho[0]))  # no point axis
-    assert np.isnan(defect).tolist() == [False] * 3 + [True] * 2 + [False] * 5
-    for name in ("fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
-                 "fx_killing_nonabelian"):                  # the degree-4 fixtures
-        spec = load_doc(fixture_doc(name))
-        free = fa.free_extend(spec, 4, "quotient")
-        _assert_profiles_agree(free, eval_fields(
-            free, sample_points(spec.chart, 5 if spec.rank > 2 else 20, 42), {"anchor": 1}))
+    assert np.isnan(defect).tolist() == [False] * 3 + [True] * 2 + [False]
+
+
+def test_stacked_solve_matches_the_public_lstsq_on_random_stacks():
+    spec = load_doc(fixture_doc("fx_so3_sphere"))
+    free = fa.free_extend(spec, 3, "quotient")
+    N, n = len(free.words), spec.dimension
+    rng = np.random.default_rng(11)
+    rho, drho = rng.normal(size=(6, N, n)), rng.normal(size=(6, N, n, n))
+    rho[1, :, 1] = 2.0 * rho[1, :, 0]            # rank-deficient rho
+    rho[2, 1:] = 0.0                             # rho^T zero but for one column
+    rho[3] *= 1e-170                             # tiny rho, commutators of size 1
+    drho[3] *= 1e170
+    # a singular value ratio between eps * n and the lstsq cutoff eps * max(n, N)
+    rho[4, :, 1] = 2.0 * rho[4, :, 0] + 1e-14 * rng.normal(size=N)
+    high, low = np.linalg.svd(rho[4], compute_uv=False)[[0, -1]]
+    assert n < low / high / np.finfo(float).eps < N
+    defect, _ = _assert_profiles_agree(free, SimpleNamespace(rho=rho, drho=drho))
+    _assert_profiles_agree(free, SimpleNamespace(rho=rho[0], drho=drho[0]))  # no point axis
+    assert not np.isnan(defect).any()
+
+
+@pytest.mark.parametrize("name", ["fx_so3_sphere", "fx_free_heis", "fx_free_abelian",
+                                  "fx_killing_nonabelian"])  # the degree-4 bench fixtures
+def test_stacked_solve_matches_the_public_lstsq_at_degree_4(name):
+    spec = load_doc(fixture_doc(name))
+    free = fa.free_extend(spec, 4, "quotient")
+    f = eval_fields(free, sample_points(spec.chart, 5 if spec.rank > 2 else 20, 42),
+                    {"anchor": 1})
+    defect, size = _assert_profiles_agree(free, f)
+    # the anchors of the two free fixtures commute to degree 4: every commutator is 0
+    assert np.any(size > 0) == (name not in ("fx_free_heis", "fx_free_abelian"))
+    assert np.all(defect[size == 0] == 0.0)
 
 
 def _failing_svd(monkeypatch, fail):
