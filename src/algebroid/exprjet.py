@@ -14,11 +14,11 @@ array of points as forward-mode Taylor arithmetic on arrays with a leading
 point axis (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13),
 one ``Jet`` per distinct node, with the operations a walk of each entry at
 each point would use: shared subexpressions cost once per batch, and each
-point's arrays are bit-identical to a walk of each entry there.  Denominator
-and exponent checks run where the walk ran them, so a failure names the
-subexpression, the first entry that reaches it and the earliest point where
-that step fails; the chunk loop of ``spec_model`` runs a failing batch again
-one point at a time, so that its error names the earliest failing point.
+point's arrays are bit-identical to a walk of each entry there.  Denominators
+are checked where the walk ran them, so a failure names the subexpression,
+the first entry that reaches it and the earliest point where that step fails;
+the chunk loop of ``spec_model`` runs a failing batch again one point at a
+time, so that its error names the earliest failing point.
 
 Grammar (whitespace insignificant)::
 
@@ -30,6 +30,8 @@ Grammar (whitespace insignificant)::
 Precedence is ``^`` > unary minus > ``*``,``/`` > ``+``,``-`` and ``^`` is
 right-associative; where the raw grammar is ambiguous against that ranking
 (``-x^2``), precedence wins, so ``-x^2`` parses as ``-(x^2)``.
+An exponent may read no coordinate: the parser folds it to the finite
+:class:`Num` that an evaluation at order 0 gives it.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class Div:
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
-    exponent: "Expr"
+    exponent: Num
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,30 @@ class _Parser:
             e = self.base()
             if self.op_in("^"):
                 self.next()
-                e = Pow(e, self.factor())
+                e = Pow(e, self.exponent())
         self.nesting -= 1
         return e
+
+    def exponent(self) -> Num:
+        """The factor after ``^``, folded to a number; it may read no coordinate."""
+        tok, e = self.peek(), self.factor()
+        if type(e) is Num:
+            return e
+        # the depth is checked before any recursive walk of the tree
+        if (depth := tree_depth(e)) > MAX_DEPTH:
+            raise ParseError(f"exponent is {depth} levels deep, more than "
+                             f"MAX_DEPTH = {MAX_DEPTH}", tok[2])
+        block = Block([((), 1, e)], ())
+        var = next((node for op, _, _, node in block.program.steps if op == _VAR), None)
+        if var is not None:
+            raise ParseError(f"exponent reads coordinate '{var.name}'", tok[2])
+        try:
+            value = float(eval_block(block, np.zeros(len(self.coords)))[0])
+        except EvalDomainError as exc:
+            raise ParseError(f"{exc.reason} in '{render(exc.subexpr)}'", tok[2]) from None
+        if not math.isfinite(value):
+            raise ParseError(f"exponent '{render(e)}' is not finite", tok[2])
+        return Num(value)
 
     def base(self) -> Expr:
         tok = self.next()
@@ -426,9 +449,7 @@ def diff(e: Expr, index: int, memo: dict | None = None) -> Expr:
                     e_mul(e.left, diff(e.right, index, memo)))
         out = e_div(num, e_mul(e.right, e.right))
     elif isinstance(e, Pow):
-        p = _const(e.exponent)
-        if p is None:
-            raise ExprError(f"non-constant exponent in '{render(e)}'")
+        p = e.exponent.value
         out = ZERO if p == 0.0 else e_mul(
             Num(p), e_mul(Pow(e.base, Num(p - 1.0)), diff(e.base, index, memo)))
     elif isinstance(e, Call):
@@ -471,8 +492,7 @@ def diff(e: Expr, index: int, memo: dict | None = None) -> Expr:
 # its jet's order reads and puts 0.0 in place of the others, which ``compose``
 # never reads, so a term no caller reads cannot raise; a term whose power of
 # the value overflows or underflows is a signed 0 or inf (``_pow``, ``_over``),
-# so only a value raises.  A power reads its exponent once per batch and tests
-# its base with one comparison over the batch.
+# so only a value raises.  A power tests its base over the batch at once.
 
 
 class Jet:
@@ -624,18 +644,11 @@ def _call_rule(func: str, order: int, node: Expr):
     return rule
 
 
-def _power(base: Jet, p, node: Expr, points) -> Jet:
-    """``base`` raised to the constant exponent values ``p``: an integer
-    power by repeated multiplication (or its reciprocal), else the chain
-    rule.  Points whose exponents differ go one at a time."""
-    if len(set(p.tolist())) > 1:
-        rows = [_power(Jet([part[k:k + 1] for part in base.parts]), p[k:k + 1], node,
-                       points[k:k + 1]) for k in range(len(p))]
-        return Jet([np.concatenate(parts) for parts in zip(*(j.parts for j in rows))])
-    # a float key is non-integral, or too large for repeated products; an
-    # inf or nan exponent fails in round()
-    key, = _pointwise(lambda p, _: int(round(p)) if p == round(p) and abs(p) <= 1024
-                      else p, node, points[:1], p[:1])
+def _power(base: Jet, p: float, node: Expr, points) -> Jet:
+    """``base`` to the power of the number ``p``: an integer power by repeated
+    multiplication (or its reciprocal), else the chain rule."""
+    # a float key is non-integral, or too large for repeated products
+    key = int(p) if abs(p) <= 1024 and p == int(p) else p
     integral = type(key) is int
     if integral and key >= 0:
         return base.int_pow(key)
@@ -655,15 +668,14 @@ def _power(base: Jet, p, node: Expr, points) -> Jet:
 # --------------------------------------------------------------------------
 # Compiled blocks
 #
-# A value step makes the jet of one distinct node; ``raised`` marks a node
-# under an exponent, which is evaluated at order >= 1 (its key includes the
-# mark).  A guard step makes no jet: it checks a denominator for zero or an
-# exponent for a nonzero gradient before the rest of its parent is evaluated.
+# A value step makes the jet of one distinct node.  A guard step makes no jet:
+# it checks a denominator for zero before the rest of its parent is evaluated.
+# A power's exponent is a number (the parser folds it), held in its step.
 # Steps are emitted in the order a recursive walk of the entries first
 # reaches them, so the first failing step is the one that walk would meet.
 
 _NUM, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
-_NONZERO, _CONSTANT = 9, 10                 # guards: they make no jet
+_NONZERO = 9                                # a guard: it makes no jet
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 
 
@@ -671,56 +683,52 @@ class _Program:
     """The steps of a block's entries, and where each entry's jet lands."""
 
     def __init__(self, exprs):
-        self.steps = []             # (op, a, b, raised, node)
+        self.steps = []             # (op, a, b, node)
         self.ends = []              # per entry: steps emitted by then
         self._slots = {}            # structural key -> slot
-        self._seen = {}             # (id(expr), raised) -> slot
+        self._seen = {}             # id(expr) -> slot
         self._guarded = set()
         self.roots = []
         for e in exprs:
-            self.roots.append(self._visit(e, False))
+            self.roots.append(self._visit(e))
             self.ends.append(len(self.steps))
+        self.values = len(self._slots)          # the jets a run makes
         del self._slots, self._seen, self._guarded
 
-    def _emit(self, key, node, raised) -> int:
+    def _emit(self, key, node) -> int:
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = len(self._slots)
-            self.steps.append((key[0], key[1], key[2], raised, node))
+            self.steps.append(key + (node,))
         return slot
 
-    def _guard(self, op, slot, node, raised):
-        if (op, slot) not in self._guarded:
-            self._guarded.add((op, slot))
-            self.steps.append((op, slot, None, raised, node))
-
-    def _visit(self, e, raised: bool) -> int:
-        seen = self._seen.get((id(e), raised))
+    def _visit(self, e) -> int:
+        seen = self._seen.get(id(e))
         if seen is not None:
             return seen
         kind = type(e)
         if kind is Num:
-            key = (_NUM, e.value, math.copysign(1.0, e.value), raised)
+            key = (_NUM, e.value, math.copysign(1.0, e.value))
         elif kind is Var:
-            key = (_VAR, e.index, None, raised)
+            key = (_VAR, e.index, None)
         elif kind is Neg:
-            key = (_NEG, self._visit(e.arg, raised), None, raised)
+            key = (_NEG, self._visit(e.arg), None)
         elif kind in _BINARY:
-            left = self._visit(e.left, raised)
-            key = (_BINARY[kind], left, self._visit(e.right, raised), raised)
+            left = self._visit(e.left)
+            key = (_BINARY[kind], left, self._visit(e.right))
         elif kind is Div:
-            denom = self._visit(e.right, raised)
-            self._guard(_NONZERO, denom, e, raised)
-            key = (_DIV, self._visit(e.left, raised), denom, raised)
+            denom = self._visit(e.right)
+            if denom not in self._guarded:
+                self._guarded.add(denom)
+                self.steps.append((_NONZERO, denom, None, e))
+            key = (_DIV, self._visit(e.left), denom)
         elif kind is Pow:
-            exponent = self._visit(e.exponent, True)
-            self._guard(_CONSTANT, exponent, e, raised)
-            key = (_POW, self._visit(e.base, raised), exponent, raised)
+            key = (_POW, self._visit(e.base), e.exponent.value)
         elif kind is Call:
-            key = (_CALL, e.func, self._visit(e.arg, raised), raised)
+            key = (_CALL, e.func, self._visit(e.arg))
         else:
             raise TypeError(f"not an Expr: {e!r}")
-        slot = self._seen[(id(e), raised)] = self._emit(key, e, raised)
+        slot = self._seen[id(e)] = self._emit(key, e)
         return slot
 
     # overflow makes inf or nan, which the checks report as failures
@@ -733,15 +741,13 @@ class _Program:
             raise ValueError("jet order must be in 0..2")
         jets = []
         append = jets.append
-        raised_order = max(order, 1)
-        for step, (op, a, b, raised, node) in enumerate(self.steps):
-            o = raised_order if raised else order
+        for step, (op, a, b, node) in enumerate(self.steps):
             try:
                 if op == _NUM:
-                    append(Jet.constant(np.full(len(points), a), n, o))
+                    append(Jet.constant(np.full(len(points), a), n, order))
                 elif op == _VAR:
-                    append(Jet.constant(points[:, a], n, o))
-                    if o:
+                    append(Jet.constant(points[:, a], n, order))
+                    if order:
                         jets[-1].parts[1][:, a] = 1.0
                 elif op == _MUL:
                     append(jets[a] * jets[b])
@@ -752,20 +758,16 @@ class _Program:
                 elif op == _NEG:
                     append(-jets[a])
                 elif op == _CALL:
-                    append(_compose(jets[b], _call_rule(a, o, node), node, points))
+                    append(_compose(jets[b], _call_rule(a, order, node), node, points))
                 elif op == _DIV:
                     append(jets[a] * _reciprocal(jets[b], node, points))
                 elif op == _POW:
-                    append(_power(jets[a], jets[b].value, node, points))
-                elif op == _NONZERO:
+                    append(_power(jets[a], b, node, points))
+                else:                                           # _NONZERO
                     zero = jets[a].value == 0.0
                     if zero.any():
                         raise EvalDomainError("division by zero", node,
                                               points[int(np.argmax(zero))])
-                elif np.count_nonzero(jets[a].grad):            # _CONSTANT
-                    varies = (jets[a].grad != 0.0).any(axis=1)
-                    raise EvalDomainError("non-constant exponent", node,
-                                          points[int(np.argmax(varies))])
             except EvalDomainError as err:
                 err.step = step
                 raise
@@ -776,7 +778,7 @@ class _Program:
         return bisect_right(self.ends, step)
 
 
-# float and math-module failures, reported against the node that raised them
+# float and math-module failures, reported against the node whose rule failed
 _ARITH_REASONS = {OverflowError: "overflow", ZeroDivisionError: "division by zero",
                   ValueError: "math domain error"}
 
@@ -805,19 +807,10 @@ class Block:
     def program(self) -> _Program:
         return _Program([e for _, _, e in self.written])
 
-    @cached_property
-    def _value_steps(self) -> tuple[int, int]:
-        """The program's plain and raised value steps: the jets it makes."""
-        marks = [raised for op, _, _, raised, _ in self.program.steps if op <= _CALL]
-        return len(marks) - sum(marks), sum(marks)
-
     def point_bytes(self, n: int, order: int) -> int:
         """Bytes a point takes in the slots and arrays of an evaluation."""
-        def floats(o):
-            return sum(n ** k for k in range(o + 1))
-        plain, raised = self._value_steps
-        return 8 * (plain * floats(order) + raised * floats(max(order, 1))
-                    + math.prod(self.shape) * floats(order))
+        floats = sum(n ** k for k in range(order + 1))
+        return 8 * floats * (self.program.values + math.prod(self.shape))
 
 
 def eval_block(block: Block, points, order: int = 0):

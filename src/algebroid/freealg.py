@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .exprjet import Block, Expr, ExprError, Num, diff, e_add, e_mul, e_neg, e_sub
+from .exprjet import Block, Expr, Num, diff, e_add, e_mul, e_neg, e_sub
 from .spec_model import AlgebroidSpec, Check, CheckReport, run_checks
 from .calculus import KILLING, killing_frame_components, s_frame_components, take
 
@@ -176,18 +176,6 @@ def _coefficients(expansion: Expansion, index: dict) -> np.ndarray:
     return row
 
 
-def _diff_entries(block: Block, n: int, memo) -> None:
-    """Each first partial of the spec ``block``'s entries, taken into the
-    build's ``memo``; an entry ``diff`` cannot take is named, as ``label[a][i]``."""
-    for index, _, e in block.entries:
-        try:
-            for j in range(n):
-                diff(e, j, memo)
-        except ExprError as exc:
-            raise ExprError(block.label + "".join(f"[{i}]" for i in index)
-                            + f": {exc}") from None
-
-
 def _commutator_exprs(rho_u, rho_v, memo) -> tuple[Expr, ...]:
     """[rho_u, rho_v], its derivatives taken through the ``diff`` memo."""
     comps = []
@@ -240,8 +228,6 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
     nabla[u,v] = L_u(nabla v) - L_v(nabla u) - nabla_{rho(nabla u)}v
     + nabla_{rho(nabla v)}u.  Coefficients live on words of degree <= deg w."""
     n, block = spec.dimension, spec.block_entries["connection"]
-    if len(basis) > 1 and basis[1]:             # the degree-2 words' Lie terms
-        _diff_entries(block, n, memo)
     conn: dict = {}
     for a, w in enumerate(basis[0]):
         entries = {}
@@ -312,8 +298,6 @@ def _magma_anchors(spec: AlgebroidSpec, levels, memo=None) -> dict:
     memo = {} if memo is None else memo         # one memo across all the pairs
     if len(levels) not in held:
         block = spec.block_entries["anchor"]
-        if len(levels) > 1 and levels[1]:       # the degree-2 commutators
-            _diff_entries(block, spec.dimension, memo)
         anchor = {w: tuple(e for (b, _), _, e in block.entries if b == a)
                   for a, w in enumerate(levels[0])}
         for level in levels[1:]:

@@ -235,7 +235,10 @@ def _load_chart(doc, path="chart") -> ChartSpec:
     domain = doc.get("domain")
     if not isinstance(coords, Sequence) or not coords or isinstance(coords, str):
         raise SchemaError(f"{path}.coords", "expected nonempty list of names")
-    coords = tuple(str(c) for c in coords)
+    for k, c in enumerate(coords):
+        # the grammar's identifier token, [A-Za-z_][A-Za-z0-9_]*
+        if not (isinstance(c, str) and c.isascii() and c.isidentifier()):
+            raise SchemaError(f"{path}.coords[{k}]", f"expected an identifier, got {c!r}")
     if len(set(coords)) != len(coords):
         raise SchemaError(f"{path}.coords", "coordinate names must be distinct")
     for c in coords:
@@ -256,7 +259,7 @@ def _load_chart(doc, path="chart") -> ChartSpec:
         if not lo < hi:
             raise SchemaError(f"{path}.domain[{k}]", f"need lo < hi, got [{lo}, {hi}]")
         intervals.append((lo, hi))
-    return ChartSpec(coords, tuple(intervals))
+    return ChartSpec(tuple(coords), tuple(intervals))
 
 
 def _load_matrix(doc, coords, rows, cols, path) -> tuple:

@@ -751,15 +751,14 @@ def test_free_at_degree_4_builds_at_the_depth_bound(tmp_path):
 
 
 def _assert_free_names_the_exponent(tmp_path, slot):
-    # the entry is named where the build differentiates it; at degree 1 it
-    # does not, and the tape evaluates the exponent as validate and check do
-    spec = _spec_with(tmp_path, slot, "x^1^1")
-    code, err = _quiet_main(["free", "--spec", spec, "--degree", "2",
-                             "--points", "2"])
+    # the entry is named when the spec loads, before any build or evaluation
+    spec = _spec_with(tmp_path, slot, "x^y")
     entry = slot[0] + "".join(f"[{i}]" for i in slot[1:])
-    assert (code, err) == (2, f"error: {entry}: non-constant exponent in 'x^1.0^1.0'\n")
-    assert _quiet_main(["free", "--spec", spec, "--degree", "1",
-                        "--points", "2"]) == (1, "")
+    for degree in ("1", "2"):
+        assert _quiet_main(["free", "--spec", spec, "--degree", degree,
+                            "--points", "2"]) == (
+            2, f"error: {entry}: expression error: exponent reads coordinate 'y' "
+               f"(at byte offset 2)\n")
 
 
 def test_free_on_a_non_constant_exponent_exits_2(tmp_path):
@@ -768,6 +767,30 @@ def test_free_on_a_non_constant_exponent_exits_2(tmp_path):
 
 def test_free_names_a_connection_entry_with_a_non_constant_exponent(tmp_path):
     _assert_free_names_the_exponent(tmp_path, ("connection", 1, 2, 0))
+
+
+@pytest.mark.parametrize("slot", [("anchor", 0, 0), ("connection", 1, 2, 0)])
+@pytest.mark.parametrize("text, literal", [
+    ("x^1^1", "x^1"), ("x^(1+1)", "x^2"), ("(x+3)^sqrt(0)", "(x+3)^0")])
+def test_free_on_an_exponent_that_folds_matches_its_literal(tmp_path, capfd, slot,
+                                                             text, literal):
+    # the exponent is a number once the spec loads, so free differentiates it
+    runs = []
+    for spelling in (text, literal):
+        spec = _spec_with(tmp_path, slot, spelling)
+        code = main(["free", "--spec", spec, "--degree", "3", "--points", "5"])
+        runs.append((code,) + tuple(capfd.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^(y-y)", "exponent reads coordinate 'y' (at byte offset 2)"),
+    ("(x+3)^ln(0)", "ln of nonpositive value in 'ln(0.0)' (at byte offset 6)"),
+])
+def test_a_bad_exponent_is_rejected_at_load(tmp_path, text, message):
+    spec = _spec_with(tmp_path, ("anchor", 0, 0), text)
+    assert _quiet_main(["validate", "--spec", spec]) == (
+        2, f"error: anchor[0][0]: expression error: {message}\n")
 
 
 @pytest.mark.parametrize("base, squarings, at", [("x+2", 12, 0), ("2-x", 10, 1)])

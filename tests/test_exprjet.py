@@ -67,20 +67,20 @@ def test_precedence():
     assert parse_expr("-x^2", XY) == Neg(Pow(Var("x", 0), Num(2.0)))
     assert parse_expr("-x*y", XY) == Mul(Neg(Var("x", 0)), Var("y", 1))
     assert parse_expr("x - -y", XY) == Sub(Var("x", 0), Neg(Var("y", 1)))
-    # right associativity of ^
+    # right associativity of ^: the exponent 2^3 is folded to 8
     e = parse_expr("x^2^3", XY)
-    assert e == Pow(Var("x", 0), Pow(Num(2.0), Num(3.0)))
+    assert e == Pow(Var("x", 0), Num(8.0))
     assert parse_expr("2e-3", XY) == Num(0.002)
-    assert parse_expr("x^-2", XY) == Pow(Var("x", 0), Neg(Num(2.0)))
+    assert parse_expr("x^-2", XY) == Pow(Var("x", 0), Num(-2.0))
 
 
 def _exprs(coords):
-    # literal tokens are unsigned in the grammar; negatives come from Neg
-    leaves = st.one_of(
-        st.floats(min_value=0, max_value=4, allow_nan=False).map(
-            lambda v: Num(round(v, 3))),
-        st.sampled_from([Var(c, i) for i, c in enumerate(coords)]),
-    )
+    # literal tokens are unsigned in the grammar; negatives come from Neg; no
+    # coordinates gives the expressions that read none
+    leaves = st.floats(min_value=0, max_value=4, allow_nan=False).map(
+        lambda v: Num(round(v, 3)))
+    if coords:
+        leaves |= st.sampled_from([Var(c, i) for i, c in enumerate(coords)])
 
     def extend(children):
         return st.one_of(
@@ -102,6 +102,62 @@ def _exprs(coords):
 @settings(max_examples=200, deadline=None)
 def test_render_parse_roundtrip(e):
     assert parse_expr(render(e), XY) == e
+
+
+# --------------------------------------------------------------------------
+# Exponents: each is folded to a number when it is parsed
+
+
+def _outcome(e, order):
+    try:
+        return [a.tobytes() for a in eval_block(Block([((), 1, e)], ()), POINTS, order)]
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+@given(_exprs([]))
+@settings(max_examples=200, deadline=None)
+def test_an_exponent_that_reads_no_coordinate_folds_to_its_value(c):
+    # the folded power evaluates as the power of the folded value's literal
+    try:
+        e = parse_expr(f"x^({render(c)})", XY)
+    except ParseError:
+        return
+    assert type(e.exponent) is Num and math.isfinite(e.exponent.value)
+    literal = parse_expr(f"x^({e.exponent.value!r})", XY)
+    assert e == Pow(Var("x", 0), e.exponent) == literal
+    for order in range(3):
+        assert _outcome(e, order) == _outcome(literal, order)
+
+
+@pytest.mark.parametrize("text, literal", [
+    ("x^(1+1)", "x^2"), ("x^(1/4)", "x^0.25"), ("x^2^3", "x^8"),
+    ("x^sqrt(2)", "x^1.4142135623730951"), ("x^1^1", "x^1"),
+    ("(x+3)^sqrt(0)", "(x+3)^0"),
+])
+def test_an_exponent_folds_to_its_literal(text, literal):
+    assert parse_expr(text, XY) == parse_expr(literal, XY)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ln(x)^x", "exponent reads coordinate 'x' (at byte offset 6)"),
+    ("y^sqrt(x-x)", "exponent reads coordinate 'x' (at byte offset 2)"),
+    ("sqrt(x-x) + y^sqrt(x-x)", "exponent reads coordinate 'x' (at byte offset 14)"),
+    ("(exp(exp(exp(x)))*y)^(ln(y)-ln(y))",
+     "exponent reads coordinate 'y' (at byte offset 21)"),
+    ("(x+3)^ln(0)", "ln of nonpositive value in 'ln(0.0)' (at byte offset 6)"),
+    ("x^(1/(1-1))", "division by zero in '1.0/(1.0 - 1.0)' (at byte offset 2)"),
+    ("x^exp(1000)", "overflow in 'exp(1000.0)' (at byte offset 2)"),
+    ("x^(1e300*1e300)", "exponent '1e+300*1e+300' is not finite (at byte offset 2)"),
+    # the depth is checked before any tree walk could reach the recursion limit
+    pytest.param("x^(" + "+".join(["1"] * 3000) + ")",
+                 "exponent is 3000 levels deep, more than MAX_DEPTH = 64 "
+                 "(at byte offset 2)", id="3000-term sum"),
+])
+def test_an_exponent_error_names_its_byte_offset(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, XY)
+    assert str(err.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -294,23 +350,20 @@ def test_block_evaluates_each_distinct_subexpression_once():
     assert math.copysign(1.0, value[2]) == 1.0
 
 
-# The first failure in evaluation order is the one reported: a division
-# checks its denominator before it evaluates the numerator, a power checks
-# that its exponent (taken at order >= 1) is constant before it evaluates the
-# base, and a subtree shared between block entries fails in the first entry.
+# The first failure in evaluation order is the one reported: operands are
+# evaluated left to right, and a division checks its denominator before it
+# evaluates the numerator.
 @pytest.mark.parametrize("text, point, message", [
     ("ln(x)/(x-x)", (-1.0, 0.5),
      "division by zero in 'ln(x)/(x - x)' at point (-1.0, 0.5)"),
-    ("ln(x)^x", (-1.0, 0.5),
-     "non-constant exponent in 'ln(x)^x' at point (-1.0, 0.5)"),
-    ("y^sqrt(x-x)", (0.5, 2.0),
-     "sqrt derivative at zero in 'sqrt(x - x)' at point (0.5, 2.0)"),
-    ("sqrt(x-x) + y^sqrt(x-x)", (0.5, 2.0),
-     "sqrt derivative at zero in 'sqrt(x - x)' at point (0.5, 2.0)"),
+    ("(x-x)^-1 + ln(y)", (0.5, -1.0),
+     "division by zero in '(x - x)^(-1.0)' at point (0.5, -1.0)"),
+    ("ln(y) + (x-x)^-1", (0.5, -1.0),
+     "ln of nonpositive value in 'ln(y)' at point (0.5, -1.0)"),
+    ("(y-y)^-2/ln(x)", (-1.0, 0.5),
+     "ln of nonpositive value in 'ln(x)' at point (-1.0, 0.5)"),
     ("exp(exp(x))^2/(y-y)", (8.0, 1.0),
      "division by zero in 'exp(exp(x))^2.0/(y - y)' at point (8.0, 1.0)"),
-    ("(exp(exp(exp(x)))*y)^(ln(y)-ln(y))", (3.0, -1.0),
-     "ln of nonpositive value in 'ln(y)' at point (3.0, -1.0)"),
 ])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_domain_error_order(text, point, message, order):
@@ -343,15 +396,8 @@ def _assert_points_match_one_point_runs(block, points, order):
             assert array[k].tobytes() == alone.tobytes()
 
 
-def test_batch_with_exponents_that_differ_between_points():
-    # abs(x)/x is +1 or -1 with a zero gradient: each point takes its own rule
-    e = parse_expr("(2 + y)^(abs(x)/x) + (1 + y^2)^(0.5*abs(x)/x) + x^(2*abs(x)/x)", XY)
-    block = Block([((0,), 1, e)], (1,))
-    points = np.array([[0.5, 0.3], [-0.5, 0.2], [0.25, -0.1], [-0.25, 0.9]])
-    for order in range(3):
-        _assert_points_match_one_point_runs(block, points, order)
-    # a power whose exponent is the same at every point tests its base over
-    # the batch: a failure names the point a one-point evaluation names
+def test_batch_power_tests_its_base_over_the_batch():
+    # a failure names the point a one-point evaluation names
     points = np.array([[0.5, 0.3], [1.5, 0.2], [0.25, -0.1], [2.0, 0.9]])
     for text, bad in (("x^-2", 0.0), ("x^0.5", -0.25)):
         block = Block([((0,), 1, parse_expr(text, XY))], (1,))
@@ -404,8 +450,9 @@ def test_failing_constant_entry_names_the_first_point_of_each_batch():
 
 
 def test_non_constant_exponent_rejected():
-    with pytest.raises(EvalDomainError):
-        eval_jet(parse_expr("x^y", XY), (2.0, 3.0), order=1)
+    with pytest.raises(ParseError, match=r"^exponent reads coordinate 'y' "
+                                         r"\(at byte offset 2\)$"):
+        parse_expr("x^y", XY)
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,18 @@ def test_two_form_not_antisymmetric():
                  r"^structure\[0\]: expected object", id="structure entry not an object"),
     pytest.param(lambda d: d.update(structure=[{"a": 1, "b": 2, "c": 1}]),
                  r"^structure\[0\]: missing field 'expr'$", id="structure entry no expr"),
+    pytest.param(lambda d: d["chart"].update(coords=[1, 2]),
+                 r"^chart\.coords\[0\]: expected an identifier, got 1$",
+                 id="coord a number"),
+    pytest.param(lambda d: d["chart"].update(coords=["x", "y z"]),
+                 r"^chart\.coords\[1\]: expected an identifier, got 'y z'$",
+                 id="coord with a space"),
+    pytest.param(lambda d: d["chart"].update(coords=["x", ""]),
+                 r"^chart\.coords\[1\]: expected an identifier, got ''$",
+                 id="coord empty"),
+    pytest.param(lambda d: d["chart"].update(coords=["x", True]),
+                 r"^chart\.coords\[1\]: expected an identifier, got True$",
+                 id="coord a bool"),
 ])
 def test_schema_errors(mutate, match):
     doc = fixture_doc("fx_action_so2")
