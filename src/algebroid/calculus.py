@@ -26,25 +26,15 @@ import numpy as np
 
 from .exprjet import Block
 from .spec_model import (
-    AlgebroidSpec, Check, CheckReport, SingularMetricError, leading_minors,
+    AlgebroidSpec, Check, SingularMetricError, leading_minors,
     per_point, point_fields, report_from_residuals, tolerance_of,
 )
 
 __all__ = [
     "CARTAN_CHECKS", "TAU_INTERTWINE", "KILLING", "GENERALIZED", "SYMPLECTIC",
     "POISSON", "FLAT_FRAME_GATE", "koszul_check", "FrameSamples",
-    "SingularMetricError", "FlatnessGateError", "flat_frame_probe",
+    "SingularMetricError", "flat_frame_probe",
 ]
-
-
-class FlatnessGateError(Exception):
-    """Connection curvature exceeds the flatness gate for frame transport;
-    ``report`` is the failing gate over the grid nodes."""
-
-    def __init__(self, report: CheckReport):
-        super().__init__(f"connection curvature {report.max_residual:.3e} exceeds "
-                         f"the gate at grid node {report.worst_point}")
-        self.report = report
 
 
 # --------------------------------------------------------------------------
@@ -436,8 +426,9 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
 
     Returns ``(FrameSamples, [CheckReport, ...])``: structure constancy, path
     independence, and (when applicable) the flat-section Killing residual.
-    Raises :class:`FlatnessGateError` if the connection is curved at a grid
-    node.  ``tol_override`` replaces the table tolerances (``tolerance_of``).
+    If the connection is curved at a grid node, no frame is built, and it
+    returns ``(None, [gate])``, the failing ``flat_frame_grid_gate`` report.
+    ``tol_override`` replaces the table tolerances (``tolerance_of``).
     """
     if spec.mode != "lie":
         raise ValueError(f"flat_frame_probe requires lie mode, spec is '{spec.mode}'")
@@ -459,7 +450,7 @@ def flat_frame_probe(spec: AlgebroidSpec, basepoint, grid_steps: int = 4,
         "flat_frame_grid_gate", per_point(*FLAT_FRAME_GATE.kernel(f), count),
         grid_pts, tolerance_of("flat_frame_gate", tol_override))
     if not gate.passed:
-        raise FlatnessGateError(gate)
+        return None, [gate]
     tolerance = tolerance_of("flat_frame", tol_override)
 
     axis_order = list(range(spec.dimension))

@@ -20,7 +20,7 @@ the first entry that reaches it and the earliest point where that step fails;
 the chunk loop of ``spec_model`` runs a failing batch again one point at a
 time, so that its error names the earliest failing point.
 
-Grammar (whitespace insignificant)::
+Grammar (ASCII digits and whitespace; whitespace insignificant)::
 
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
@@ -159,8 +159,9 @@ ONE = Num(1.0)
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()]))", re.ASCII
 )
+_SPACE = " \t\n\r\f\v"         # what the ASCII \s matches
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -169,7 +170,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            rest = text[pos:].lstrip()
+            rest = text[pos:].lstrip(_SPACE)
             if not rest:
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
@@ -297,7 +298,7 @@ class _Parser:
 
 def parse_expr(text: str, coords) -> Expr:
     """Parse ``text`` against the ordered coordinate list ``coords``."""
-    if not text or not text.strip():
+    if not text or not text.strip(_SPACE):
         raise ParseError("empty expression", 0)
     coords = list(coords)
     if not coords:
@@ -680,11 +681,13 @@ _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 
 
 class _Program:
-    """The steps of a block's entries, and where each entry's jet lands."""
+    """The steps of a block's entries, and where each entry's jet lands;
+    ``label`` and ``indices`` name an entry in a failure."""
 
-    def __init__(self, exprs):
+    def __init__(self, exprs, label: str, indices):
         self.steps = []             # (op, a, b, node)
         self.ends = []              # per entry: steps emitted by then
+        self.label, self.indices = label, indices
         self._slots = {}            # structural key -> slot
         self._seen = {}             # id(expr) -> slot
         self._guarded = set()
@@ -735,8 +738,8 @@ class _Program:
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, points, n: int, order: int) -> list:
         """The jet of every slot over the ``(P, n)`` array ``points``; a
-        failure raises :class:`EvalDomainError` at a failing point, with
-        ``step`` set to the failing step."""
+        failure raises :class:`EvalDomainError` at a failing point, naming
+        the first entry that reaches the failing step as ``label[i][j]...``."""
         if not 0 <= order <= 2:
             raise ValueError("jet order must be in 0..2")
         jets = []
@@ -769,13 +772,10 @@ class _Program:
                         raise EvalDomainError("division by zero", node,
                                               points[int(np.argmax(zero))])
             except EvalDomainError as err:
-                err.step = step
-                raise
+                index = self.indices[bisect_right(self.ends, step)]
+                path = self.label + "".join(f"[{i}]" for i in index)
+                raise EvalDomainError(err.reason, err.subexpr, err.point, path) from None
         return jets
-
-    def entry_of(self, step: int) -> int:
-        """The entry whose compilation emitted ``step``."""
-        return bisect_right(self.ends, step)
 
 
 # float and math-module failures, reported against the node whose rule failed
@@ -805,7 +805,8 @@ class Block:
 
     @cached_property
     def program(self) -> _Program:
-        return _Program([e for _, _, e in self.written])
+        return _Program([e for _, _, e in self.written], self.label,
+                        [index for index, _, _ in self.written])
 
     def point_bytes(self, n: int, order: int) -> int:
         """Bytes a point takes in the slots and arrays of an evaluation."""
@@ -830,12 +831,7 @@ def eval_block(block: Block, points, order: int = 0):
     batch = points.reshape(-1, points.shape[-1])
     n = batch.shape[1]
     program = block.program
-    try:
-        jets = program.run(batch, n, order)
-    except EvalDomainError as exc:
-        index = block.written[program.entry_of(exc.step)][0]
-        path = block.label + "".join(f"[{i}]" for i in index)
-        raise EvalDomainError(exc.reason, exc.subexpr, exc.point, path) from None
+    jets = program.run(batch, n, order)
     # so that the kernels' einsums loop over the points
     arrays = [np.zeros(block.shape + (n,) * k + (len(batch),)).transpose(
         -1, *range(len(block.shape) + k)) for k in range(order + 1)]

@@ -90,9 +90,11 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
         raise ValueError(f"x0 and v0 must share a shape (n,) or (P, n), P > 0, "
                          f"got {np.shape(x0)} and {np.shape(v0)}")
     x, v = (np.array(a, dtype=float, ndmin=2) for a in (x0, v0))
-    for p in x:
+    for p, u in zip(x, v):
         if not spec.chart.contains(p):
             raise ValueError(f"initial point {tuple(map(float, p))} outside chart domain")
+        if not np.isfinite(u).all():
+            raise ValueError(f"initial velocity {tuple(map(float, u))} not finite")
     U = np.tile(np.eye(spec.rank), (len(x), 1, 1))
 
     # states[k] = (live, x, v, U, g): the starts inside the chart at step k

@@ -15,7 +15,7 @@ the extended anchor's rank and closure defect from one SVD per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Mapping, NamedTuple
 
@@ -176,16 +176,22 @@ def _coefficients(expansion: Expansion, index: dict) -> np.ndarray:
     return row
 
 
+def _sum(terms) -> Expr:
+    """``terms`` added left to right onto ``Num(0.0)``."""
+    return reduce(e_add, terms, Num(0.0))
+
+
+def _nonzero(comps) -> bool:
+    """Whether a 1-form has a component that is not a literal zero."""
+    return any(not (isinstance(c, Num) and c.value == 0.0) for c in comps)
+
+
 def _commutator_exprs(rho_u, rho_v, memo) -> tuple[Expr, ...]:
     """[rho_u, rho_v], its derivatives taken through the ``diff`` memo."""
-    comps = []
-    for i in range(len(rho_u)):
-        total = Num(0.0)
-        for j in range(len(rho_u)):
-            total = e_add(total, e_sub(e_mul(rho_u[j], diff(rho_v[i], j, memo)),
-                                       e_mul(rho_v[j], diff(rho_u[i], j, memo))))
-        comps.append(total)
-    return tuple(comps)
+    n = len(rho_u)
+    return tuple(_sum(e_sub(e_mul(rho_u[j], diff(rho_v[i], j, memo)),
+                            e_mul(rho_v[j], diff(rho_u[i], j, memo)))
+                      for j in range(n)) for i in range(n))
 
 
 def _jacobiator(table, w1, w2, w3) -> dict:
@@ -233,7 +239,7 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
         entries = {}
         for b, wb in enumerate(basis[0]):
             comps = tuple(e for index, _, e in block.entries if index[:2] == (a, b))
-            if any(not (isinstance(c, Num) and c.value == 0.0) for c in comps):
+            if _nonzero(comps):
                 entries[wb] = comps
         conn[w] = entries
 
@@ -241,14 +247,11 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
         # L_u(sum_w theta^w (x) w), theta^w a 1-form with Expr components
         rho_u = anchor[u]
         for w, theta in theta_map.items():
-            lie = []
-            for i in range(n):
-                total = Num(0.0)
-                for j in range(n):
-                    total = e_add(total, e_mul(rho_u[j], diff(theta[i], j, memo)))
-                    total = e_add(total, e_mul(diff(rho_u[j], i, memo), theta[j]))
-                lie.append(total)
-            _conn_add(out, w, tuple(lie))
+            _conn_add(out, w, tuple(
+                _sum(t for j in range(n)
+                     for t in (e_mul(rho_u[j], diff(theta[i], j, memo)),
+                               e_mul(diff(rho_u[j], i, memo), theta[j])))
+                for i in range(n)))
             for w2, c2 in table.get((u, w), {}).items():
                 _conn_add(out, w2, tuple(e_mul(Num(float(c2)), theta[i])
                                          for i in range(n)))
@@ -258,9 +261,7 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
         for w1, theta in theta_map_u.items():
             rho_w1 = anchor[w1]
             for w2, phi in theta_map_v.items():
-                scalar = Num(0.0)
-                for j in range(n):
-                    scalar = e_add(scalar, e_mul(rho_w1[j], phi[j]))
+                scalar = _sum(e_mul(rho_w1[j], phi[j]) for j in range(n))
                 comps = tuple(e_mul(Num(sign), e_mul(theta[i], scalar))
                               for i in range(n))
                 _conn_add(out, w2, comps)
@@ -276,9 +277,7 @@ def _build_connection(spec, basis, table, anchor, degree, memo):
                 _conn_add(out, w2, tuple(e_neg(c) for c in comps))
             contraction_term(conn[u], conn[v], out, -1.0)
             contraction_term(conn[v], conn[u], out, +1.0)
-            conn[w] = {w2: comps for w2, comps in out.items()
-                       if any(not (isinstance(c, Num) and c.value == 0.0)
-                              for c in comps)}
+            conn[w] = {w2: comps for w2, comps in out.items() if _nonzero(comps)}
     return conn
 
 

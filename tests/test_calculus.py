@@ -614,8 +614,9 @@ def _sequential_grids(spec, grid_pts, ranges, axis_orders):
 
 @pytest.mark.parametrize("name", LIE_FIXTURES + ["exact_3d"])
 def test_probe_propagators_match_sequential_transport(monkeypatch, spec_of, name):
-    # one _transport call per probe; frames within 8 ULP of max |U| of the
-    # sequential transport, and the same verdicts (or the same gate failure)
+    # one _transport call per probe (none when the gate fails); frames within
+    # 8 ULP of max |U| of the sequential transport, and the same verdicts (or
+    # the same failing gate report)
     if name == "exact_3d":
         spec, base, steps = load_doc(EXACT_3D), EXACT_3D_BASE, 3
     else:
@@ -624,20 +625,15 @@ def test_probe_propagators_match_sequential_transport(monkeypatch, spec_of, name
     calls, transport = [], ca._transport
     monkeypatch.setattr(ca, "_transport",
                         lambda W, U: calls.append(len(W)) or transport(W, U))
-
-    def probe():
-        try:
-            return ca.flat_frame_probe(spec, base, grid_steps=steps)
-        except ca.FlatnessGateError as exc:
-            return str(exc)
-    got = probe()
-    assert len(calls) == (0 if isinstance(got, str) else 1)
+    samples, reports = ca.flat_frame_probe(spec, base, grid_steps=steps)
+    assert len(calls) == (0 if samples is None else 1)
     monkeypatch.setattr(ca, "_transport_grids", _sequential_grids)
-    want = probe()
-    if isinstance(want, str):
-        assert got == want
+    oracle, oracle_reports = ca.flat_frame_probe(spec, base, grid_steps=steps)
+    if oracle is None:
+        assert samples is None
+        assert [r.name for r in reports] == ["flat_frame_grid_gate"]
+        assert reports == oracle_reports
         return
-    (samples, reports), (oracle, oracle_reports) = got, want
     assert samples.offsets == oracle.offsets
     assert np.array_equal(samples.points, oracle.points)
     ulp = np.spacing(np.max(np.abs(oracle.frames)))
@@ -648,8 +644,10 @@ def test_probe_propagators_match_sequential_transport(monkeypatch, spec_of, name
 
 def test_probe_flatness_gate(spec_of):
     spec = spec_of("fx_taucurv")
-    with pytest.raises(ca.FlatnessGateError):
-        ca.flat_frame_probe(spec, (0.0, 0.0))
+    samples, reports = ca.flat_frame_probe(spec, (0.0, 0.0))
+    assert samples is None
+    [gate] = reports
+    assert gate.name == "flat_frame_grid_gate" and not gate.passed
 
 
 def test_probe_rejects_outside_basepoint(spec_of):

@@ -242,6 +242,15 @@ def test_geodesic_outside_the_chart_names_the_point_as_floats(tmp_path, capsys):
         "error: initial point (9.0, 0.0) outside chart domain\n")
 
 
+@pytest.mark.parametrize("v0", ["nan,0", "inf,0"])
+def test_geodesic_rejects_a_non_finite_initial_velocity(tmp_path, capsys, v0):
+    code, text = run(tmp_path, "geodesic", "--spec", fx("fx_foliation_flat"),
+                     "--x0=0,0", f"--v0={v0}")
+    assert code == 2 and text is None
+    assert capsys.readouterr().err == (
+        f"error: initial velocity ({float(v0.split(',')[0])}, 0.0) not finite\n")
+
+
 def test_geodesic_failure_exit_code(tmp_path):
     code, text = run(tmp_path, "geodesic", "--spec", fx("fx_nonriem_fol"),
                      "--x0", "0,1", "--v0", "0.7,0")
@@ -326,6 +335,14 @@ def test_non_finite_residual_fails(tmp_path, capsys, recwarn):
     assert not check["pass"]
     assert check["max_residual"] != check["max_residual"]      # NaN
     assert abs(check["worst_point"][0]) > 1.0
+    # a velocity of 1e200 overflows the energy g(v, v) to inf, and its drift to NaN
+    code, text = run(tmp_path, "geodesic", "--spec", fx("fx_foliation_flat"),
+                     "--x0=0,0", "--v0=1e200,0")
+    assert code == 1
+    energy = next(c for c in json.loads(text)["checks"]
+                  if c["name"] == "geodesic_energy_drift")
+    assert not energy["pass"]
+    assert energy["max_residual"] != energy["max_residual"]    # NaN
     # the report names the NaN; numpy must not warn about it as well
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
@@ -791,6 +808,13 @@ def test_a_bad_exponent_is_rejected_at_load(tmp_path, text, message):
     spec = _spec_with(tmp_path, ("anchor", 0, 0), text)
     assert _quiet_main(["validate", "--spec", spec]) == (
         2, f"error: anchor[0][0]: expression error: {message}\n")
+
+
+def test_a_non_ascii_space_is_rejected_at_load(tmp_path):
+    spec = _spec_with(tmp_path, ("anchor", 0, 0), "x\xa0+ 1")
+    assert _quiet_main(["validate", "--spec", spec]) == (
+        2, "error: anchor[0][0]: expression error: unexpected character "
+           "'\\xa0' (at byte offset 1)\n")
 
 
 @pytest.mark.parametrize("base, squarings, at", [("x+2", 12, 0), ("2-x", 10, 1)])

@@ -53,6 +53,23 @@ def test_parse_syntax_error_offset():
         parse_expr("foo(x)", XY)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x\xa0+ q", "unexpected character '\\xa0' (at byte offset 1)"),
+    ("x +\u2003q", "unexpected character '\\u2003' (at byte offset 3)"),
+    ("\u0663*x", "unexpected character '\u0663' (at byte offset 0)"),
+    ("\uff11+x", "unexpected character '\uff11' (at byte offset 0)"),
+    ("x\xa0", "unexpected character '\\xa0' (at byte offset 1)"),
+], ids=["no-break space", "em space", "arabic-indic digit", "fullwidth digit",
+        "trailing no-break space"])
+def test_digits_and_whitespace_are_ascii(text, message):
+    # the first character outside the ASCII grammar is the one reported, so
+    # its offset is a byte offset of the UTF-8 text too
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, ["x"])
+    assert str(err.value) == message
+    assert len(text[:err.value.offset].encode()) == err.value.offset
+
+
 def test_parse_rejects_a_number_literal_that_overflows():
     for text, literal, offset in (("1e400*x", "1e400", 0), ("-1e309", "1e309", 1)):
         with pytest.raises(ParseError) as err:

@@ -96,6 +96,19 @@ def test_integrator_argument_validation(spec_of):
                               1.0, 1e-3)
 
 
+@pytest.mark.parametrize("x0, v0, message", [
+    ([0.0, 0.0], [np.nan, 0.0], "initial velocity (nan, 0.0) not finite"),
+    ([0.0, 0.0], [0.0, -np.inf], "initial velocity (0.0, -inf) not finite"),
+    ([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], [[1.0, 0.0], [np.inf, 0.0], [np.nan] * 2],
+     "initial velocity (inf, 0.0) not finite"),
+], ids=["nan", "-inf", "second start of a batch"])
+def test_a_non_finite_initial_velocity_is_rejected(spec_of, x0, v0, message):
+    # the first start with a non-finite velocity is named
+    with pytest.raises(ValueError) as err:
+        fo.geodesic_integrate(spec_of("fx_foliation_flat"), x0, v0, 1.0, 1e-3)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("x0, v0", [
     ([0.0, 0.0], [[1.0, 0.0]]),
     ([[0.0, 0.0]], [1.0, 0.0]),

@@ -191,10 +191,11 @@ def frame_fingerprints() -> dict[str, str]:
         spec = load_spec_file(fixture_path(name))
         if spec.mode != "lie":
             continue
-        try:
-            samples, _ = calculus.flat_frame_probe(spec, spec.chart.center())
-        except calculus.FlatnessGateError as exc:
-            out[name] = str(exc)
+        samples, reports = calculus.flat_frame_probe(spec, spec.chart.center())
+        if samples is None:         # the failing grid gate
+            g = reports[0]
+            out[name] = (f"connection curvature {g.max_residual:.3e} exceeds "
+                         f"the gate at grid node {g.worst_point}")
         else:
             out[name] = hashlib.sha256(samples.frames.tobytes()).hexdigest()
     return out
