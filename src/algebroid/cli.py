@@ -30,8 +30,9 @@ from . import freealg as fa
 from .exprjet import ExprError
 from .spec_model import (
     ANCHOR_MORPHISM, JACOBI, AlgebroidSpec, CheckReport, SchemaError,
-    check_values, load_cube, load_spec_file, reduce_checks, run_checks,
-    sample_points, tolerance_of, validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
+    check_values, load_cube, load_spec_file, reduce_checks,
+    report_from_residuals, run_checks, sample_points, tolerance_of,
+    validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
 )
 
 __all__ = ["main", "run_check_suite", "InputError"]
@@ -208,14 +209,10 @@ def _cmd_geodesic(args) -> int:
     if len(x0) != spec.dimension or len(v0) != spec.dimension:
         raise InputError(f"--x0/--v0 must have {spec.dimension} components")
     trace = fo.geodesic_integrate(spec, x0, v0, args.t_max, args.h)
-    reports = [fo.orthogonality_monitor(spec, trace, tol_override=args.tol)]
-    energy = CheckReport(
-        name="geodesic_energy_drift", points=len(trace.times),
-        max_residual=trace.energy_drift,
-        mean_residual=float(np.mean(np.abs(trace.energies - trace.energies[0]))),
-        tolerance=tolerance_of("geodesic_energy_drift", args.tol),
-        worst_point=tuple(float(c) for c in trace.positions[-1]))
-    reports.append(energy)
+    drift = np.abs(trace.energies - trace.energies[0])
+    reports = [fo.orthogonality_monitor(spec, trace, tol_override=args.tol),
+               report_from_residuals("geodesic_energy_drift", drift, trace.positions,
+                                     tolerance_of("geodesic_energy_drift", args.tol))]
 
     if args.trace_csv:
         n, r = spec.dimension, spec.rank

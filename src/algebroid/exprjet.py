@@ -174,8 +174,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not rest:
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return tokens
 

@@ -33,8 +33,9 @@ class GeodesicTrace:
 
     ``orth_raw[t, a]`` is g(gamma', rho_a) against the frame at the current
     point; ``orth_flat[t, a]`` the same against the parallel-transported
-    frame; ``energies[t]`` is g(gamma', gamma').  A trajectory that left the
-    chart box ends at its last point inside, with ``exited`` set."""
+    frame; ``energies[t]`` is g(gamma', gamma'), all from the ``metrics`` and
+    ``anchors`` read at each point.  A trajectory that left the chart box
+    ends at its last point inside, with ``exited`` set."""
 
     times: np.ndarray
     positions: np.ndarray        # (T, n)
@@ -43,6 +44,8 @@ class GeodesicTrace:
     orth_raw: np.ndarray         # (T, r)
     orth_flat: np.ndarray        # (T, r)
     frames: np.ndarray           # (T, r, r) transported frame matrices
+    metrics: np.ndarray          # (T, n, n) the metric read at each point
+    anchors: np.ndarray          # (T, r, n) the anchor read at each point
     exited: bool = False
     exit_time: float | None = None
 
@@ -71,11 +74,13 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
     transporting the frame along the trajectory.
 
     One start of shape ``(n,)`` gives one ``GeodesicTrace``, a ``(P, n)``
-    batch a list of P traces.  Each RK4 stage reads the metric and the
-    connection once over the live starts (the exit mask): a start that leaves
-    the chart stops with its truncated trace and the others go on, so a trace
-    does not depend on its batch.  A batch raises the error of the earliest
-    step, then of the lowest start index that meets it.
+    batch a list of P traces; the batch holds ``steps + 1`` rows per start
+    (at most ``MAX_STEPS + 1``), filled as the starts run.  Each RK4 stage
+    reads the metric and the connection once over the live starts (the exit
+    mask): a start that leaves the chart stops with its truncated trace and
+    the others go on, so a trace does not depend on its batch.  A batch
+    raises the error of the earliest step, then of the lowest start index
+    that meets it.
     """
     if not (0.0 < h < np.inf and abs(t_max / h) < np.inf
             and round(t_max / h) >= 1):
@@ -97,12 +102,13 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
             raise ValueError(f"initial velocity {tuple(map(float, u))} not finite")
     U = np.tile(np.eye(spec.rank), (len(x), 1, 1))
 
-    # states[k] = (live, x, v, U, g): the starts inside the chart at step k
-    # and their state alone, g the metric stage k1 read at x
-    live, ends, states = np.arange(len(x)), np.full(len(x), steps), []
+    # row k: the state at step k of the starts live there, G the metric k1 read
+    X, V, F, G = (np.zeros((steps + 1,) + shape) for shape in (
+        x.shape, v.shape, U.shape, x.shape + x.shape[-1:]))
+    live, ends = np.arange(len(x)), np.full(len(x), steps)
     for k in range(steps):
-        k1x, k1v, k1U, g = _rhs(spec, x, v, U)
-        states.append((live, x, v, U, g))
+        k1x, k1v, k1U, G[k, live] = _rhs(spec, x, v, U)
+        X[k, live], V[k, live], F[k, live] = x, v, U
         k2x, k2v, k2U, _ = _rhs(spec, x + h / 2 * k1x, v + h / 2 * k1v,
                                 U + h / 2 * k1U)
         k3x, k3v, k3U, _ = _rhs(spec, x + h / 2 * k2x, v + h / 2 * k2v,
@@ -117,11 +123,8 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
             live, x, v, U = (a[inside] for a in (live, x, v, U))
             if not live.size:
                 break
-    states.append((live, x, v, U, np.zeros(x.shape + x.shape[-1:])))
+    X[steps, live], V[steps, live], F[steps, live] = x, v, U
 
-    X, V, F, G = (np.zeros((len(states),) + a.shape) for a in states[0][1:])
-    for k, (at, *state) in enumerate(states):
-        X[k, at], V[k, at], F[k, at], G[k, at] = state
     traces = []
     for p, end in enumerate(ends):
         xp, vp, Up, gp = (A[:end + 1, p].copy() for A in (X, V, F, G))
@@ -135,7 +138,7 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
             energies=((vp[:, None, :] @ gp) @ vp[:, :, None])[:, 0, 0],
             orth_raw=np.einsum("ti,tij,taj->ta", vp, gp, rho),
             orth_flat=np.einsum("ti,tij,taj->ta", vp, gp, rho_flat),
-            frames=Up, exited=bool(end < steps),
+            frames=Up, metrics=gp, anchors=rho, exited=bool(end < steps),
             exit_time=float((end + 1) * h) if end < steps else None))
     return traces[0] if np.ndim(x0) == 1 else traces
 
@@ -163,8 +166,9 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
     constancy is the content of the Riemannian-foliation statement.  For
     specs failing the Killing check there is no canonical flat frame, so the
     raw surrogate is the distance of gamma' from the orthogonal complement of
-    the realized anchor span (flagged by the report name).  ``tol_override``
-    replaces the table tolerances (``tolerance_of``).
+    the realized anchor span (flagged by the report name), from the metric
+    and anchor on the trace; the Killing probe is the only block read here.
+    ``tol_override`` replaces the table tolerances (``tolerance_of``).
     """
     if trace.positions.shape[0] == 0:
         raise ValueError("empty trace")
@@ -175,9 +179,8 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
         drift = np.max(np.abs(trace.orth_flat - trace.orth_flat[0]), axis=1)
         name = "orthogonality_flat_frame"
     else:
-        f = point_fields(spec, trace.positions, {"metric": 0, "anchor": 0})
         norms = np.array([_span_projection_norm(*at) for at in zip(
-            f.g, f.rho, trace.velocities, trace.positions)])
+            trace.metrics, trace.anchors, trace.velocities, trace.positions)])
         drift = np.abs(norms - norms[0])
         name = "orthogonality_raw_span"
 

@@ -44,8 +44,8 @@ _DEFINITENESS_FLOOR = 1e-12
 # Bytes of evaluation slots and block arrays a chunk of point_fields takes
 CHUNK_BYTES = 1 << 20
 
-# Default tolerance of every check, by report name.  A zero entry marks an
-# exact or margin test, which a --tol override leaves alone.
+# Default tolerance of every check, by report name (or a key several rows share).
+# A zero entry marks an exact or margin test, which a --tol override leaves alone.
 TOLERANCES = {
     "structure_antisymmetry": 0.0,
     "metric_positive_definite": 0.0,

@@ -554,6 +554,13 @@ def test_probe_bla_detects_nonconstant_bracket(spec_of):
     assert constancy.max_residual >= 0.3  # comparable to the grid extent
 
 
+def test_probe_requires_lie_mode(spec_of):
+    # the CLI checks the mode before it calls the probe
+    with pytest.raises(ValueError) as exc:
+        ca.flat_frame_probe(spec_of("fx_free_heis"), (0.0, 0.0))
+    assert str(exc.value) == "flat_frame_probe requires lie mode, spec is 'anchored'"
+
+
 def test_probe_outside_the_chart_names_the_basepoint_as_floats(spec_of):
     with pytest.raises(ValueError) as exc:
         ca.flat_frame_probe(spec_of("fx_flat_exp"), (9.0, 0.0))

@@ -251,6 +251,22 @@ def test_geodesic_rejects_a_non_finite_initial_velocity(tmp_path, capsys, v0):
         f"error: initial velocity ({float(v0.split(',')[0])}, 0.0) not finite\n")
 
 
+def test_the_energy_row_names_the_point_of_largest_drift(tmp_path):
+    # as every other row does, and not the last point of the trace
+    code, text = run(tmp_path, "geodesic", "--spec", fx("fx_nonriem_fol"),
+                     "--x0=0,1", "--v0=1.2,0.4", "--t-max", "0.5", "--h", "0.01")
+    energy = next(c for c in json.loads(text)["checks"]
+                  if c["name"] == "geodesic_energy_drift")
+    assert energy["worst_point"] == [0.4559977576479542, 1.2948485896570043]
+    trace = fo.geodesic_integrate(spec_model.load_spec_file(fx("fx_nonriem_fol")),
+                                  [0.0, 1.0], [1.2, 0.4], 0.5, 0.01)
+    drift = np.abs(trace.energies - trace.energies[0])
+    assert energy["worst_point"] == list(trace.positions[np.argmax(drift)])
+    assert energy["worst_point"] != list(trace.positions[-1])
+    assert (energy["points"], energy["max_residual"], energy["mean_residual"]) == (
+        len(trace.times), trace.energy_drift, float(np.mean(drift)))
+
+
 def test_geodesic_failure_exit_code(tmp_path):
     code, text = run(tmp_path, "geodesic", "--spec", fx("fx_nonriem_fol"),
                      "--x0", "0,1", "--v0", "0.7,0")

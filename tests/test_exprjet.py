@@ -70,6 +70,11 @@ def test_digits_and_whitespace_are_ascii(text, message):
     assert len(text[:err.value.offset].encode()) == err.value.offset
 
 
+@pytest.mark.parametrize("text", ["x ", "x\t", " x \n"])
+def test_trailing_ascii_whitespace_parses(text):
+    assert parse_expr(text, XY) == Var("x", 0)
+
+
 def test_parse_rejects_a_number_literal_that_overflows():
     for text, literal, offset in (("1e400*x", "1e400", 0), ("-1e309", "1e309", 1)):
         with pytest.raises(ParseError) as err:
@@ -218,6 +223,16 @@ def test_domain_errors(text, point, reason):
     with pytest.raises(EvalDomainError) as err:
         eval_jet(parse_expr(text, XY), point, order=1)
     assert reason.split()[0] in str(err.value)
+
+
+def test_sqrt_at_zero_has_a_value_and_no_derivative():
+    # sqrt(0) = 0, but its derivative 1 / (2 sqrt(0)) is not finite
+    e = parse_expr("sqrt(x)", XY)
+    assert eval_jet(e, (0.0, 1.0), order=0).value == 0.0
+    for order in (1, 2):
+        with pytest.raises(EvalDomainError) as err:
+            eval_jet(e, (0.0, 1.0), order=order)
+        assert str(err.value) == "sqrt derivative at zero in 'sqrt(x)' at point (0.0, 1.0)"
 
 
 def test_domain_error_reports_subexpression_and_point():

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from algebroid import foliation as fo, spec_model
 from algebroid.calculus import SingularMetricError
 from algebroid.exprjet import EvalDomainError, eval_block
-from algebroid.spec_model import eval_fields, sample_points, splitmix_uniforms
+from algebroid.spec_model import (
+    eval_fields, point_fields, report_from_residuals, sample_points,
+    splitmix_uniforms, tolerance_of,
+)
 
 from conftest import fixture_doc, load_doc
 
@@ -80,6 +85,20 @@ def test_metric_read_once_per_stage(spec_of, monkeypatch, v0, exits):
     live = [sum(s > k for s in steps) for k in range(max(steps))]
     assert reads == ([(1, count) for count in live for _ in range(4)]
                      + [(0, 1)] * exits.count(False))
+
+
+def test_a_trace_takes_no_per_step_snapshot(spec_of):
+    # the steps are written into arrays allocated once; a list of per-step
+    # snapshot arrays took about 0.9 KB a step here
+    spec = spec_of("fx_foliation_flat")
+    fo.geodesic_integrate(spec, [-0.5, 0.3], [0.001, 0.0], 0.01, 1e-3)
+    tracemalloc.start()
+    try:
+        fo.geodesic_integrate(spec, [-0.5, 0.3], [0.001, 0.0], 0.2, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 500
 
 
 def test_integrator_argument_validation(spec_of):
@@ -258,6 +277,22 @@ def test_orthogonal_velocity_at_anchor_rank_drop(spec_of):
     assert np.array_equal(v, np.array([0.3, 0.4]))
 
 
+def test_orthogonal_velocity_projects_out_a_span_of_rank_two():
+    # the conformal metric keeps the rotation orbits orthogonal to the radius,
+    # so what is left is the radial part of the direction; the third rotation
+    # field lies in the span of the first two and is skipped
+    spec = load_doc(SO3_CONFORMAL_R3)
+    x0, d = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.7, -0.4])
+    v = fo.orthogonal_velocity(spec, x0, d)
+    assert np.allclose(v, (d @ x0) / (x0 @ x0) * x0, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(np.cross(v, x0))) <= 1e-15
+
+
+def test_orthogonal_velocity_is_zero_where_the_anchors_span_the_tangent_space(spec_of):
+    v = fo.orthogonal_velocity(spec_of("fx_tm_flat"), [0.3, -0.7], [0.4, 1.1])
+    assert np.array_equal(v, np.zeros(2))
+
+
 # --------------------------------------------------------------------------
 # Orthogonality monitoring
 
@@ -309,6 +344,30 @@ def test_orthogonality_random_starts_conformal(spec_of):
         assert not trace.exited
         report = fo.orthogonality_monitor(spec, trace)
         assert report.max_residual <= 1e-6
+
+
+def test_the_raw_span_monitor_reads_the_metric_and_anchor_of_the_trace(
+        spec_of, monkeypatch):
+    # the trace keeps the metric (stage k1's order-1 read) and the anchor the
+    # integrator read at each point; they equal an order-0 read bit for bit,
+    # so the report is the one a fresh read of both gives
+    spec = spec_of("fx_nonriem_fol")
+    trace = fo.geodesic_integrate(spec, [0.0, 1.0], [1.2, 0.4], 0.5, 1e-2)
+    f = point_fields(spec, trace.positions, {"metric": 0, "anchor": 0})
+    assert trace.metrics.tobytes() == np.ascontiguousarray(f.g).tobytes()
+    assert trace.anchors.tobytes() == np.ascontiguousarray(f.rho).tobytes()
+    norms = np.array([fo._span_projection_norm(*at) for at in zip(
+        f.g, f.rho, trace.velocities, trace.positions)])
+    fresh = report_from_residuals("orthogonality_raw_span", np.abs(norms - norms[0]),
+                                  trace.positions, tolerance_of("geodesic_orthogonality"))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the monitor read a block")
+    monkeypatch.setattr(fo, "point_fields", no_read)
+    report = fo.orthogonality_monitor(spec, trace)
+    assert report == fresh
+    assert (report.max_residual, report.worst_point) == (
+        0.6124309521905976, (0.5167628711878359, 1.3632989791368897))
 
 
 def test_monitor_flags_raw_mode_only_without_killing(spec_of):
