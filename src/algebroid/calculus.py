@@ -26,7 +26,7 @@ import numpy as np
 
 from .exprjet import Block
 from .spec_model import (
-    AlgebroidSpec, Check, SingularMetricError, leading_minors,
+    AlgebroidSpec, Check, SingularMetricError, anchor_bracket, leading_minors,
     per_point, point_fields, report_from_residuals, tolerance_of,
 )
 
@@ -212,9 +212,8 @@ def _tau_curvature(f):
 def _tau_intertwine(f):
     """(tau-nabla_{e_a} rho(e_b))^i - rho(alpha-nabla_{e_a} e_b)^i, [a,b,i]."""
     rho = f.rho
-    bracket = np.einsum("...aj,...bij->...abi", rho, f.drho)
-    bracket = bracket - np.swapaxes(bracket, -3, -2)
-    lhs = bracket + np.einsum("...bj,...acj,...ci->...abi", rho, f.omega, rho)
+    lhs = anchor_bracket(rho, f.drho) + np.einsum("...bj,...acj,...ci->...abi",
+                                                  rho, f.omega, rho)
     D = f.C + np.einsum("...bj,...acj->...abc", rho, f.omega)
     return lhs - np.einsum("...abc,...ci->...abi", D, rho)
 

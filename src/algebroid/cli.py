@@ -30,7 +30,7 @@ from . import freealg as fa
 from .exprjet import ExprError
 from .spec_model import (
     ANCHOR_MORPHISM, JACOBI, AlgebroidSpec, CheckReport, SchemaError,
-    check_values, load_cube, load_spec_file, reduce_checks,
+    check_values, load_cube, load_spec_file, parse_json, reduce_checks,
     report_from_residuals, run_checks, sample_points, tolerance_of,
     validate_spec, DEFAULT_POINTS, DEFAULT_SEED,
 )
@@ -84,10 +84,7 @@ def run_check_suite(spec: AlgebroidSpec, points, flags, tol_override=None,
 
 def _load_psi_cube(path, spec: AlgebroidSpec):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("psi", f"invalid JSON: {exc}") from exc
+        doc = parse_json(fh.read(), "psi")
     cube = doc.get("psi", doc) if isinstance(doc, dict) else doc
     return load_cube(cube, spec.chart.coords, spec.rank, spec.dimension, "psi")
 

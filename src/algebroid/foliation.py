@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_model import (
-    AlgebroidSpec, CheckReport, _chunked, check_values, eval_fields,
+    AlgebroidSpec, CheckReport, check_values, chunked, eval_fields,
     point_fields, report_from_residuals, tolerance_of,
 )
 from .calculus import KILLING, christoffel_components, require_positive_definite
@@ -59,7 +59,7 @@ def _rhs(spec: AlgebroidSpec, x, v, U):
     chunk loop reads the metric, tests it, then reads the connection."""
     def run(f):
         return f.g, christoffel_components(f.g, f.dg, f.point)[0], f.omega()[0]
-    g, gamma, omega = (np.concatenate(a) for a in zip(*_chunked(
+    g, gamma, omega = (np.concatenate(a) for a in zip(*chunked(
         spec, x, {"metric": 1}, run,
         [("omega", spec.block_entries["connection"], 0)])))
     acc = -np.einsum("...kij,...i,...j->...k", gamma, v, v)
@@ -143,18 +143,21 @@ def geodesic_integrate(spec: AlgebroidSpec, x0, v0, t_max: float, h: float):
     return traces[0] if np.ndim(x0) == 1 else traces
 
 
-def _span_projection_norm(g, rho, v, point):
-    """g-norm of the projection of v onto span{rho_a}: the distance of v
-    from the orthogonal complement of the realized anchor span."""
+def _span_projection(g, rho, v, points):
+    """Coefficients on the rho_a of the g-orthogonal projection of v onto
+    their span, and G = g(rho_a, rho_b), over any leading axes: one stacked
+    pinv of G, cutting singular values at 1e-10 max(1, max|G|) of the largest.
+    A G or g(rho_a, v) not finite raises, naming the earliest such point."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = rho @ g @ rho.T
-        b = rho @ g @ v
-    if not (np.isfinite(G).all() and np.isfinite(b).all()):   # lstsq fails or hangs
+        G = rho @ g @ np.swapaxes(rho, -1, -2)
+        b = (rho @ g @ v[..., None])[..., 0]
+    finite = np.isfinite(G).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+    if not finite.all():        # pinv would fail or hang on it
         raise ValueError(f"anchor Gram matrix not finite at trace point "
-                         f"{tuple(map(float, point))}")
-    scale = max(1.0, float(np.max(np.abs(G))))
-    coeff, *_ = np.linalg.lstsq(G + 0.0, b, rcond=1e-10 * scale)
-    return float(np.sqrt(max(float(coeff @ G @ coeff), 0.0)))
+                         f"{tuple(map(float, np.atleast_2d(points)[finite.argmin()]))}")
+    scale = np.maximum(1.0, np.max(np.abs(G), axis=(-2, -1)))
+    coeff = (np.linalg.pinv(G, rcond=1e-10 * scale) @ b[..., None])[..., 0]
+    return coeff, G
 
 
 def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
@@ -179,8 +182,9 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
         drift = np.max(np.abs(trace.orth_flat - trace.orth_flat[0]), axis=1)
         name = "orthogonality_flat_frame"
     else:
-        norms = np.array([_span_projection_norm(*at) for at in zip(
-            trace.metrics, trace.anchors, trace.velocities, trace.positions)])
+        coeff, G = _span_projection(trace.metrics, trace.anchors,
+                                    trace.velocities, trace.positions)
+        norms = np.sqrt(np.maximum(np.einsum("ta,tab,tb->t", coeff, G, coeff), 0.0))
         drift = np.abs(norms - norms[0])
         name = "orthogonality_raw_span"
 
@@ -189,21 +193,11 @@ def orthogonality_monitor(spec: AlgebroidSpec, trace: GeodesicTrace,
 
 
 def orthogonal_velocity(spec: AlgebroidSpec, x0, direction) -> np.ndarray:
-    """Gram-Schmidt the candidate direction against {rho_a(x0)} in the metric
-    at x0; at anchor rank drops the complement of the realized span is used.
-    Returns the zero vector when the realized span already fills the tangent
-    space."""
+    """The candidate direction less its g-orthogonal projection onto the
+    realized span of {rho_a(x0)} (``_span_projection``, the rule the raw-span
+    monitor measures by), so an anchor rank drop is allowed.  Returns the
+    zero vector when the realized span already fills the tangent space."""
     v = np.array(direction, dtype=float)
     f = eval_fields(spec, x0, {"metric": 0, "anchor": 0})
-    g, rho = f.g, f.rho
-    basis = []
-    for a in range(spec.rank):
-        w = rho[a].copy()
-        for u in basis:
-            w = w - (u @ g @ w) * u
-        norm = float(np.sqrt(max(w @ g @ w, 0.0)))
-        if norm > 1e-10:
-            basis.append(w / norm)
-    for u in basis:
-        v = v - (u @ g @ v) * u
-    return v
+    coeff, _ = _span_projection(f.g, f.rho, v, x0)
+    return v - coeff @ f.rho

@@ -453,12 +453,15 @@ def jacobiator_check(free: FreeTruncation, points,
                         shifted_jac.append(_coefficients(jac_q, idx))
                         shifted.append((t, idx[host], idx[q]))
 
+    ts, hosts, qs = np.array(shifted, dtype=int).reshape(-1, 3).T
+    shifted_jac = np.array(shifted_jac).reshape(-1, len(words))
+
     def kernel(f):
         # nabla_i (Jac(args)) in the extended frame, at [t, i, w]: Jac is constant
         residual = np.einsum("...tv,...vwi->...tiw", jac, f.omega)
-        for (t, kh, kq), vec in zip(shifted, shifted_jac):
-            residual[..., t, :, :] -= np.einsum(
-                "...i,...w->...iw", f.omega[..., kh, kq, :], vec)
+        # one product per element, subtracted row by row in order
+        np.subtract.at(np.moveaxis(residual, -3, 0), ts, np.einsum(
+            "...ri,rw->r...iw", f.omega[..., hosts, qs, :], shifted_jac))
         return residual,
     check = Check(("jacobiator_covariant_constancy",), {"connection": 0}, kernel)
     return run_checks(free, points, [check], tol_override)[0]

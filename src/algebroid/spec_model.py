@@ -32,8 +32,8 @@ from .exprjet import (
 __all__ = [
     "ChartSpec", "AlgebroidSpec", "CheckReport", "SchemaError", "Check",
     "TOLERANCES", "load_spec", "load_spec_file", "sample_points",
-    "eval_fields", "point_fields", "check_values", "reduce_checks", "run_checks",
-    "ANCHOR_MORPHISM", "JACOBI", "validate_spec",
+    "eval_fields", "point_fields", "chunked", "check_values", "reduce_checks",
+    "run_checks", "ANCHOR_MORPHISM", "JACOBI", "validate_spec",
 ]
 
 DEFAULT_POINTS = 100
@@ -340,13 +340,19 @@ def _load_structure(doc, coords, r, path="structure") -> Block:
     return Block(entries, (r, r, r), path)
 
 
+def parse_json(text, where: str):
+    """The JSON document ``text``; invalid JSON raises a ``SchemaError`` at
+    ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(where, f"invalid JSON: {exc}") from exc
+
+
 def load_spec(document) -> AlgebroidSpec:
     """Validate and parse a spec document (a JSON object or its text)."""
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from exc
+        document = parse_json(document, "$")
     if not isinstance(document, Mapping):
         raise SchemaError("$", "expected a JSON object")
     unknown = set(document) - _TOP_LEVEL_KEYS
@@ -393,11 +399,7 @@ def load_spec(document) -> AlgebroidSpec:
 
 def load_spec_file(path) -> AlgebroidSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return load_spec(document)
+        return load_spec(fh.read())
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +430,7 @@ def eval_fields(source, p, orders: Mapping[str, int]):
     return fields
 
 
-def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
+def chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
     """``run(f)`` on each chunk of as many ``points`` as fit ``CHUNK_BYTES``
     (at least one): ``f`` holds the chunk's ``eval_fields`` and, for each
     ``(name, Block, order)`` of ``blocks``, ``f.<name>()`` reading that block
@@ -465,7 +467,7 @@ def _chunked(source, points, orders: Mapping[str, int], run, blocks=()) -> list:
 def point_fields(source, points, orders: Mapping[str, int]):
     """``eval_fields`` over a ``(P, n)`` batch of ``points``, read chunk by
     chunk as ``check_values`` reads them, with the same error order."""
-    chunks = _chunked(source, points, orders, vars)
+    chunks = chunked(source, points, orders, vars)
     # the arrays of a single chunk are kept, not copied by a concatenation
     return SimpleNamespace(point=np.array(points, dtype=float), **{
         name: np.concatenate([chunk[name] for chunk in chunks]) if chunks[1:]
@@ -505,7 +507,7 @@ class Check(NamedTuple):
 
 
 def check_values(source, points, checks) -> list[np.ndarray]:
-    """One streaming pass over ``points`` (``_chunked``): each block the checks
+    """One streaming pass over ``points`` (``chunked``): each block the checks
     read is evaluated once per chunk, at the highest order any of them reads,
     and each kernel runs once per chunk; ``per_point`` reduces its residuals,
     so a NaN is kept.  Returns each check's values, shape (points, names)."""
@@ -517,8 +519,8 @@ def check_values(source, points, checks) -> list[np.ndarray]:
     def run(f):
         return [np.stack([per_point(t, len(f.point)) for t in check.kernel(f)], axis=1)
                 for check in checks]
-    chunks = _chunked(source, points, orders, run,
-                      [named for check in checks for named in check.blocks])
+    chunks = chunked(source, points, orders, run,
+                     [named for check in checks for named in check.blocks])
     return [np.concatenate(values) for values in zip(*chunks)]
 
 
@@ -542,10 +544,14 @@ def run_checks(source, points, checks,
                          tol_override)
 
 
+def anchor_bracket(rho, drho):
+    """[rho_a, rho_b]^i of the anchor fields, at [a, b, i]."""
+    bracket = np.einsum("...aj,...bij->...abi", rho, drho)
+    return bracket - np.swapaxes(bracket, -3, -2)
+
+
 def _anchor_morphism(f):
-    bracket = np.einsum("...aj,...bij->...abi", f.rho, f.drho)
-    bracket = bracket - np.swapaxes(bracket, -3, -2)
-    return bracket - np.einsum("...abc,...ci->...abi", f.C, f.rho),
+    return anchor_bracket(f.rho, f.drho) - np.einsum("...abc,...ci->...abi", f.C, f.rho),
 
 
 def _jacobi(f):

@@ -46,3 +46,33 @@ def test_no_module_names_a_private_numpy_name():
                if any(part.startswith("_") and not part.startswith("__")
                       for part in dotted.split("."))]
     assert private == []
+
+
+def _private_imports(tree):
+    """Each underscore name the module takes from another algebroid module:
+    by ``from .m import _name``, or as ``m._name`` on a module it imported."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (
+                node.module or "").split(".")[0] == "algebroid"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield f"{node.module or '.'}.{alias.name}"
+                if node.module in (None, "algebroid"):     # a module of the package
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "algebroid")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a module's underscore names are its own; what another module needs is public
+    private = [f"{path.name}: {name}"
+               for path in sorted(Path(algebroid.__file__).parent.glob("*.py"))
+               for name in _private_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert private == []

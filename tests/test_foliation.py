@@ -11,7 +11,7 @@ from algebroid.spec_model import (
     splitmix_uniforms, tolerance_of,
 )
 
-from conftest import fixture_doc, load_doc
+from conftest import METRIC_FIXTURES, fixture_doc, load_doc
 
 
 # --------------------------------------------------------------------------
@@ -356,8 +356,7 @@ def test_the_raw_span_monitor_reads_the_metric_and_anchor_of_the_trace(
     f = point_fields(spec, trace.positions, {"metric": 0, "anchor": 0})
     assert trace.metrics.tobytes() == np.ascontiguousarray(f.g).tobytes()
     assert trace.anchors.tobytes() == np.ascontiguousarray(f.rho).tobytes()
-    norms = np.array([fo._span_projection_norm(*at) for at in zip(
-        f.g, f.rho, trace.velocities, trace.positions)])
+    norms = _raw_span_norms(f.g, f.rho, trace.velocities, trace.positions)
     fresh = report_from_residuals("orthogonality_raw_span", np.abs(norms - norms[0]),
                                   trace.positions, tolerance_of("geodesic_orthogonality"))
 
@@ -368,6 +367,60 @@ def test_the_raw_span_monitor_reads_the_metric_and_anchor_of_the_trace(
     assert report == fresh
     assert (report.max_residual, report.worst_point) == (
         0.6124309521905976, (0.5167628711878359, 1.3632989791368897))
+
+
+def _raw_span_norms(g, rho, v, points):
+    """The raw-span monitor's norms: the g-norm of v's projection onto the
+    anchor span at each point."""
+    coeff, G = fo._span_projection(g, rho, v, points)
+    return np.sqrt(np.maximum(np.einsum("ta,tab,tb->t", coeff, G, coeff), 0.0))
+
+
+# a lone anchor of g-norm 1e-12: it still spans the x axis
+LONE_SMALL_ANCHOR = {
+    "chart": {"coords": ["x", "y"], "domain": [[-1.0, 1.0], [-1.0, 1.0]]},
+    "rank": 1, "mode": "anchored", "anchor": [["1e-12", "0"]],
+    "connection": [[["0", "0"]]], "metric": [["1", "0"], ["0", "1"]],
+}
+
+
+@pytest.mark.parametrize("name", METRIC_FIXTURES + ["lone_small_anchor"])
+def test_an_orthogonal_start_has_no_raw_span_component(spec_of, name):
+    # the launch and the monitor draw the anchor span by one rule, so the
+    # monitor reads an orthogonal start as orthogonal at its first point
+    spec = (load_doc(LONE_SMALL_ANCHOR) if name == "lone_small_anchor"
+            else spec_of(name))
+    x0s = sample_points(spec.chart, 4, 3)
+    directions = splitmix_uniforms(4, x0s.size).reshape(x0s.shape) - 0.5
+    for x0, d in zip(x0s, directions):
+        v = fo.orthogonal_velocity(spec, x0, d)
+        trace = fo.geodesic_integrate(spec, x0, v, 1e-2, 1e-2)
+        norm = _raw_span_norms(trace.metrics, trace.anchors, trace.velocities,
+                               trace.positions)[0]
+        # against the direction: where the anchors span the tangent space,
+        # v is rounding left over from d
+        assert norm <= 1e-12 * np.linalg.norm(d)
+
+
+def test_the_lone_small_anchor_is_projected_out():
+    v = fo.orthogonal_velocity(load_doc(LONE_SMALL_ANCHOR), [0.1, 0.2], [1.0, 1.0])
+    assert np.array_equal(v, np.array([0.0, 1.0]))
+
+
+def test_the_batched_raw_span_norms_match_a_per_point_lstsq(spec_of):
+    def lstsq_norm(g, rho, v):
+        G, b = rho @ g @ rho.T, rho @ g @ v
+        rcond = 1e-10 * max(1.0, float(np.max(np.abs(G))))
+        coeff = np.linalg.lstsq(G, b, rcond=rcond)[0]
+        return np.sqrt(max(float(coeff @ G @ coeff), 0.0))
+    spec = spec_of("fx_nonriem_fol")
+    x0, v0 = _batch_starts(spec, 5, 11)
+    for trace in fo.geodesic_integrate(spec, x0, v0, 0.5, 1e-2):
+        norms = _raw_span_norms(trace.metrics, trace.anchors, trace.velocities,
+                                trace.positions)
+        oracle = [lstsq_norm(*at) for at in zip(trace.metrics, trace.anchors,
+                                                trace.velocities)]
+        assert np.max(np.abs(norms - oracle)) <= 1e-15
 
 
 def test_monitor_flags_raw_mode_only_without_killing(spec_of):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
@@ -313,9 +314,44 @@ def test_jacobiator_lists_every_triple_and_reads_only_its_shifted_rows(monkeypat
         sizes.append(len(points)) or read(block, points, order)))
     fa.jacobiator_check(free, points)
     assert sizes and set(sizes) == {5}
-    (residual,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel)
+    (residual,), = spec_model.chunked(free, points, rows[0].reads, rows[0].kernel)
     triples = [t for t in combinations(free.words, 3) if sum(w.degree for w in t) <= 4]
     assert residual.shape == (5, len(triples), spec.dimension, len(free.words))
+
+
+# rank 3 over a plane, anchored, with every one of its 18 connection entries written
+RANK3_ALL_CONNECTIONS = {
+    "chart": {"coords": ["x", "y"], "domain": [[-1.0, 1.0], [-1.0, 1.0]]},
+    "rank": 3, "mode": "anchored",
+    "anchor": [["1", "x"], ["y", "1"], ["x*y", "0"]],
+    "connection": [[[f"{0.1 * (a + 1)}*x - {0.2 * (b + 1)}*y*x + {0.3 * (i + 1)}"
+                     for i in range(2)] for b in range(3)] for a in range(3)],
+}
+
+
+def test_the_stacked_jacobiator_rows_match_the_row_loop(monkeypatch):
+    # the shifted rows are subtracted in one step; each element is still one
+    # subtraction of one product in row order, so the loop gives the same bytes
+    spec = load_doc(RANK3_ALL_CONNECTIONS)
+    free = fa.free_extend(spec, 4, "almost")
+    points = sample_points(spec.chart, 7, 42)
+    run, rows = fa.run_checks, []
+    monkeypatch.setattr(fa, "run_checks", lambda *args: rows.extend(args[2]) or run(*args))
+    fa.jacobiator_check(free, points)
+    captured = inspect.getclosurevars(rows[0].kernel).nonlocals
+    jac, shifted_jac = captured["jac"], captured["shifted_jac"]
+    assert (len(jac), len(shifted_jac)) == (10, 75)
+
+    def loop(f):
+        residual = np.einsum("...tv,...vwi->...tiw", jac, f.omega)
+        for t, kh, kq, vec in zip(captured["ts"], captured["hosts"], captured["qs"],
+                                  shifted_jac):
+            residual[..., t, :, :] -= np.einsum(
+                "...i,...w->...iw", f.omega[..., kh, kq, :], vec)
+        return residual,
+    stacked, looped = (np.concatenate([residual for residual, in spec_model.chunked(
+        free, points, rows[0].reads, kernel)]) for kernel in (rows[0].kernel, loop))
+    assert stacked.tobytes() == looped.tobytes() and np.abs(stacked).max() > 0
 
 
 # --------------------------------------------------------------------------
@@ -1070,8 +1106,8 @@ def test_pruned_jacobiator_residual_is_the_unpruned_one(monkeypatch):
         reports.append(fa.jacobiator_check(t, points))
         shifted.append(len(calls) - triples)
     assert reports[0] == reports[1]
-    (pruned,), = spec_model._chunked(free, points, rows[0].reads, rows[0].kernel)
-    (every,), = spec_model._chunked(padded, points, rows[1].reads, rows[1].kernel)
+    (pruned,), = spec_model.chunked(free, points, rows[0].reads, rows[0].kernel)
+    (every,), = spec_model.chunked(padded, points, rows[1].reads, rows[1].kernel)
     assert np.array_equal(np.abs(pruned), np.abs(every))
     assert 0 < shifted[0] < shifted[1]
 
